@@ -13,9 +13,11 @@ package feddrl
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -598,11 +600,23 @@ func measureClientScaling(clients int) uint64 {
 	return peakHeap
 }
 
+// benchRecordPath is where a BENCH_*.json record is written: the
+// tracked file in the repository root when benchmarks were requested
+// (-test.bench is set, as `make bench` and `make bench-smoke` do), and
+// a test temp dir otherwise, so a plain `go test ./...` still checks
+// the record without rewriting it with the local host's numbers.
+func benchRecordPath(t *testing.T, name string) string {
+	if f := flag.Lookup("test.bench"); f != nil && f.Value.String() != "" {
+		return name
+	}
+	return filepath.Join(t.TempDir(), name)
+}
+
 // TestEngineBenchJSON times the round loop at several engine widths and
-// writes BENCH_engine.json, the machine-readable record of the engine's
-// scaling on this host. On a single-core host the expected speedup is
-// ~1.0 by physics; the JSON records GOMAXPROCS so downstream tooling can
-// tell "no cores" from "no scaling".
+// writes BENCH_engine.json (see benchRecordPath), the machine-readable
+// record of the engine's scaling on this host. On a single-core host
+// the expected speedup is ~1.0 by physics; the JSON records GOMAXPROCS
+// so downstream tooling can tell "no cores" from "no scaling".
 //
 // It also records the nested-grid case with per-layer lane occupancy,
 // and asserts the work-stealing guarantee directly: more than one lane
@@ -712,10 +726,11 @@ func TestEngineBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_engine.json", append(buf, '\n'), 0o644); err != nil {
+	path := benchRecordPath(t, "BENCH_engine.json")
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("BENCH_engine.json: %s", buf)
+	t.Logf("%s: %s", path, buf)
 	// Sanity: every width must have produced a measurement.
 	for _, c := range cases {
 		if c.NsPerRun <= 0 {
@@ -1002,9 +1017,10 @@ func warmTrainStepAllocs(net *nn.Network, in int) float64 {
 
 // TestComputeBenchJSON measures the compute hot path — blocked-vs-naive
 // GEMM at every paper-relevant shape, conv forward/backward, and warm
-// train-step allocations — and writes BENCH_compute.json. It enforces
-// the kernel acceptance gates: ≥1.5× blocked speedup at the largest
-// shape on the AVX backend, and zero allocations on warm train steps.
+// train-step allocations — and writes BENCH_compute.json (see
+// benchRecordPath). It enforces the kernel acceptance gates: ≥1.5×
+// blocked speedup at the largest shape on the AVX backend, and zero
+// allocations on warm train steps.
 func TestComputeBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing run")
@@ -1168,10 +1184,11 @@ func TestComputeBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_compute.json", append(buf, '\n'), 0o644); err != nil {
+	path := benchRecordPath(t, "BENCH_compute.json")
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("BENCH_compute.json: %s", buf)
+	t.Logf("%s: %s", path, buf)
 
 	// Schema sanity: every shape measured, conv timed, backend named.
 	validBackend := map[string]bool{"avx512": true, "avx": true, "neon": true, "generic": true}

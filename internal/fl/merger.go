@@ -3,6 +3,8 @@ package fl
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"feddrl/internal/engine"
@@ -39,8 +41,9 @@ type Merger interface {
 
 // mergeP dispatches the merge on the run's precision through an
 // optional Merger. A nil merger resolves to WeightedMerge, whose
-// output is byte-identical to the historical aggregateP path, so the
-// zero value of RunConfig.Merger changes nothing.
+// output is byte-identical to calling AggregateOn/AggregateOn32 at the
+// run's precision, so the zero value of RunConfig.Merger changes
+// nothing.
 func mergeP(prec Precision, m Merger, updates []Update, alpha []float64, pool *engine.Pool) []float64 {
 	if m == nil {
 		m = WeightedMerge{}
@@ -81,32 +84,26 @@ func (Median) Name() string { return "median" }
 
 // Merge implements Merger.
 func (Median) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	dim := mergeDims(updates, alpha)
-	out := make([]float64, dim)
-	coordMerge(updates, out, pool, func(vals []float64) float64 {
-		sort.Float64s(vals)
-		k := len(vals)
-		if k%2 == 1 {
-			return vals[k/2]
-		}
-		return (vals[k/2-1] + vals[k/2]) / 2
-	})
-	return out
+	return orderStat(mergeVecs(updates, alpha), pool, medianSorted[float64])
 }
 
 // Merge32 implements Merger.
 func (Median) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	dim := mergeDims32(updates, alpha)
-	out := make([]float32, dim)
-	coordMerge32(updates, out, pool, func(vals []float32) float32 {
-		sortFloat32(vals)
-		k := len(vals)
-		if k%2 == 1 {
-			return vals[k/2]
-		}
-		return (vals[k/2-1] + vals[k/2]) / 2
-	})
-	return out
+	return orderStat(mergeVecs32(updates, alpha), pool, medianSorted[float32])
+}
+
+// medianSorted is Median's readout: the middle row, or the mean of the
+// two middle rows.
+func medianSorted[T tensor.Elem](dst, sorted []T, stride, k int) {
+	hi := sorted[k/2*stride:][:len(dst)]
+	if k%2 == 1 {
+		copy(dst, hi)
+		return
+	}
+	lo := sorted[(k/2-1)*stride:][:len(dst)]
+	for j := range dst {
+		dst[j] = (lo[j] + hi[j]) / 2
+	}
 }
 
 // TrimmedMean merges by coordinate-wise β-trimmed mean: per
@@ -127,8 +124,13 @@ func (t TrimmedMean) Name() string { return "trimmed" }
 // sorted k-cohort.
 func (t TrimmedMean) trimCount(k int) int {
 	b := t.Beta
-	if b < 0 || math.IsNaN(b) {
+	switch {
+	case b < 0 || math.IsNaN(b):
 		b = 0
+	case b > 0.5:
+		// Clamp before converting: int(b·k) is undefined once b·k
+		// leaves the int range.
+		b = 0.5
 	}
 	n := int(b * float64(k))
 	if 2*n >= k {
@@ -139,36 +141,33 @@ func (t TrimmedMean) trimCount(k int) int {
 
 // Merge implements Merger.
 func (t TrimmedMean) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	dim := mergeDims(updates, alpha)
-	out := make([]float64, dim)
-	coordMerge(updates, out, pool, func(vals []float64) float64 {
-		sort.Float64s(vals)
-		n := t.trimCount(len(vals))
-		kept := vals[n : len(vals)-n]
-		var sum float64
-		for _, v := range kept {
-			sum += v
-		}
-		return sum / float64(len(kept))
-	})
-	return out
+	vecs := mergeVecs(updates, alpha)
+	return orderStat(vecs, pool, trimmedSorted[float64](t.trimCount(len(vecs))))
 }
 
 // Merge32 implements Merger.
 func (t TrimmedMean) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	dim := mergeDims32(updates, alpha)
-	out := make([]float32, dim)
-	coordMerge32(updates, out, pool, func(vals []float32) float32 {
-		sortFloat32(vals)
-		n := t.trimCount(len(vals))
-		kept := vals[n : len(vals)-n]
-		var sum float32
-		for _, v := range kept {
-			sum += v
+	vecs := mergeVecs32(updates, alpha)
+	return orderStat(vecs, pool, trimmedSorted[float32](t.trimCount(len(vecs))))
+}
+
+// trimmedSorted is TrimmedMean's readout for n values trimmed per
+// tail: the kept rows summed in ascending order from +0, then divided
+// by their count.
+func trimmedSorted[T tensor.Elem](n int) readout[T] {
+	return func(dst, sorted []T, stride, k int) {
+		clear(dst)
+		for i := n; i < k-n; i++ {
+			row := sorted[i*stride:][:len(dst)]
+			for j, v := range row {
+				dst[j] += v
+			}
 		}
-		return sum / float32(len(kept))
-	})
-	return out
+		kept := T(k - 2*n)
+		for j := range dst {
+			dst[j] /= kept
+		}
+	}
 }
 
 // Krum merges by selecting the single update whose summed squared
@@ -328,12 +327,6 @@ func mergeVecs(updates []Update, alpha []float64) [][]float64 {
 	return vecs
 }
 
-// mergeDims validates the cohort and returns the model dimension.
-func mergeDims(updates []Update, alpha []float64) int {
-	vecs := mergeVecs(updates, alpha)
-	return len(vecs[0])
-}
-
 // mergeVecs32 is the float32 twin of mergeVecs.
 func mergeVecs32(updates []Update, alpha []float64) [][]float32 {
 	if len(updates) == 0 {
@@ -353,80 +346,157 @@ func mergeVecs32(updates []Update, alpha []float64) [][]float32 {
 	return vecs
 }
 
-// mergeDims32 validates the f32 cohort and returns the model dimension.
-func mergeDims32(updates []Update, alpha []float64) int {
-	vecs := mergeVecs32(updates, alpha)
-	return len(vecs[0])
-}
+// readout reduces sorted columns to one value each: column j holds
+// the k values sorted[j], sorted[stride+j], …, sorted[(k-1)·stride+j]
+// in ascending order, and its statistic lands in dst[j].
+type readout[T tensor.Elem] func(dst, sorted []T, stride, k int)
 
-// coordMerge fans a per-coordinate order statistic out over aggSegment
-// coordinate spans. Each coordinate gathers its k values into a
-// worker-local scratch and reduces them with stat; coordinates are
-// independent, so any pool width produces identical bytes.
-func coordMerge(updates []Update, out []float64, pool *engine.Pool, stat func(vals []float64) float64) {
-	k := len(updates)
-	dim := len(out)
-	seg := func(lo, hi int, vals []float64) {
-		for c := lo; c < hi; c++ {
-			for i, u := range updates {
-				vals[i] = u.Weights[c]
-			}
-			out[c] = stat(vals)
-		}
-	}
+// orderBlock is the lane width of orderStat's scratch block: wide
+// enough that each comparator pass amortizes its loop, small enough
+// that a 16-update f32 block (8 KiB) stays in L1.
+const orderBlock = 128
+
+// orderStat is the coordinate-wise order-statistic merge behind Median
+// and TrimmedMean: per coordinate it sorts the cohort's k values
+// ascending and reduces the sorted column with read.
+//
+// The sort is column-blocked. A block of orderBlock coordinates is
+// copied into a k×orderBlock scratch whose rows are updates and whose
+// lanes are coordinates, and one compare-exchange network sorts every
+// lane at once, each comparator an elementwise min/max of two rows.
+// Any correct sort yields the same sorted column unless two values
+// compare equal with different bits — for floats, NaNs or zeros of both
+// signs. There the historical per-coordinate pdqsort's tie order picks
+// the surviving NaN payload or zero sign, so such coordinates are
+// re-sorted from the updates, in update order, with slices.Sort: the
+// same pdqsort and NaN-first order. The output is therefore
+// bit-identical to sorting each coordinate on its own. Segments are
+// independent and scratch is per lane, so it is the same at any pool
+// width.
+func orderStat[T tensor.Elem](vecs [][]T, pool *engine.Pool, read readout[T]) []T {
+	k, dim := len(vecs), len(vecs[0])
+	out := make([]T, dim)
+	net := oddEvenMergeSort(k)
 	segs := (dim + aggSegment - 1) / aggSegment
 	if pool == nil || segs < 2 {
-		seg(0, dim, make([]float64, k))
-		return
+		newOrderScratch[T](k).merge(vecs, out, 0, net, read)
+		return out
 	}
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
+	lanes := make([]*orderScratch[T], min(pool.Workers(), segs))
+	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(w, s int) {
+		if lanes[w] == nil {
+			lanes[w] = newOrderScratch[T](k)
 		}
-		seg(lo, hi, make([]float64, k))
+		lo := s * aggSegment
+		lanes[w].merge(vecs, out[lo:min(lo+aggSegment, dim)], lo, net, read)
 	})
+	return out
 }
 
-// coordMerge32 is the float32 twin of coordMerge.
-func coordMerge32(updates []Update, out []float32, pool *engine.Pool, stat func(vals []float32) float32) {
-	k := len(updates)
-	dim := len(out)
-	seg := func(lo, hi int, vals []float32) {
-		for c := lo; c < hi; c++ {
-			for i, u := range updates {
-				vals[i] = u.Weights32[c]
+// orderScratch is one lane's working memory for orderStat.
+type orderScratch[T tensor.Elem] struct {
+	block []T // k rows × orderBlock lanes
+	col   []T // one coordinate's k values, for the exact re-sort
+}
+
+func newOrderScratch[T tensor.Elem](k int) *orderScratch[T] {
+	return &orderScratch[T]{block: make([]T, k*orderBlock), col: make([]T, k)}
+}
+
+// merge fills out with the statistic of coordinates [lo, lo+len(out)),
+// one block at a time.
+func (s *orderScratch[T]) merge(vecs [][]T, out []T, lo int, net []comparator, read readout[T]) {
+	k := len(vecs)
+	for b := 0; b < len(out); b += orderBlock {
+		w := min(orderBlock, len(out)-b)
+		c0 := lo + b
+		ties := false
+		for i, v := range vecs {
+			row := s.block[i*orderBlock:][:w]
+			copy(row, v[c0:c0+w])
+			ties = ties || zeroOrNaN(row)
+		}
+		for _, c := range net {
+			x := s.block[c.lo*orderBlock:][:w]
+			y := s.block[c.hi*orderBlock:][:w]
+			for j, u := range x {
+				v := y[j]
+				x[j], y[j] = min(u, v), max(u, v)
 			}
-			out[c] = stat(vals)
+		}
+		dst := out[b : b+w]
+		read(dst, s.block, orderBlock, k)
+		if !ties {
+			continue
+		}
+		for j := range dst {
+			for i, v := range vecs {
+				s.col[i] = v[c0+j]
+			}
+			if tieSensitive(s.col) {
+				slices.Sort(s.col)
+				read(dst[j:j+1], s.col, 1, k)
+			}
 		}
 	}
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs < 2 {
-		seg(0, dim, make([]float32, k))
-		return
-	}
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
+}
+
+// zeroOrNaN is the cheap screen for blocks that may hold tie-sensitive
+// coordinates.
+func zeroOrNaN[T tensor.Elem](row []T) bool {
+	for _, v := range row {
+		if v == 0 || v != v {
+			return true
 		}
-		seg(lo, hi, make([]float32, k))
-	})
+	}
+	return false
 }
 
-// sortFloat32 sorts ascending. NaNs are kept deterministic by ordering
-// them before every number (mirroring sort.Float64s' NaN handling).
-func sortFloat32(v []float32) {
-	sort.Slice(v, func(i, j int) bool {
-		a, b := v[i], v[j]
-		return a < b || (isNaN32(a) && !isNaN32(b))
-	})
+// tieSensitive reports whether the sorted order of vals depends on how
+// the sort permutes equal-comparing values: a NaN, or zeros of both
+// signs.
+func tieSensitive[T tensor.Elem](vals []T) bool {
+	var pos, neg bool
+	for _, v := range vals {
+		switch {
+		case v != v:
+			return true
+		case v == 0 && math.Signbit(float64(v)):
+			neg = true
+		case v == 0:
+			pos = true
+		}
+	}
+	return pos && neg
 }
 
-// isNaN32 avoids a float64 conversion in the sort hot path.
-func isNaN32(f float32) bool { return f != f }
+// comparator is one compare-exchange of a sorting network: the smaller
+// value goes to wire lo, the larger to wire hi (lo < hi).
+type comparator struct{ lo, hi int }
+
+// oddEvenMergeSort returns Batcher's odd–even merge sorting network on
+// k wires. The loop bounds keep only the comparators of the
+// next-power-of-two network whose wires are both below k; that is
+// still a sorting network, because the dropped wires would carry +Inf,
+// which no comparator moves.
+func oddEvenMergeSort(k int) []comparator {
+	// Capacity: the comparator count of the full network on 2^t wires,
+	// (t²−t+4)·2^(t−2) − 1.
+	t := bits.Len(uint(k - 1))
+	net := make([]comparator, 0, (t*t-t+4)<<t>>2-1)
+	for p := 1; p < k; p *= 2 {
+		for d := p; d >= 1; d /= 2 {
+			for j := d % p; j+d < k; j += 2 * d {
+				for i := 0; i < d && i+j+d < k; i++ {
+					if (i+j)/(2*p) == (i+j+d)/(2*p) {
+						net = append(net, comparator{i + j, i + j + d})
+					}
+				}
+			}
+		}
+	}
+	return net
+}
 
 // ParseMerger resolves a CLI merger name. The empty string and
 // "weighted" both select the default impact-factor merge ("" maps to a

@@ -1,7 +1,11 @@
 package fl
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 
 	"feddrl/internal/engine"
@@ -28,9 +32,9 @@ func mergeCohort(k, dim int, seed uint64) ([]Update, []float64) {
 			w[c] = r.Norm()
 		}
 		updates[i] = Update{
-			ClientID: i,
-			N:        10 + i,
-			Weights:  w,
+			ClientID:  i,
+			N:         10 + i,
+			Weights:   w,
 			Weights32: tensor.Quantize(nil, w),
 		}
 		alpha[i] = float64(updates[i].N)
@@ -101,13 +105,16 @@ func TestTrimmedMeanMerge(t *testing.T) {
 	if got[0] != 2 {
 		t.Fatalf("trimmed mean = %v, want 2 (outliers dropped)", got[0])
 	}
-	// β ≥ 0.5 would trim everything; the clamp must keep the middle.
-	got = TrimmedMean{Beta: 0.9}.Merge(updates, alpha, nil)
-	if got[0] != 2 {
-		t.Fatalf("over-trimmed mean = %v, want 2", got[0])
+	// β ≥ 0.5 would trim everything; the clamp must keep the middle,
+	// also for β so large that β·k overflows an int.
+	for _, beta := range []float64{0.9, 1e300, math.Inf(1)} {
+		got = TrimmedMean{Beta: beta}.Merge(updates, alpha, nil)
+		if got[0] != 2 {
+			t.Fatalf("over-trimmed mean (β=%v) = %v, want 2", beta, got[0])
+		}
 	}
 	for k := 1; k <= 7; k++ {
-		for _, beta := range []float64{-1, 0, 0.2, 0.49, 0.5, 3, math.NaN()} {
+		for _, beta := range []float64{-1, 0, 0.2, 0.49, 0.5, 3, math.NaN(), 1e300, math.Inf(1)} {
 			n := TrimmedMean{Beta: beta}.trimCount(k)
 			if n < 0 || 2*n >= k {
 				t.Fatalf("trimCount(β=%v, k=%d) = %d leaves no survivors", beta, k, n)
@@ -252,5 +259,360 @@ func TestParseMerger(t *testing.T) {
 	}
 	if _, err := ParseMerger("nope", 0, 10); err == nil {
 		t.Fatal("unknown merger did not error")
+	}
+}
+
+// refMerger is the historical per-coordinate implementation of Median
+// and TrimmedMean, kept as the bit-exact reference for orderStat: each
+// coordinate gathers its k values in update order and sorts them with
+// sort.Float64s, or for f32 with sort.Slice under a NaN-first order.
+type refMerger struct{ rule Merger } // Median or TrimmedMean
+
+func (r refMerger) Name() string { return r.rule.Name() + "-ref" }
+
+func (r refMerger) Merge(updates []Update, alpha []float64, _ *engine.Pool) []float64 {
+	vecs := mergeVecs(updates, alpha)
+	out := make([]float64, len(vecs[0]))
+	vals := make([]float64, len(vecs))
+	for c := range out {
+		for i, v := range vecs {
+			vals[i] = v[c]
+		}
+		sort.Float64s(vals)
+		k := len(vals)
+		if t, ok := r.rule.(TrimmedMean); ok {
+			n := t.trimCount(k)
+			var sum float64
+			for _, v := range vals[n : k-n] {
+				sum += v
+			}
+			out[c] = sum / float64(k-2*n)
+		} else if k%2 == 1 {
+			out[c] = vals[k/2]
+		} else {
+			out[c] = (vals[k/2-1] + vals[k/2]) / 2
+		}
+	}
+	return out
+}
+
+func (r refMerger) Merge32(updates []Update, alpha []float64, _ *engine.Pool) []float32 {
+	vecs := mergeVecs32(updates, alpha)
+	out := make([]float32, len(vecs[0]))
+	vals := make([]float32, len(vecs))
+	for c := range out {
+		for i, v := range vecs {
+			vals[i] = v[c]
+		}
+		sort.Slice(vals, func(i, j int) bool {
+			a, b := vals[i], vals[j]
+			return a < b || (a != a && b == b)
+		})
+		k := len(vals)
+		if t, ok := r.rule.(TrimmedMean); ok {
+			n := t.trimCount(k)
+			var sum float32
+			for _, v := range vals[n : k-n] {
+				sum += v
+			}
+			out[c] = sum / float32(k-2*n)
+		} else if k%2 == 1 {
+			out[c] = vals[k/2]
+		} else {
+			out[c] = (vals[k/2-1] + vals[k/2]) / 2
+		}
+	}
+	return out
+}
+
+// tieCohort builds k updates whose columns mix ordinary normals with
+// the values that make a float sort's tie order observable or its
+// comparisons unusual: zeros of both signs, NaNs with distinct payloads
+// and signs, ±Inf, subnormals and heavy duplication. Each column draws
+// one mix, so the network path and the exact re-sort both see plenty
+// of coordinates. The f64 and f32 vectors are drawn independently.
+func tieCohort(k, dim int, seed uint64) ([]Update, []float64) {
+	r := rng.New(seed)
+	updates := make([]Update, k)
+	alpha := make([]float64, k)
+	for i := range updates {
+		updates[i] = Update{ClientID: i, Weights: make([]float64, dim), Weights32: make([]float32, dim)}
+		alpha[i] = 1 / float64(k)
+	}
+	for c := 0; c < dim; c++ {
+		mix := r.Intn(5)
+		for _, u := range updates {
+			u.Weights[c] = math.Float64frombits(tieBits(r, mix, 64))
+			u.Weights32[c] = math.Float32frombits(uint32(tieBits(r, mix, 32)))
+		}
+	}
+	return updates, alpha
+}
+
+// tieBits draws the bit pattern of one tieCohort value of the given
+// width. Mix 0 is all normals; mixes 1–4 replace three values in four
+// with signed zeros, NaNs, duplicates, or infinities and subnormals.
+func tieBits(r *rng.RNG, mix, width int) uint64 {
+	mant := uint(52)
+	if width == 32 {
+		mant = 23
+	}
+	sign := uint64(r.Intn(2)) << (width - 1)
+	inf := (uint64(1)<<(width-1-int(mant)) - 1) << mant
+	frac := r.Uint64() & (1<<mant - 1)
+	if mix == 0 || r.Intn(4) == 0 {
+		if width == 32 {
+			return uint64(math.Float32bits(float32(r.Norm())))
+		}
+		return math.Float64bits(r.Norm())
+	}
+	switch mix {
+	case 1: // signed zeros
+		return sign
+	case 2: // NaNs: quiet and signalling, any payload and sign
+		return sign | inf | frac | 1
+	case 3: // duplicates drawn from {±0, ±1, 2.5}
+		one := inf >> 1 &^ (1 << (mant - 1)) // 1.0: exponent bias, no fraction
+		switch r.Intn(3) {
+		case 0:
+			return sign
+		case 1:
+			return sign | one
+		}
+		return one | 1<<mant | 1<<(mant-2) // 2.5
+	default: // ±Inf, subnormals and the largest finite magnitude
+		switch r.Intn(3) {
+		case 0:
+			return sign | inf
+		case 1:
+			return sign | frac | 1
+		}
+		return sign | (inf - 1)
+	}
+}
+
+// mismatch returns the first index at which want and got differ
+// bitwise, or -1.
+func mismatch(want, got []float64) int {
+	if len(want) != len(got) {
+		return 0
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mismatch32 is mismatch for f32 vectors.
+func mismatch32(want, got []float32) int {
+	if len(want) != len(got) {
+		return 0
+	}
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// orderRules are the Median and TrimmedMean configurations the
+// exactness suite compares; β 0.5 hits the half-cohort clamp.
+var orderRules = []Merger{Median{}, TrimmedMean{}, TrimmedMean{Beta: 0.1}, TrimmedMean{Beta: 0.3}, TrimmedMean{Beta: 0.5}}
+
+// requireReference fails t unless rule merges the cohort, in both
+// widths and on every pool, bit-identically to the sort reference.
+func requireReference(t *testing.T, rule Merger, updates []Update, alpha []float64, pools []*engine.Pool) {
+	t.Helper()
+	ref := refMerger{rule}
+	want, want32 := ref.Merge(updates, alpha, nil), ref.Merge32(updates, alpha, nil)
+	for _, pool := range pools {
+		if c := mismatch(want, rule.Merge(updates, alpha, pool)); c >= 0 {
+			t.Fatalf("%s k=%d dim=%d workers=%d: f64 coordinate %d differs from the sort reference",
+				rule.Name(), len(updates), len(want), pool.Workers(), c)
+		}
+		if c := mismatch32(want32, rule.Merge32(updates, alpha, pool)); c >= 0 {
+			t.Fatalf("%s k=%d dim=%d workers=%d: f32 coordinate %d differs from the sort reference",
+				rule.Name(), len(updates), len(want32), pool.Workers(), c)
+		}
+	}
+}
+
+// TestOrderStatMatchesSortReference: the blocked kernel must reproduce
+// the per-coordinate sort bit for bit on tie-heavy cohorts of every
+// size from 1 to 40 plus 64 and 100, on dims around the block width,
+// and — across pool widths — on dims spanning several aggSegment
+// spans with a partial last block.
+func TestOrderStatMatchesSortReference(t *testing.T) {
+	nilPool := []*engine.Pool{nil}
+	ks := []int{64, 100}
+	for k := 1; k <= 40; k++ {
+		ks = append(ks, k)
+	}
+	for _, k := range ks {
+		for _, dim := range []int{1, orderBlock - 1, orderBlock + 1} {
+			updates, alpha := tieCohort(k, dim, uint64(1000*k+dim))
+			for _, rule := range orderRules {
+				requireReference(t, rule, updates, alpha, nilPool)
+			}
+		}
+	}
+	pools := []*engine.Pool{nil}
+	for _, w := range []int{1, 2, 4, 8} {
+		p := engine.New(w)
+		defer p.Close()
+		pools = append(pools, p)
+	}
+	for _, k := range []int{1, 2, 5, 16, 33} {
+		updates, alpha := tieCohort(k, 2*aggSegment+orderBlock/2+3, uint64(k))
+		for _, rule := range []Merger{Median{}, TrimmedMean{Beta: 0.3}} {
+			requireReference(t, rule, updates, alpha, pools)
+		}
+	}
+}
+
+// TestOddEvenMergeSortSorts checks the network construction
+// exhaustively by the 0-1 principle: a comparator network sorts every
+// input iff it sorts every 0/1 input, and on bits a comparator is
+// (AND, OR).
+func TestOddEvenMergeSortSorts(t *testing.T) {
+	for k := 1; k <= 18; k++ {
+		net := oddEvenMergeSort(k)
+		for in := uint32(0); in < 1<<k; in++ {
+			x := in
+			for _, c := range net {
+				lo, hi := x>>c.lo&1, x>>c.hi&1
+				x = x&^(1<<c.lo|1<<c.hi) | (lo&hi)<<c.lo | (lo|hi)<<c.hi
+			}
+			// Sorted ascending: every 1 sits above every 0.
+			if ones := bits.OnesCount32(x); x != (1<<k-1)&^(1<<(k-ones)-1) {
+				t.Fatalf("k=%d: input %b sorts to %b", k, in, x)
+			}
+		}
+	}
+}
+
+// cohortBytes flattens cohort weights, update by update, as the
+// little-endian f64 bit patterns FuzzOrderStatMatchesSort decodes.
+func cohortBytes(updates []Update) []byte {
+	var b []byte
+	for _, u := range updates {
+		for _, w := range u.Weights {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+	}
+	return b
+}
+
+// FuzzOrderStatMatchesSort feeds raw bit patterns to the blocked
+// kernel: data is read as k f64 update vectors, and again as k f32
+// ones, and Median and TrimmedMean must match the sort reference bit
+// for bit at both widths. The seed corpus, which plain `go test`
+// replays, covers mixed-sign zeros, NaN payloads, infinities,
+// subnormals and multi-block tie-heavy cohorts.
+func FuzzOrderStatMatchesSort(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	seed := func(k int, beta float64, vals ...float64) {
+		f.Add(uint8(k-1), beta, cohortBytes([]Update{{Weights: vals}}))
+	}
+	seed(4, 0.25, 0, negZero, negZero, 0, 1, -1, 0, negZero)
+	seed(5, 0.2, math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		1, math.Float64frombits(0x7ff0000000000003), negZero)
+	seed(3, 0.4, math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.MaxFloat64, 0)
+	// One column [+0, −0, +0]: the sort keeps −0 in the middle, a
+	// min/max network moves it to the bottom.
+	seed(3, 0, 0, negZero, 0)
+	for _, k := range []int{7, 16, 40} {
+		updates, _ := tieCohort(k, orderBlock+5, uint64(k))
+		f.Add(uint8(k-1), 0.3, cohortBytes(updates))
+	}
+	f.Fuzz(func(t *testing.T, kb uint8, beta float64, data []byte) {
+		k := int(kb)%100 + 1
+		rules := []Merger{Median{}, TrimmedMean{Beta: beta}}
+		alpha := make([]float64, k)
+		if dim := len(data) / (8 * k); dim > 0 {
+			updates := make([]Update, k)
+			for i := range updates {
+				updates[i].Weights = make([]float64, dim)
+				for c := range updates[i].Weights {
+					updates[i].Weights[c] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(i*dim+c):]))
+				}
+			}
+			for _, rule := range rules {
+				want := refMerger{rule}.Merge(updates, alpha, nil)
+				if c := mismatch(want, rule.Merge(updates, alpha, nil)); c >= 0 {
+					t.Fatalf("%s k=%d: f64 coordinate %d differs from the sort reference", rule.Name(), k, c)
+				}
+			}
+		}
+		if dim := len(data) / (4 * k); dim > 0 {
+			updates := make([]Update, k)
+			for i := range updates {
+				updates[i].Weights32 = make([]float32, dim)
+				for c := range updates[i].Weights32 {
+					updates[i].Weights32[c] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*(i*dim+c):]))
+				}
+			}
+			for _, rule := range rules {
+				want := refMerger{rule}.Merge32(updates, alpha, nil)
+				if c := mismatch32(want, rule.Merge32(updates, alpha, nil)); c >= 0 {
+					t.Fatalf("%s k=%d: f32 coordinate %d differs from the sort reference", rule.Name(), k, c)
+				}
+			}
+		}
+	})
+}
+
+// TestRobustMergeRunMatchesSortReference: a sign-flip run merged by
+// Median or TrimmedMean, at F64 and at F32, must end byte-identical to
+// the same run merged by the historical per-coordinate sort. Sign-flip
+// turns +0 into −0, so the run feeds the kernel mixed-sign zeros.
+func TestRobustMergeRunMatchesSortReference(t *testing.T) {
+	const seed = 61
+	for _, prec := range []Precision{F64, F32} {
+		for _, rule := range []Merger{Median{}, TrimmedMean{Beta: 0.3}} {
+			runWith := func(m Merger, workers int) *Result {
+				clients, test, cfg := detFederation(t, seed)
+				cfg = attackedConfig(cfg)
+				cfg.Precision = prec
+				cfg.Merger = m
+				cfg.Workers = workers
+				return stripTimings(Run(cfg, clients, test, FedAvg{}))
+			}
+			want, got := runWith(refMerger{rule}, 1), runWith(rule, 2)
+			if c := mismatch(want.Weights, got.Weights); c >= 0 {
+				t.Fatalf("%s %s: final weight %d differs from the sort-reference run", prec, rule.Name(), c)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s %s: run differs from the sort-reference run", prec, rule.Name())
+			}
+		}
+	}
+}
+
+// TestOrderStatAllocsFlat: a merge allocates the output, the network
+// and one lane's scratch, however long the model. The per-coordinate
+// sort it replaced allocated twice per coordinate.
+func TestOrderStatAllocsFlat(t *testing.T) {
+	for _, rule := range []Merger{Median{}, TrimmedMean{Beta: 0.2}} {
+		allocs := func(dim int, f32 bool) float64 {
+			updates, alpha := mergeCohort(16, dim, 5)
+			return testing.AllocsPerRun(5, func() {
+				if f32 {
+					rule.Merge32(updates, alpha, nil)
+				} else {
+					rule.Merge(updates, alpha, nil)
+				}
+			})
+		}
+		for _, f32 := range []bool{false, true} {
+			small, large := allocs(orderBlock, f32), allocs(4*aggSegment+orderBlock+1, f32)
+			if large != small || large > 8 {
+				t.Fatalf("%s f32=%v: %v allocations at dim %d, %v at dim %d; want the same few",
+					rule.Name(), f32, small, orderBlock, large, 4*aggSegment+orderBlock+1)
+			}
+		}
 	}
 }

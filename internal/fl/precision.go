@@ -146,14 +146,3 @@ func weightedSum32(dst []float32, alpha []float32, vecs [][]float32) {
 		tensor.Axpy32(alpha[k], v, dst)
 	}
 }
-
-// aggregateP dispatches the merge on the run's precision: the f64 path
-// is untouched, the f32 path folds at half width and widens the result
-// exactly back onto the float64-carried global vector (which thereby
-// stays on the float32 lattice).
-func aggregateP(prec Precision, updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	if prec == F32 {
-		return tensor.Widen(nil, AggregateOn32(updates, alpha, pool))
-	}
-	return AggregateOn(updates, alpha, pool)
-}

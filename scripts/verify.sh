@@ -49,7 +49,12 @@ go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceRep
 # configuration must reproduce the benign run byte for byte, every
 # robust merger must be pool-width-invariant, and a NaN-uploading fleet
 # must finish with quarantine counts instead of a poisoned global model.
-go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes' ./internal/fl/
+# The blocked Median/TrimmedMean kernel must match the historical
+# per-coordinate sort bit for bit: on tie-heavy cohorts (signed zeros,
+# NaN payloads, ±Inf, subnormals) across cohort sizes, dims and pool
+# widths, on the fuzz target's seed corpus, and over whole sign-flip
+# runs at f64 and f32.
+go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes|TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
 
 # Benign byte-identity across the merge-seam refactor: figure6 rendered
 # cold, warm (0 cache misses) and with the explicit weighted merge rule
