@@ -39,8 +39,10 @@ go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateS
 # straggler/dropout trace must replay byte-identically across worker
 # counts, partial rounds must stay deterministic, and a client whose
 # update straddles server versions must resume its per-identity RNG
-# stream exactly.
-go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError' ./internal/fl/
+# stream exactly. Every engine's Result must also hash to the digest
+# pinned in digest_test.go, so a change that moves all engines' bits
+# together cannot pass as "still equal to each other".
+go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError|TestRunDigestsPinned' ./internal/fl/
 
 # Byzantine attack-determinism gate under -race: a seeded sign-flip
 # cohort must replay bitwise across worker counts 1/2/4/8 and across the
