@@ -135,7 +135,7 @@ func benchmarkAggregate(b *testing.B, factory ModelFactory) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Aggregate(ups, alpha)
+		_ = fl.WeightedMerge{}.Merge(ups, alpha, nil)
 	}
 	b.ReportMetric(float64(dim), "params")
 }
@@ -879,7 +879,7 @@ func BenchmarkComputeElemwiseAxpy(b *testing.B) {
 }
 
 // BenchmarkComputeElemwiseF32Axpy times the f32 aggregation workhorse
-// (the AggregateOn32 inner kernel) at the same element count.
+// (the WeightedMerge.Merge32 inner kernel) at the same element count.
 func BenchmarkComputeElemwiseF32Axpy(b *testing.B) {
 	x := make([]float32, 1<<16)
 	y := make([]float32, 1<<16)

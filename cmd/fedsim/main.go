@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"feddrl"
@@ -106,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	engineWorkers := *workers
 	if engineWorkers < 0 {
-		engineWorkers = 0 // RunConfig: 0 + Parallel resolves to GOMAXPROCS
+		engineWorkers = runtime.GOMAXPROCS(0)
 	}
 	// Krum sizes its tolerated-fault count f from the malicious
 	// fraction, so the merger parses once K is clamped.
@@ -116,13 +117,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := feddrl.RunConfig{
-		Rounds:   *rounds,
-		K:        kk,
-		Local:    feddrl.LocalConfig{Epochs: *epochs, Batch: 10, LR: *lr},
-		Factory:  factory,
-		Seed:     *seed + 2,
+		Rounds:    *rounds,
+		K:         kk,
+		Local:     feddrl.LocalConfig{Epochs: *epochs, Batch: 10, LR: *lr},
+		Factory:   factory,
+		Seed:      *seed + 2,
 		Workers:   engineWorkers,
-		Parallel:  *workers < 0,
 		Precision: prec,
 		Attack:    attack,
 		Merger:    merger,

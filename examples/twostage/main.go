@@ -90,7 +90,7 @@ func (e *simEnv) Step(action []float64) ([]float64, float64, bool) {
 	for i := range alpha {
 		alpha[i] /= sum
 	}
-	e.global = feddrl.Aggregate(e.updates, alpha)
+	e.global = feddrl.WeightedMerge{}.Merge(e.updates, alpha, nil)
 	e.round++
 	e.step()
 	// Eq. 7 reward (negated): mean + (max-min) of the fresh losses.

@@ -15,11 +15,12 @@
 //     clients are (seed, index-recipe) identities over zero-copy
 //     DataView shards, materialized only while selected (bit-identical
 //     to the eager path)
-//   - asynchronous rounds: RunAsync, a deterministic event-driven round
-//     engine over the same ClientPool — seeded virtual clock, pluggable
-//     ArrivalModel traces (stragglers, dropout, availability) and
-//     staleness-weighted merging; its degenerate trace reproduces
-//     RunVirtual bit for bit
+//   - asynchronous rounds: RunAsync exposes the one deterministic
+//     event-driven round engine behind Run and RunVirtual over the same
+//     ClientPool — seeded virtual clock, pluggable ArrivalModel traces
+//     (stragglers, dropout, availability) and staleness-weighted
+//     merging; Run and RunVirtual are its degenerate trace (instant
+//     arrivals, no drops, no decay)
 //   - the execution engine: NewWorkerPool + RunConfig.Workers, a bounded
 //     work-stealing pool whose parallel results are bit-identical to
 //     sequential and whose nested loops stay parallel under saturation
@@ -310,8 +311,6 @@ var (
 	RunAsync = fl.RunAsync
 	// SingleSet trains centrally on the combined data (the §4.1 baseline).
 	SingleSet = fl.SingleSet
-	// Aggregate computes the Eq. 4 weighted model merge.
-	Aggregate = fl.Aggregate
 	// NewFedDRL wraps an Agent as an Aggregator.
 	NewFedDRL = fl.NewFedDRL
 	// EvalLossAcc evaluates a model on a dataset.
@@ -338,8 +337,6 @@ var (
 	NewWorkerPool = engine.New
 	// NewEvaluator builds a chunk-parallel evaluator over a pool.
 	NewEvaluator = fl.NewEvaluator
-	// AggregateOn is Aggregate executed segment-parallel on a pool.
-	AggregateOn = fl.AggregateOn
 )
 
 // Compute kernels and scratch arenas: the blocked, register-tiled GEMM

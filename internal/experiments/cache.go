@@ -124,10 +124,9 @@ var hashedScaleFields = []string{
 // the cache key, each because it cannot change a cell's artifact:
 // Name is a display label; LargeN, K, KSweep and Deltas only steer job
 // enumeration (the resulting N/K/Delta live in each CellSpec); Workers
-// and Parallel pick the engine width, which is bit-identical at any
-// value (the PR-1 determinism guarantee).
+// picks the engine width, whose output is bit-identical at any value.
 var excludedScaleFields = []string{
-	"Name", "LargeN", "K", "KSweep", "Deltas", "Workers", "Parallel",
+	"Name", "LargeN", "K", "KSweep", "Deltas", "Workers",
 }
 
 // conditionallyHashedScaleFields are hashed only when any of them is

@@ -346,13 +346,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 
 	same := map[string]func(*Scale){
-		"Name":     func(s *Scale) { s.Name = "renamed" },
-		"Workers":  func(s *Scale) { s.Workers = 7 },
-		"Parallel": func(s *Scale) { s.Parallel = true },
-		"LargeN":   func(s *Scale) { s.LargeN += 10 },
-		"K":        func(s *Scale) { s.K++ },
-		"KSweep":   func(s *Scale) { s.KSweep = append([]int{}, 99) },
-		"Deltas":   func(s *Scale) { s.Deltas = []float64{0.9} },
+		"Name":    func(s *Scale) { s.Name = "renamed" },
+		"Workers": func(s *Scale) { s.Workers = 7 },
+		"LargeN":  func(s *Scale) { s.LargeN += 10 },
+		"K":       func(s *Scale) { s.K++ },
+		"KSweep":  func(s *Scale) { s.KSweep = append([]int{}, 99) },
+		"Deltas":  func(s *Scale) { s.Deltas = []float64{0.9} },
 	}
 	for name, mut := range same {
 		changed := s

@@ -77,7 +77,7 @@ func (e *flEnv) state() []float64 {
 func (e *flEnv) Step(action []float64) ([]float64, float64, bool) {
 	k := e.drlCfg.K
 	alpha := mathx.Softmax(action[:k])
-	e.global = fl.Aggregate(e.updates, alpha)
+	e.global = fl.WeightedMerge{}.Merge(e.updates, alpha, nil)
 	e.round++
 	e.runClients()
 	lb := make([]float64, k)

@@ -68,21 +68,3 @@ func TestConcurrentFanOutSmoke(t *testing.T) {
 		t.Fatalf("fan-out output missing expected rows:\n%s", out)
 	}
 }
-
-// TestLegacyParallelScale keeps the deprecated Scale.Parallel flag
-// working through the engine path.
-func TestLegacyParallelScale(t *testing.T) {
-	s := gridScale()
-	want, err := Run("figure7", s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Parallel = true
-	got, err := Run("figure7", s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("Scale.Parallel output differs from sequential")
-	}
-}

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"feddrl/internal/core"
-	"feddrl/internal/engine"
-	"feddrl/internal/mathx"
 )
 
 // Aggregator decides the impact factors used to merge client updates
@@ -164,24 +162,16 @@ func behaviorAction(alpha []float64, beta float64) []float64 {
 	return act
 }
 
-// Aggregate computes the weighted model merge of Eq. 4 into a fresh
-// vector: w ← Σ_k α_k·w_k. It panics unless the weights form a
-// (near-)convex combination aligned with the updates, and unless every
-// upload is finite — see AllFinite for the misuse-vs-fault split.
-func Aggregate(updates []Update, alpha []float64) []float64 {
-	return AggregateOn(updates, alpha, nil)
-}
-
 // AllFinite reports whether every element of v is a finite number (no
 // NaN, no ±Inf).
 //
-// The aggregation entry points panic on non-finite uploads because a
-// single poisoned coordinate contaminates the whole merged model, and a
-// caller reaching Aggregate with one has skipped the screening it owns
-// — library misuse. The run loops never trip that panic: their ingress
-// gate (QuarantineConfig) treats a non-finite upload as a runtime fault
-// from a diverging or malicious client, drops it from the cohort, and
-// counts it in RoundMetrics.Quarantined.
+// WeightedMerge panics on non-finite uploads because a single poisoned
+// coordinate contaminates the whole merged model, and a caller reaching
+// it with one has skipped the screening it owns — library misuse. The
+// round engine never trips that panic: its ingress gate
+// (QuarantineConfig) treats a non-finite upload as a runtime fault from
+// a diverging or malicious client, drops it from the cohort, and counts
+// it in RoundMetrics.Quarantined.
 func AllFinite(v []float64) bool {
 	for _, x := range v {
 		// x-x is 0 for finite x and NaN for NaN/±Inf: one branch per
@@ -201,64 +191,4 @@ func AllFinite32(v []float32) bool {
 		}
 	}
 	return true
-}
-
-// aggSegment is the column span each pool task merges in AggregateOn.
-// Segmentation cannot change the result: every output element is the
-// same k-ordered fold whichever segment it lands in.
-const aggSegment = 8192
-
-// AggregateOn is Aggregate executed segment-parallel on a worker pool
-// (nil means sequential). Results are bit-identical to Aggregate.
-// Under a saturated shared pool the segments enqueue for stealing like
-// any nested job, so the merge stays parallel inside a busy grid.
-func AggregateOn(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	if len(updates) == 0 || len(alpha) != len(updates) {
-		panic(fmt.Sprintf("fl: Aggregate with %d updates and %d weights", len(updates), len(alpha)))
-	}
-	sum := 0.0
-	for _, a := range alpha {
-		if a < 0 {
-			panic("fl: negative impact factor")
-		}
-		sum += a
-	}
-	if sum < 0.999 || sum > 1.001 {
-		panic(fmt.Sprintf("fl: impact factors sum to %v, want 1", sum))
-	}
-	dim := len(updates[0].Weights)
-	vecs := make([][]float64, len(updates))
-	for i, u := range updates {
-		if len(u.Weights) != dim {
-			panic("fl: inconsistent weight vector lengths")
-		}
-		if !AllFinite(u.Weights) {
-			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite or the run loop's quarantine gate", i, u.ClientID))
-		}
-		vecs[i] = u.Weights
-	}
-	out := make([]float64, dim)
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs <= 1 {
-		// Sequential fast path: one kernel call, no per-segment slice
-		// headers. Bit-identical to the segmented fold.
-		mathx.WeightedSum(out, alpha, vecs)
-		return out
-	}
-	// Segments are microsecond-scale axpy strips: publish them on the
-	// fine scheduling class so idle lanes drain them before any coarse
-	// grid cells pending in the same deques.
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
-		}
-		sub := make([][]float64, len(vecs))
-		for k, v := range vecs {
-			sub[k] = v[lo:hi]
-		}
-		mathx.WeightedSum(out[lo:hi], alpha, sub)
-	})
-	return out
 }

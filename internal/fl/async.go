@@ -74,9 +74,9 @@ type ArrivalModel interface {
 	// Name identifies the trace in artifacts and logs.
 	Name() string
 	// Draw decides the fate of one dispatch of client id's local work
-	// against server version round. r is a fresh generator derived
-	// deterministically from (arrival seed, round, id, redispatch
-	// attempt), so the draw depends only on that position in the
+	// against server version round. r is a generator freshly seeded
+	// from (arrival seed, round, id, redispatch attempt) and valid only
+	// for the call, so the draw depends only on that position in the
 	// schedule — never on processing order or worker count.
 	// Identity-stable traits (a client being a persistent straggler or
 	// permanently offline) must come from the model's own seed, not
@@ -85,9 +85,9 @@ type ArrivalModel interface {
 }
 
 // InstantArrivals is the degenerate trace: every update arrives with
-// zero latency and nothing is dropped. Under it (with StalenessDecay 1)
-// RunAsync reproduces RunVirtual bit for bit — the async engine's
-// equivalent of the engine package's sequential-fallback contract.
+// zero latency and nothing is dropped. With StalenessDecay 1 and
+// AggregateEvery K it is the synchronous schedule Run and RunVirtual
+// use.
 type InstantArrivals struct{}
 
 // Name identifies the degenerate trace.
@@ -258,8 +258,7 @@ type inFlight struct {
 // arrivalHeap is a hand-rolled binary min-heap of in-flight updates
 // ordered by (arrival time, dispatch sequence). The sequence tie-break
 // makes simultaneous arrivals — the whole degenerate trace — pop in
-// dispatch order, which is what aligns the async engine with the
-// synchronous loop's update ordering.
+// dispatch order, which is the cohort's selection order.
 type arrivalHeap []inFlight
 
 func (h arrivalHeap) before(i, j int) bool {
@@ -310,7 +309,7 @@ func (h *arrivalHeap) pop() inFlight {
 
 // staleWeights applies staleness-weighted merging: each impact factor is
 // scaled by decay^age (age in server rounds) and the vector is
-// renormalized to sum 1 for AggregateOn. The degenerate cases — decay 1,
+// renormalized to sum 1 for the merge. The degenerate cases — decay 1,
 // or a buffer with no stale update — return alpha untouched, so the
 // synchronous bit pattern survives exactly (a renormalization of
 // all-ones weights would still perturb the last few mantissa bits).
@@ -356,16 +355,15 @@ func staleWeights(alpha []float64, buf []inFlight, round int, decay float64) []f
 // Mechanics per server round r:
 //
 //  1. Dispatch: the Selector picks K clients against the current global
-//     model; their local training runs in parallel on the same
-//     work-stealing pool as the synchronous loop (trainCohort). Each
-//     finished update is assigned an arrival time now+Delay drawn from
-//     the ArrivalModel, or dropped.
+//     model; their local training runs in parallel on the engine's
+//     work-stealing pool (trainCohort). Each finished update is assigned
+//     an arrival time now+Delay drawn from the ArrivalModel, or dropped.
 //  2. Drain: the event queue pops arrivals in (time, dispatch-sequence)
 //     order, advancing the virtual clock, until the aggregation
 //     threshold is reached or the queue empties.
 //  3. Merge: the aggregator computes impact factors over exactly the
 //     arrived updates (which may span server versions), staleness decay
-//     reweights them, and AggregateOn folds the new global model.
+//     reweights them, and the Merger folds the new global model.
 //
 // Clients whose updates are still in flight when the server version
 // advances simply arrive stale; because every client's RNG position is
@@ -373,11 +371,10 @@ func staleWeights(alpha []float64, buf []inFlight, round int, decay float64) []f
 // a later version resumes its stream exactly where it left off — local
 // work straddling server versions costs no determinism.
 //
-// The determinism contract matches the synchronous engines: results are
-// bit-identical across Workers and across substrates for the same
+// The determinism contract matches the synchronous entry points: results
+// are bit-identical across Workers and across substrates for the same
 // configuration, and the degenerate configuration (InstantArrivals,
-// StalenessDecay 1, AggregateEvery K) reproduces RunVirtual exactly,
-// including every weight bit and RNG stream.
+// StalenessDecay 1, AggregateEvery K) is exactly what RunVirtual runs.
 //
 // The returned error is non-nil only when the arrival model starves the
 // engine (*StarvationError): every dispatch of maxRedispatchAttempts
@@ -388,8 +385,18 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	if clients == nil {
 		panic("fl: RunAsync with nil client pool")
 	}
+	return runRounds(cfg, clients, test, agg)
+}
+
+// runRounds is the round engine behind Run, RunVirtual and RunAsync,
+// the package's only round loop. Each server round dispatches a cohort
+// (Select → trainCohort → arrival draws), drains arrivals into the
+// aggregation buffer, screens it through the ingress gate, then runs
+// ImpactFactors → staleness decay → mergeP and evaluates on the
+// EvalEvery cadence. All per-round scratch is allocated once up front.
+func runRounds(cfg AsyncConfig, pop population, test *dataset.Dataset, agg Aggregator) (*AsyncResult, error) {
 	if agg == nil {
-		panic("fl: RunAsync with nil aggregator")
+		panic("fl: run with nil aggregator")
 	}
 	arr := cfg.Arrival
 	if arr == nil {
@@ -403,26 +410,19 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	if decay == 0 {
 		decay = 1
 	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
-	pop := population(clients)
-	k := cfg.K
-	if k > pop.NumClients() {
-		k = pop.NumClients()
-	}
+	evalEvery := max(cfg.EvalEvery, 1)
+	k := min(cfg.K, pop.NumClients())
 	threshold := cfg.AggregateEvery
 	if threshold == 0 {
 		threshold = k
 	}
 
 	serverRNG := rng.New(cfg.Seed)
-	serverModel := cfg.Factory(cfg.Seed)
-	global := serverModel.ParamVector()
+	global := cfg.Factory(cfg.Seed).ParamVector()
 	if cfg.Precision == F32 {
-		// Same f32-mode invariant as runLoop: the global vector stays on
-		// the float32 lattice across every aggregation step.
+		// f32 mode's standing invariant: the float64-carried global
+		// vector is exactly float32-representable, so every broadcast and
+		// every client-side quantization of it is lossless.
 		tensor.QuantizeLattice(global)
 	}
 
@@ -430,13 +430,15 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	defer release()
 	var ev *Evaluator
 	if test != nil {
+		// The evaluator's persistent lanes serve the sequential case too
+		// (nil pool → one lane), so no eval path re-allocates its loss
+		// scratch per round.
 		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
 	}
 	sel := cfg.Selector
 	if sel == nil {
 		sel = UniformSelector{}
 	}
-
 	atk := newAttackRuntime(cfg.Attack, cfg.AttackSeed, cfg.Seed)
 
 	res := &AsyncResult{Result: &Result{Method: agg.Name(), NumParam: len(global)}}
@@ -445,30 +447,29 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	seen := make(map[int]struct{}, k)
 	var q arrivalHeap
 	buffer := make([]inFlight, 0, threshold)
-	bufUpdates := make([]Update, 0, threshold)
-	keptFlight := make([]inFlight, 0, threshold)
-	keptUpdates := make([]Update, 0, threshold)
+	merge := make([]Update, 0, threshold)
 	lb := make([]float64, 0, threshold)
-
-	now := 0.0
-	seq := 0
-	round := 0
+	now, seq := 0.0, 0
+	// The round's census: broadcasts sent and lost, and the distinct
+	// identities whose dispatches were lost (for StarvationError).
 	dispatched, dropped := 0, 0
-	// droppedIDs is the per-round census of identities whose dispatches
-	// were lost, reported by StarvationError.
 	droppedIDs := make(map[int]struct{})
+	// draw is reseeded for every arrival draw (see ArrivalModel.Draw).
+	var draw rng.RNG
 
 	// dispatch broadcasts the current global model to a fresh cohort and
 	// schedules (or drops) each resulting update. Updates carry fresh
-	// weight vectors (Client.Run returns a new copy per call), so queued
+	// weight vectors (Client.run returns a new copy per call), so queued
 	// in-flight updates survive their slot being retrained.
-	dispatch := func(attempt int) {
+	dispatch := func(round, attempt int) {
 		selected := sel.Select(round, k, pop, serverRNG)
+		if len(selected) > k {
+			panic(fmt.Sprintf("fl: selector %q returned %d clients for a cohort of %d", sel.Name(), len(selected), k))
+		}
 		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
-		for i := range selected {
-			u := updates[i]
-			dr := rng.New(rng.MixSeed(arrivalSeed, uint64(round), uint64(u.ClientID), uint64(attempt)))
-			a := arr.Draw(round, u.ClientID, dr)
+		for i, u := range updates[:len(selected)] {
+			draw.Reseed(rng.MixSeed(arrivalSeed, uint64(round), uint64(u.ClientID), uint64(attempt)))
+			a := arr.Draw(round, u.ClientID, &draw)
 			dispatched++
 			if a.Drop {
 				dropped++
@@ -482,29 +483,30 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 			seq++
 		}
 	}
-
-	dispatch(0)
-	attempt := 0
-	for round < cfg.Rounds {
-		// Drain arrivals into the aggregation buffer, advancing the
-		// virtual clock to each update's arrival time. Losses are noted
-		// at arrival — the server learns a client's loss when its update
-		// lands, which in the degenerate trace is the synchronous loop's
-		// post-training order exactly.
+	// drain pops arrivals into the aggregation buffer, advancing the
+	// virtual clock to each one, until the threshold is met or the queue
+	// runs dry. Losses are noted at arrival — the server learns a
+	// client's loss when its update lands, which under instant arrivals
+	// is the cohort's selection order.
+	drain := func() int {
 		for len(buffer) < threshold && len(q) > 0 {
 			e := q.pop()
-			if e.at > now {
-				now = e.at
-			}
+			now = max(now, e.at)
 			pop.noteLoss(e.elig, e.u.LossBefore)
 			buffer = append(buffer, e)
 		}
-		if len(buffer) == 0 {
-			// Everything in flight was dropped: redispatch the round's
-			// cohort. The attempt counter feeds the arrival draw's seed
-			// mix, so a transient-drop trace redraws fresh fates instead
-			// of replaying the identical drop forever.
-			attempt++
+		return len(buffer)
+	}
+
+	for round := 0; round < cfg.Rounds; round++ {
+		dispatched, dropped = 0, 0
+		clear(droppedIDs)
+		dispatch(round, 0)
+		// While everything in flight was dropped, redispatch the round's
+		// cohort. The attempt number feeds the arrival draw's seed mix,
+		// so a transient-drop trace redraws fresh fates instead of
+		// replaying the identical drop forever.
+		for attempt := 1; drain() == 0; attempt++ {
 			if attempt > maxRedispatchAttempts {
 				res.Weights = global
 				return res, &StarvationError{
@@ -517,54 +519,34 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 					OfflineClients: len(droppedIDs),
 				}
 			}
-			dispatch(attempt)
-			continue
+			dispatch(round, attempt)
 		}
 
 		// Aggregate: either the threshold was met, or the queue ran dry
-		// and the server folds a partial round rather than stalling.
-		bufUpdates = bufUpdates[:0]
+		// and the server folds a partial round rather than stalling. The
+		// loss statistics and staleness cover every arrived update;
+		// quarantined ones then leave the merge cohort, and quarantining
+		// everything carries the global model over to the next round.
+		arrived := len(buffer)
 		lb = lb[:0]
 		sumAge, maxAge := 0, 0
 		for _, e := range buffer {
-			bufUpdates = append(bufUpdates, e.u)
 			lb = append(lb, e.u.LossBefore)
-			age := round - e.round
-			sumAge += age
-			if age > maxAge {
-				maxAge = age
-			}
+			sumAge += round - e.round
+			maxAge = max(maxAge, round-e.round)
 		}
-
-		// Ingress gate, mirroring runLoop: quarantined uploads leave the
-		// merge cohort (and its staleness bookkeeping slice, which must
-		// stay aligned with the impact factors) but still count in the
-		// loss statistics. Quarantining everything carries the global
-		// model over to the next round.
-		mergeBuf, mergeUpdates := buffer, bufUpdates
-		quarantined := 0
-		keptFlight, keptUpdates = keptFlight[:0], keptUpdates[:0]
-		for i := range bufUpdates {
-			if cfg.Quarantine.reject(&bufUpdates[i]) {
-				quarantined++
-			} else {
-				keptFlight = append(keptFlight, buffer[i])
-				keptUpdates = append(keptUpdates, bufUpdates[i])
-			}
-		}
-		if quarantined > 0 {
-			mergeBuf, mergeUpdates = keptFlight, keptUpdates
-		}
+		var quarantined int
+		buffer, merge, quarantined = cfg.Quarantine.screen(buffer, merge[:0])
 
 		var decision, aggTime time.Duration
-		if len(mergeUpdates) > 0 {
+		if len(merge) > 0 {
 			t0 := time.Now()
-			alpha := agg.ImpactFactors(round, mergeUpdates)
+			alpha := agg.ImpactFactors(round, merge)
 			decision = time.Since(t0)
 
 			t1 := time.Now()
-			alpha = staleWeights(alpha, mergeBuf, round, decay)
-			global = mergeP(cfg.Precision, cfg.Merger, mergeUpdates, alpha, pool)
+			alpha = staleWeights(alpha, buffer, round, decay)
+			global = mergeP(cfg.Precision, cfg.Merger, merge, alpha, pool)
 			aggTime = time.Since(t1)
 		}
 
@@ -591,20 +573,17 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 			Round:         round,
 			VirtualTime:   now,
 			Dispatched:    dispatched,
-			Arrived:       len(buffer),
+			Arrived:       arrived,
 			Dropped:       dropped,
-			MeanStaleness: float64(sumAge) / float64(len(buffer)),
+			MeanStaleness: float64(sumAge) / float64(arrived),
 			MaxStaleness:  maxAge,
 		})
 
+		// Release the folded updates so their weights are not pinned
+		// through the next cohort's training.
+		clear(buffer[:arrived])
+		clear(merge)
 		buffer = buffer[:0]
-		dispatched, dropped = 0, 0
-		clear(droppedIDs)
-		attempt = 0
-		round++
-		if round < cfg.Rounds {
-			dispatch(0)
-		}
 	}
 	res.Weights = global
 	return res, nil

@@ -334,11 +334,11 @@ func TestAggregatePanicsOnNonFinite(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("Aggregate", func() {
-		Aggregate([]Update{{Weights: []float64{math.NaN()}}}, []float64{1})
+	expectPanic("WeightedMerge.Merge", func() {
+		WeightedMerge{}.Merge([]Update{{Weights: []float64{math.NaN()}}}, []float64{1}, nil)
 	})
-	expectPanic("AggregateOn32", func() {
-		AggregateOn32([]Update{{Weights32: []float32{float32(math.Inf(1))}}}, []float64{1}, nil)
+	expectPanic("WeightedMerge.Merge32", func() {
+		WeightedMerge{}.Merge32([]Update{{Weights32: []float32{float32(math.Inf(1))}}}, []float64{1}, nil)
 	})
 }
 

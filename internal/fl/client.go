@@ -1,24 +1,25 @@
-// Package fl implements the synchronous federated-learning simulator of
-// the paper (§2.1, §3.2, Algorithm 2): clients performing local SGD on
-// their private shards, a server aggregating flat weight vectors through
-// a pluggable Aggregator (FedAvg's Eq. 1, FedProx, or FedDRL's Eq. 4),
-// the SingleSet centralized baseline, and per-round metrics (top-1 test
-// accuracy, per-client inference-loss statistics, and the server-side
-// timing split of Fig. 9).
+// Package fl implements the federated-learning simulator of the paper
+// (§2.1, §3.2, Algorithm 2): clients performing local SGD on their
+// private shards, a server aggregating flat weight vectors through a
+// pluggable Aggregator (FedAvg's Eq. 1, FedProx, or FedDRL's Eq. 4) and
+// Merger, the SingleSet centralized baseline, and per-round metrics
+// (top-1 test accuracy, per-client inference-loss statistics, and the
+// server-side timing split of Fig. 9).
+//
+// One event-driven round engine runs every federated round: it
+// dispatches a cohort, schedules each update's arrival on a seeded
+// virtual clock, and merges once enough updates have arrived. RunAsync
+// exposes it with pluggable straggler/dropout traces (ArrivalModel),
+// partial rounds and staleness-decay-weighted merging. Run and
+// RunVirtual are its degenerate case: every update arrives at once,
+// nothing is dropped, and each round folds exactly its own cohort.
 //
 // Clients exist in two forms that produce bit-identical results: eager
 // clients (NewClient/BuildClients + Run), each permanently bound to its
-// shard, and virtual clients (ClientPool + RunVirtual), where a client
-// is only a (seed, index-recipe) identity materialized into one of K
-// reusable slots while selected — the constant-memory path for
-// simulating millions of clients.
-//
-// RunAsync layers a deterministic asynchronous substrate on the virtual
-// path: a seeded virtual clock and arrival event queue replace the
-// synchronous barrier, with pluggable straggler/dropout traces
-// (ArrivalModel) and staleness-decay-weighted merging. A degenerate
-// trace (zero latency, no drops, decay 1) reproduces RunVirtual bit for
-// bit.
+// shard, and virtual clients (ClientPool + RunVirtual or RunAsync),
+// where a client is only a (seed, index-recipe) identity materialized
+// into one of K reusable slots while selected — the constant-memory
+// path for simulating millions of clients.
 package fl
 
 import (
@@ -178,15 +179,6 @@ func (c *Client) evalLoss() float64 {
 // return the update tuple with full-width weights.
 func (c *Client) Run(global []float64, lc LocalConfig) Update {
 	return c.run(global, lc, F64)
-}
-
-// Run32 is Run in f32 precision mode: local training is identical (the
-// solver runs in float64), but the uploaded weights are quantized once
-// to float32 at the round boundary (Update.Weights32). global must be
-// on the float32 lattice — the run loop maintains that invariant — so
-// the broadcast itself loses nothing.
-func (c *Client) Run32(global []float64, lc LocalConfig) Update {
-	return c.run(global, lc, F32)
 }
 
 func (c *Client) run(global []float64, lc LocalConfig, prec Precision) Update {

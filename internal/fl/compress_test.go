@@ -163,7 +163,7 @@ func TestFedDRLWithCompression(t *testing.T) {
 		deltas := CompressUpdates(updates, global, 0.3)
 		restored := DecompressUpdates(updates, deltas, global)
 		alpha := agg.ImpactFactors(round, restored)
-		global = Aggregate(restored, alpha)
+		global = WeightedMerge{}.Merge(restored, alpha, nil)
 		serverModel.SetParamVector(global)
 		_, acc := EvalLossAcc(serverModel, te)
 		if round == 0 {

@@ -105,20 +105,6 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunDeprecatedParallelFlag keeps the legacy Parallel bool working
-// and bit-identical to sequential execution.
-func TestRunDeprecatedParallelFlag(t *testing.T) {
-	const seed = 13
-	run := func(parallel bool) *Result {
-		clients, test, cfg := detFederation(t, seed)
-		cfg.Parallel = parallel
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
-	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("Parallel=true differs from sequential")
-	}
-}
-
 // TestRunSharedPool runs on a caller-owned engine pool (the experiments
 // grid configuration) and checks the result still matches sequential.
 func TestRunSharedPool(t *testing.T) {
@@ -215,9 +201,9 @@ func naiveEvalLossAcc(m *nn.Network, d *dataset.Dataset) (loss, acc float64) {
 	return totalLoss / float64(d.N), correct / float64(d.N)
 }
 
-// TestAggregateOnMatchesSequential checks the segment-parallel merge
-// bitwise against both Aggregate and a naive double-loop reference, at
-// dimensions spanning multiple segments.
+// TestAggregateOnMatchesSequential checks the segment-parallel weighted
+// merge bitwise against both its sequential path and a naive
+// double-loop reference, at dimensions spanning multiple segments.
 func TestAggregateOnMatchesSequential(t *testing.T) {
 	r := rng.New(31)
 	for _, dim := range []int{1, 100, aggSegment, aggSegment + 1, 3*aggSegment + 17} {
@@ -231,15 +217,15 @@ func TestAggregateOnMatchesSequential(t *testing.T) {
 			ups[i] = Update{N: 10 * (i + 1), Weights: w}
 		}
 		alpha := (FedAvg{}).ImpactFactors(0, ups)
-		want := Aggregate(ups, alpha)
+		want := WeightedMerge{}.Merge(ups, alpha, nil)
 		naive := naiveAggregate(ups, alpha)
 		for _, workers := range []int{2, 4} {
 			pool := engine.New(workers)
-			got := AggregateOn(ups, alpha, pool)
+			got := WeightedMerge{}.Merge(ups, alpha, pool)
 			pool.Close()
 			for j := range want {
 				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-					t.Fatalf("dim=%d workers=%d: element %d differs from Aggregate", dim, workers, j)
+					t.Fatalf("dim=%d workers=%d: element %d differs from the sequential merge", dim, workers, j)
 				}
 				if math.Float64bits(want[j]) != math.Float64bits(naive[j]) {
 					t.Fatalf("dim=%d: element %d differs from naive reference", dim, j)

@@ -143,7 +143,7 @@ func TestAggregateConvexCombination(t *testing.T) {
 		{Weights: []float64{1, 0, 2}},
 		{Weights: []float64{3, 4, 2}},
 	}
-	out := Aggregate(ups, []float64{0.25, 0.75})
+	out := WeightedMerge{}.Merge(ups, []float64{0.25, 0.75}, nil)
 	want := []float64{2.5, 3, 2}
 	for i := range want {
 		if math.Abs(out[i]-want[i]) > 1e-12 {
@@ -155,13 +155,13 @@ func TestAggregateConvexCombination(t *testing.T) {
 func TestAggregatePanics(t *testing.T) {
 	ups := []Update{{Weights: []float64{1}}, {Weights: []float64{2}}}
 	cases := []func(){
-		func() { Aggregate(nil, nil) },
-		func() { Aggregate(ups, []float64{1}) },
-		func() { Aggregate(ups, []float64{0.2, 0.2}) },  // sum != 1
-		func() { Aggregate(ups, []float64{-0.5, 1.5}) }, // negative
+		func() { WeightedMerge{}.Merge(nil, nil, nil) },
+		func() { WeightedMerge{}.Merge(ups, []float64{1}, nil) },
+		func() { WeightedMerge{}.Merge(ups, []float64{0.2, 0.2}, nil) },  // sum != 1
+		func() { WeightedMerge{}.Merge(ups, []float64{-0.5, 1.5}, nil) }, // negative
 		func() {
 			bad := []Update{{Weights: []float64{1}}, {Weights: []float64{1, 2}}}
-			Aggregate(bad, []float64{0.5, 0.5})
+			WeightedMerge{}.Merge(bad, []float64{0.5, 0.5}, nil)
 		},
 	}
 	for i, fn := range cases {
@@ -192,7 +192,7 @@ func TestAggregateIdentityProperty(t *testing.T) {
 			ups[i] = Update{Weights: vec}
 		}
 		alpha := r.Dirichlet(ones(k))
-		out := Aggregate(ups, alpha)
+		out := WeightedMerge{}.Merge(ups, alpha, nil)
 		for i := range out {
 			if math.Abs(out[i]-vec[i]) > 1e-9 {
 				return false
@@ -250,7 +250,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	cfg := runConfig(tr, 3, 4)
 	seq := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
 	cfgP := cfg
-	cfgP.Parallel = true
+	cfgP.Workers = 4
 	par := Run(cfgP, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
 	if len(seq.Accuracy) != len(par.Accuracy) {
 		t.Fatal("eval counts differ")

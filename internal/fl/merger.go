@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"feddrl/internal/engine"
+	"feddrl/internal/mathx"
 	"feddrl/internal/tensor"
 )
 
@@ -40,10 +41,8 @@ type Merger interface {
 }
 
 // mergeP dispatches the merge on the run's precision through an
-// optional Merger. A nil merger resolves to WeightedMerge, whose
-// output is byte-identical to calling AggregateOn/AggregateOn32 at the
-// run's precision, so the zero value of RunConfig.Merger changes
-// nothing.
+// optional Merger. A nil merger resolves to WeightedMerge, so the zero
+// value of RunConfig.Merger is the paper's Eq. 4 merge.
 func mergeP(prec Precision, m Merger, updates []Update, alpha []float64, pool *engine.Pool) []float64 {
 	if m == nil {
 		m = WeightedMerge{}
@@ -54,23 +53,101 @@ func mergeP(prec Precision, m Merger, updates []Update, alpha []float64, pool *e
 	return m.Merge(updates, alpha, pool)
 }
 
-// WeightedMerge is the default impact-factor merger: the convex
-// combination Σ_k α_k·w_k computed by AggregateOn/AggregateOn32. It is
-// byte-identical to calling those functions directly, which keeps every
-// historical run (and every cached experiment cell) valid.
+// WeightedMerge is the default impact-factor merger, the weighted model
+// merge of Eq. 4: w ← Σ_k α_k·w_k into a fresh vector. It panics unless
+// the factors form a (near-)convex combination aligned with the updates,
+// and unless every upload is finite — see AllFinite for the
+// misuse-vs-fault split. For every output element the fold is one
+// k-ascending chain of one-rounding multiplies and adds, whatever the
+// pool's segmentation, so the result is bit-identical at any pool width
+// (nil means sequential); under a saturated shared pool the segments
+// enqueue for stealing like any nested job.
 type WeightedMerge struct{}
 
 // Name implements Merger.
 func (WeightedMerge) Name() string { return "weighted" }
 
-// Merge implements Merger by delegating to AggregateOn.
+// Merge implements Merger over the float64 uploads.
 func (WeightedMerge) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	return AggregateOn(updates, alpha, pool)
+	vecs := mergeVecs(updates, alpha)
+	checkConvex(alpha)
+	for i, v := range vecs {
+		if !AllFinite(v) {
+			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite or the round engine's quarantine gate", i, updates[i].ClientID))
+		}
+	}
+	return segmentFold(vecs, alpha, pool, mathx.WeightedSum)
 }
 
-// Merge32 implements Merger by delegating to AggregateOn32.
+// Merge32 implements Merger in pure float32 arithmetic over the
+// Weights32 uploads: the factors are validated at full precision, then
+// rounded once each to float32.
 func (WeightedMerge) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	return AggregateOn32(updates, alpha, pool)
+	vecs := mergeVecs32(updates, alpha)
+	checkConvex(alpha)
+	alpha32 := make([]float32, len(alpha))
+	for i, v := range vecs {
+		if !AllFinite32(v) {
+			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite32 or the round engine's quarantine gate", i, updates[i].ClientID))
+		}
+		alpha32[i] = float32(alpha[i])
+	}
+	return segmentFold(vecs, alpha32, pool, weightedSum32)
+}
+
+// checkConvex panics unless the impact factors are non-negative and sum
+// to 1 within 1e-3.
+func checkConvex(alpha []float64) {
+	sum := 0.0
+	for _, a := range alpha {
+		if a < 0 {
+			panic("fl: negative impact factor")
+		}
+		sum += a
+	}
+	if sum < 0.999 || sum > 1.001 {
+		panic(fmt.Sprintf("fl: impact factors sum to %v, want 1", sum))
+	}
+}
+
+// aggSegment is the column span each pool task merges. Segmentation
+// cannot change a result: every output element is the same fold
+// whichever segment it lands in.
+const aggSegment = 8192
+
+// segmentFold runs fold(dst, alpha, vecs) over the updates' coordinate
+// segments on the pool, one sequential kernel call when there is no
+// pool or only one segment.
+func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool, fold func(dst, alpha []T, vecs [][]T)) []T {
+	dim := len(vecs[0])
+	out := make([]T, dim)
+	segs := (dim + aggSegment - 1) / aggSegment
+	if pool == nil || segs <= 1 {
+		fold(out, alpha, vecs)
+		return out
+	}
+	// Segments are microsecond-scale axpy strips: publish them on the
+	// fine scheduling class so idle lanes drain them before any coarse
+	// grid cells pending in the same deques.
+	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
+		lo := s * aggSegment
+		hi := min(lo+aggSegment, dim)
+		sub := make([][]T, len(vecs))
+		for k, v := range vecs {
+			sub[k] = v[lo:hi]
+		}
+		fold(out[lo:hi], alpha, sub)
+	})
+	return out
+}
+
+// weightedSum32 folds dst = Σ_k alpha[k]·vecs[k] in ascending k with
+// the SIMD f32 axpy kernel — the f32 twin of mathx.WeightedSum.
+func weightedSum32(dst []float32, alpha []float32, vecs [][]float32) {
+	tensor.Fill32(dst, 0)
+	for k, v := range vecs {
+		tensor.Axpy32(alpha[k], v, dst)
+	}
 }
 
 // Median merges by coordinate-wise median, ignoring impact factors.
@@ -306,9 +383,8 @@ func sqDist32(a, b []float32) float64 {
 	return s
 }
 
-// mergeVecs validates a float64 merge cohort (same checks as
-// AggregateOn minus the convexity constraint, which order-statistic
-// mergers do not require) and returns the weight vectors.
+// mergeVecs validates a float64 merge cohort — non-empty, one impact
+// factor per update, one dimension — and returns the weight vectors.
 func mergeVecs(updates []Update, alpha []float64) [][]float64 {
 	if len(updates) == 0 {
 		panic("fl: merge of zero updates")
@@ -338,6 +414,9 @@ func mergeVecs32(updates []Update, alpha []float64) [][]float32 {
 	vecs := make([][]float32, len(updates))
 	dim := len(updates[0].Weights32)
 	for i, u := range updates {
+		if u.Weights32 == nil {
+			panic(fmt.Sprintf("fl: update %d carries no f32 weights", i))
+		}
 		if len(u.Weights32) != dim {
 			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(u.Weights32), dim))
 		}

@@ -15,9 +15,9 @@ import (
 
 // The merger suite: every Merger must be a pure function of
 // (updates, alpha) — bit-identical at any pool width including nil —
-// the default WeightedMerge must be byte-identical to the historical
-// Aggregate path, and the order-statistic rules must match their naive
-// sequential references.
+// the default WeightedMerge must be byte-identical to the naive Eq. 4
+// fold, and the order-statistic rules must match their naive sequential
+// references.
 
 // mergeCohort builds k random updates of the given dimension, plus
 // convex sample-count-proportional factors, in both widths.
@@ -47,12 +47,12 @@ func mergeCohort(k, dim int, seed uint64) ([]Update, []float64) {
 }
 
 // TestWeightedMergeMatchesAggregate: the explicit default merger (and a
-// nil Merger through mergeP) must reproduce AggregateOn byte for byte —
-// the compatibility contract that keeps historical runs and cached
-// cells valid.
+// nil Merger through mergeP) must reproduce the naive k-ordered fold
+// byte for byte — the compatibility contract that keeps historical runs
+// and cached cells valid.
 func TestWeightedMergeMatchesAggregate(t *testing.T) {
 	updates, alpha := mergeCohort(5, 4097, 3)
-	want := AggregateOn(updates, alpha, nil)
+	want := naiveAggregate(updates, alpha)
 	for _, got := range [][]float64{
 		WeightedMerge{}.Merge(updates, alpha, nil),
 		mergeP(F64, nil, updates, alpha, nil),
@@ -63,7 +63,7 @@ func TestWeightedMergeMatchesAggregate(t *testing.T) {
 		}
 		for i := range want {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("coordinate %d differs bitwise from Aggregate", i)
+				t.Fatalf("coordinate %d differs bitwise from the naive fold", i)
 			}
 		}
 	}
@@ -209,7 +209,7 @@ func TestMergerPoolWidthInvariance(t *testing.T) {
 }
 
 // TestMergerValidation: zero cohorts, factor-count mismatches and
-// ragged dimensions must panic exactly like the Aggregate path.
+// ragged dimensions must panic exactly like the weighted merge.
 func TestMergerValidation(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()

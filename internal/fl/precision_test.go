@@ -160,10 +160,10 @@ func TestAggregate32PoolInvariance(t *testing.T) {
 			}
 			updates[k].Weights32 = w
 		}
-		want := Aggregate32(updates, alpha)
+		want := WeightedMerge{}.Merge32(updates, alpha, nil)
 		for _, workers := range []int{2, 3, 8} {
 			pool := engine.New(workers)
-			got := AggregateOn32(updates, alpha, pool)
+			got := WeightedMerge{}.Merge32(updates, alpha, pool)
 			pool.Close()
 			for i := range want {
 				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
@@ -187,14 +187,14 @@ func TestAggregate32Validation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("alpha length mismatch", func() { Aggregate32(u, []float64{1}) })
-	mustPanic("negative alpha", func() { Aggregate32(u, []float64{-0.5, 1.5}) })
-	mustPanic("non-convex alpha", func() { Aggregate32(u, []float64{0.9, 0.9}) })
+	mustPanic("alpha length mismatch", func() { WeightedMerge{}.Merge32(u, []float64{1}, nil) })
+	mustPanic("negative alpha", func() { WeightedMerge{}.Merge32(u, []float64{-0.5, 1.5}, nil) })
+	mustPanic("non-convex alpha", func() { WeightedMerge{}.Merge32(u, []float64{0.9, 0.9}, nil) })
 	mustPanic("inconsistent dims", func() {
-		Aggregate32([]Update{{Weights32: []float32{1}}, {Weights32: []float32{1, 2}}}, []float64{0.5, 0.5})
+		WeightedMerge{}.Merge32([]Update{{Weights32: []float32{1}}, {Weights32: []float32{1, 2}}}, []float64{0.5, 0.5}, nil)
 	})
 	mustPanic("missing f32 weights", func() {
-		Aggregate32([]Update{{Weights: []float64{1}}}, []float64{1})
+		WeightedMerge{}.Merge32([]Update{{Weights: []float64{1}}}, []float64{1}, nil)
 	})
 }
 

@@ -3,15 +3,12 @@ package fl
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"feddrl/internal/dataset"
 	"feddrl/internal/engine"
-	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
 	"feddrl/internal/nn"
-	"feddrl/internal/rng"
 	"feddrl/internal/tensor"
 )
 
@@ -36,8 +33,7 @@ type RunConfig struct {
 	// shared and saturated (an experiment grid occupying every lane),
 	// these nested loops enqueue on the pool's deques and are stolen by
 	// lanes as they free up, instead of degrading to serial execution.
-	// 0 means GOMAXPROCS when Parallel is set and sequential otherwise;
-	// 1 forces sequential. Results are bit-identical across every
+	// 0 and 1 mean sequential. Results are bit-identical across every
 	// Workers value because each client owns its RNG and the engine
 	// reduces in deterministic order.
 	Workers int
@@ -48,11 +44,6 @@ type RunConfig struct {
 	// Workers and the caller owns its lifecycle; when nil, Run creates
 	// and closes a pool of Workers lanes itself.
 	Pool *engine.Pool
-	// Parallel trains the selected clients in goroutines.
-	//
-	// Deprecated: Parallel is kept working as shorthand for
-	// Workers=GOMAXPROCS; prefer setting Workers explicitly.
-	Parallel bool
 	// EvalEvery sets the test-evaluation cadence in rounds (default 1).
 	EvalEvery int
 	// Selector chooses the participating clients each round; nil means
@@ -78,11 +69,11 @@ type RunConfig struct {
 	// across many run seeds.
 	AttackSeed uint64
 	// Merger selects the server-side merge rule (see merger.go). nil
-	// means the default impact-factor convex combination, byte-identical
-	// to the historical Aggregate path; Median/TrimmedMean/Krum trade
-	// the aggregator's weighting for Byzantine robustness (the
-	// aggregator still runs — its decision timings stay comparable —
-	// but an order-statistic merger ignores the resulting factors).
+	// means WeightedMerge, the impact-factor convex combination of
+	// Eq. 4; Median/TrimmedMean/Krum trade the aggregator's weighting
+	// for Byzantine robustness (the aggregator still runs — its decision
+	// timings stay comparable — but an order-statistic merger ignores
+	// the resulting factors).
 	Merger Merger
 	// Quarantine configures the server-ingress gate applied to client
 	// uploads before they reach the aggregator (see QuarantineConfig).
@@ -94,12 +85,12 @@ type RunConfig struct {
 // folding a poisoned vector into the global model (one NaN coordinate
 // contaminates everything), offending uploads are dropped from the
 // round's merge cohort and counted in RoundMetrics.Quarantined. The
-// gate never panics mid-run — that split is deliberate: Aggregate and
-// friends panic on non-finite input (library misuse: the caller was
-// supposed to screen), while the run loops quarantine and continue
-// (runtime fault: a fault model or a diverging client produced the
-// vector). If every upload of a round is quarantined the global model
-// simply carries over unchanged.
+// gate never panics mid-run — that split is deliberate: WeightedMerge
+// panics on non-finite input (library misuse: the caller was supposed
+// to screen), while the round engine quarantines and continues (runtime
+// fault: a fault model or a diverging client produced the vector). If
+// every upload of a round is quarantined the global model simply
+// carries over unchanged.
 type QuarantineConfig struct {
 	// DisableFiniteCheck turns off the non-finite (NaN/±Inf) screen.
 	// The zero value keeps it on — benign runs are unaffected because
@@ -143,24 +134,20 @@ func updateNorm(u *Update) float64 {
 	return math.Sqrt(s)
 }
 
-// quarantineInto screens a cohort: survivors are appended to kept
-// (cleared on entry) and the quarantined count is returned. When
-// nothing is rejected the returned slice is the arrived slice itself,
-// so the benign path hands the aggregator the exact historical value.
-func quarantineInto(q QuarantineConfig, arrived []Update, kept []Update) ([]Update, int) {
-	kept = kept[:0]
-	quarantined := 0
-	for i := range arrived {
-		if q.reject(&arrived[i]) {
-			quarantined++
-		} else {
-			kept = append(kept, arrived[i])
+// screen is the ingress gate over one aggregation buffer: survivors are
+// compacted to the front of buf in arrival order and their updates
+// appended to merge, index for index, so the staleness bookkeeping
+// stays aligned with the impact factors. It returns both and the number
+// quarantined.
+func (q QuarantineConfig) screen(buf []inFlight, merge []Update) ([]inFlight, []Update, int) {
+	kept := buf[:0]
+	for _, e := range buf {
+		if !q.reject(&e.u) {
+			kept = append(kept, e)
+			merge = append(merge, e.u)
 		}
 	}
-	if quarantined == 0 {
-		return arrived, 0
-	}
-	return kept, quarantined
+	return kept, merge, len(buf) - len(kept)
 }
 
 // Validate panics on an inconsistent run configuration.
@@ -176,21 +163,6 @@ func (c RunConfig) Validate() {
 		panic("fl: negative Workers")
 	}
 	c.Precision.Validate()
-}
-
-// effectiveWorkers resolves the engine width from Pool, Workers and the
-// deprecated Parallel flag.
-func (c RunConfig) effectiveWorkers() int {
-	if c.Pool != nil {
-		return c.Pool.Workers()
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	if c.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
 }
 
 // RoundMetrics captures one communication round's measurements.
@@ -284,14 +256,14 @@ func (r *Result) MeanAggTime() time.Duration {
 }
 
 // enginePool resolves the run's execution pool: the caller-supplied
-// cfg.Pool when set, a freshly created pool of effectiveWorkers lanes
-// when parallelism was requested, or nil for sequential runs. When a
-// pool is in play the large tensor kernels fan out on the SAME pool as
-// client training and evaluation (tensor.SetParallel), so kernel
-// parallelism is work-stealing-scheduled with the rest of the round
-// loop instead of spawning raw goroutines that oversubscribe the lanes.
-// Results are bit-identical with any pool or none, so the
-// process-global hook is safe even when concurrent grid cells swap it.
+// cfg.Pool when set, a freshly created pool of Workers lanes when
+// parallelism was requested, or nil for sequential runs. When a pool is
+// in play the large tensor kernels fan out on the SAME pool as client
+// training and evaluation (tensor.SetParallel), so kernel parallelism is
+// work-stealing-scheduled with the rest of the round loop instead of
+// spawning raw goroutines that oversubscribe the lanes. Results are
+// bit-identical with any pool or none, so the process-global hook is
+// safe even when concurrent grid cells swap it.
 //
 // The returned release func must be deferred: for an owned pool it
 // uninstalls only our own hook — a concurrent run that installed its
@@ -299,21 +271,22 @@ func (r *Result) MeanAggTime() time.Duration {
 // the kernels regardless) — and closes the pool. A caller-supplied pool
 // is left untouched; its owner manages its lifecycle.
 func (c RunConfig) enginePool() (pool *engine.Pool, release func()) {
-	if c.Pool == nil && c.effectiveWorkers() > 1 {
-		p := engine.New(c.effectiveWorkers())
-		tensor.SetParallel(p)
-		return p, func() {
-			tensor.ClearParallel(p)
-			p.Close()
-		}
-	}
 	if c.Pool != nil {
 		tensor.SetParallel(c.Pool)
+		return c.Pool, func() {}
 	}
-	return c.Pool, func() {}
+	if c.Workers <= 1 {
+		return nil, func() {}
+	}
+	p := engine.New(c.Workers)
+	tensor.SetParallel(p)
+	return p, func() {
+		tensor.ClearParallel(p)
+		p.Close()
+	}
 }
 
-// population is the run loop's view of a client fleet: the Population
+// population is the round engine's view of a client fleet: the Population
 // surface the Selector sees, plus slot checkout for the training phase
 // and loss write-back. checkout/checkin are never called concurrently —
 // the parallel path binds all K slots before fanning out and releases
@@ -338,12 +311,12 @@ type eagerClients struct {
 	losses  []float64
 }
 
-func (e *eagerClients) NumClients() int            { return len(e.clients) }
-func (e *eagerClients) SampleCount(i int) int      { return e.clients[i].Data.Len() }
-func (e *eagerClients) LastLoss(i int) float64     { return e.losses[i] }
+func (e *eagerClients) NumClients() int              { return len(e.clients) }
+func (e *eagerClients) SampleCount(i int) int        { return e.clients[i].Data.Len() }
+func (e *eagerClients) LastLoss(i int) float64       { return e.losses[i] }
 func (e *eagerClients) checkout(slot, i int) *Client { return e.clients[i] }
 func (e *eagerClients) checkin(slot int, c *Client)  {}
-func (e *eagerClients) noteLoss(i int, v float64)  { e.losses[i] = v }
+func (e *eagerClients) noteLoss(i int, v float64)    { e.losses[i] = v }
 
 // Run executes Algorithm 2: for every round, broadcast the global
 // weights to K selected clients, train locally (optionally in parallel),
@@ -368,117 +341,28 @@ func Run(cfg RunConfig, clients []*Client, test *dataset.Dataset, agg Aggregator
 	if len(eligible) == 0 {
 		panic("fl: all client shards are empty")
 	}
-	pop := &eagerClients{clients: eligible, losses: make([]float64, len(eligible))}
-	return runLoop(cfg, pop, test, agg)
+	return runSync(cfg, &eagerClients{clients: eligible, losses: make([]float64, len(eligible))}, test, agg)
 }
 
-// runLoop is the round loop shared by Run and RunVirtual. All per-round
-// scratch (update slots, metric buffers, the distinct-check set) is
-// allocated once up front, so the loop itself adds no heap churn.
-func runLoop(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregator) *Result {
-	if agg == nil {
-		panic("fl: Run with nil aggregator")
+// runSync runs the synchronous schedule of Run and RunVirtual as the
+// degenerate case of the round engine: with the zero-value async fields
+// (InstantArrivals, decay 1, AggregateEvery K) every update arrives at
+// once and each round folds exactly its own cohort. Nothing is ever
+// dropped, so only a Selector that keeps returning no clients can starve
+// the run, and that panics.
+func runSync(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregator) *Result {
+	res, err := runRounds(AsyncConfig{RunConfig: cfg}, pop, test, agg)
+	if err != nil {
+		panic(err)
 	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
-	k := cfg.K
-	if k > pop.NumClients() {
-		k = pop.NumClients()
-	}
-
-	serverRNG := rng.New(cfg.Seed)
-	serverModel := cfg.Factory(cfg.Seed)
-	global := serverModel.ParamVector()
-	if cfg.Precision == F32 {
-		// f32 mode's standing invariant: the float64-carried global
-		// vector is exactly float32-representable, so every broadcast and
-		// every client-side quantization of it is lossless.
-		tensor.QuantizeLattice(global)
-	}
-
-	pool, release := cfg.enginePool()
-	defer release()
-	var ev *Evaluator
-	if test != nil {
-		// The evaluator's persistent lanes serve the sequential case too
-		// (nil pool → one lane), so no eval path re-allocates its loss
-		// scratch per round.
-		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
-	}
-
-	sel := cfg.Selector
-	if sel == nil {
-		sel = UniformSelector{}
-	}
-
-	atk := newAttackRuntime(cfg.Attack, cfg.AttackSeed, cfg.Seed)
-
-	res := &Result{Method: agg.Name(), NumParam: len(global)}
-	updates := make([]Update, k)
-	slots := make([]*Client, k)
-	lb := make([]float64, k)
-	seen := make(map[int]struct{}, k)
-	kept := make([]Update, 0, k)
-	for round := 0; round < cfg.Rounds; round++ {
-		selected := sel.Select(round, k, pop, serverRNG)
-
-		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
-
-		for i, ci := range selected {
-			pop.noteLoss(ci, updates[i].LossBefore)
-		}
-
-		// Ingress gate: poisoned uploads are dropped from the merge
-		// cohort (counted below); the loss statistics still cover every
-		// arrived update, quarantined or not.
-		merge, quarantined := quarantineInto(cfg.Quarantine, updates, kept)
-
-		var decision, aggTime time.Duration
-		if len(merge) > 0 {
-			t0 := time.Now()
-			alpha := agg.ImpactFactors(round, merge)
-			decision = time.Since(t0)
-
-			t1 := time.Now()
-			global = mergeP(cfg.Precision, cfg.Merger, merge, alpha, pool)
-			aggTime = time.Since(t1)
-		}
-		// Every upload quarantined: the global model carries over.
-
-		for i, u := range updates {
-			lb[i] = u.LossBefore
-		}
-		m := RoundMetrics{
-			Round:          round,
-			ClientLossMean: mathx.Mean(lb),
-			ClientLossVar:  mathx.Variance(lb),
-			ClientLossMax:  mathx.Max(lb),
-			ClientLossMin:  mathx.Min(lb),
-			Quarantined:    quarantined,
-			DecisionTime:   decision,
-			AggTime:        aggTime,
-		}
-		if test != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			loss, acc := ev.Eval(global, test)
-			m.Evaluated = true
-			m.TestLoss = loss
-			m.TestAcc = acc * 100
-			res.Accuracy = append(res.Accuracy, m.TestAcc)
-			res.AccRounds = append(res.AccRounds, round)
-		}
-		res.Rounds = append(res.Rounds, m)
-	}
-	res.Weights = global
-	return res
+	return res.Result
 }
 
 // trainCohort runs one dispatch cohort's local training: every selected
 // eligible index is checked out, trained against the broadcast global
-// vector, and checked back in. It is shared by the synchronous round
-// loop and the async engine's dispatch phase, so both substrates produce
-// bit-identical client updates for the same cohort.
+// vector, and checked back in. It is the round engine's training phase
+// for eager and virtual fleets alike, so both produce bit-identical
+// client updates for the same cohort.
 //
 // When a pool is available and the selection is distinct, every identity
 // is bound to its own slot before the fan-out, the slots run in

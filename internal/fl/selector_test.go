@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"feddrl/internal/partition"
@@ -127,4 +129,57 @@ func TestSampleWithoutReplacementZeroWeights(t *testing.T) {
 		}
 	}()
 	sampleWithoutReplacement([]float64{1}, 2, r)
+}
+
+// shortSelector returns K uniform indices in round 0 and K−1 after: a
+// legal short cohort.
+type shortSelector struct{}
+
+func (shortSelector) Name() string { return "short" }
+func (shortSelector) Select(round, k int, pop Population, r *rng.RNG) []int {
+	out := UniformSelector{}.Select(round, k, pop, r)
+	if round > 0 {
+		out = out[:k-1]
+	}
+	return out
+}
+
+// longSelector returns one index more than asked for.
+type longSelector struct{}
+
+func (longSelector) Name() string { return "long" }
+func (longSelector) Select(round, k int, pop Population, r *rng.RNG) []int {
+	return seqIndices(k + 1)
+}
+
+// TestSelectorCohortSize: a Selector that returns fewer than K clients
+// gets exactly those trained, screened, merged and counted — RunVirtual
+// matches degenerate RunAsync and no earlier round's update is merged
+// again — while one that returns more than K is a contract violation
+// that panics naming the selector.
+func TestSelectorCohortSize(t *testing.T) {
+	const seed = 67
+	cp, test, cfg := detVirtualFederation(t, seed)
+	cfg.Selector = shortSelector{}
+	want := stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
+	cp, test, _ = detVirtualFederation(t, seed)
+	got := stripAsyncTimings(mustAsync(RunAsync(AsyncConfig{RunConfig: cfg}, cp, test, FedAvg{})))
+	if !reflect.DeepEqual(want, got.Result) {
+		t.Fatal("short-cohort RunVirtual differs from degenerate RunAsync")
+	}
+	for _, m := range got.Async {
+		if wantN := cfg.K - min(m.Round, 1); m.Arrived != wantN {
+			t.Fatalf("round %d folded %d updates, want %d", m.Round, m.Arrived, wantN)
+		}
+	}
+
+	clients, test, cfg := detFederation(t, seed)
+	cfg.Selector = longSelector{}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `selector "long"`) {
+			t.Fatalf("over-long selection panicked with %q, want a message naming the selector", msg)
+		}
+	}()
+	Run(cfg, clients, test, FedAvg{})
 }

@@ -238,7 +238,7 @@ func (p *ClientPool) checkin(slot int, c *Client) {
 }
 
 // RunVirtual executes Algorithm 2 over a ClientPool: the same round
-// loop as Run, but clients are materialized only while selected, so
+// engine as Run, but clients are materialized only while selected, so
 // memory stays O(K) in client count. Results are bit-identical to Run
 // over the equivalent eager fleet.
 func RunVirtual(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) *Result {
@@ -246,5 +246,5 @@ func RunVirtual(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	if clients == nil {
 		panic("fl: RunVirtual with nil client pool")
 	}
-	return runLoop(cfg, clients, test, agg)
+	return runSync(cfg, clients, test, agg)
 }
