@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"feddrl/internal/mathx"
 	"feddrl/internal/nn"
@@ -10,6 +11,13 @@ import (
 	"feddrl/internal/rng"
 	"feddrl/internal/tensor"
 )
+
+// tdChunk is the number of experiences per value-network pass of the TD
+// reprioritization: a pass stacks a chunk's [S‖A] and [S2‖A] rows, so
+// its activations stay bounded at any buffer size. GEMM rows are
+// independent and every kernel path sums in ascending k, so the chunk
+// size cannot change any priority.
+const tdChunk = 128
 
 // Agent is the DDPG-style impact-factor agent of §3.4.1 (Fig. 3a): main
 // and target policy networks, main and target value networks, and a
@@ -30,6 +38,18 @@ type Agent struct {
 
 	// exploreScale decays multiplicatively with every exploratory action.
 	exploreScale float64
+
+	// One activation arena per network (nn.Scratch's ownership rule) and
+	// reusable batch buffers, so warm Act, Observe and Train calls
+	// allocate nothing beyond the action and experience they hand out.
+	// Contents are valid only within one call.
+	psc, ptsc, vsc, vtsc *nn.Scratch
+	mse                  *nn.MSE
+	st, sa               *tensor.Tensor // policy input rows; value input [S‖A] rows
+	act, dAct, dRaw, up  *tensor.Tensor
+	clamped              []bool
+	batch                []replay.Experience
+	prio, targets        []float64
 }
 
 // NewAgent builds an agent from the configuration.
@@ -46,6 +66,12 @@ func NewAgent(cfg Config) *Agent {
 		rng:     r,
 
 		exploreScale: 1,
+
+		psc:  nn.NewScratch(),
+		ptsc: nn.NewScratch(),
+		vsc:  nn.NewScratch(),
+		vtsc: nn.NewScratch(),
+		mse:  nn.NewMSE(),
 	}
 	a.popt = nn.NewAdam(cfg.PolicyLR)
 	a.vopt = nn.NewAdam(cfg.ValueLR)
@@ -99,14 +125,22 @@ func BuildState(cfg Config, lossesBefore, lossesAfter []float64, sampleCounts []
 	return s
 }
 
+// packSA writes the value-network input s‖act into row.
+func packSA(row, s, act []float64) {
+	n := copy(row, s)
+	copy(row[n:], act)
+}
+
 // actionTransform converts raw policy outputs (batch, 2K) into
-// constrained actions in place of a fresh tensor, recording the chain
-// needed for backprop: μ_k = raw_k; σ_k = min(softplus(raw_{K+k}), β·|μ_k|).
+// constrained actions in the agent's reusable action tensor, recording
+// the chain needed for backprop: μ_k = raw_k;
+// σ_k = min(softplus(raw_{K+k}), β·|μ_k|).
 func (a *Agent) actionTransform(raw *tensor.Tensor) (act *tensor.Tensor, clamped []bool) {
 	k := a.cfg.K
 	batch := raw.Rows()
-	act = tensor.New(batch, 2*k)
-	clamped = make([]bool, batch*k)
+	a.act = tensor.Reuse2D(a.act, batch, 2*k)
+	a.clamped = slices.Grow(a.clamped[:0], batch*k)[:batch*k]
+	act, clamped = a.act, a.clamped
 	for i := 0; i < batch; i++ {
 		rr, ar := raw.Row(i), act.Row(i)
 		for j := 0; j < k; j++ {
@@ -114,9 +148,9 @@ func (a *Agent) actionTransform(raw *tensor.Tensor) (act *tensor.Tensor, clamped
 			ar[j] = mu
 			sp := mathx.Softplus(rr[k+j])
 			bound := a.cfg.Beta * math.Abs(mu)
-			if sp > bound {
+			clamped[i*k+j] = sp > bound
+			if clamped[i*k+j] {
 				ar[k+j] = bound
-				clamped[i*k+j] = true
 			} else {
 				ar[k+j] = sp
 			}
@@ -129,7 +163,8 @@ func (a *Agent) actionTransform(raw *tensor.Tensor) (act *tensor.Tensor, clamped
 func (a *Agent) actionBackward(raw, dAct *tensor.Tensor, clamped []bool) *tensor.Tensor {
 	k := a.cfg.K
 	batch := raw.Rows()
-	dRaw := tensor.New(batch, 2*k)
+	a.dRaw = tensor.Reuse2D(a.dRaw, batch, 2*k)
+	dRaw := a.dRaw
 	for i := 0; i < batch; i++ {
 		rr, da, dr := raw.Row(i), dAct.Row(i), dRaw.Row(i)
 		for j := 0; j < k; j++ {
@@ -160,8 +195,9 @@ func (a *Agent) Act(state []float64, explore bool) []float64 {
 	if len(state) != a.cfg.StateDim() {
 		panic(fmt.Sprintf("core: Act state length %d, want %d", len(state), a.cfg.StateDim()))
 	}
-	x := tensor.FromSlice(append([]float64(nil), state...), 1, len(state))
-	raw := a.policy.Forward(x, false)
+	a.st = tensor.Reuse2D(a.st, 1, len(state))
+	copy(a.st.Data, state)
+	raw := a.policy.ForwardScratch(a.psc, a.st, false)
 	if explore && a.cfg.ExploreStd > 0 {
 		std := a.cfg.ExploreStd * a.exploreScale
 		for i := range raw.Data {
@@ -239,9 +275,9 @@ func RewardOf(cfg Config, nextLossesBefore []float64) float64 {
 
 // Observe stores a non-terminal transition in the buffer with its
 // current TD error as priority. It reports whether the experience was
-// accepted (non-finite data is rejected). The FL aggregation task is a
-// continuing one; episodic environments should use ObserveDone for
-// terminal steps.
+// accepted (non-finite data is rejected) and panics on vectors of the
+// wrong length. The FL aggregation task is a continuing one; episodic
+// environments should use ObserveDone for terminal steps.
 func (a *Agent) Observe(s, act []float64, r float64, s2 []float64) bool {
 	return a.observe(s, act, r, s2, false)
 }
@@ -253,16 +289,30 @@ func (a *Agent) ObserveDone(s, act []float64, r float64, s2 []float64) bool {
 }
 
 func (a *Agent) observe(s, act []float64, r float64, s2 []float64, done bool) bool {
+	sd, ad := a.cfg.StateDim(), a.cfg.ActionDim()
+	if len(s) != sd || len(act) != ad || len(s2) != sd {
+		panic(fmt.Sprintf("core: Observe lengths %d/%d/%d, want %d/%d/%d", len(s), len(act), len(s2), sd, ad, sd))
+	}
+	// Q(s′, a) and Q(s, a) in one two-row pass.
+	a.sa = tensor.Reuse2D(a.sa, 2, sd+ad)
+	packSA(a.sa.Row(0), s2, act)
+	packSA(a.sa.Row(1), s, act)
+	q := a.value.ForwardScratch(a.vsc, a.sa, false).Data
 	target := r
 	if !done {
-		target += a.cfg.Gamma * a.QValue(s2, act)
+		target += a.cfg.Gamma * q[0]
 	}
-	prior := target - a.QValue(s, act)
+	prior := target - q[1]
+	// The stored vectors share one backing array.
+	v := make([]float64, 2*sd+ad)
+	copy(v, s)
+	copy(v[sd:], act)
+	copy(v[sd+ad:], s2)
 	return a.Buffer.Add(replay.Experience{
-		S:     append([]float64(nil), s...),
-		A:     append([]float64(nil), act...),
+		S:     v[:sd:sd],
+		A:     v[sd : sd+ad : sd+ad],
 		R:     r,
-		S2:    append([]float64(nil), s2...),
+		S2:    v[sd+ad:],
 		Done:  done,
 		Prior: math.Abs(prior),
 	})
@@ -281,31 +331,57 @@ func (a *Agent) QValue(s, act []float64) float64 {
 	return a.value.Forward(x, false).At(0, 0)
 }
 
-// targetQ computes r-independent bootstrap targets y = r + γ·Q′(s′, π′(s′))
-// for a batch (Algorithm 1 line 5).
-func (a *Agent) targetQ(batch []replay.Experience) []float64 {
-	n := len(batch)
-	sd := a.cfg.StateDim()
-	s2 := tensor.New(n, sd)
-	for i, e := range batch {
-		copy(s2.Row(i), e.S2)
-	}
-	raw := a.policyT.Forward(s2, false)
-	act, _ := a.actionTransform(raw)
-	qin := tensor.New(n, sd+a.cfg.ActionDim())
-	for i := 0; i < n; i++ {
-		copy(qin.Row(i)[:sd], s2.Row(i))
-		copy(qin.Row(i)[sd:], act.Row(i))
-	}
-	q := a.valueT.Forward(qin, false)
-	out := make([]float64, n)
-	for i, e := range batch {
-		out[i] = e.R
-		if !e.Done {
-			out[i] += a.cfg.Gamma * q.At(i, 0)
+// reprioritize is Algorithm 1 lines 1–2: every buffered experience's
+// priority becomes its TD error |r + γ·Q(s′,a) − Q(s,a)| (r alone for
+// terminal ones) under the current value network, one tdChunk-sized
+// batch pass at a time, and the buffer is re-sorted by it.
+func (a *Agent) reprioritize() {
+	all := a.Buffer.All()
+	a.prio = slices.Grow(a.prio[:0], len(all))[:len(all)]
+	sd, ad := a.cfg.StateDim(), a.cfg.ActionDim()
+	for lo := 0; lo < len(all); lo += tdChunk {
+		chunk := all[lo:min(lo+tdChunk, len(all))]
+		m := len(chunk)
+		a.sa = tensor.Reuse2D(a.sa, 2*m, sd+ad)
+		for i, e := range chunk {
+			packSA(a.sa.Row(i), e.S, e.A)
+			packSA(a.sa.Row(m+i), e.S2, e.A)
+		}
+		q := a.value.ForwardScratch(a.vsc, a.sa, false).Data
+		for i, e := range chunk {
+			target := e.R
+			if !e.Done {
+				target += a.cfg.Gamma * q[m+i]
+			}
+			a.prio[lo+i] = target - q[i]
 		}
 	}
-	return out
+	a.Buffer.Reprioritize(a.prio)
+}
+
+// targetQ computes the bootstrap targets y = r + γ·Q′(s′, π′(s′)) of a
+// batch (Algorithm 1 line 5) into the agent's reusable target slice.
+func (a *Agent) targetQ(batch []replay.Experience) []float64 {
+	n := len(batch)
+	sd, ad := a.cfg.StateDim(), a.cfg.ActionDim()
+	a.st = tensor.Reuse2D(a.st, n, sd)
+	for i, e := range batch {
+		copy(a.st.Row(i), e.S2)
+	}
+	act, _ := a.actionTransform(a.policyT.ForwardScratch(a.ptsc, a.st, false))
+	a.sa = tensor.Reuse2D(a.sa, n, sd+ad)
+	for i := 0; i < n; i++ {
+		packSA(a.sa.Row(i), a.st.Row(i), act.Row(i))
+	}
+	q := a.valueT.ForwardScratch(a.vtsc, a.sa, false).Data
+	a.targets = slices.Grow(a.targets[:0], n)[:n]
+	for i, e := range batch {
+		a.targets[i] = e.R
+		if !e.Done {
+			a.targets[i] += a.cfg.Gamma * q[i]
+		}
+	}
+	return a.targets
 }
 
 // Train performs Algorithm 1: reprioritize the buffer by TD error, then
@@ -315,64 +391,53 @@ func (a *Agent) Train() {
 	if !a.ReadyToTrain() {
 		return
 	}
-	// Lines 1–2: TD-error priorities under the current networks.
-	a.Buffer.Reprioritize(func(e replay.Experience) float64 {
-		target := e.R
-		if !e.Done {
-			target += a.cfg.Gamma * a.QValue(e.S2, e.A)
-		}
-		return target - a.QValue(e.S, e.A)
-	})
+	// Lines 1–2: TD-error priorities under the current value network.
+	a.reprioritize()
 	sd, ad := a.cfg.StateDim(), a.cfg.ActionDim()
-	mse := nn.NewMSE()
 	for step := 0; step < a.cfg.UpdatesPerRound; step++ {
-		n := a.cfg.BatchSize
-		if bl := a.Buffer.Len(); n > bl {
-			n = bl
-		}
-		batch := a.Buffer.Sample(n)
-		targets := a.targetQ(batch)
+		n := min(a.cfg.BatchSize, a.Buffer.Len())
+		a.batch = slices.Grow(a.batch[:0], n)[:n]
+		a.Buffer.SampleInto(a.batch)
+		targets := a.targetQ(a.batch)
 
 		// Line 6: value descent on (Q(s,a) − y)².
-		qin := tensor.New(n, sd+ad)
-		for i, e := range batch {
-			copy(qin.Row(i)[:sd], e.S)
-			copy(qin.Row(i)[sd:], e.A)
+		a.sa = tensor.Reuse2D(a.sa, n, sd+ad)
+		for i, e := range a.batch {
+			packSA(a.sa.Row(i), e.S, e.A)
 		}
-		pred := a.value.Forward(qin, true)
-		mse.Forward(pred, targets)
+		pred := a.value.ForwardScratch(a.vsc, a.sa, true)
+		a.mse.Forward(pred, targets)
 		a.value.ZeroGrads()
-		a.value.Backward(mse.Backward())
+		a.value.BackwardScratch(a.vsc, a.mse.Backward())
 		a.vopt.Step(a.value)
 		a.value.ZeroGrads()
 
 		// Line 7: policy ascent on mean Q(s, π(s)).
-		s := tensor.New(n, sd)
-		for i, e := range batch {
-			copy(s.Row(i), e.S)
+		a.st = tensor.Reuse2D(a.st, n, sd)
+		for i, e := range a.batch {
+			copy(a.st.Row(i), e.S)
 		}
-		raw := a.policy.Forward(s, true)
+		raw := a.policy.ForwardScratch(a.psc, a.st, true)
 		act, clamped := a.actionTransform(raw)
-		pin := tensor.New(n, sd+ad)
+		a.sa = tensor.Reuse2D(a.sa, n, sd+ad)
 		for i := 0; i < n; i++ {
-			copy(pin.Row(i)[:sd], s.Row(i))
-			copy(pin.Row(i)[sd:], act.Row(i))
+			packSA(a.sa.Row(i), a.st.Row(i), act.Row(i))
 		}
-		a.value.Forward(pin, true)
+		a.value.ForwardScratch(a.vsc, a.sa, true)
 		// dMeanQ/dQ_i = 1/n; ascend → feed −1/n and let Adam minimize.
-		up := tensor.New(n, 1)
-		for i := range up.Data {
-			up.Data[i] = -1.0 / float64(n)
+		a.up = tensor.Reuse2D(a.up, n, 1)
+		for i := range a.up.Data {
+			a.up.Data[i] = -1.0 / float64(n)
 		}
 		a.value.ZeroGrads()
-		dIn := a.value.Backward(up)
-		dAct := tensor.New(n, ad)
+		dIn := a.value.BackwardScratch(a.vsc, a.up)
+		a.dAct = tensor.Reuse2D(a.dAct, n, ad)
 		for i := 0; i < n; i++ {
-			copy(dAct.Row(i), dIn.Row(i)[sd:])
+			copy(a.dAct.Row(i), dIn.Row(i)[sd:])
 		}
-		dRaw := a.actionBackward(raw, dAct, clamped)
+		dRaw := a.actionBackward(raw, a.dAct, clamped)
 		a.policy.ZeroGrads()
-		a.policy.Backward(dRaw)
+		a.policy.BackwardScratch(a.psc, dRaw)
 		a.popt.Step(a.policy)
 		a.policy.ZeroGrads()
 		a.value.ZeroGrads() // discard critic grads from the policy pass

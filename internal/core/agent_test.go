@@ -85,16 +85,16 @@ func TestBuildStateNormalized(t *testing.T) {
 	cfg.NormalizeState = true
 	a := NewAgent(cfg)
 	s := a.BuildState([]float64{1, 3}, []float64{2, 2}, []int{25, 75})
-	// Counts become fractions.
-	if math.Abs(s[2]-2.0/3) > 1e-12 && math.Abs(s[2]-0.25) > 1e-12 {
-		// s layout: [lb0 lb1 la0 la1 n0 n1]
-	}
+	// s layout: [lb0 lb1 la0 la1 n0 n1]. Counts become fractions.
 	if math.Abs(s[4]-0.25) > 1e-12 || math.Abs(s[5]-0.75) > 1e-12 {
 		t.Fatalf("normalized counts = %v", s[4:])
 	}
 	// Losses scaled by 1/(1+mean(lb)) = 1/3.
 	if math.Abs(s[0]-1.0/3) > 1e-12 || math.Abs(s[1]-1) > 1e-12 {
-		t.Fatalf("normalized losses = %v", s[:2])
+		t.Fatalf("normalized global-model losses = %v", s[:2])
+	}
+	if math.Abs(s[2]-2.0/3) > 1e-12 || math.Abs(s[3]-2.0/3) > 1e-12 {
+		t.Fatalf("normalized local losses = %v", s[2:4])
 	}
 }
 

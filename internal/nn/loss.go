@@ -26,18 +26,6 @@ type CrossEntropy struct {
 // NewCrossEntropy returns a softmax cross-entropy loss.
 func NewCrossEntropy() *CrossEntropy { return &CrossEntropy{} }
 
-// reuse2D reshapes buf to (rows, cols) reusing its capacity, or
-// allocates a replacement. Contents are unspecified.
-func reuse2D(buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
-	n := rows * cols
-	if buf == nil || cap(buf.Data) < n {
-		return tensor.New(rows, cols)
-	}
-	buf.Data = buf.Data[:n]
-	buf.Shape[0], buf.Shape[1] = rows, cols
-	return buf
-}
-
 // Forward returns the mean cross-entropy of logits (batch, classes)
 // against labels.
 func (l *CrossEntropy) Forward(logits *tensor.Tensor, labels []int) float64 {
@@ -45,7 +33,7 @@ func (l *CrossEntropy) Forward(logits *tensor.Tensor, labels []int) float64 {
 	if len(labels) != batch {
 		panic(fmt.Sprintf("nn: CrossEntropy labels length %d, batch %d", len(labels), batch))
 	}
-	l.probsBuf = reuse2D(l.probsBuf, batch, classes)
+	l.probsBuf = tensor.Reuse2D(l.probsBuf, batch, classes)
 	l.probs = l.probsBuf
 	l.labels = labels
 	total := 0.0
@@ -74,7 +62,7 @@ func (l *CrossEntropy) Backward() *tensor.Tensor {
 		panic("nn: CrossEntropy.Backward before Forward")
 	}
 	batch := l.probs.Rows()
-	l.gradBuf = reuse2D(l.gradBuf, batch, l.probs.Cols())
+	l.gradBuf = tensor.Reuse2D(l.gradBuf, batch, l.probs.Cols())
 	grad := l.gradBuf
 	copy(grad.Data, l.probs.Data)
 	inv := 1.0 / float64(batch)
@@ -126,7 +114,7 @@ func (l *MSE) Forward(pred *tensor.Tensor, targets []float64) float64 {
 	if len(targets) != batch {
 		panic(fmt.Sprintf("nn: MSE targets length %d, batch %d", len(targets), batch))
 	}
-	l.diff = reuse2D(l.diff, batch, 1)
+	l.diff = tensor.Reuse2D(l.diff, batch, 1)
 	total := 0.0
 	for i := 0; i < batch; i++ {
 		d := pred.At(i, 0) - targets[i]
@@ -142,7 +130,7 @@ func (l *MSE) Backward() *tensor.Tensor {
 	if l.diff == nil {
 		panic("nn: MSE.Backward before Forward")
 	}
-	l.gradBuf = reuse2D(l.gradBuf, l.diff.Rows(), 1)
+	l.gradBuf = tensor.Reuse2D(l.gradBuf, l.diff.Rows(), 1)
 	grad := l.gradBuf
 	copy(grad.Data, l.diff.Data)
 	grad.ScaleInPlace(2.0 / float64(grad.Rows()))

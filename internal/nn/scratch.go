@@ -31,15 +31,15 @@ func NewScratch() *Scratch {
 }
 
 // tensor2D returns the (rows, cols) buffer of the given slot, reusing
-// prior capacity when possible (reuse2D, shared with the loss
-// buffers). Contents are unspecified (possibly stale); callers must
-// fully overwrite or Zero it.
+// prior capacity when possible (tensor.Reuse2D). Contents are
+// unspecified (possibly stale); callers must fully overwrite or Zero
+// it.
 func (s *Scratch) tensor2D(layer, slot, rows, cols int) *tensor.Tensor {
 	if s == nil {
 		return tensor.New(rows, cols)
 	}
 	k := scratchKey{layer: layer, slot: slot}
-	t := reuse2D(s.slots[k], rows, cols)
+	t := tensor.Reuse2D(s.slots[k], rows, cols)
 	s.slots[k] = t
 	return t
 }

@@ -10,7 +10,7 @@ package replay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"feddrl/internal/mathx"
 	"feddrl/internal/rng"
@@ -76,12 +76,15 @@ func (b *Buffer) Add(e Experience) bool {
 	return true
 }
 
-// Reprioritize recomputes every experience's priority with the supplied
-// function (typically the current TD error under the latest value
-// network) and re-sorts descending. This is Algorithm 1 lines 1–2.
-func (b *Buffer) Reprioritize(prio func(e Experience) float64) {
-	for i := range b.data {
-		p := prio(b.data[i])
+// Reprioritize sets every experience's priority to |prior[i]|, aligned
+// with All (typically the TD errors of the whole buffer under the latest
+// value network), and re-sorts descending. This is Algorithm 1 lines
+// 1–2. It panics unless len(prior) == Len.
+func (b *Buffer) Reprioritize(prior []float64) {
+	if len(prior) != len(b.data) {
+		panic(fmt.Sprintf("replay: Reprioritize with %d priorities for %d experiences", len(prior), len(b.data)))
+	}
+	for i, p := range prior {
 		if p < 0 {
 			p = -p
 		}
@@ -91,9 +94,20 @@ func (b *Buffer) Reprioritize(prio func(e Experience) float64) {
 }
 
 // SortByPriority sorts experiences by descending priority (stable so
-// ties keep insertion order).
+// ties keep insertion order) without allocating. slices.SortStableFunc
+// runs the same insertion-sort-and-SymMerge algorithm as
+// sort.SliceStable and consults the comparison only as "less", so the
+// order is the same even for NaN priorities.
 func (b *Buffer) SortByPriority() {
-	sort.SliceStable(b.data, func(i, j int) bool { return b.data[i].Prior > b.data[j].Prior })
+	slices.SortStableFunc(b.data, func(x, y Experience) int {
+		switch {
+		case x.Prior > y.Prior:
+			return -1
+		case x.Prior < y.Prior:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Sample draws n experiences rank-biased toward high priority: index
@@ -102,22 +116,28 @@ func (b *Buffer) SortByPriority() {
 // replacement), as in standard prioritized replay. It panics on an empty
 // buffer or non-positive n.
 func (b *Buffer) Sample(n int) []Experience {
-	if len(b.data) == 0 {
-		panic("replay: Sample from empty buffer")
-	}
 	if n <= 0 {
 		panic("replay: Sample with non-positive n")
 	}
 	out := make([]Experience, n)
-	for i := 0; i < n; i++ {
+	b.SampleInto(out)
+	return out
+}
+
+// SampleInto fills dst with len(dst) draws as Sample does, consuming the
+// same random stream, without allocating. It panics on an empty buffer.
+func (b *Buffer) SampleInto(dst []Experience) {
+	if len(b.data) == 0 {
+		panic("replay: Sample from empty buffer")
+	}
+	for i := range dst {
 		u := b.r.Float64()
 		idx := int(u * u * float64(len(b.data)))
 		if idx >= len(b.data) {
 			idx = len(b.data) - 1
 		}
-		out[i] = b.data[idx]
+		dst[i] = b.data[idx]
 	}
-	return out
 }
 
 // All returns the stored experiences (shared backing array; callers must

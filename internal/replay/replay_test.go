@@ -82,7 +82,11 @@ func TestReprioritizeSorts(t *testing.T) {
 	}
 	// Priority = |S[0] - 2| → order by distance from 2, negative values
 	// must be folded to magnitude.
-	b.Reprioritize(func(e Experience) float64 { return e.S[0] - 2 })
+	prior := make([]float64, b.Len())
+	for i, e := range b.All() {
+		prior[i] = e.S[0] - 2
+	}
+	b.Reprioritize(prior)
 	all := b.All()
 	for i := 1; i < len(all); i++ {
 		if all[i].Prior > all[i-1].Prior {

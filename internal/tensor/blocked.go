@@ -46,8 +46,10 @@ const (
 	mcBlock = 64
 
 	// blockedMinVolume is the m·k·n product below which packing overhead
-	// outweighs register tiling and the naive loops win (the DRL policy
-	// and value nets live entirely below it).
+	// outweighs register tiling and the naive loops win. The DRL policy
+	// and value nets straddle it: at Hidden 128 a single-row 128×128
+	// product is exactly 1<<14 and already packs, and a batch-32 update
+	// is 32× above it.
 	blockedMinVolume = 1 << 14
 	// parallelMinVolume is the volume below which stripe fan-out is not
 	// worth the scheduling round trip.

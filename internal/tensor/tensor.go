@@ -78,6 +78,20 @@ func (t *Tensor) Bind2D(data []float64, rows, cols int) *Tensor {
 	return t
 }
 
+// Reuse2D reshapes the 2-D buffer buf to (rows, cols) reusing its
+// capacity, or allocates a replacement when buf is nil or too small.
+// Contents are unspecified. Hot paths keep one buffer per role and
+// reassign the result, so warm calls allocate nothing.
+func Reuse2D(buf *Tensor, rows, cols int) *Tensor {
+	n := rows * cols
+	if buf == nil || cap(buf.Data) < n {
+		return New(rows, cols)
+	}
+	buf.Data = buf.Data[:n]
+	buf.Shape[0], buf.Shape[1] = rows, cols
+	return buf
+}
+
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 

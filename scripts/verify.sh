@@ -8,7 +8,7 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/engine/... ./internal/fl/...
+go test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./internal/replay/...
 go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./internal/experiments/
 
 # Work-stealing scheduler gate: the engine package under -race with the
@@ -62,6 +62,14 @@ go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenera
 # cold, warm (0 cache misses) and with the explicit weighted merge rule
 # must be byte-for-byte the zero-value output.
 go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid' ./internal/experiments/
+
+# DRL-agent gate: three training loops must reproduce the agent digest
+# (networks, buffer priorities, actions) pinned in digest_test.go; the
+# chunked TD reprioritization must match the per-experience QValue
+# reference bit for bit and in order at buffer lengths around the chunk
+# size, with and without an engine pool; and a warm Train must allocate
+# nothing at buffer lengths 40 and 400.
+go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrainAllocsFlat' ./internal/core/
 
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
