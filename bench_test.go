@@ -8,8 +8,7 @@ package feddrl
 //	go test -bench=. -benchmem
 //
 // both times the harness and reproduces the evaluation's shape. Use
-// cmd/tables -scale medium|paper for the larger runs recorded in
-// EXPERIMENTS.md.
+// cmd/tables -scale medium|paper for the larger runs.
 
 import (
 	"encoding/json"
@@ -19,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1015,6 +1015,34 @@ func warmTrainStepAllocs(net *nn.Network, in int) float64 {
 	return testing.AllocsPerRun(10, step)
 }
 
+// benchPairs is the number of interleaved pairs behind each ratio gate.
+const benchPairs = 9
+
+// pairedRatio times base and fast back to back n times, alternating
+// which runs first, and returns the median of base's time over fast's.
+// A burst of load from a neighbouring process lands on both halves of
+// a pair, so the median per-pair ratio holds where a ratio of two rows
+// timed one after the other does not.
+func pairedRatio(n int, base, fast func()) float64 {
+	timed := func(f func()) float64 {
+		start := time.Now()
+		f()
+		return float64(time.Since(start))
+	}
+	ratios := make([]float64, n)
+	for i := range ratios {
+		var tb, tf float64
+		if i%2 == 0 {
+			tb, tf = timed(base), timed(fast)
+		} else {
+			tf, tb = timed(fast), timed(base)
+		}
+		ratios[i] = tb / tf
+	}
+	slices.Sort(ratios)
+	return ratios[n/2]
+}
+
 // TestComputeBenchJSON measures the compute hot path — blocked-vs-naive
 // GEMM at every paper-relevant shape, conv forward/backward, and warm
 // train-step allocations — and writes BENCH_compute.json (see
@@ -1206,14 +1234,10 @@ func TestComputeBenchJSON(t *testing.T) {
 			t.Fatalf("shape %s recorded backend %q, doc says %q", g.Shape, g.Backend, doc.Backend)
 		}
 	}
-	// Backend-matrix sanity and the tier-value gate: every tier in the
-	// chain measured, and where AVX-512 is available its headline GEMM
-	// must beat AVX by >= 1.3x (measured ~1.45x; the margin absorbs CI
-	// noise). Tiers are bit-identical, so this is purely a perf gate.
+	// Backend-matrix sanity: every tier in the chain measured.
 	if want := len(tensor.Backends()); len(doc.Backends) != want {
 		t.Fatalf("backend matrix has %d rows, want %d", len(doc.Backends), want)
 	}
-	tierGemm := map[string]float64{}
 	for _, e := range doc.Backends {
 		if !validBackend[e.Backend] {
 			t.Fatalf("backend matrix row for unknown backend %q", e.Backend)
@@ -1221,19 +1245,41 @@ func TestComputeBenchJSON(t *testing.T) {
 		if e.GemmGFLOPS <= 0 || e.AxpyGBs <= 0 {
 			t.Fatalf("backend %s: no measurement (%+v)", e.Backend, e)
 		}
-		tierGemm[e.Backend] = e.GemmGFLOPS
 	}
-	if a512, ok := tierGemm["avx512"]; ok {
-		if avx, ok := tierGemm["avx"]; ok && a512 < 1.3*avx {
-			t.Fatalf("avx512 GEMM %.1f GFLOP/s is under 1.3x avx (%.1f)", a512, avx)
+	// The tier-value gate: where AVX-512 is available its headline GEMM
+	// must beat AVX by >= 1.3x (measured ~1.45x; the margin absorbs CI
+	// noise). Tiers are bit-identical, so this is purely a perf gate. It
+	// reads interleaved pairs, not the recorded rows: those are timed
+	// one after the other, so load from a package testing beside this
+	// one, as `go test ./...` runs them, can slow one row and not the
+	// other.
+	if tiers := tensor.Backends(); slices.Contains(tiers, "avx512") && slices.Contains(tiers, "avx") {
+		sh := computeGEMMShapes[len(computeGEMMShapes)-1]
+		a, bb, dst := gemmFixture(sh.M, sh.K, sh.N)
+		gemmOn := func(bk string) func() {
+			return func() {
+				if err := tensor.SetBackend(bk); err != nil {
+					t.Fatalf("SetBackend(%q): %v", bk, err)
+				}
+				tensor.MatMulInto(dst, a, bb)
+			}
+		}
+		ratio := pairedRatio(benchPairs, gemmOn("avx"), gemmOn("avx512"))
+		if err := tensor.SetBackend(doc.Backend); err != nil {
+			t.Fatalf("restoring backend %q: %v", doc.Backend, err)
+		}
+		t.Logf("avx512 GEMM is %.2fx avx (median of %d interleaved pairs)", ratio, benchPairs)
+		if ratio < 1.3 {
+			t.Fatalf("avx512 GEMM is %.2fx avx (median of %d interleaved pairs), want >= 1.3", ratio, benchPairs)
 		}
 	}
 	// Precision-matrix sanity and the f32 advantage gates: both widths
-	// measured; the f32 row must deliver ≥1.5× the f64 row's effective
-	// axpy throughput (the half-width kernel touches half the bytes per
-	// weight, so ~2× is the expectation and 1.5 absorbs CI noise), and
-	// its update wire size must be at most 0.55× the f64 payload (4+ε
-	// vs 8+ε bytes per weight).
+	// measured; the f32 axpy must deliver ≥1.5× the f64 axpy's effective
+	// throughput (the half-width kernel touches half the bytes per
+	// weight, so ~2× is the expectation and 1.5 absorbs CI noise),
+	// measured as interleaved pairs like the tier gate; and the f32
+	// update wire size must be at most 0.55× the f64 payload (4+ε vs
+	// 8+ε bytes per weight).
 	if len(doc.Precisions) != 2 {
 		t.Fatalf("precision matrix has %d rows, want 2", len(doc.Precisions))
 	}
@@ -1246,8 +1292,30 @@ func TestComputeBenchJSON(t *testing.T) {
 			t.Fatalf("precision %s: no measurement (%+v)", e.Precision, e)
 		}
 	}
-	if p32.AxpyEffGBs < 1.5*p64.AxpyEffGBs {
-		t.Fatalf("f32 effective axpy %.1f GB/s is under 1.5x f64 (%.1f)", p32.AxpyEffGBs, p64.AxpyEffGBs)
+	{
+		// Both widths move the same weights, so the effective-throughput
+		// ratio is the f64 time over the f32 time.
+		const axpyN, axpyReps = 1 << 16, 256
+		x64, y64 := make([]float64, axpyN), make([]float64, axpyN)
+		x32, y32 := make([]float32, axpyN), make([]float32, axpyN)
+		for i := range x64 {
+			x64[i], x32[i] = 0.25*float64(i%23), 0.25*float32(i%23)
+		}
+		ratio := pairedRatio(benchPairs,
+			func() {
+				for r := 0; r < axpyReps; r++ {
+					tensor.Axpy(1.0/1024, x64, y64)
+				}
+			},
+			func() {
+				for r := 0; r < axpyReps; r++ {
+					tensor.Axpy32(1.0/1024, x32, y32)
+				}
+			})
+		t.Logf("f32 effective axpy is %.2fx f64 (median of %d interleaved pairs)", ratio, benchPairs)
+		if ratio < 1.5 {
+			t.Fatalf("f32 effective axpy is %.2fx f64 (median of %d interleaved pairs), want >= 1.5", ratio, benchPairs)
+		}
 	}
 	if ratio := float64(p32.UpdateWire) / float64(p64.UpdateWire); ratio > 0.55 {
 		t.Fatalf("f32 update wire %.3f of f64, want <= 0.55", ratio)

@@ -15,7 +15,7 @@
 //	tables -list
 //
 // Experiment ids are the paper's table/figure numbers (table2, table3,
-// table4, figure4..figure10), the DESIGN.md ablations
+// table4, figure4..figure10), the DESIGN.md §4 ablations
 // (ablation-reward, ablation-statenorm, ablation-twostage), and the
 // async-vs-sync substrate comparison (async-sync), whose "+async" rows
 // must reproduce their synchronous base rows exactly, and the Byzantine

@@ -421,7 +421,8 @@ type (
 var (
 	// CIScale finishes every experiment in seconds.
 	CIScale = experiments.CI
-	// MediumScale is the EXPERIMENTS.md configuration.
+	// MediumScale takes minutes per experiment, enough for the paper's
+	// orderings to emerge.
 	MediumScale = experiments.Medium
 	// PaperScale is the closest feasible match to §4.1.2.
 	PaperScale = experiments.Paper

@@ -256,7 +256,7 @@ func (a *Agent) ImpactFactorsWithPrior(action, prior []float64, explore bool) []
 	return mathx.Softmax(z)
 }
 
-// Reward computes Eq. 7 (negated for maximization; see DESIGN.md):
+// Reward computes Eq. 7 (negated for maximization; see DESIGN.md §5):
 // r = −( mean(l_b) + w·(max(l_b) − min(l_b)) ) over the next round's
 // global-model losses.
 func (a *Agent) Reward(nextLossesBefore []float64) float64 {

@@ -10,7 +10,7 @@
 // deviations, §3.3.3) constrained by σ ≤ β·μ (Eq. 6); impact factors are
 // the softmax of per-client Gaussian draws (Eq. 5); and the reward is the
 // negated sum of the average client loss and the max–min loss gap
-// (Eq. 7 — see DESIGN.md for the sign convention). Training follows
+// (Eq. 7 — see DESIGN.md §5 for the sign convention). Training follows
 // Algorithm 1 with TD-prioritized experience replay, and the two-stage
 // strategy of §3.4.2 is provided by TrainTwoStage.
 package core
@@ -48,7 +48,7 @@ type Config struct {
 	// ExploreDecay multiplies the exploration scale after every
 	// exploratory action (standard DDPG practice; the paper is silent, so
 	// 1 — no decay — stays faithful to the printed algorithm while the
-	// default 0.995 stabilizes short runs; see DESIGN.md).
+	// default 0.995 stabilizes short runs; see DESIGN.md §3).
 	ExploreDecay float64
 	// MaxGradNorm clips DRL gradients for stability (0 disables).
 	MaxGradNorm float64

@@ -2,39 +2,41 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"feddrl/internal/core"
-	"feddrl/internal/dataset"
 	"feddrl/internal/fl"
 	"feddrl/internal/metrics"
-	"feddrl/internal/rng"
 )
 
-// AblationPrior compares the FedAvg-anchored residual parameterization
-// (α = softmax(z + log n_k/Σn), the compressed-horizon adaptation in
-// DESIGN.md) against the paper's plain softmax actions (Eq. 5), on the
-// 100-class dataset where the difference is largest.
-func AblationPrior(s Scale, seed uint64) string {
-	spec := s.datasets()[0] // cifar100-sim
-	n := s.SmallN
-	k := n // full participation at the small federation size (§4.1.2)
-	train, test := dataset.Synthesize(spec, seed)
-	assign := buildPartition("CE", train, spec, n, defaultDelta, rng.New(seed+2))
-	cfg := s.runConfig(spec, k, 0, seed+1)
+// ablationRun runs one ablation cell through the grid's runMethodOn:
+// method on dataset ds, CE partition, SmallN clients with full
+// participation (§4.1.2), so it is seeded exactly like the matching
+// grid cell. The scale-wide attack knobs are cleared because the
+// ablations study the agent on a benign federation.
+func ablationRun(s Scale, ds, method string, seed uint64, variant func(*fl.FedDRL)) *fl.Result {
+	s.Attack, s.AttackFrac, s.Merger = "", 0, ""
+	return runMethodOn(s, s.datasetByName(ds), table3Spec(s, ds, "CE", method, s.SmallN, seed), nil, variant)
+}
 
-	runWith := func(prior bool) *fl.Result {
-		agg := fl.NewFedDRL(core.NewAgent(s.drlConfig(k, seed+3)))
-		agg.FedAvgPrior = prior
-		clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-		return fl.Run(cfg, clients, test, agg)
+// agentVariant is a variant hook that rebuilds the cell's agent from its
+// own configuration with modify applied.
+func agentVariant(modify func(*core.Config)) func(*fl.FedDRL) {
+	return func(d *fl.FedDRL) {
+		cfg := d.Agent.Config()
+		modify(&cfg)
+		d.Agent = core.NewAgent(cfg)
 	}
-	withPrior := runWith(true)
-	without := runWith(false)
-	avg := func() *fl.Result {
-		clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-		return fl.Run(cfg, clients, test, fl.FedAvg{})
-	}()
+}
+
+// AblationPrior compares the FedAvg-anchored residual parameterization
+// (α = softmax(z + log n_k/Σn), DESIGN.md "compressed-horizon
+// adaptations") against the paper's plain softmax actions (Eq. 5), on
+// the 100-class dataset where the difference is largest.
+func AblationPrior(s Scale, seed uint64) string {
+	ds := s.datasets()[0].Name // cifar100-sim
+	withPrior := ablationRun(s, ds, "FedDRL", seed, nil)
+	without := ablationRun(s, ds, "FedDRL", seed, func(d *fl.FedDRL) { d.FedAvgPrior = false })
+	avg := ablationRun(s, ds, "FedAvg", seed, nil)
 	tab := &metrics.Table{
 		Title:   "Ablation: FedAvg-anchored actions vs plain Eq. 5 softmax, cifar100-sim / CE",
 		Headers: []string{"variant", "best acc", "final acc"},
@@ -45,36 +47,13 @@ func AblationPrior(s Scale, seed uint64) string {
 	return tab.RenderString()
 }
 
-// runFedDRLVariant runs FedDRL on a CE-partitioned dataset with a
-// modified agent configuration, returning the run result.
-func runFedDRLVariant(s Scale, spec dataset.Spec, seed uint64, modify func(*core.Config), agent *core.Agent) *fl.Result {
-	train, test := dataset.Synthesize(spec, seed)
-	n := s.SmallN
-	k := n // full participation at the small federation size (§4.1.2)
-	assign := buildPartition("CE", train, spec, n, defaultDelta, rng.New(seed+2))
-	if agent == nil {
-		drlCfg := s.drlConfig(k, seed+3)
-		if modify != nil {
-			modify(&drlCfg)
-		}
-		agent = core.NewAgent(drlCfg)
-	}
-	cfg := s.runConfig(spec, k, 0, seed+1)
-	clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-	return fl.Run(cfg, clients, test, fl.NewFedDRL(agent))
-}
-
 // AblationRewardGap compares the full Eq. 7 reward against a variant
 // without the fairness (max−min) term. The fairness term should reduce
 // the variance of client inference losses.
 func AblationRewardGap(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
-	tail := s.Rounds / 4
-	if tail < 1 {
-		tail = 1
-	}
-	full := runFedDRLVariant(s, spec, seed, nil, nil)
-	noGap := runFedDRLVariant(s, spec, seed, func(c *core.Config) { c.RewardGapWeight = 0 }, nil)
+	tail := max(s.Rounds/4, 1)
+	full := ablationRun(s, "mnist-sim", "FedDRL", seed, nil)
+	noGap := ablationRun(s, "mnist-sim", "FedDRL", seed, agentVariant(func(c *core.Config) { c.RewardGapWeight = 0 }))
 	tab := &metrics.Table{
 		Title:   "Ablation: reward fairness term (Eq. 7 gap component), mnist-sim / CE",
 		Headers: []string{"variant", "best acc", "client loss var (tail)"},
@@ -85,12 +64,11 @@ func AblationRewardGap(s Scale, seed uint64) string {
 }
 
 // AblationStateNorm compares normalized against raw state encodings
-// (DESIGN.md records normalization as a stability choice the paper leaves
-// unspecified).
+// (DESIGN.md §6 records normalization as a stability choice the paper
+// leaves unspecified).
 func AblationStateNorm(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
-	norm := runFedDRLVariant(s, spec, seed, nil, nil)
-	raw := runFedDRLVariant(s, spec, seed, func(c *core.Config) { c.NormalizeState = false }, nil)
+	norm := ablationRun(s, "mnist-sim", "FedDRL", seed, nil)
+	raw := ablationRun(s, "mnist-sim", "FedDRL", seed, agentVariant(func(c *core.Config) { c.NormalizeState = false }))
 	tab := &metrics.Table{
 		Title:   "Ablation: state normalization, mnist-sim / CE",
 		Headers: []string{"variant", "best acc", "final acc"},
@@ -105,26 +83,20 @@ func AblationStateNorm(s Scale, seed uint64) string {
 // environments, then offline training on the merged buffer) against a
 // cold-started agent. Pre-training should help most in early rounds.
 func AblationTwoStage(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
+	spec := s.datasetByName("mnist-sim")
 	k := s.SmallN // full participation at the small federation size
 	drlCfg := s.drlConfig(k, seed+3)
 
 	// Stage 1+2: two workers on independently seeded FL environments.
-	episode := s.Rounds / 2
-	if episode < 3 {
-		episode = 3
-	}
+	episode := max(s.Rounds/2, 3)
 	res := core.TrainTwoStage(drlCfg, func(w int, wseed uint64) core.Env {
 		return newFLEnv(s, spec, drlCfg, wseed+uint64(w)*977, episode)
 	}, 2, episode, 4)
 
-	pre := runFedDRLVariant(s, spec, seed, nil, res.Agent)
-	cold := runFedDRLVariant(s, spec, seed, nil, nil)
+	pre := ablationRun(s, spec.Name, "FedDRL", seed, func(d *fl.FedDRL) { d.Agent = res.Agent })
+	cold := ablationRun(s, spec.Name, "FedDRL", seed, nil)
 
-	early := len(pre.Accuracy) / 3
-	if early < 1 {
-		early = 1
-	}
+	early := max(len(pre.Accuracy)/3, 1)
 	tab := &metrics.Table{
 		Title:   "Ablation: two-stage pre-training vs cold start, mnist-sim / CE",
 		Headers: []string{"variant", "best acc", "early-rounds mean acc", "worker experiences"},
@@ -137,7 +109,5 @@ func AblationTwoStage(s Scale, seed uint64) string {
 		metrics.F(cold.Best()),
 		metrics.F(cold.Accuracy[:early].Mean()),
 		"-")
-	var b strings.Builder
-	b.WriteString(tab.RenderString())
-	return b.String()
+	return tab.RenderString()
 }

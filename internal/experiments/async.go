@@ -100,7 +100,7 @@ func asyncSyncJobs(s Scale, seed uint64) []CellSpec {
 // renderAsyncSync formats the async-vs-sync comparison. The "+async"
 // rows are the determinism contract made visible: they must match their
 // synchronous base rows digit for digit.
-func renderAsyncSync(s Scale, seed uint64, get ArtifactGetter) string {
+func renderAsyncSync(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	ds := asyncDataset(s)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Async vs sync rounds: %s / CE, %d clients\n\n", ds, s.SmallN)
@@ -119,7 +119,3 @@ func renderAsyncSync(s Scale, seed uint64, get ArtifactGetter) string {
 		"aggregation threshold, so stale updates are merged at reduced weight)\n")
 	return b.String()
 }
-
-// AsyncSync runs the async-vs-sync grid in-process (Registry-compatible
-// wrapper).
-func AsyncSync(s Scale, seed uint64) string { return runNamed("async-sync", s, seed) }

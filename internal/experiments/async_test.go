@@ -13,7 +13,7 @@ import (
 // covers the experiment wiring — variant parsing, agent sizing, and the
 // artifact pipeline.
 func TestAsyncSyncMicro(t *testing.T) {
-	out := AsyncSync(microScale(), 3)
+	out := runMicro(t, "async-sync", 3)
 	rows := map[string]string{}
 	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)

@@ -85,7 +85,7 @@ func byzantineJobs(s Scale, seed uint64) []CellSpec {
 
 // renderByzantine formats the attack × merger grid as best-accuracy
 // cells.
-func renderByzantine(s Scale, seed uint64, get ArtifactGetter) string {
+func renderByzantine(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Byzantine robustness: FedAvg on %s / Equal, %d clients\n\n", byzantineDataset(s), s.LargeN)
 	headers := append([]string{"attack"}, byzantineMergers...)
@@ -114,7 +114,3 @@ func renderByzantine(s Scale, seed uint64, get ArtifactGetter) string {
 		"cohorts)\n")
 	return b.String()
 }
-
-// Byzantine runs the attack × merger grid in-process
-// (Registry-compatible wrapper).
-func Byzantine(s Scale, seed uint64) string { return runNamed("byzantine", s, seed) }

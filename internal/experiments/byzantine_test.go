@@ -117,3 +117,41 @@ func TestBenignOutputsUnchangedByRefactor(t *testing.T) {
 		t.Fatal("figure6 is not reproducible under the zero-value config")
 	}
 }
+
+// TestByzantineClaim checks the README's Byzantine claim at CI scale
+// (seed 1) with margins: under a 20% sign-flip cohort, weighted
+// averaging keeps under half of its benign best accuracy, while the
+// coordinate median and the trimmed mean each keep over three quarters
+// of theirs.
+func TestByzantineClaim(t *testing.T) {
+	s := CI()
+	st := newStore(s, nil)
+	defer st.close()
+	benign, attacked := byzantineAttacks[0], byzantineAttack{"signflip", 0.2}
+	best := func(att byzantineAttack, merger string) float64 {
+		return st.get(byzantineSpec(s, att, merger, 1)).Best()
+	}
+	var jobs []CellSpec
+	for _, m := range []string{"weighted", "median", "trimmed"} {
+		jobs = append(jobs, byzantineSpec(s, benign, m, 1), byzantineSpec(s, attacked, m, 1))
+	}
+	st.prefetch(jobs)
+	for _, c := range []struct {
+		merger   string
+		holds    bool    // the rule is claimed to hold under the attack
+		fraction float64 // of the benign best: the bound the attacked best must clear
+	}{
+		{"weighted", false, 0.5},
+		{"median", true, 0.75},
+		{"trimmed", true, 0.75},
+	} {
+		b, a := best(benign, c.merger), best(attacked, c.merger)
+		t.Logf("%s: benign %.2f, signflip 20%% %.2f", c.merger, b, a)
+		if c.holds && a <= c.fraction*b {
+			t.Errorf("%s does not hold under a 20%% sign-flip: %.2f is not over %.2f of its benign %.2f", c.merger, a, c.fraction, b)
+		}
+		if !c.holds && a >= c.fraction*b {
+			t.Errorf("%s does not collapse under a 20%% sign-flip: %.2f is not under %.2f of its benign %.2f", c.merger, a, c.fraction, b)
+		}
+	}
+}

@@ -4,39 +4,41 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"feddrl/internal/metrics"
 )
 
-// CSV export: the figure runners print text tables; these helpers emit
-// the same series as CSV files for external plotting (one file per
-// figure panel). Used by cmd/tables -csvdir. They consume the same
-// CellSpec→artifact pipeline as the text renderers.
-
-// Figure5Series returns one SeriesSet per (dataset, partition) panel of
-// Figure 5, keyed "figure5-<dataset>-<partition>".
-func Figure5Series(s Scale, seed uint64) map[string]*metrics.SeriesSet {
-	return figure5Series(s, seed, nil)
+// csvSeries maps each experiment id with a CSV export to its series
+// builder. The figure runners print text tables; ExportCSV writes the
+// same series as CSV files for external plotting, one file per figure
+// panel (cmd/tables -csvdir). A builder reads cell artifacts through the
+// getter of the one store ExportCSVCached opens, the same
+// CellSpec→artifact pipeline as the text renderers, and returns its
+// series keyed by file name.
+var csvSeries = map[string]func(s Scale, seed uint64, get ArtifactGetter) map[string]*metrics.SeriesSet{
+	"figure5": figure5Series,
+	"figure7": figure7Series,
+	"figure8": figure8Series,
 }
 
-func figure5Series(s Scale, seed uint64, cache *Cache) map[string]*metrics.SeriesSet {
-	st := newStoreCached(s, cache)
-	defer st.close()
-	st.prefetch(figure5Jobs(s, seed))
+// figure5Series returns one SeriesSet per (dataset, partition) panel of
+// Figure 5, keyed "figure5-<dataset>-<partition>".
+func figure5Series(s Scale, seed uint64, get ArtifactGetter) map[string]*metrics.SeriesSet {
 	out := map[string]*metrics.SeriesSet{}
 	for _, spec := range s.datasets() {
 		if spec.Name == "mnist-sim" {
 			continue
 		}
 		for _, part := range PartitionNames {
-			ref := st.get(table3Spec(s, spec.Name, part, "FedAvg", s.SmallN, seed))
+			ref := get(table3Spec(s, spec.Name, part, "FedAvg", s.SmallN, seed))
 			x := make([]float64, len(ref.AccRounds))
 			for i, r := range ref.AccRounds {
 				x[i] = float64(r)
 			}
 			ss := metrics.NewSeriesSet("round", x)
 			for _, m := range fedMethods {
-				ss.Add(m, st.get(table3Spec(s, spec.Name, part, m, s.SmallN, seed)).Accuracy)
+				ss.Add(m, get(table3Spec(s, spec.Name, part, m, s.SmallN, seed)).Accuracy)
 			}
 			out[fmt.Sprintf("figure5-%s-%s", spec.Name, part)] = ss
 		}
@@ -44,50 +46,34 @@ func figure5Series(s Scale, seed uint64, cache *Cache) map[string]*metrics.Serie
 	return out
 }
 
-// Figure7Series returns the participation-sweep series (x = K).
-func Figure7Series(s Scale, seed uint64) *metrics.SeriesSet {
-	return figure7Series(s, seed, nil)
-}
-
-func figure7Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
-	st := newStoreCached(s, cache)
-	defer st.close()
-	st.prefetch(figure7Jobs(s, seed))
+// figure7Series returns the participation-sweep series (x = K).
+func figure7Series(s Scale, seed uint64, get ArtifactGetter) map[string]*metrics.SeriesSet {
 	x := make([]float64, len(s.KSweep))
-	cols := map[string]metrics.Series{}
 	for i, k := range s.KSweep {
 		x[i] = float64(k)
-		for _, m := range fedMethods {
-			cols[m] = append(cols[m], st.get(figure7Spec(s, k, m, seed)).Best())
-		}
 	}
-	ss := metrics.NewSeriesSet("K", x)
-	for _, m := range fedMethods {
-		ss.Add(m, cols[m])
+	return map[string]*metrics.SeriesSet{
+		"figure7": sweepSeries("K", x, get, func(i int, m string) CellSpec { return figure7Spec(s, s.KSweep[i], m, seed) }),
 	}
-	return ss
 }
 
-// Figure8Series returns the non-IID-level-sweep series (x = delta).
-func Figure8Series(s Scale, seed uint64) *metrics.SeriesSet {
-	return figure8Series(s, seed, nil)
+// figure8Series returns the non-IID-level-sweep series (x = delta).
+func figure8Series(s Scale, seed uint64, get ArtifactGetter) map[string]*metrics.SeriesSet {
+	return map[string]*metrics.SeriesSet{
+		"figure8": sweepSeries("delta", slices.Clone(s.Deltas), get, func(i int, m string) CellSpec { return figure8Spec(s, s.Deltas[i], m, seed) }),
+	}
 }
 
-func figure8Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
-	st := newStoreCached(s, cache)
-	defer st.close()
-	st.prefetch(figure8Jobs(s, seed))
-	x := make([]float64, len(s.Deltas))
-	cols := map[string]metrics.Series{}
-	for i, delta := range s.Deltas {
-		x[i] = delta
-		for _, m := range fedMethods {
-			cols[m] = append(cols[m], st.get(figure8Spec(s, delta, m, seed)).Best())
-		}
-	}
-	ss := metrics.NewSeriesSet("delta", x)
+// sweepSeries is the CSV twin of sweepTable: one best-accuracy series
+// per federated method over the swept x values.
+func sweepSeries(xName string, x []float64, get ArtifactGetter, spec func(i int, m string) CellSpec) *metrics.SeriesSet {
+	ss := metrics.NewSeriesSet(xName, x)
 	for _, m := range fedMethods {
-		ss.Add(m, cols[m])
+		col := make(metrics.Series, len(x))
+		for i := range x {
+			col[i] = get(spec(i, m)).Best()
+		}
+		ss.Add(m, col)
 	}
 	return ss
 }
@@ -101,29 +87,27 @@ func ExportCSV(id string, s Scale, seed uint64, dir string) ([]string, error) {
 
 // ExportCSVCached is ExportCSV backed by a content-addressed artifact
 // cache — after a cached text render of the same figure, the CSV export
-// reloads every cell instead of retraining it.
+// reloads every cell instead of retraining it. An unsupported id is
+// rejected before dir is created, and the paths come back sorted.
 func ExportCSVCached(id string, s Scale, seed uint64, dir string, cache *Cache) ([]string, error) {
+	series, ok := csvSeries[id]
+	if !ok {
+		return nil, fmt.Errorf("experiments: no CSV export for %q (supported: figure5, figure7, figure8)", id)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: csv dir: %w", err)
 	}
-	sets := map[string]*metrics.SeriesSet{}
-	switch id {
-	case "figure5":
-		sets = figure5Series(s, seed, cache)
-	case "figure7":
-		sets["figure7"] = figure7Series(s, seed, cache)
-	case "figure8":
-		sets["figure8"] = figure8Series(s, seed, cache)
-	default:
-		return nil, fmt.Errorf("experiments: no CSV export for %q (supported: figure5, figure7, figure8)", id)
-	}
+	st := newStore(s, cache)
+	defer st.close()
+	st.prefetch(Registry[id].Jobs(s, seed))
 	var paths []string
-	for name, ss := range sets {
+	for name, ss := range series(s, seed, st.get) {
 		p := filepath.Join(dir, name+".csv")
 		if err := ss.SaveCSV(p); err != nil {
 			return nil, err
 		}
 		paths = append(paths, p)
 	}
+	slices.Sort(paths)
 	return paths, nil
 }

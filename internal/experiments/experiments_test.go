@@ -102,20 +102,20 @@ func TestFigure4Output(t *testing.T) {
 
 func TestTable3Micro(t *testing.T) {
 	s := microScale()
-	res := RunTable3(s, 3)
-	// 3 datasets × 2 sizes × 3 partitions cells.
-	if len(res.Cells) != 18 {
-		t.Fatalf("Table3 cells = %d, want 18", len(res.Cells))
+	st := newStore(s, nil)
+	defer st.close()
+	jobs := table3Jobs(s, 3)
+	// 3 datasets × 2 sizes × 3 partitions cells, four methods each.
+	if len(jobs) != 18*len(Methods) {
+		t.Fatalf("Table3 jobs = %d, want %d", len(jobs), 18*len(Methods))
 	}
-	for _, c := range res.Cells {
-		for _, m := range Methods {
-			acc := c.Best[m]
-			if acc < 0 || acc > 100 {
-				t.Fatalf("cell %s/%s/%d method %s acc %v out of range", c.Dataset, c.Partition, c.N, m, acc)
-			}
+	st.prefetch(jobs)
+	for _, c := range jobs {
+		if acc := st.get(c).Best(); acc < 0 || acc > 100 {
+			t.Fatalf("cell %s/%s/%d method %s acc %v out of range", c.Dataset, c.Partition, c.N, c.Method, acc)
 		}
 	}
-	out := res.Render()
+	out := renderTable3(s, 3, 1, st.get)
 	for _, want := range []string{"cifar100-sim", "fashion-sim", "mnist-sim", "impr.(a)", "impr.(b)", "FedDRL"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table3 render missing %q", want)
@@ -123,8 +123,18 @@ func TestTable3Micro(t *testing.T) {
 	}
 }
 
+// runMicro runs a registered experiment at microScale.
+func runMicro(t *testing.T, id string, seed uint64) string {
+	t.Helper()
+	out, err := Run(id, microScale(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestFigure5Micro(t *testing.T) {
-	out := Figure5(microScale(), 5)
+	out := runMicro(t, "figure5", 5)
 	if !strings.Contains(out, "fashion-sim / CE") || !strings.Contains(out, "round") {
 		t.Fatalf("Figure5 output malformed:\n%s", out)
 	}
@@ -134,7 +144,7 @@ func TestFigure5Micro(t *testing.T) {
 }
 
 func TestFigure6Micro(t *testing.T) {
-	out := Figure6(microScale(), 7)
+	out := runMicro(t, "figure6", 7)
 	if !strings.Contains(out, "normalized to FedDRL") {
 		t.Fatalf("Figure6 header missing:\n%s", out)
 	}
@@ -151,15 +161,14 @@ func TestFigure6Micro(t *testing.T) {
 }
 
 func TestFigure7And8Micro(t *testing.T) {
-	s := microScale()
-	out7 := Figure7(s, 9)
+	out7 := runMicro(t, "figure7", 9)
 	if !strings.Contains(out7, "K") || !strings.Contains(out7, "FedDRL") {
 		t.Fatalf("Figure7 malformed:\n%s", out7)
 	}
 	if got := strings.Count(out7, "\n"); got < 4 {
 		t.Fatalf("Figure7 too short:\n%s", out7)
 	}
-	out8 := Figure8(s, 11)
+	out8 := runMicro(t, "figure8", 11)
 	if !strings.Contains(out8, "delta") || !strings.Contains(out8, "0.6") {
 		t.Fatalf("Figure8 malformed:\n%s", out8)
 	}
@@ -176,14 +185,14 @@ func TestFigure9Micro(t *testing.T) {
 }
 
 func TestFigure10Micro(t *testing.T) {
-	out := Figure10(microScale(), 15)
+	out := runMicro(t, "figure10", 15)
 	if !strings.Contains(out, "target") || !strings.Contains(out, "mnist-sim") {
 		t.Fatalf("Figure10 malformed:\n%s", out)
 	}
 }
 
 func TestTable4Micro(t *testing.T) {
-	out := Table4(microScale(), 17)
+	out := runMicro(t, "table4", 17)
 	if !strings.Contains(out, "Equal") || !strings.Contains(out, "Non-equal") {
 		t.Fatalf("Table4 malformed:\n%s", out)
 	}
@@ -243,7 +252,7 @@ func TestFLEnvContract(t *testing.T) {
 
 func TestArtifactStoreHits(t *testing.T) {
 	s := microScale()
-	st := newStore(s)
+	st := newStore(s, nil)
 	defer st.close()
 	ds := s.datasets()[2]
 	ce := table3Spec(s, ds.Name, "CE", "FedAvg", s.SmallN, 25)
@@ -255,15 +264,5 @@ func TestArtifactStoreHits(t *testing.T) {
 	cn := table3Spec(s, ds.Name, "CN", "FedAvg", s.SmallN, 25)
 	if st.get(cn) == r1 {
 		t.Fatal("store conflated distinct cells")
-	}
-}
-
-func TestDsByName(t *testing.T) {
-	s := microScale()
-	if _, err := dsByName(s, "fashion"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dsByName(s, "imagenet"); err == nil {
-		t.Fatal("unknown dataset did not error")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"feddrl/internal/dataset"
-	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
 )
 
@@ -33,7 +31,7 @@ func figure5Jobs(s Scale, seed uint64) []CellSpec {
 // dataset × partition (SmallN clients), the test accuracy of each method
 // per evaluated round. The fashion-sim series are 10-round smoothed, as
 // in the paper's plot.
-func renderFigure5(s Scale, seed uint64, get ArtifactGetter) string {
+func renderFigure5(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5: top-1 test accuracy (%%) vs communication round, %d clients\n\n", s.SmallN)
 	for _, spec := range s.datasets() {
@@ -67,9 +65,6 @@ func renderFigure5(s Scale, seed uint64, get ArtifactGetter) string {
 	return b.String()
 }
 
-// Figure5 runs the Fig. 5 grid in-process (Registry-compatible wrapper).
-func Figure5(s Scale, seed uint64) string { return runNamed("figure5", s, seed) }
-
 // figure6Jobs enumerates the Fig. 6 robustness cells: the 100-class
 // dataset × partition × federated method at SmallN clients.
 func figure6Jobs(s Scale, seed uint64) []CellSpec {
@@ -87,7 +82,7 @@ func figure6Jobs(s Scale, seed uint64) []CellSpec {
 // of the per-client inference loss (tail-averaged), normalized to
 // FedDRL, on the 100-class dataset with SmallN clients. Values above
 // 1.00 mean the baseline is worse than FedDRL.
-func renderFigure6(s Scale, seed uint64, get ArtifactGetter) string {
+func renderFigure6(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	spec := s.datasets()[0] // cifar100-sim
 	tail := s.Rounds / 4
 	if tail < 1 {
@@ -132,9 +127,6 @@ func renderFigure6(s Scale, seed uint64, get ArtifactGetter) string {
 	return b.String()
 }
 
-// Figure6 runs the Fig. 6 grid in-process.
-func Figure6(s Scale, seed uint64) string { return runNamed("figure6", s, seed) }
-
 func ratioStr(v, ref float64) string {
 	if ref == 0 {
 		if v == 0 {
@@ -166,46 +158,15 @@ func figure7Jobs(s Scale, seed uint64) []CellSpec {
 // renderFigure7 reproduces the participation sweep: accuracy on the
 // 100-class dataset (LargeN clients, CE partition) as the number of
 // participating clients K varies.
-func renderFigure7(s Scale, seed uint64, get ArtifactGetter) string {
+func renderFigure7(s Scale, seed uint64, seeds int, get ArtifactGetter) string {
 	spec := s.datasets()[0] // cifar100-sim
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: accuracy vs participating clients K (%s, CE, N=%d)\n\n", spec.Name, s.LargeN)
-	tab := &metrics.Table{
-		Headers: append([]string{"K"}, fedMethods...),
+	xs := make([]string, len(s.KSweep))
+	for i, k := range s.KSweep {
+		xs[i] = fmt.Sprintf("%d", k)
 	}
-	for _, k := range s.KSweep {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, m := range fedMethods {
-			row = append(row, metrics.F(get(figure7Spec(s, k, m, seed)).Best()))
-		}
-		tab.AddRow(row...)
-	}
-	b.WriteString(tab.RenderString())
-	return b.String()
+	return fmt.Sprintf("Figure 7: accuracy vs participating clients K (%s, CE, N=%d)%s\n\n", spec.Name, s.LargeN, seedsNote(seeds)) +
+		sweepTable("K", xs, seeds, get, func(i int, m string) CellSpec { return figure7Spec(s, s.KSweep[i], m, seed) })
 }
-
-// renderFigure7Seeds is the seed-replicated Fig. 7: mean±std cells.
-func renderFigure7Seeds(s Scale, seed uint64, seeds int, get ArtifactGetter) string {
-	spec := s.datasets()[0]
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: accuracy vs participating clients K (%s, CE, N=%d), mean±std of %d seeds\n\n", spec.Name, s.LargeN, seeds)
-	tab := &metrics.Table{
-		Headers: append([]string{"K"}, fedMethods...),
-	}
-	for _, k := range s.KSweep {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, m := range fedMethods {
-			vals := replicateBests(get, figure7Spec(s, k, m, seed), seeds)
-			row = append(row, metrics.MeanStd(mathx.Mean(vals), mathx.Std(vals)))
-		}
-		tab.AddRow(row...)
-	}
-	b.WriteString(tab.RenderString())
-	return b.String()
-}
-
-// Figure7 runs the Fig. 7 sweep in-process.
-func Figure7(s Scale, seed uint64) string { return runNamed("figure7", s, seed) }
 
 // figure8Spec builds one cell of the non-IID sweep (delta varies; the
 // cell seed is offset by delta*100, preserving the historical seeding).
@@ -228,46 +189,31 @@ func figure8Jobs(s Scale, seed uint64) []CellSpec {
 // renderFigure8 reproduces the non-IID-level sweep: accuracy on
 // fashion-sim (LargeN clients, CE partition) as the main-group share δ
 // varies.
-func renderFigure8(s Scale, seed uint64, get ArtifactGetter) string {
+func renderFigure8(s Scale, seed uint64, seeds int, get ArtifactGetter) string {
 	spec := s.datasets()[1] // fashion-sim
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: accuracy vs non-IID level delta (%s, CE, N=%d)\n\n", spec.Name, s.LargeN)
-	tab := &metrics.Table{
-		Headers: append([]string{"delta"}, fedMethods...),
+	xs := make([]string, len(s.Deltas))
+	for i, delta := range s.Deltas {
+		xs[i] = fmt.Sprintf("%.1f", delta)
 	}
-	for _, delta := range s.Deltas {
-		row := []string{fmt.Sprintf("%.1f", delta)}
+	return fmt.Sprintf("Figure 8: accuracy vs non-IID level delta (%s, CE, N=%d)%s\n\n", spec.Name, s.LargeN, seedsNote(seeds)) +
+		sweepTable("delta", xs, seeds, get, func(i int, m string) CellSpec { return figure8Spec(s, s.Deltas[i], m, seed) })
+}
+
+// sweepTable is the Fig. 7/8 layout: one row per swept value x, one
+// best-accuracy column per federated method; spec(i, m) is the cell of
+// method m at the i-th value.
+func sweepTable(xName string, xs []string, seeds int, get ArtifactGetter, spec func(i int, m string) CellSpec) string {
+	tab := &metrics.Table{Headers: append([]string{xName}, fedMethods...)}
+	for i, x := range xs {
+		row := []string{x}
 		for _, m := range fedMethods {
-			row = append(row, metrics.F(get(figure8Spec(s, delta, m, seed)).Best()))
+			_, cell := seedCell(get, spec(i, m), seeds)
+			row = append(row, cell)
 		}
 		tab.AddRow(row...)
 	}
-	b.WriteString(tab.RenderString())
-	return b.String()
+	return tab.RenderString()
 }
-
-// renderFigure8Seeds is the seed-replicated Fig. 8: mean±std cells.
-func renderFigure8Seeds(s Scale, seed uint64, seeds int, get ArtifactGetter) string {
-	spec := s.datasets()[1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8: accuracy vs non-IID level delta (%s, CE, N=%d), mean±std of %d seeds\n\n", spec.Name, s.LargeN, seeds)
-	tab := &metrics.Table{
-		Headers: append([]string{"delta"}, fedMethods...),
-	}
-	for _, delta := range s.Deltas {
-		row := []string{fmt.Sprintf("%.1f", delta)}
-		for _, m := range fedMethods {
-			vals := replicateBests(get, figure8Spec(s, delta, m, seed), seeds)
-			row = append(row, metrics.MeanStd(mathx.Mean(vals), mathx.Std(vals)))
-		}
-		tab.AddRow(row...)
-	}
-	b.WriteString(tab.RenderString())
-	return b.String()
-}
-
-// Figure8 runs the Fig. 8 sweep in-process.
-func Figure8(s Scale, seed uint64) string { return runNamed("figure8", s, seed) }
 
 // figure10Jobs enumerates the Fig. 10 convergence cells: every dataset ×
 // partition × federated method at SmallN clients.
@@ -287,7 +233,7 @@ func figure10Jobs(s Scale, seed uint64) []CellSpec {
 // needed by each method to reach the target accuracy (the minimum best
 // accuracy across methods, as in §5.2), per dataset × partition at
 // SmallN clients.
-func renderFigure10(s Scale, seed uint64, get ArtifactGetter) string {
+func renderFigure10(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10: rounds to reach target accuracy (target = min of methods' best), %d clients\n\n", s.SmallN)
 	tab := &metrics.Table{
@@ -319,17 +265,4 @@ func renderFigure10(s Scale, seed uint64, get ArtifactGetter) string {
 	}
 	b.WriteString(tab.RenderString())
 	return b.String()
-}
-
-// Figure10 runs the Fig. 10 grid in-process.
-func Figure10(s Scale, seed uint64) string { return runNamed("figure10", s, seed) }
-
-// dsByName finds a scaled dataset spec by prefix (helper for tools).
-func dsByName(s Scale, name string) (dataset.Spec, error) {
-	for _, spec := range s.datasets() {
-		if strings.HasPrefix(spec.Name, name) {
-			return spec, nil
-		}
-	}
-	return dataset.Spec{}, fmt.Errorf("experiments: unknown dataset %q", name)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
 )
 
@@ -42,8 +41,8 @@ func headlineJobs(s Scale, seed uint64) []CellSpec {
 // beat FedAvg, with the gap widening at higher client counts (§4.2.1's
 // reading of Table 3). Single-seed cells at reduced scale carry ±
 // several points of noise; each cell is repeated over headlineSeeds
-// runs and reported as mean ± std, which is what EXPERIMENTS.md quotes.
-func renderHeadline(s Scale, seed uint64, get ArtifactGetter) string {
+// runs and reported as mean ± std.
+func renderHeadline(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Headline claim (Table 3's CE/CN columns, mean of %d seeds): FedDRL vs FedAvg under cluster skew\n\n", headlineSeeds)
 	tab := &metrics.Table{
@@ -52,13 +51,9 @@ func renderHeadline(s Scale, seed uint64, get ArtifactGetter) string {
 	for _, spec := range s.datasets() {
 		for _, n := range []int{s.SmallN, s.LargeN} {
 			for _, part := range headlineParts {
-				avg := replicateBests(get, table3Spec(s, spec.Name, part, "FedAvg", n, seed), headlineSeeds)
-				drl := replicateBests(get, table3Spec(s, spec.Name, part, "FedDRL", n, seed), headlineSeeds)
-				ma, md := mathx.Mean(avg), mathx.Mean(drl)
-				tab.AddRow(spec.Name, fmt.Sprintf("%d", n), part,
-					metrics.MeanStd(ma, mathx.Std(avg)),
-					metrics.MeanStd(md, mathx.Std(drl)),
-					fmt.Sprintf("%+.2f", md-ma))
+				ma, avg := seedCell(get, table3Spec(s, spec.Name, part, "FedAvg", n, seed), headlineSeeds)
+				md, drl := seedCell(get, table3Spec(s, spec.Name, part, "FedDRL", n, seed), headlineSeeds)
+				tab.AddRow(spec.Name, fmt.Sprintf("%d", n), part, avg, drl, fmt.Sprintf("%+.2f", md-ma))
 			}
 		}
 	}
@@ -66,6 +61,3 @@ func renderHeadline(s Scale, seed uint64, get ArtifactGetter) string {
 	b.WriteString("\n(positive delta = FedDRL better; the paper's shape is parity-to-positive\non CE/CN, with larger deltas at the larger client count)\n")
 	return b.String()
 }
-
-// Headline runs the headline grid in-process.
-func Headline(s Scale, seed uint64) string { return runNamed("headline", s, seed) }

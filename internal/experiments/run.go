@@ -71,7 +71,11 @@ func (s Scale) drlConfig(k int, seed uint64) core.Config {
 // scale-level fields when the cell leaves all three zero) configure
 // Byzantine fault injection and the robust merge rule; both default to
 // the benign, byte-identical historical behavior.
-func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool) *fl.Result {
+//
+// variant, when non-nil, modifies a FedDRL cell's aggregator before the
+// run: the ablations swap its agent or switch off its FedAvg prior.
+// Grid cells pass nil.
+func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)) *fl.Result {
 	partName, method := cell.Partition, cell.Method
 	n, k, delta, seed := cell.N, cell.K, cell.Delta, cell.Seed
 	attackName, attackFrac, mergerName := cell.Attack, cell.AttackFrac, cell.Merger
@@ -119,7 +123,11 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool) *
 		agg = fl.FedProx{}
 		proxMu = s.ProxMu
 	case "FedDRL":
-		agg = fl.NewFedDRL(core.NewAgent(s.drlConfig(aggCohort, seed+3)))
+		drl := fl.NewFedDRL(core.NewAgent(s.drlConfig(aggCohort, seed+3)))
+		if variant != nil {
+			variant(drl)
+		}
+		agg = drl
 	default:
 		panic(fmt.Sprintf("experiments: unknown method %q", method))
 	}
@@ -179,9 +187,7 @@ type artifactStore struct {
 	cells map[string]*CellArtifact
 }
 
-func newStore(s Scale) *artifactStore { return newStoreCached(s, nil) }
-
-func newStoreCached(s Scale, cache *Cache) *artifactStore {
+func newStore(s Scale, cache *Cache) *artifactStore {
 	return &artifactStore{s: s, pool: s.newPool(), cache: cache, cells: map[string]*CellArtifact{}}
 }
 
@@ -191,7 +197,7 @@ func (st *artifactStore) close() { st.pool.Close() }
 // compute runs one cell spec to an artifact on the store's pool.
 func (st *artifactStore) compute(spec CellSpec) *CellArtifact {
 	ds := st.s.datasetByName(spec.Dataset)
-	res := runMethodOn(st.s, ds, spec, st.pool)
+	res := runMethodOn(st.s, ds, spec, st.pool, nil)
 	return artifactOf(spec, res)
 }
 
@@ -249,14 +255,4 @@ func (st *artifactStore) get(spec CellSpec) *CellArtifact {
 	st.cells[key] = a
 	st.cache.store(st.s, spec, a)
 	return a
-}
-
-// runGrid is the single-process execution path of a grid experiment:
-// enumerate jobs, compute artifacts concurrently (skipping cells the
-// cache already holds), render.
-func runGrid(e Experiment, s Scale, seed uint64, cache *Cache) string {
-	st := newStoreCached(s, cache)
-	defer st.close()
-	st.prefetch(e.Jobs(s, seed))
-	return e.Render(s, seed, st.get)
 }

@@ -5,8 +5,8 @@
 // illustration), Figure 5 (accuracy timelines), Figure 6 (per-client
 // inference-loss robustness), Figure 7 (participation sweep), Figure 8
 // (non-IID level sweep), Figure 9 (server computation time) and Figure 10
-// (convergence rounds), plus the design ablations called out in
-// DESIGN.md. Each experiment is a named entry in Registry, so the CLI
+// (convergence rounds), plus the design ablations listed in
+// DESIGN.md §4. Each experiment is a named entry in Registry, so the CLI
 // (cmd/tables), the benchmarks (bench_test.go) and tests all share one
 // implementation. Grid experiments decompose into serializable CellSpec
 // jobs whose CellArtifact results render in a pure merge/format stage,
@@ -120,8 +120,8 @@ func CI() Scale {
 	}
 }
 
-// Medium returns the scale used to produce EXPERIMENTS.md: minutes per
-// experiment, large enough for the paper's orderings to emerge clearly.
+// Medium returns the mid-size scale: minutes per experiment, large
+// enough for the paper's orderings to emerge clearly.
 func Medium() Scale {
 	return Scale{
 		Name:      "medium",

@@ -26,8 +26,7 @@ func replicateJobs(jobs []CellSpec, seeds int) []CellSpec {
 	out := make([]CellSpec, 0, len(jobs)*seeds)
 	for r := 0; r < seeds; r++ {
 		for _, j := range jobs {
-			j.Seed += uint64(r) * seedStride
-			out = append(out, j)
+			out = append(out, replicateSpec(j, r))
 		}
 	}
 	return out
@@ -52,7 +51,7 @@ func shardableNames() []string {
 func seedsNames() []string {
 	var out []string
 	for _, n := range Names() {
-		if Registry[n].SeedsRender != nil {
+		if Registry[n].Seeds {
 			out = append(out, n)
 		}
 	}
@@ -67,7 +66,7 @@ func jobsFor(name string, s Scale, seed uint64, seeds int) (Experiment, []CellSp
 	if !ok {
 		return Experiment{}, nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, Names())
 	}
-	if seeds > 1 && (e.Jobs == nil || e.SeedsRender == nil) {
+	if seeds > 1 && !e.Seeds {
 		return Experiment{}, nil, fmt.Errorf("experiments: %q does not support seed replication (supported: %v)", name, seedsNames())
 	}
 	if e.Jobs == nil {
@@ -115,7 +114,7 @@ func RunShardCached(name string, s Scale, seed uint64, seeds, index, count int, 
 	if err != nil {
 		return nil, err
 	}
-	st := newStoreCached(s, cache)
+	st := newStore(s, cache)
 	defer st.close()
 	st.prefetch(slice)
 	set := NewArtifactSet(name, s, seed, seeds)
@@ -189,10 +188,7 @@ func RenderSet(s Scale, set *ArtifactSet) (string, error) {
 		}
 		return a
 	}
-	if set.Seeds > 1 {
-		return e.SeedsRender(s, set.Seed, set.Seeds, get), nil
-	}
-	return e.Render(s, set.Seed, get), nil
+	return e.Render(s, set.Seed, max(set.Seeds, 1), get), nil
 }
 
 // RunSeeds executes a grid experiment with m seed replicates per cell
@@ -206,17 +202,22 @@ func RunSeeds(name string, s Scale, seed uint64, seeds int) (string, error) {
 // RunSeedsCached is RunSeeds backed by a content-addressed artifact
 // cache. Seed replicates are ordinary cells (each replicate has its own
 // absolute seed, hence its own content address), so a multi-seed run
-// reuses the single-seed cells a previous run already cached.
+// reuses the single-seed cells a previous run already cached. This is
+// the one execution path of Run, RunCached and RunSeeds: monolithic
+// experiments run directly, and a grid enumerates its jobs, computes
+// the ones the cache lacks concurrently on the scale's engine pool, and
+// renders.
 func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) (string, error) {
-	if seeds <= 1 {
-		return RunCached(name, s, seed, cache)
+	seeds = max(seeds, 1)
+	if e := Registry[name]; e.Mono != nil && seeds == 1 {
+		return e.Mono(s, seed), nil
 	}
 	e, jobs, err := jobsFor(name, s, seed, seeds)
 	if err != nil {
 		return "", err
 	}
-	st := newStoreCached(s, cache)
+	st := newStore(s, cache)
 	defer st.close()
 	st.prefetch(jobs)
-	return e.SeedsRender(s, seed, seeds, st.get), nil
+	return e.Render(s, seed, seeds, st.get), nil
 }

@@ -191,7 +191,7 @@ func TestRunSeedsMeanStd(t *testing.T) {
 	}
 	// Numeric spot check: one cell's mean±std must equal the stats of
 	// the two replicates' best accuracies.
-	st := newStore(s)
+	st := newStore(s, nil)
 	defer st.close()
 	spec := table3Spec(s, s.datasets()[2].Name, "CE", "FedAvg", s.SmallN, 1)
 	vals := []float64{st.get(spec).Best(), st.get(replicateSpec(spec, 1)).Best()}
@@ -233,7 +233,7 @@ func TestShardAndMergeValidation(t *testing.T) {
 		t.Fatal("out-of-range shard accepted")
 	}
 	if _, err := RunSeeds("figure5", s, 1, 3); err == nil {
-		t.Fatal("seed replication accepted for experiment without SeedsRender")
+		t.Fatal("seed replication accepted for experiment without a seed-replicated render")
 	}
 	if _, err := RunSeeds("table2", s, 1, 3); err == nil || !strings.Contains(err.Error(), "seed replication") {
 		t.Fatalf("monolithic -seeds error should mention seed replication, got %v", err)

@@ -34,7 +34,7 @@ func table4Jobs(s Scale, seed uint64) []CellSpec {
 // renderTable4 reproduces the label-size-imbalance study of §5.1: top-1
 // accuracy on the 100-class dataset under the FedAvg-style Equal and
 // Non-equal shard partitions, for SmallN and LargeN clients.
-func renderTable4(s Scale, seed uint64, get ArtifactGetter) string {
+func renderTable4(s Scale, seed uint64, _ int, get ArtifactGetter) string {
 	spec := s.datasets()[0] // cifar100-sim
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 4: top-1 accuracy (%%) with label-size-imbalance shards, %s\n\n", spec.Name)
@@ -58,6 +58,3 @@ func renderTable4(s Scale, seed uint64, get ArtifactGetter) string {
 	}
 	return b.String()
 }
-
-// Table4 runs the Table 4 grid in-process.
-func Table4(s Scale, seed uint64) string { return runNamed("table4", s, seed) }

@@ -99,7 +99,7 @@ func (*FedDRL) Name() string { return "FedDRL" }
 // sample-count weights are encoded as the equivalent Gaussian action
 // (z = log α gives softmax(z) = α), so the critic's first experiences
 // describe a sensible aggregation instead of random noise. This is the
-// standard DDPG warmup treatment and is recorded in DESIGN.md; it
+// standard DDPG warmup treatment and is recorded in DESIGN.md §3; it
 // matters at compressed round budgets, where the paper's 200–300 rounds
 // of early exploration are unavailable.
 func (f *FedDRL) ImpactFactors(round int, updates []Update) []float64 {
