@@ -201,8 +201,12 @@ func TestTable4Micro(t *testing.T) {
 	}
 }
 
+// TestAblationsMicro also checks that the scale-wide attack knobs, which
+// apply to grid cells, leave the ablations' benign federation alone.
 func TestAblationsMicro(t *testing.T) {
 	s := microScale()
+	attacked := s
+	attacked.Attack, attacked.AttackFrac, attacked.Merger = "signflip", 0.4, "median"
 	for name, fn := range map[string]Runner{
 		"reward":    AblationRewardGap,
 		"statenorm": AblationStateNorm,
@@ -210,6 +214,9 @@ func TestAblationsMicro(t *testing.T) {
 		out := fn(s, 19)
 		if !strings.Contains(out, "Ablation") {
 			t.Fatalf("%s ablation malformed:\n%s", name, out)
+		}
+		if got := fn(attacked, 19); got != out {
+			t.Fatalf("%s ablation changed under a scale-wide attack:\n%s\nvs benign\n%s", name, got, out)
 		}
 	}
 }
