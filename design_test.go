@@ -23,9 +23,9 @@ var (
 
 // TestDesignCitationsResolve checks that every citation of a DESIGN.md
 // section, by number or by quoted heading text, in the repository's .go
-// and .md files names a heading that DESIGN.md has. ROADMAP.md,
-// CHANGES.md and ISSUE.md are skipped: they are plans and history, and
-// may name sections that are not written yet or have since moved.
+// and .md files names a heading that DESIGN.md has. ROADMAP.md and
+// CHANGES.md are skipped: they are plans and history, and may name
+// sections that are not written yet or have since moved.
 func TestDesignCitationsResolve(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -51,7 +51,7 @@ func TestDesignCitationsResolve(t *testing.T) {
 			return nil
 		}
 		switch path {
-		case "ROADMAP.md", "CHANGES.md", "ISSUE.md":
+		case "ROADMAP.md", "CHANGES.md":
 			return nil
 		}
 		if ext := filepath.Ext(path); ext != ".go" && ext != ".md" {
