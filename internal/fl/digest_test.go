@@ -8,6 +8,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"feddrl/internal/core"
+	"feddrl/internal/engine"
+	"feddrl/internal/rng"
+	"feddrl/internal/tensor"
 )
 
 // The pinned-digest gate: every other determinism test compares two
@@ -204,5 +209,288 @@ func TestRunDigestsPinned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func (d *digester) ints(v []int) {
+	d.int(len(v))
+	for _, x := range v {
+		d.int(x)
+	}
+}
+
+func (d *digester) float32s(v []float32) {
+	d.int(len(v))
+	for _, x := range v {
+		d.u64(uint64(math.Float32bits(x)))
+	}
+}
+
+// canonicalNaN replaces every NaN in v with the default quiet NaN.
+func canonicalNaN[T float32 | float64](v []T) {
+	for i, x := range v {
+		if x != x {
+			v[i] = T(math.NaN())
+		}
+	}
+}
+
+func (d *digester) comm(c CommRound) {
+	d.int(c.DownlinkBytes)
+	d.int(c.UplinkBytes)
+	d.int(c.OverheadBytes)
+	d.float(c.OverheadFraction())
+}
+
+// pinnedFederatedState maps each federated-state operation and width to
+// the SHA-256 of its outputs over the fixed inputs of
+// TestFederatedStateDigestPinned. TestRunDigestsPinned reaches only the
+// weighted and median merges; these pin the rest across commits.
+var pinnedFederatedState = map[string]string{
+	"merge/weighted/f64":   "fef770607dd0f697a21a4b4d05be99d62fe4f3efea8390e889dd404e921627bc",
+	"merge/weighted/f32":   "031713e20d14cebfffbac13f721a064dda1ac43ee22d1d60aa1969109626e374",
+	"merge/median/f64":     "3be59c36e0f2cac1d181726df646debfa668859fe0fbd5639f3e5e5ee3052b3a",
+	"merge/median/f32":     "3c240fafe500293c8f85d31d456e89d2962e2e63a9d7f91208613b954f869951",
+	"merge/trimmed0.1/f64": "0a436c40ba3ad3afe06ad081391447eb615479384d49d0625857e6482e259ad6",
+	"merge/trimmed0.1/f32": "86d89e54474d5103b9b906c6caf096d3953ae1a656a123471e653c0ed4e95567",
+	"merge/trimmed0.3/f64": "9e8cd0c288497c7b5f24be96604b25fb88f7ea60d1a0bc2098788f889cbffc98",
+	"merge/trimmed0.3/f32": "2e982d0b1c602bc3992f4b6dfc64f91662a0f876e123e64f635c5f2f76115bbb",
+	"merge/krum1/f64":      "eeb9a9fae2b7a11630452b702f492d95f2245070a401ab3fd987861ee0c7ee6e",
+	"merge/krum1/f32":      "bd787f49d3898389dac1d2171c028b1cb608b35b878c7ee38e257e267a24a913",
+	"merge/krum3/f64":      "eeb9a9fae2b7a11630452b702f492d95f2245070a401ab3fd987861ee0c7ee6e",
+	"merge/krum3/f32":      "bd787f49d3898389dac1d2171c028b1cb608b35b878c7ee38e257e267a24a913",
+	"compress/f64":         "ec85ad92eca14e3f02dd7d9dcbe7dc4ab1eb4f2c8748612f628c1eaefaace0a2",
+	"compress/f32":         "308e21be573f57c57356e4a0e4484ef2afd16c64a5d078530284747568766a2b",
+	"decompress/f64":       "43b3b18ea7f56f8fcf13cdb9ea22227326aa1755816848f915bd36a4dc10ed14",
+	"decompress/f32":       "da3e4322f6acce3c02c2495e54bb9b65ee3b56b41b77f0d1719fc02c88c00726",
+	"comm/f64":             "d3b6bed46e85fc33315ef533c37caac764a49635c20f833a5a72713bec134ef0",
+	"comm/f32":             "11ac9df4d3587144fdb15b3b18f592365ed5c0a6f29425c18c83007677498cb5",
+	"attack/f64":           "09f71b2bad2a22a3d479d2fe5e82c457512288460a533879896ff6de3c6d0062",
+	"attack/f32":           "e97f61685b99813acd234a7f88625b6c6113255c5c670531bb21a220ffa65983",
+	"quarantine/f64":       "831589b95cffcb9101f909090f10c7460c6bced446d05f7955d21d694b4eff42",
+	"quarantine/f32":       "831589b95cffcb9101f909090f10c7460c6bced446d05f7955d21d694b4eff42",
+}
+
+// TestFederatedStateDigestPinned hashes every federated-state operation
+// at both widths on fixed inputs:
+//   - each Merger's Merge and Merge32, with no pool and with 4 lanes, at
+//     cohort sizes 3, 8 and 17 and at dims 257 and aggSegment+129
+//     (tieCohort for the order statistics, mergeCohort otherwise);
+//   - the top-k codec at keep fractions 0.05, 0.3 and 1, with and
+//     without a pool, and its decoder;
+//   - the §5.3 traffic model for FedAvg and FedDRL;
+//   - every AttackModel's Corrupt on one fixed update;
+//   - the quarantine gate's decisions with a norm ceiling.
+func TestFederatedStateDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64 only: the Go spec lets %s fuse x*y+z into one rounding, while amd64 fuses only explicit math.FMA, which this module never calls", runtime.GOARCH)
+	}
+	pool := engine.New(4)
+	defer pool.Close()
+	check := func(key string, hash func(d *digester)) {
+		t.Helper()
+		d := digester{h: sha256.New()}
+		hash(&d)
+		got := hex.EncodeToString(d.h.Sum(nil))
+		if want := pinnedFederatedState[key]; got != want {
+			t.Errorf("%s: digest %s, pinned %q", key, got, want)
+		}
+	}
+
+	// An add of two NaNs returns the payload of whichever operand the
+	// compiled instruction takes first, and the compiler may commute the
+	// add (it does under -race). So the readouts that add tieCohort's
+	// NaNs — TrimmedMean, and Median at even k — are hashed with every
+	// NaN mapped to one pattern; Median's odd-k readout copies and is
+	// hashed exactly.
+	always := func(int) bool { return true }
+	never := func(int) bool { return false }
+	mergers := []struct {
+		name     string
+		m        Merger
+		cohort   func(k, dim int, seed uint64) ([]Update, []float64)
+		addsNaNs func(k int) bool
+	}{
+		{"weighted", WeightedMerge{}, mergeCohort, never},
+		{"median", Median{}, tieCohort, func(k int) bool { return k%2 == 0 }},
+		{"trimmed0.1", TrimmedMean{Beta: 0.1}, tieCohort, always},
+		{"trimmed0.3", TrimmedMean{Beta: 0.3}, tieCohort, always},
+		{"krum1", Krum{F: 1}, mergeCohort, never},
+		{"krum3", Krum{F: 3}, mergeCohort, never},
+	}
+	for _, mc := range mergers {
+		for _, width := range []string{"f64", "f32"} {
+			check("merge/"+mc.name+"/"+width, func(d *digester) {
+				for _, k := range []int{3, 8, 17} {
+					for _, dim := range []int{257, aggSegment + 129} {
+						updates, alpha := mc.cohort(k, dim, uint64(1000*k+dim))
+						for _, p := range []*engine.Pool{nil, pool} {
+							if width == "f64" {
+								out := mc.m.Merge(updates, alpha, p)
+								if mc.addsNaNs(k) {
+									canonicalNaN(out)
+								}
+								d.floats(out)
+							} else {
+								out := mc.m.Merge32(updates, alpha, p)
+								if mc.addsNaNs(k) {
+									canonicalNaN(out)
+								}
+								d.float32s(out)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+
+	// The codec cohort: two updates of normal deltas and two whose
+	// deltas take five values, so the top-k cut falls inside ties.
+	r := rng.New(29)
+	const dim = 257
+	global := make([]float64, dim)
+	for i := range global {
+		global[i] = r.Norm()
+	}
+	tensor.QuantizeLattice(global)
+	updates := make([]Update, 4)
+	for u := range updates {
+		w := make([]float64, dim)
+		for i := range w {
+			if u < 2 {
+				w[i] = global[i] + 0.3*r.Norm()
+			} else {
+				w[i] = global[i] + float64(r.Intn(5)-2)/4
+			}
+		}
+		updates[u] = Update{ClientID: u, N: 10 + u, Weights: w, Weights32: tensor.Quantize(nil, w)}
+	}
+	keeps := []float64{0.05, 0.3, 1}
+	check("compress/f64", func(d *digester) {
+		for _, keep := range keeps {
+			for _, p := range []*engine.Pool{nil, pool} {
+				for _, s := range CompressUpdatesOn(updates, global, keep, p) {
+					d.int(s.Dim)
+					d.ints(s.Indices)
+					d.floats(s.Values)
+					d.int(s.WireSize())
+					d.float(s.CompressionRatio())
+				}
+			}
+		}
+	})
+	check("compress/f32", func(d *digester) {
+		for _, keep := range keeps {
+			for _, p := range []*engine.Pool{nil, pool} {
+				for _, s := range CompressUpdates32On(updates, global, keep, p) {
+					d.int(s.Dim)
+					d.ints(s.Indices)
+					d.float32s(s.Values)
+					d.int(s.WireSize())
+					d.float(s.CompressionRatio())
+				}
+			}
+		}
+	})
+	check("decompress/f64", func(d *digester) {
+		for _, keep := range keeps {
+			for _, u := range DecompressUpdates(updates, CompressUpdatesOn(updates, global, keep, nil), global) {
+				d.int(u.ClientID)
+				d.int(u.N)
+				d.floats(u.Weights)
+			}
+		}
+	})
+	check("decompress/f32", func(d *digester) {
+		for _, keep := range keeps {
+			for _, u := range DecompressUpdates32(updates, CompressUpdates32On(updates, global, keep, nil), global) {
+				d.int(u.ClientID)
+				d.int(u.N)
+				d.float32s(u.Weights32)
+			}
+		}
+	})
+
+	drlCfg := core.DefaultConfig(10)
+	drlCfg.Hidden = 8
+	aggs := []Aggregator{FedAvg{}, NewFedDRL(core.NewAgent(drlCfg))}
+	for _, prec := range []Precision{F64, F32} {
+		check("comm/"+string(prec), func(d *digester) {
+			for _, agg := range aggs {
+				for _, wlen := range []int{1, 1000, 100000} {
+					for _, k := range []int{0, 1, 10} {
+						d.comm(CommPerRoundP(agg, k, wlen, prec))
+					}
+					for _, da := range [][2]int{{1, 1}, {10, 0}, {10, 7}, {10, 10}} {
+						d.comm(CommAsyncRoundP(agg, da[0], da[1], wlen, prec))
+					}
+				}
+			}
+		})
+	}
+
+	attacks := []AttackModel{
+		SignFlip{}, SignFlip{Scale: 2.5},
+		GaussianNoise{}, GaussianNoise{Std: 0.1},
+		ModelReplacement{}, ModelReplacement{Boost: 3},
+		Colluding{}, Colluding{Std: 0.5},
+		LabelFlip{},
+	}
+	honest := updates[0].Weights
+	for _, width := range []string{"f64", "f32"} {
+		check("attack/"+width, func(d *digester) {
+			for _, a := range attacks {
+				d.str(a.Name())
+				u := Update{ClientID: 5, N: 12}
+				if width == "f64" {
+					u.Weights = append([]float64(nil), honest...)
+				} else {
+					u.Weights32 = tensor.Quantize(nil, honest)
+				}
+				a.Corrupt(3, u.ClientID, 97, global, &u)
+				d.floats(u.Weights)
+				d.float32s(u.Weights32)
+			}
+		})
+	}
+
+	// Quarantine: uploads straddling the norm ceilings, some carrying a
+	// NaN or an infinity.
+	var screened [][]float64
+	for _, scale := range []float64{0.1, 0.5, 1, 1.25, 4} {
+		w := make([]float64, 16)
+		for i := range w {
+			w[i] = scale * r.Norm()
+		}
+		screened = append(screened, w)
+	}
+	screened = append(screened, []float64{3, 4}, []float64{3, 4.000001})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := append([]float64(nil), screened[1]...)
+		w[7] = bad
+		screened = append(screened, w)
+	}
+	gates := []QuarantineConfig{
+		{},
+		{MaxNorm: 5},
+		{MaxNorm: 2.5},
+		{MaxNorm: 5, DisableFiniteCheck: true},
+	}
+	for _, width := range []string{"f64", "f32"} {
+		check("quarantine/"+width, func(d *digester) {
+			for _, q := range gates {
+				for _, w := range screened {
+					u := Update{Weights: w}
+					if width == "f32" {
+						u = Update{Weights32: tensor.Quantize(nil, w)}
+					}
+					d.bool(q.reject(&u))
+				}
+			}
+		})
+	}
+	if len(pinnedFederatedState) != 22 {
+		t.Errorf("%d pinned federated-state digests, want 22", len(pinnedFederatedState))
 	}
 }

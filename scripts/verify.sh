@@ -41,8 +41,10 @@ go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateS
 # update straddles server versions must resume its per-identity RNG
 # stream exactly. Every engine's Result must also hash to the digest
 # pinned in digest_test.go, so a change that moves all engines' bits
-# together cannot pass as "still equal to each other".
-go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError|TestRunDigestsPinned' ./internal/fl/
+# together cannot pass as "still equal to each other"; so must every
+# federated-state operation at both widths (each merger, the top-k
+# codec, the traffic model, the attacks and the quarantine gate).
+go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError|TestRunDigestsPinned|TestFederatedStateDigestPinned' ./internal/fl/
 
 # Byzantine attack-determinism gate under -race: a seeded sign-flip
 # cohort must replay bitwise across worker counts 1/2/4/8 and across the
