@@ -30,6 +30,12 @@ var ErrBadMagic = errors.New("serialize: bad magic (not a feddrl checkpoint)")
 // maxLen guards length prefixes against corrupt or hostile streams.
 const maxLen = 1 << 30
 
+// readChunk is the first payload buffer a reader allocates. A length
+// prefix is only a claim: readPayload grows its buffer as the bytes
+// arrive, so a stream that is shorter than its prefix says fails having
+// allocated in proportion to what it held.
+const readChunk = 64 << 10
+
 // WriteVector writes a float64 vector with a length prefix.
 func WriteVector(w io.Writer, v []float64) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(v))); err != nil {
@@ -47,22 +53,41 @@ func WriteVector(w io.Writer, v []float64) error {
 
 // ReadVector reads a vector written by WriteVector.
 func ReadVector(r io.Reader) ([]float64, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("serialize: vector length: %w", err)
+	buf, err := readPayload(r, "vector", 8)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxLen/8 {
-		return nil, fmt.Errorf("serialize: vector length %d exceeds limit", n)
-	}
-	buf := make([]byte, 8*int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("serialize: vector payload: %w", err)
-	}
-	out := make([]float64, n)
+	out := make([]float64, len(buf)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
 	return out, nil
+}
+
+// readPayload reads a length prefix counting size-byte elements, then
+// the payload it claims, what naming the field in errors. The buffer
+// starts at readChunk bytes at most and doubles only once full, so it
+// never holds more than twice the bytes the stream has delivered.
+func readPayload(r io.Reader, what string, size int) ([]byte, error) {
+	var count uint32
+	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+		return nil, fmt.Errorf("serialize: %s length: %w", what, err)
+	}
+	if int64(count) > maxLen/int64(size) {
+		return nil, fmt.Errorf("serialize: %s length %d exceeds limit", what, count)
+	}
+	n := int(count) * size
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		if _, err := io.ReadFull(r, buf[len(buf):cap(buf)]); err != nil {
+			return nil, fmt.Errorf("serialize: %s payload: %w", what, err)
+		}
+		buf = buf[:cap(buf)]
+	}
+	return buf, nil
 }
 
 // WriteVector32 writes a float32 vector with a length prefix — the
@@ -83,18 +108,11 @@ func WriteVector32(w io.Writer, v []float32) error {
 
 // ReadVector32 reads a vector written by WriteVector32.
 func ReadVector32(r io.Reader) ([]float32, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("serialize: vector32 length: %w", err)
+	buf, err := readPayload(r, "vector32", 4)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxLen/4 {
-		return nil, fmt.Errorf("serialize: vector32 length %d exceeds limit", n)
-	}
-	buf := make([]byte, 4*int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("serialize: vector32 payload: %w", err)
-	}
-	out := make([]float32, n)
+	out := make([]float32, len(buf)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
@@ -114,16 +132,9 @@ func WriteString(w io.Writer, s string) error {
 
 // ReadString reads a string written by WriteString.
 func ReadString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("serialize: string length: %w", err)
-	}
-	if n > maxLen {
-		return "", fmt.Errorf("serialize: string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("serialize: string payload: %w", err)
+	buf, err := readPayload(r, "string", 1)
+	if err != nil {
+		return "", err
 	}
 	return string(buf), nil
 }

@@ -2,10 +2,14 @@ package serialize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +171,79 @@ func TestHostileLengthPrefix(t *testing.T) {
 	buf.Write([]byte{0xff, 0xff, 0xff, 0x7f})
 	if _, err := ReadVector(&buf); err == nil {
 		t.Fatal("hostile length accepted")
+	}
+}
+
+// TestShortStreamAllocBounded: a 20-byte stream whose prefix claims
+// 134,217,727 elements must fail in every reader having allocated in
+// proportion to the bytes present, not to the claim (up to 1 GiB).
+func TestShortStreamAllocBounded(t *testing.T) {
+	stream := make([]byte, 20)
+	binary.LittleEndian.PutUint32(stream, 134_217_727)
+	for _, c := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"ReadVector", func(r io.Reader) error { _, err := ReadVector(r); return err }},
+		{"ReadVector32", func(r io.Reader) error { _, err := ReadVector32(r); return err }},
+		{"ReadString", func(r io.Reader) error { _, err := ReadString(r); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a 20-byte stream claiming 134217727 elements", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s allocated %d bytes before failing on a 20-byte stream, want < 1 MiB", c.name, grew)
+		}
+	}
+}
+
+// TestLongPayloadRoundTrip: payloads three chunks long, which make
+// the reader grow its buffer twice, decode bit for bit in every reader.
+func TestLongPayloadRoundTrip(t *testing.T) {
+	r := rng.New(3)
+	v := make([]float64, 3*readChunk/8+5)
+	for i := range v {
+		v[i] = r.Normal(0, 100)
+	}
+	v32 := make([]float32, 3*readChunk/4+3)
+	for i := range v32 {
+		v32[i] = float32(r.Normal(0, 100))
+	}
+	s := strings.Repeat("FedDRL", readChunk/2)
+	var buf bytes.Buffer
+	if err := WriteVector(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteVector32(&buf, v32); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteString(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadVector(&buf)
+	if err != nil || len(got) != len(v) {
+		t.Fatalf("ReadVector: %d of %d elements, %v", len(got), len(v), err)
+	}
+	for i := range v {
+		if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
+			t.Fatalf("ReadVector[%d] = %v, want %v", i, got[i], v[i])
+		}
+	}
+	got32, err := ReadVector32(&buf)
+	if err != nil || len(got32) != len(v32) {
+		t.Fatalf("ReadVector32: %d of %d elements, %v", len(got32), len(v32), err)
+	}
+	for i := range v32 {
+		if math.Float32bits(got32[i]) != math.Float32bits(v32[i]) {
+			t.Fatalf("ReadVector32[%d] = %v, want %v", i, got32[i], v32[i])
+		}
+	}
+	if gs, err := ReadString(&buf); err != nil || gs != s {
+		t.Fatalf("ReadString: %d of %d bytes, %v", len(gs), len(s), err)
 	}
 }
 
