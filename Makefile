@@ -5,8 +5,10 @@ GO ?= go
 
 verify: vet build test race
 
+# vet also requires every tracked Go file to be gofmt-clean.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 build:
 	$(GO) build ./...

@@ -286,12 +286,12 @@ func TestTablesCacheGC(t *testing.T) {
 
 func TestTablesCacheGCBadArgs(t *testing.T) {
 	for _, args := range [][]string{
-		{"-cache-gc"},                                     // no -cache dir
-		{"-cache-gc", "-cache", "does-not-exist-xyz"},     // missing dir must not be created
-		{"-cache-gc", "-cache", "d", "-exp", "table3"},    // experiment flags conflict
-		{"-cache-gc", "-cache", "d", "-cache-readonly"},   // readonly conflicts
-		{"-cache-max-bytes", "10", "-exp", "table3"},      // budget without -cache-gc
-		{"-cache-gc", "-cache", "d", "-no-cache"},         // no-cache conflicts
+		{"-cache-gc"}, // no -cache dir
+		{"-cache-gc", "-cache", "does-not-exist-xyz"},   // missing dir must not be created
+		{"-cache-gc", "-cache", "d", "-exp", "table3"},  // experiment flags conflict
+		{"-cache-gc", "-cache", "d", "-cache-readonly"}, // readonly conflicts
+		{"-cache-max-bytes", "10", "-exp", "table3"},    // budget without -cache-gc
+		{"-cache-gc", "-cache", "d", "-no-cache"},       // no-cache conflicts
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code == 0 {
@@ -341,8 +341,8 @@ func TestTablesPrecisionFlag(t *testing.T) {
 	}
 
 	for _, args := range [][]string{
-		{"-exp", "figure8", "-precision", "f16"},       // unknown spelling
-		{"-merge", dir, "-precision", "f32"},           // merge reads config from artifacts
+		{"-exp", "figure8", "-precision", "f16"},          // unknown spelling
+		{"-merge", dir, "-precision", "f32"},              // merge reads config from artifacts
 		{"-cache-gc", "-cache", dir, "-precision", "f32"}, // gc is a maintenance pass
 	} {
 		var out, bad bytes.Buffer

@@ -88,3 +88,76 @@ func TestDesignCitationsResolve(t *testing.T) {
 	}
 	t.Logf("%d DESIGN.md citations resolve", cited)
 }
+
+// TestVerifyRunPatternsResolve checks that every |-separated name in a
+// -run pattern of scripts/verify.sh or the Makefile is a Test or Fuzz
+// func in a _test.go file of the package that line tests. `go test
+// -run` passes silently when a name matches nothing, so without this a
+// deleted test would stay named in a gate that no longer runs it.
+// Names must be plain identifiers; only the Makefile's '^$$' (run no
+// test, fuzz instead) is exempt.
+func TestVerifyRunPatternsResolve(t *testing.T) {
+	runRe := regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
+	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	names := 0
+	for _, file := range []string{"scripts/verify.sh", "Makefile"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			m := runRe.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			pattern := m[1] + m[2]
+			if pattern == "^$$" {
+				continue
+			}
+			defined := map[string]bool{}
+			var pkgs []string
+			for _, f := range strings.Fields(line) {
+				if f != "." && !strings.HasPrefix(f, "./") {
+					continue
+				}
+				pkgs = append(pkgs, f)
+				dir := strings.TrimSuffix(f, "/...")
+				err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+					if err != nil {
+						return err
+					}
+					if d.IsDir() {
+						if path != dir && (dir == f || strings.HasPrefix(d.Name(), ".")) {
+							return filepath.SkipDir
+						}
+						return nil
+					}
+					if !strings.HasSuffix(path, "_test.go") {
+						return nil
+					}
+					src, err := os.ReadFile(path)
+					for _, fm := range funcRe.FindAllStringSubmatch(string(src), -1) {
+						defined[fm[1]] = true
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(pkgs) == 0 {
+				t.Errorf("%s:%d: -run %q names no package", file, i+1, pattern)
+			}
+			for _, name := range strings.Split(pattern, "|") {
+				names++
+				if !defined[name] {
+					t.Errorf("%s:%d: -run names %s, which no _test.go file in %s defines", file, i+1, name, strings.Join(pkgs, " "))
+				}
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("found no -run patterns in scripts/verify.sh or the Makefile")
+	}
+	t.Logf("%d -run names checked", names)
+}

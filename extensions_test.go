@@ -54,7 +54,7 @@ func TestCompressionPublic(t *testing.T) {
 	w[7] = 5
 	w[42] = -3
 	ups := []Update{{ClientID: 0, N: 10, Weights: w}}
-	deltas := CompressUpdates(ups, global, 0.05) // keep 5 coords
+	deltas := CompressUpdatesOn(ups, global, 0.05, nil) // keep 5 coords
 	if deltas[0].CompressionRatio() < 5 {
 		t.Fatalf("compression ratio %v too low", deltas[0].CompressionRatio())
 	}
@@ -103,14 +103,14 @@ func TestCommAccountingPublic(t *testing.T) {
 	cfg := DefaultAgentConfig(10)
 	cfg.Hidden = 8
 	drl := NewFedDRL(NewAgent(cfg))
-	c := CommPerRound(drl, 10, 50000)
+	c := CommPerRoundP(drl, 10, 50000, F64)
 	if c.OverheadBytes != 160 {
 		t.Fatalf("overhead %d", c.OverheadBytes)
 	}
 	if f := c.OverheadFraction(); f > 0.001 {
 		t.Fatalf("overhead fraction %v should be negligible", f)
 	}
-	base := CommPerRound(FedAvg{}, 10, 50000)
+	base := CommPerRoundP(FedAvg{}, 10, 50000, F64)
 	if base.UplinkBytes+c.OverheadBytes != c.UplinkBytes {
 		t.Fatal("FedDRL uplink should be FedAvg's plus the loss metadata")
 	}

@@ -187,9 +187,9 @@ var (
 	ParseMerger = fl.ParseMerger
 	// AllFinite reports whether a weight vector is free of NaN/Inf
 	// (the upload screen behind the quarantine gate).
-	AllFinite = fl.AllFinite
+	AllFinite = fl.AllFinite[float64]
 	// AllFinite32 is AllFinite over float32 vectors.
-	AllFinite32 = fl.AllFinite32
+	AllFinite32 = fl.AllFinite[float32]
 	// FlipLabels wraps a data source so every label reads flipped
 	// (class c becomes classes-1-c) — the LabelFlip poisoning view.
 	FlipLabels = dataset.FlipLabels
@@ -485,29 +485,28 @@ type (
 	// RoundRobinSelector cycles deterministically.
 	RoundRobinSelector = fl.RoundRobinSelector
 	// SparseDelta is a top-k-compressed client update (§3.5).
-	SparseDelta = fl.SparseDelta
+	SparseDelta = fl.SparseDelta[float64]
 	// SparseDelta32 is the half-width (F32-mode) compressed update.
-	SparseDelta32 = fl.SparseDelta32
+	SparseDelta32 = fl.SparseDelta[float32]
 )
 
 // Sparse update compression (§3.5 compatibility).
 var (
 	// CompressTopK keeps the k largest-magnitude weight deltas.
-	CompressTopK = fl.CompressTopK
-	// CompressUpdates compresses a round's updates at a keep fraction.
-	CompressUpdates = fl.CompressUpdates
-	// CompressUpdatesOn is CompressUpdates fanned out across an engine
-	// pool's lanes (bit-identical to the sequential path).
-	CompressUpdatesOn = fl.CompressUpdatesOn
+	CompressTopK = fl.CompressTopK[float64]
+	// CompressUpdatesOn compresses a round's updates at a keep fraction,
+	// fanned out across an engine pool's lanes (a nil pool runs inline;
+	// the result is bit-identical either way).
+	CompressUpdatesOn = fl.CompressUpdatesOn[float64]
 	// DecompressUpdates reconstructs dense updates server-side.
-	DecompressUpdates = fl.DecompressUpdates
+	DecompressUpdates = fl.DecompressUpdates[float64]
 	// CompressTopK32 is CompressTopK over float32 vectors.
-	CompressTopK32 = fl.CompressTopK32
+	CompressTopK32 = fl.CompressTopK[float32]
 	// CompressUpdates32On compresses an F32-mode round's updates on an
 	// engine pool.
-	CompressUpdates32On = fl.CompressUpdates32On
+	CompressUpdates32On = fl.CompressUpdatesOn[float32]
 	// DecompressUpdates32 reconstructs dense f32 updates server-side.
-	DecompressUpdates32 = fl.DecompressUpdates32
+	DecompressUpdates32 = fl.DecompressUpdates[float32]
 )
 
 var (
@@ -519,17 +518,13 @@ var (
 	RestoreAgent = core.RestoreAgent
 	// LoadAgentFile restores an agent from a checkpoint file.
 	LoadAgentFile = core.LoadAgentFile
-	// CommPerRound computes a synchronous round's traffic under an
-	// aggregator.
-	CommPerRound = fl.CommPerRound
-	// CommAsyncRound computes an asynchronous aggregation step's
-	// traffic: dispatched broadcasts down, arrived updates (with
-	// staleness metadata) up.
-	CommAsyncRound = fl.CommAsyncRound
-	// CommPerRoundP is CommPerRound with an explicit precision: F32
-	// rounds move half-width weight payloads.
+	// CommPerRoundP computes a synchronous round's traffic under an
+	// aggregator at a precision: F32 rounds move half-width weight
+	// payloads.
 	CommPerRoundP = fl.CommPerRoundP
-	// CommAsyncRoundP is CommAsyncRound with an explicit precision.
+	// CommAsyncRoundP computes an asynchronous aggregation step's
+	// traffic at a precision: dispatched broadcasts down, arrived
+	// updates (with staleness metadata) up.
 	CommAsyncRoundP = fl.CommAsyncRoundP
 )
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"feddrl/internal/mathx"
 	"feddrl/internal/rng"
+	"feddrl/internal/tensor"
 )
 
 func TestSynthesizeShapesAndDeterminism(t *testing.T) {
@@ -192,9 +192,9 @@ func TestCIFAR100SimSuperClusters(t *testing.T) {
 	mean := func(c int) []float64 {
 		m := make([]float64, tr.Dim)
 		for _, i := range byc[c] {
-			mathx.Axpy(1, tr.Sample(i), m)
+			tensor.Axpy(1, tr.Sample(i), m)
 		}
-		mathx.Scale(1/float64(len(byc[c])), m)
+		tensor.Scale(1/float64(len(byc[c])), m)
 		return m
 	}
 	// Classes c and c+10 share a super-class (c % 10 == (c+10) % 10);

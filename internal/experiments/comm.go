@@ -42,7 +42,7 @@ func CommOverhead(s Scale, seed uint64) string {
 	drlCfg.Hidden = 8 // size is irrelevant to the traffic accounting
 	agg := fl.NewFedDRL(core.NewAgent(drlCfg))
 	for _, c := range cases {
-		r := fl.CommPerRound(agg, s.K, c.dim)
+		r := fl.CommPerRoundP(agg, s.K, c.dim, fl.F64)
 		tab.AddRow(c.name,
 			fmt.Sprintf("%d", c.dim),
 			byteStr(r.DownlinkBytes),

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"feddrl/internal/core"
+	"feddrl/internal/tensor"
 )
 
 // Aggregator decides the impact factors used to merge client updates
@@ -172,20 +173,10 @@ func behaviorAction(alpha []float64, beta float64) []float64 {
 // (QuarantineConfig) treats a non-finite upload as a runtime fault from
 // a diverging or malicious client, drops it from the cohort, and counts
 // it in RoundMetrics.Quarantined.
-func AllFinite(v []float64) bool {
+func AllFinite[T tensor.Elem](v []T) bool {
 	for _, x := range v {
 		// x-x is 0 for finite x and NaN for NaN/±Inf: one branch per
 		// element instead of two math.Is* calls.
-		if x-x != x-x {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFinite32 is the float32 twin of AllFinite.
-func AllFinite32(v []float32) bool {
-	for _, x := range v {
 		if x-x != x-x {
 			return false
 		}

@@ -344,16 +344,16 @@ func TestAggregatePanicsOnNonFinite(t *testing.T) {
 
 // TestAllFinite covers the screening predicates themselves.
 func TestAllFinite(t *testing.T) {
-	if !AllFinite([]float64{0, -1, 1e300}) || !AllFinite(nil) {
+	if !AllFinite([]float64{0, -1, 1e300}) || !AllFinite[float64](nil) {
 		t.Fatal("finite vector reported non-finite")
 	}
 	if AllFinite([]float64{0, math.NaN()}) || AllFinite([]float64{math.Inf(1)}) {
 		t.Fatal("non-finite vector reported finite")
 	}
-	if !AllFinite32([]float32{0, -1, 1e30}) {
+	if !AllFinite([]float32{0, -1, 1e30}) {
 		t.Fatal("finite f32 vector reported non-finite")
 	}
-	if AllFinite32([]float32{float32(math.NaN())}) || AllFinite32([]float32{float32(math.Inf(-1))}) {
+	if AllFinite([]float32{float32(math.NaN())}) || AllFinite([]float32{float32(math.Inf(-1))}) {
 		t.Fatal("non-finite f32 vector reported finite")
 	}
 }

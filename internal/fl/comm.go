@@ -54,49 +54,31 @@ func weightWireSize(prec Precision, weightLen int) int {
 	return serialize.VectorWireSize(weightLen)
 }
 
-// CommPerRound computes one synchronous round's traffic for K
-// participants exchanging full-width weight vectors under the given
-// aggregator.
-func CommPerRound(agg Aggregator, k, weightLen int) CommRound {
-	return CommPerRoundP(agg, k, weightLen, F64)
-}
-
-// CommPerRoundP is CommPerRound with an explicit precision: F32 rounds
-// move half-width weight payloads in both directions (metadata stays
-// fixed-width), so their traffic is just under half the F64 round's.
+// CommPerRoundP computes one synchronous round's traffic for K
+// participants exchanging weight vectors of the given precision under
+// the given aggregator: the degenerate asynchronous round, without the
+// staleness metadata. F32 rounds move half-width weight payloads in
+// both directions (metadata stays fixed-width), so their traffic is
+// just under half the F64 round's.
 func CommPerRoundP(agg Aggregator, k, weightLen int, prec Precision) CommRound {
-	wire := weightWireSize(prec, weightLen)
-	const countBytes = 8 // n_k as a fixed-width integer
-	extra := 0
-	if ms, ok := agg.(MetadataSizer); ok {
-		extra = ms.ExtraUplinkBytes()
-	}
-	return CommRound{
-		DownlinkBytes: k * wire,
-		UplinkBytes:   k * (wire + countBytes + extra),
-		OverheadBytes: k * extra,
-	}
+	c := CommAsyncRoundP(agg, k, k, weightLen, prec)
+	c.UplinkBytes -= k * AsyncMetaBytes
+	return c
 }
 
-// CommAsyncRound computes one asynchronous aggregation step's traffic:
+// CommAsyncRoundP computes one asynchronous aggregation step's traffic:
 // dispatched broadcasts on the downlink, arrived updates (each carrying
-// the synchronous payload plus AsyncMetaBytes of staleness metadata) on
-// the uplink. arrived never exceeds dispatched in a real trace; the
-// degenerate trace (arrived == dispatched) differs from CommPerRound by
-// exactly arrived×AsyncMetaBytes of uplink.
-func CommAsyncRound(agg Aggregator, dispatched, arrived, weightLen int) CommRound {
-	return CommAsyncRoundP(agg, dispatched, arrived, weightLen, F64)
-}
-
-// CommAsyncRoundP is CommAsyncRound with an explicit precision; the
-// staleness metadata stays fixed-width, only the weight payload narrows
-// under F32.
+// the synchronous payload — weights, the sample count n_k and any
+// aggregator extras — plus AsyncMetaBytes of staleness metadata) on the
+// uplink. arrived never exceeds dispatched in a real trace. The
+// metadata stays fixed-width; only the weight payload narrows under
+// F32.
 func CommAsyncRoundP(agg Aggregator, dispatched, arrived, weightLen int, prec Precision) CommRound {
 	if arrived > dispatched {
-		panic("fl: CommAsyncRound with more arrivals than dispatches")
+		panic("fl: CommAsyncRoundP with more arrivals than dispatches")
 	}
 	wire := weightWireSize(prec, weightLen)
-	const countBytes = 8
+	const countBytes = 8 // n_k as a fixed-width integer
 	extra := 0
 	if ms, ok := agg.(MetadataSizer); ok {
 		extra = ms.ExtraUplinkBytes()

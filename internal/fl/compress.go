@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"feddrl/internal/engine"
-	"feddrl/internal/serialize"
 	"feddrl/internal/tensor"
 )
 
@@ -16,19 +16,21 @@ import (
 // broadcast global model; the server reconstructs w_k = w_global + Δ_k
 // before aggregation. FedDRL's impact factors are orthogonal to the
 // compression, which is exactly the compatibility the paper claims — and
-// TestFedDRLWithCompression exercises the combination.
+// TestFedDRLWithCompression exercises the combination. Under F32 the
+// deltas are taken and carried at half width (4-byte values), composing
+// the two wire savings — sparsification and narrow encoding.
 
 // SparseDelta is a compressed client update: the coordinates and values
-// of the largest-magnitude weight changes.
-type SparseDelta struct {
+// of the largest-magnitude weight changes, at the run's element width.
+type SparseDelta[T tensor.Elem] struct {
 	Dim     int
 	Indices []int
-	Values  []float64
+	Values  []T
 }
 
 // CompressTopK keeps the k largest-magnitude entries of (weights −
-// base). k is clamped to the vector length.
-func CompressTopK(weights, base []float64, k int) SparseDelta {
+// base), computed at width T. k is clamped to the vector length.
+func CompressTopK[T tensor.Elem](weights, base []T, k int) SparseDelta[T] {
 	if len(weights) != len(base) {
 		panic(fmt.Sprintf("fl: CompressTopK length mismatch %d vs %d", len(weights), len(base)))
 	}
@@ -41,7 +43,7 @@ func CompressTopK(weights, base []float64, k int) SparseDelta {
 	}
 	type iv struct {
 		i int
-		v float64
+		v T
 	}
 	all := make([]iv, n)
 	for i := range weights {
@@ -57,7 +59,7 @@ func CompressTopK(weights, base []float64, k int) SparseDelta {
 		}
 		return da > db
 	})
-	d := SparseDelta{Dim: n, Indices: make([]int, k), Values: make([]float64, k)}
+	d := SparseDelta[T]{Dim: n, Indices: make([]int, k), Values: make([]T, k)}
 	top := all[:k]
 	sort.Slice(top, func(a, b int) bool { return top[a].i < top[b].i })
 	for j, e := range top {
@@ -68,11 +70,11 @@ func CompressTopK(weights, base []float64, k int) SparseDelta {
 }
 
 // Decompress reconstructs the full weight vector w = base + Δ.
-func (d SparseDelta) Decompress(base []float64) []float64 {
+func (d SparseDelta[T]) Decompress(base []T) []T {
 	if len(base) != d.Dim {
 		panic(fmt.Sprintf("fl: Decompress base length %d, delta dim %d", len(base), d.Dim))
 	}
-	out := append([]float64(nil), base...)
+	out := append([]T(nil), base...)
 	for j, i := range d.Indices {
 		if i < 0 || i >= d.Dim {
 			panic(fmt.Sprintf("fl: Decompress index %d out of %d", i, d.Dim))
@@ -83,41 +85,37 @@ func (d SparseDelta) Decompress(base []float64) []float64 {
 }
 
 // WireSize returns the encoded byte size of the sparse delta (4-byte
-// indices + 8-byte values + header), for comparing against the dense
-// payload of serialize.VectorWireSize.
-func (d SparseDelta) WireSize() int {
-	return 8 + 4*len(d.Indices) + 8*len(d.Values)
+// indices, values at their width, and a header), for comparing against
+// the dense payload of the same width.
+func (d SparseDelta[T]) WireSize() int {
+	return 8 + 4*len(d.Indices) + int(unsafe.Sizeof(T(0)))*len(d.Values)
 }
 
-// CompressionRatio returns dense/sparse payload size.
-func (d SparseDelta) CompressionRatio() float64 {
-	return float64(serialize.VectorWireSize(d.Dim)) / float64(d.WireSize())
+// CompressionRatio returns dense/sparse payload size at the delta's
+// width.
+func (d SparseDelta[T]) CompressionRatio() float64 {
+	return float64(weightWireSize(precisionOf[T](), d.Dim)) / float64(d.WireSize())
 }
 
 // CompressionError returns the L2 norm of the dropped delta mass — the
 // reconstruction error the top-k truncation introduces.
-func CompressionError(weights, base []float64, d SparseDelta) float64 {
+func CompressionError[T tensor.Elem](weights, base []T, d SparseDelta[T]) float64 {
 	rec := d.Decompress(base)
 	sum := 0.0
 	for i := range weights {
-		diff := weights[i] - rec[i]
+		diff := float64(weights[i] - rec[i])
 		sum += diff * diff
 	}
 	return math.Sqrt(sum)
 }
 
-// CompressUpdates converts a round's dense updates into sparse deltas
-// against the global model, keeping a fraction of coordinates.
-func CompressUpdates(updates []Update, global []float64, keepFrac float64) []SparseDelta {
-	return CompressUpdatesOn(updates, global, keepFrac, nil)
-}
-
-// CompressUpdatesOn is CompressUpdates executed on an engine pool: the
-// per-client top-k selections are independent, so they fan out across
-// the pool's lanes (stealable like any engine job when the pool is
-// busy), one update per index slot. A nil pool runs inline. The result
-// is bit-identical to the sequential path at any pool width.
-func CompressUpdatesOn(updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta {
+// CompressUpdatesOn converts a round's updates at width T into sparse
+// deltas against the global model, keeping a fraction of coordinates.
+// The per-client top-k selections are independent, so they fan out
+// across the pool's lanes (stealable like any engine job when the pool
+// is busy), one update per index slot; a nil pool runs inline. The
+// result is bit-identical to the sequential path at any pool width.
+func CompressUpdatesOn[T tensor.Elem](updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta[T] {
 	if keepFrac <= 0 || keepFrac > 1 {
 		panic(fmt.Sprintf("fl: keepFrac %v out of (0,1]", keepFrac))
 	}
@@ -125,137 +123,35 @@ func CompressUpdatesOn(updates []Update, global []float64, keepFrac float64, poo
 	if k < 1 {
 		k = 1
 	}
-	out := make([]SparseDelta, len(updates))
+	base := globalAt[T](global)
+	out := make([]SparseDelta[T], len(updates))
 	pool.For(len(updates), func(i int) {
-		out[i] = CompressTopK(updates[i].Weights, global, k)
+		out[i] = CompressTopK(*weightsOf[T](&updates[i]), base, k)
 	})
 	return out
 }
 
-// DecompressUpdates reconstructs dense updates from sparse deltas,
-// preserving the metadata of the originals.
-func DecompressUpdates(updates []Update, deltas []SparseDelta, global []float64) []Update {
+// DecompressUpdates reconstructs dense updates at width T from sparse
+// deltas, preserving the metadata of the originals.
+func DecompressUpdates[T tensor.Elem](updates []Update, deltas []SparseDelta[T], global []float64) []Update {
 	if len(updates) != len(deltas) {
 		panic("fl: DecompressUpdates length mismatch")
 	}
+	base := globalAt[T](global)
 	out := make([]Update, len(updates))
 	for i, u := range updates {
 		out[i] = u
-		out[i].Weights = deltas[i].Decompress(global)
+		*weightsOf[T](&out[i]) = deltas[i].Decompress(base)
 	}
 	return out
 }
 
-// SparseDelta32 is the f32-mode compressed client update: top-k weight
-// deltas at half width (4-byte values), composing the two wire savings
-// — sparsification and narrow encoding — exactly as §3.5 claims the
-// method's impact factors compose with any communication technique.
-type SparseDelta32 struct {
-	Dim     int
-	Indices []int
-	Values  []float32
-}
-
-// CompressTopK32 keeps the k largest-magnitude entries of (weights −
-// base), all in float32 arithmetic. k is clamped to the vector length.
-func CompressTopK32(weights, base []float32, k int) SparseDelta32 {
-	if len(weights) != len(base) {
-		panic(fmt.Sprintf("fl: CompressTopK32 length mismatch %d vs %d", len(weights), len(base)))
+// globalAt returns the global model at width T: itself for float64, and
+// for float32 its quantization — exact, since the round engine keeps an
+// F32 run's global on the float32 lattice.
+func globalAt[T tensor.Elem](global []float64) []T {
+	if g, ok := any(global).([]T); ok {
+		return g
 	}
-	if k <= 0 {
-		panic("fl: CompressTopK32 with non-positive k")
-	}
-	n := len(weights)
-	if k > n {
-		k = n
-	}
-	type iv struct {
-		i int
-		v float32
-	}
-	all := make([]iv, n)
-	for i := range weights {
-		all[i] = iv{i, weights[i] - base[i]}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		da, db := all[a].v, all[b].v
-		if da < 0 {
-			da = -da
-		}
-		if db < 0 {
-			db = -db
-		}
-		return da > db
-	})
-	d := SparseDelta32{Dim: n, Indices: make([]int, k), Values: make([]float32, k)}
-	top := all[:k]
-	sort.Slice(top, func(a, b int) bool { return top[a].i < top[b].i })
-	for j, e := range top {
-		d.Indices[j] = e.i
-		d.Values[j] = e.v
-	}
-	return d
-}
-
-// Decompress reconstructs the full float32 weight vector w = base + Δ.
-func (d SparseDelta32) Decompress(base []float32) []float32 {
-	if len(base) != d.Dim {
-		panic(fmt.Sprintf("fl: Decompress32 base length %d, delta dim %d", len(base), d.Dim))
-	}
-	out := append([]float32(nil), base...)
-	for j, i := range d.Indices {
-		if i < 0 || i >= d.Dim {
-			panic(fmt.Sprintf("fl: Decompress32 index %d out of %d", i, d.Dim))
-		}
-		out[i] += d.Values[j]
-	}
-	return out
-}
-
-// WireSize returns the encoded byte size of the f32 sparse delta
-// (4-byte indices + 4-byte values + header).
-func (d SparseDelta32) WireSize() int {
-	return 8 + 4*len(d.Indices) + 4*len(d.Values)
-}
-
-// CompressionRatio returns dense-f32/sparse-f32 payload size.
-func (d SparseDelta32) CompressionRatio() float64 {
-	return float64(serialize.VectorWireSize32(d.Dim)) / float64(d.WireSize())
-}
-
-// CompressUpdates32On converts an f32-mode round's updates (Weights32)
-// into sparse f32 deltas against the global model, keeping a fraction
-// of coordinates, fanned out on an engine pool exactly like
-// CompressUpdatesOn (bit-identical at any pool width). The global base
-// is quantized once — exact, since the run loop keeps it on the
-// float32 lattice.
-func CompressUpdates32On(updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta32 {
-	if keepFrac <= 0 || keepFrac > 1 {
-		panic(fmt.Sprintf("fl: keepFrac %v out of (0,1]", keepFrac))
-	}
-	k := int(keepFrac * float64(len(global)))
-	if k < 1 {
-		k = 1
-	}
-	base := tensor.Quantize(nil, global)
-	out := make([]SparseDelta32, len(updates))
-	pool.For(len(updates), func(i int) {
-		out[i] = CompressTopK32(updates[i].Weights32, base, k)
-	})
-	return out
-}
-
-// DecompressUpdates32 reconstructs dense f32 updates from sparse
-// deltas, preserving the metadata of the originals.
-func DecompressUpdates32(updates []Update, deltas []SparseDelta32, global []float64) []Update {
-	if len(updates) != len(deltas) {
-		panic("fl: DecompressUpdates32 length mismatch")
-	}
-	base := tensor.Quantize(nil, global)
-	out := make([]Update, len(updates))
-	for i, u := range updates {
-		out[i] = u
-		out[i].Weights32 = deltas[i].Decompress(base)
-	}
-	return out
+	return any(tensor.Quantize(nil, global)).([]T)
 }

@@ -88,9 +88,9 @@ func TestCompressPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { CompressTopK([]float64{1}, []float64{1, 2}, 1) },
 		func() { CompressTopK([]float64{1}, []float64{1}, 0) },
-		func() { (SparseDelta{Dim: 3}).Decompress([]float64{1}) },
-		func() { CompressUpdates(nil, []float64{1}, 0) },
-		func() { DecompressUpdates([]Update{{}}, nil, nil) },
+		func() { (SparseDelta[float64]{Dim: 3}).Decompress([]float64{1}) },
+		func() { CompressUpdatesOn[float64](nil, []float64{1}, 0, nil) },
+		func() { DecompressUpdates[float64]([]Update{{}}, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -121,16 +121,16 @@ func TestCompressUpdatesParallelDeterminism(t *testing.T) {
 		}
 		updates[u] = Update{ClientID: u, Weights: w, N: 10 + u}
 	}
-	want := CompressUpdates(updates, global, 0.1)
+	want := CompressUpdatesOn[float64](updates, global, 0.1, nil)
 	for _, workers := range []int{2, 4, 8} {
 		pool := engine.New(workers)
-		got := CompressUpdatesOn(updates, global, 0.1, pool)
+		got := CompressUpdatesOn[float64](updates, global, 0.1, pool)
 		pool.Close()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: pooled compression differs from sequential", workers)
 		}
 	}
-	if got := CompressUpdatesOn(updates, global, 0.1, nil); !reflect.DeepEqual(got, want) {
+	if got := CompressUpdatesOn[float64](updates, global, 0.1, nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil-pool compression differs from sequential")
 	}
 }
@@ -160,7 +160,7 @@ func TestFedDRLWithCompression(t *testing.T) {
 			updates[i] = c.Run(global, lc)
 		}
 		// Compress at 30% density, then reconstruct server-side.
-		deltas := CompressUpdates(updates, global, 0.3)
+		deltas := CompressUpdatesOn[float64](updates, global, 0.3, nil)
 		restored := DecompressUpdates(updates, deltas, global)
 		alpha := agg.ImpactFactors(round, restored)
 		global = WeightedMerge{}.Merge(restored, alpha, nil)

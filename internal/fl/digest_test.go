@@ -370,7 +370,7 @@ func TestFederatedStateDigestPinned(t *testing.T) {
 	check("compress/f64", func(d *digester) {
 		for _, keep := range keeps {
 			for _, p := range []*engine.Pool{nil, pool} {
-				for _, s := range CompressUpdatesOn(updates, global, keep, p) {
+				for _, s := range CompressUpdatesOn[float64](updates, global, keep, p) {
 					d.int(s.Dim)
 					d.ints(s.Indices)
 					d.floats(s.Values)
@@ -383,7 +383,7 @@ func TestFederatedStateDigestPinned(t *testing.T) {
 	check("compress/f32", func(d *digester) {
 		for _, keep := range keeps {
 			for _, p := range []*engine.Pool{nil, pool} {
-				for _, s := range CompressUpdates32On(updates, global, keep, p) {
+				for _, s := range CompressUpdatesOn[float32](updates, global, keep, p) {
 					d.int(s.Dim)
 					d.ints(s.Indices)
 					d.float32s(s.Values)
@@ -395,7 +395,7 @@ func TestFederatedStateDigestPinned(t *testing.T) {
 	})
 	check("decompress/f64", func(d *digester) {
 		for _, keep := range keeps {
-			for _, u := range DecompressUpdates(updates, CompressUpdatesOn(updates, global, keep, nil), global) {
+			for _, u := range DecompressUpdates(updates, CompressUpdatesOn[float64](updates, global, keep, nil), global) {
 				d.int(u.ClientID)
 				d.int(u.N)
 				d.floats(u.Weights)
@@ -404,7 +404,7 @@ func TestFederatedStateDigestPinned(t *testing.T) {
 	})
 	check("decompress/f32", func(d *digester) {
 		for _, keep := range keeps {
-			for _, u := range DecompressUpdates32(updates, CompressUpdates32On(updates, global, keep, nil), global) {
+			for _, u := range DecompressUpdates(updates, CompressUpdatesOn[float32](updates, global, keep, nil), global) {
 				d.int(u.ClientID)
 				d.int(u.N)
 				d.float32s(u.Weights32)

@@ -10,6 +10,7 @@ import (
 	"feddrl/internal/nn"
 	"feddrl/internal/partition"
 	"feddrl/internal/rng"
+	"feddrl/internal/tensor"
 )
 
 // tinyFactory builds a small MLP for the mnist-sim shape.
@@ -178,23 +179,29 @@ func TestAggregatePanics(t *testing.T) {
 
 func TestAggregateIdentityProperty(t *testing.T) {
 	// Aggregating identical weight vectors returns that vector for any
-	// convex combination.
+	// convex combination, at either width (the f32 fold rounds each
+	// factor and each step to float32, so it holds to f32 precision).
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		dim := 1 + r.Intn(16)
-		k := 2 + r.Intn(4)
+		k := 1 + r.Intn(5)
 		vec := make([]float64, dim)
 		for i := range vec {
 			vec[i] = r.Normal(0, 2)
 		}
+		vec32 := tensor.Quantize(nil, vec)
 		ups := make([]Update, k)
 		for i := range ups {
-			ups[i] = Update{Weights: vec}
+			ups[i] = Update{Weights: vec, Weights32: vec32}
 		}
 		alpha := r.Dirichlet(ones(k))
 		out := WeightedMerge{}.Merge(ups, alpha, nil)
+		out32 := WeightedMerge{}.Merge32(ups, alpha, nil)
 		for i := range out {
 			if math.Abs(out[i]-vec[i]) > 1e-9 {
+				return false
+			}
+			if d := float64(out32[i] - vec32[i]); math.Abs(d) > 1e-5*math.Max(1, math.Abs(vec[i])) {
 				return false
 			}
 		}

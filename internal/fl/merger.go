@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"feddrl/internal/engine"
-	"feddrl/internal/mathx"
 	"feddrl/internal/tensor"
 )
 
@@ -30,7 +29,11 @@ import (
 //     implementations fan out over disjoint units (coordinate segments
 //     or pairwise distances) and keep every per-unit fold sequential.
 //   - Merge32 is the float32-mode twin over Update.Weights32; Merge
-//     and Merge32 are never mixed within one run.
+//     and Merge32 are never mixed within one run. Each merger writes
+//     its rule once, generic over the element width, and the two
+//     methods instantiate it; the interface keeps both so that a
+//     wrapper (a tracing merger, say) sees which width a run merges
+//     at, while mergeP stays the one place a run's precision picks.
 type Merger interface {
 	Name() string
 	// Merge produces the merged float64 vector. pool may be nil for a
@@ -69,30 +72,28 @@ func (WeightedMerge) Name() string { return "weighted" }
 
 // Merge implements Merger over the float64 uploads.
 func (WeightedMerge) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	vecs := mergeVecs(updates, alpha)
+	return weightedMerge[float64](updates, alpha, pool)
+}
+
+// Merge32 implements Merger in pure float32 arithmetic over the
+// Weights32 uploads.
+func (WeightedMerge) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
+	return weightedMerge[float32](updates, alpha, pool)
+}
+
+// weightedMerge is Eq. 4 at width T: the factors are validated at full
+// precision, then rounded once each to T (exact for float64).
+func weightedMerge[T tensor.Elem](updates []Update, alpha []float64, pool *engine.Pool) []T {
+	vecs := mergeVecs[T](updates, alpha)
 	checkConvex(alpha)
+	alphaT := make([]T, len(alpha))
 	for i, v := range vecs {
 		if !AllFinite(v) {
 			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite or the round engine's quarantine gate", i, updates[i].ClientID))
 		}
+		alphaT[i] = T(alpha[i])
 	}
-	return segmentFold(vecs, alpha, pool, mathx.WeightedSum)
-}
-
-// Merge32 implements Merger in pure float32 arithmetic over the
-// Weights32 uploads: the factors are validated at full precision, then
-// rounded once each to float32.
-func (WeightedMerge) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	vecs := mergeVecs32(updates, alpha)
-	checkConvex(alpha)
-	alpha32 := make([]float32, len(alpha))
-	for i, v := range vecs {
-		if !AllFinite32(v) {
-			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite32 or the round engine's quarantine gate", i, updates[i].ClientID))
-		}
-		alpha32[i] = float32(alpha[i])
-	}
-	return segmentFold(vecs, alpha32, pool, weightedSum32)
+	return segmentFold(vecs, alphaT, pool)
 }
 
 // checkConvex panics unless the impact factors are non-negative and sum
@@ -115,15 +116,15 @@ func checkConvex(alpha []float64) {
 // whichever segment it lands in.
 const aggSegment = 8192
 
-// segmentFold runs fold(dst, alpha, vecs) over the updates' coordinate
-// segments on the pool, one sequential kernel call when there is no
-// pool or only one segment.
-func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool, fold func(dst, alpha []T, vecs [][]T)) []T {
+// segmentFold runs weightedSum over the updates' coordinate segments on
+// the pool, one sequential kernel call when there is no pool or only
+// one segment.
+func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool) []T {
 	dim := len(vecs[0])
 	out := make([]T, dim)
 	segs := (dim + aggSegment - 1) / aggSegment
 	if pool == nil || segs <= 1 {
-		fold(out, alpha, vecs)
+		weightedSum(out, alpha, vecs)
 		return out
 	}
 	// Segments are microsecond-scale axpy strips: publish them on the
@@ -136,17 +137,22 @@ func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool, fold f
 		for k, v := range vecs {
 			sub[k] = v[lo:hi]
 		}
-		fold(out[lo:hi], alpha, sub)
+		weightedSum(out[lo:hi], alpha, sub)
 	})
 	return out
 }
 
-// weightedSum32 folds dst = Σ_k alpha[k]·vecs[k] in ascending k with
-// the SIMD f32 axpy kernel — the f32 twin of mathx.WeightedSum.
-func weightedSum32(dst []float32, alpha []float32, vecs [][]float32) {
-	tensor.Fill32(dst, 0)
+// weightedSum folds dst = Σ_k alpha[k]·vecs[k] from +0 in ascending k
+// with the width's SIMD axpy kernel (tensor.Axpy or tensor.Axpy32).
+func weightedSum[T tensor.Elem](dst, alpha []T, vecs [][]T) {
+	clear(dst)
 	for k, v := range vecs {
-		tensor.Axpy32(alpha[k], v, dst)
+		switch y := any(dst).(type) {
+		case []float64:
+			tensor.Axpy(float64(alpha[k]), any(v).([]float64), y)
+		default:
+			tensor.Axpy32(float32(alpha[k]), any(v).([]float32), y.([]float32))
+		}
 	}
 }
 
@@ -161,12 +167,12 @@ func (Median) Name() string { return "median" }
 
 // Merge implements Merger.
 func (Median) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	return orderStat(mergeVecs(updates, alpha), pool, medianSorted[float64])
+	return orderStat(mergeVecs[float64](updates, alpha), pool, medianSorted[float64])
 }
 
 // Merge32 implements Merger.
 func (Median) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	return orderStat(mergeVecs32(updates, alpha), pool, medianSorted[float32])
+	return orderStat(mergeVecs[float32](updates, alpha), pool, medianSorted[float32])
 }
 
 // medianSorted is Median's readout: the middle row, or the mean of the
@@ -218,14 +224,12 @@ func (t TrimmedMean) trimCount(k int) int {
 
 // Merge implements Merger.
 func (t TrimmedMean) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	vecs := mergeVecs(updates, alpha)
-	return orderStat(vecs, pool, trimmedSorted[float64](t.trimCount(len(vecs))))
+	return orderStat(mergeVecs[float64](updates, alpha), pool, trimmedSorted[float64](t.trimCount(len(updates))))
 }
 
 // Merge32 implements Merger.
 func (t TrimmedMean) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	vecs := mergeVecs32(updates, alpha)
-	return orderStat(vecs, pool, trimmedSorted[float32](t.trimCount(len(vecs))))
+	return orderStat(mergeVecs[float32](updates, alpha), pool, trimmedSorted[float32](t.trimCount(len(updates))))
 }
 
 // trimmedSorted is TrimmedMean's readout for n values trimmed per
@@ -306,47 +310,34 @@ func pairIndex(n, i, j int) int {
 
 // Merge implements Merger.
 func (k Krum) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	n := len(mergeVecs(updates, alpha))
-	d2 := krumDistances(updates, pool, func(i, j int) float64 {
-		return sqDist(updates[i].Weights, updates[j].Weights)
-	})
-	pick := k.krumPick(n, d2)
-	out := make([]float64, len(updates[pick].Weights))
-	copy(out, updates[pick].Weights)
-	return out
+	return krumMerge(k, mergeVecs[float64](updates, alpha), pool)
 }
 
 // Merge32 implements Merger.
 func (k Krum) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	n := len(mergeVecs32(updates, alpha))
-	d2 := krumDistances(updates, pool, func(i, j int) float64 {
-		return sqDist32(updates[i].Weights32, updates[j].Weights32)
-	})
-	pick := k.krumPick(n, d2)
-	out := make([]float32, len(updates[pick].Weights32))
-	copy(out, updates[pick].Weights32)
-	return out
+	return krumMerge(k, mergeVecs[float32](updates, alpha), pool)
 }
 
-// krumDistances fills the flattened upper triangle of pairwise squared
-// distances. Each pair is one pool task with a sequential fold, so the
-// buffer is bit-identical at any pool width.
-func krumDistances(updates []Update, pool *engine.Pool, dist func(i, j int) float64) []float64 {
-	n := len(updates)
+// krumMerge returns a copy of the update Krum selects. The pairwise
+// squared distances fill the flattened upper triangle; each pair is
+// one pool task with a sequential fold, so the buffer is bit-identical
+// at any pool width.
+func krumMerge[T tensor.Elem](k Krum, vecs [][]T, pool *engine.Pool) []T {
+	n := len(vecs)
 	d2 := make([]float64, n*(n-1)/2)
 	if pool == nil || len(d2) < 2 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				d2[pairIndex(n, i, j)] = dist(i, j)
+				d2[pairIndex(n, i, j)] = sqDist(vecs[i], vecs[j])
 			}
 		}
-		return d2
+	} else {
+		pool.ForWorkerHinted(len(d2), engine.SizeCoarse, 0, func(_, p int) {
+			i, j := pairFromIndex(n, p)
+			d2[p] = sqDist(vecs[i], vecs[j])
+		})
 	}
-	pool.ForWorkerHinted(len(d2), engine.SizeCoarse, 0, func(_, p int) {
-		i, j := pairFromIndex(n, p)
-		d2[p] = dist(i, j)
-	})
-	return d2
+	return slices.Clone(vecs[k.krumPick(n, d2)])
 }
 
 // pairFromIndex is the inverse of pairIndex: flat triangle offset back
@@ -361,20 +352,9 @@ func pairFromIndex(n, p int) (int, int) {
 }
 
 // sqDist is the squared L2 distance between two equal-length vectors,
-// folded sequentially.
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// sqDist32 accumulates the squared distance of two f32 vectors in f64,
-// matching the package convention that f32 state may use f64 compute
-// as long as results are deterministic.
-func sqDist32(a, b []float32) float64 {
+// folded sequentially in f64 at either width: f32 state may use f64
+// compute as long as results are deterministic.
+func sqDist[T tensor.Elem](a, b []T) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
@@ -383,44 +363,25 @@ func sqDist32(a, b []float32) float64 {
 	return s
 }
 
-// mergeVecs validates a float64 merge cohort — non-empty, one impact
-// factor per update, one dimension — and returns the weight vectors.
-func mergeVecs(updates []Update, alpha []float64) [][]float64 {
+// mergeVecs validates a merge cohort at width T — non-empty, one impact
+// factor per update, every update carrying weights of that width, one
+// dimension — and returns the weight vectors.
+func mergeVecs[T tensor.Elem](updates []Update, alpha []float64) [][]T {
 	if len(updates) == 0 {
 		panic("fl: merge of zero updates")
 	}
 	if len(alpha) != len(updates) {
 		panic(fmt.Sprintf("fl: %d impact factors for %d updates", len(alpha), len(updates)))
 	}
-	vecs := make([][]float64, len(updates))
-	dim := len(updates[0].Weights)
-	for i, u := range updates {
-		if len(u.Weights) != dim {
-			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(u.Weights), dim))
+	vecs := make([][]T, len(updates))
+	for i := range updates {
+		vecs[i] = *weightsOf[T](&updates[i])
+		if vecs[i] == nil {
+			panic(fmt.Sprintf("fl: update %d carries no %s weights", i, precisionOf[T]()))
 		}
-		vecs[i] = u.Weights
-	}
-	return vecs
-}
-
-// mergeVecs32 is the float32 twin of mergeVecs.
-func mergeVecs32(updates []Update, alpha []float64) [][]float32 {
-	if len(updates) == 0 {
-		panic("fl: merge of zero updates")
-	}
-	if len(alpha) != len(updates) {
-		panic(fmt.Sprintf("fl: %d impact factors for %d updates", len(alpha), len(updates)))
-	}
-	vecs := make([][]float32, len(updates))
-	dim := len(updates[0].Weights32)
-	for i, u := range updates {
-		if u.Weights32 == nil {
-			panic(fmt.Sprintf("fl: update %d carries no f32 weights", i))
+		if len(vecs[i]) != len(vecs[0]) {
+			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(vecs[i]), len(vecs[0])))
 		}
-		if len(u.Weights32) != dim {
-			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(u.Weights32), dim))
-		}
-		vecs[i] = u.Weights32
 	}
 	return vecs
 }

@@ -208,8 +208,9 @@ func TestMergerPoolWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestMergerValidation: zero cohorts, factor-count mismatches and
-// ragged dimensions must panic exactly like the weighted merge.
+// TestMergerValidation: zero cohorts, factor-count mismatches, ragged
+// dimensions and a cohort that lacks the merge's width must panic
+// exactly like the weighted merge.
 func TestMergerValidation(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
@@ -228,6 +229,15 @@ func TestMergerValidation(t *testing.T) {
 	expectPanic("ragged dims f32", func() {
 		Krum{F: 1}.Merge32([]Update{{Weights32: []float32{1, 2}}, {Weights32: []float32{1}}}, []float64{0.5, 0.5}, nil)
 	})
+	// A merge at one width of a cohort that carries only the other must
+	// not return an empty model.
+	only32 := []Update{{Weights32: []float32{1, 2}}, {Weights32: []float32{3, 4}}}
+	only64 := []Update{{Weights: []float64{1, 2}}, {Weights: []float64{3, 4}}}
+	half := []float64{0.5, 0.5}
+	for _, m := range []Merger{WeightedMerge{}, Median{}, TrimmedMean{Beta: 0.2}, Krum{F: 1}} {
+		expectPanic(m.Name()+" Merge of f32 uploads", func() { m.Merge(only32, half, nil) })
+		expectPanic(m.Name()+" Merge32 of f64 uploads", func() { m.Merge32(only64, half, nil) })
+	}
 }
 
 // TestParseMerger covers the CLI resolution table, including Krum's
@@ -271,7 +281,7 @@ type refMerger struct{ rule Merger } // Median or TrimmedMean
 func (r refMerger) Name() string { return r.rule.Name() + "-ref" }
 
 func (r refMerger) Merge(updates []Update, alpha []float64, _ *engine.Pool) []float64 {
-	vecs := mergeVecs(updates, alpha)
+	vecs := mergeVecs[float64](updates, alpha)
 	out := make([]float64, len(vecs[0]))
 	vals := make([]float64, len(vecs))
 	for c := range out {
@@ -297,7 +307,7 @@ func (r refMerger) Merge(updates []Update, alpha []float64, _ *engine.Pool) []fl
 }
 
 func (r refMerger) Merge32(updates []Update, alpha []float64, _ *engine.Pool) []float32 {
-	vecs := mergeVecs32(updates, alpha)
+	vecs := mergeVecs[float32](updates, alpha)
 	out := make([]float32, len(vecs[0]))
 	vals := make([]float32, len(vecs))
 	for c := range out {

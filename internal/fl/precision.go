@@ -1,6 +1,11 @@
 package fl
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+
+	"feddrl/internal/tensor"
+)
 
 // Float32 precision mode: the numeric width of the *federated state* —
 // the weight vectors clients upload, the server's Eq. 4 merge, and the
@@ -23,6 +28,9 @@ import "fmt"
 //     rounding per multiply and one per add. Results are bit-identical
 //     across kernel backends and worker counts, exactly like the f64
 //     path — the same determinism contract at half width.
+//   - Every operation on federated state (the mergers, the finiteness
+//     screen, the top-k codec) has one body generic over the element
+//     type; the f64 and f32 paths are its two instantiations.
 //
 // F64 (the default, including the zero value "") is bit-for-bit the
 // pre-precision-mode behavior.
@@ -60,10 +68,21 @@ func (p Precision) Validate() {
 	}
 }
 
-// BytesPerWeight returns the wire width of one weight under p.
-func (p Precision) BytesPerWeight() int {
-	if p == F32 {
-		return 4
+// precisionOf is the Precision whose federated state has element type
+// T.
+func precisionOf[T tensor.Elem]() Precision {
+	if unsafe.Sizeof(T(0)) == 4 {
+		return F32
 	}
-	return 8
+	return F64
+}
+
+// weightsOf points at u's upload of element type T: Weights for
+// float64, Weights32 for float32. The operations on federated state
+// are written once over T and reach the upload through it.
+func weightsOf[T tensor.Elem](u *Update) *[]T {
+	if w, ok := any(&u.Weights).(*[]T); ok {
+		return w
+	}
+	return any(&u.Weights32).(*[]T)
 }

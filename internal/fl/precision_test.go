@@ -218,11 +218,6 @@ func TestCommPerRoundPHalvesWeightBytes(t *testing.T) {
 	if ratio > 0.55 {
 		t.Fatalf("f32 round moves %.3f of f64 bytes, want ≤ 0.55", ratio)
 	}
-	// CommPerRound and the F64 variant must agree exactly (the default
-	// path is untouched).
-	if CommPerRound(FedAvg{}, k, wlen) != f64 {
-		t.Fatal("CommPerRound differs from CommPerRoundP(..., F64)")
-	}
 	// The async variant narrows identically; staleness metadata stays.
 	a64 := CommAsyncRoundP(FedAvg{}, k, k-2, wlen, F64)
 	a32 := CommAsyncRoundP(FedAvg{}, k, k-2, wlen, F32)
@@ -251,8 +246,8 @@ func TestCompress32RoundTrip(t *testing.T) {
 	}
 
 	// Full-k is lossless bitwise.
-	full := CompressUpdates32On(updates, global, 1.0, nil)
-	rec := DecompressUpdates32(updates, full, global)
+	full := CompressUpdatesOn[float32](updates, global, 1.0, nil)
+	rec := DecompressUpdates(updates, full, global)
 	for k := range updates {
 		for i := range updates[k].Weights32 {
 			if math.Float32bits(rec[k].Weights32[i]) != math.Float32bits(updates[k].Weights32[i]) {
@@ -264,15 +259,15 @@ func TestCompress32RoundTrip(t *testing.T) {
 	// Pool fan-out is bit-identical to inline.
 	pool := engine.New(4)
 	defer pool.Close()
-	sparse := CompressUpdates32On(updates, global, 0.25, nil)
-	par := CompressUpdates32On(updates, global, 0.25, pool)
+	sparse := CompressUpdatesOn[float32](updates, global, 0.25, nil)
+	par := CompressUpdatesOn[float32](updates, global, 0.25, pool)
 	if !reflect.DeepEqual(sparse, par) {
 		t.Fatal("pooled f32 compression differs from inline")
 	}
 
 	// Half-width values shrink the sparse payload vs the f64 encoding.
 	d32 := sparse[0]
-	d64 := SparseDelta{Dim: d32.Dim, Indices: d32.Indices, Values: make([]float64, len(d32.Values))}
+	d64 := SparseDelta[float64]{Dim: d32.Dim, Indices: d32.Indices, Values: make([]float64, len(d32.Values))}
 	if d32.WireSize() >= d64.WireSize() {
 		t.Fatalf("f32 sparse wire %d not smaller than f64 sparse wire %d", d32.WireSize(), d64.WireSize())
 	}
@@ -295,9 +290,6 @@ func TestPrecisionParseValidate(t *testing.T) {
 	}
 	if _, err := ParsePrecision("f16"); err == nil {
 		t.Fatal("ParsePrecision accepted f16")
-	}
-	if F64.BytesPerWeight() != 8 || F32.BytesPerWeight() != 4 || Precision("").BytesPerWeight() != 8 {
-		t.Fatal("BytesPerWeight wrong")
 	}
 	Precision("").Validate()
 	F64.Validate()

@@ -101,37 +101,28 @@ type QuarantineConfig struct {
 	MaxNorm float64
 }
 
-// reject reports whether the gate drops u.
+// reject reports whether the gate drops u, screening whichever width
+// it carries.
 func (q QuarantineConfig) reject(u *Update) bool {
-	if !q.DisableFiniteCheck {
-		if u.Weights32 != nil {
-			if !AllFinite32(u.Weights32) {
-				return true
-			}
-		} else if !AllFinite(u.Weights) {
-			return true
-		}
+	if u.Weights32 != nil {
+		return rejectVec(q, u.Weights32)
 	}
-	if q.MaxNorm > 0 && updateNorm(u) > q.MaxNorm {
-		return true
-	}
-	return false
+	return rejectVec(q, u.Weights)
 }
 
-// updateNorm is the L2 norm of whichever width the update carries,
-// folded sequentially in f64.
-func updateNorm(u *Update) float64 {
-	var s float64
-	if u.Weights32 != nil {
-		for _, v := range u.Weights32 {
-			s += float64(v) * float64(v)
-		}
-	} else {
-		for _, v := range u.Weights {
-			s += v * v
-		}
+// rejectVec screens one upload; its L2 norm folds sequentially in f64.
+func rejectVec[T tensor.Elem](q QuarantineConfig, v []T) bool {
+	if !q.DisableFiniteCheck && !AllFinite(v) {
+		return true
 	}
-	return math.Sqrt(s)
+	if q.MaxNorm <= 0 {
+		return false
+	}
+	var s float64
+	for _, x := range v {
+		s += float64(x) * float64(x)
+	}
+	return math.Sqrt(s) > q.MaxNorm
 }
 
 // screen is the ingress gate over one aggregation buffer: survivors are

@@ -1,16 +1,11 @@
 // Package mathx collects the small numeric kernels shared by every other
 // package in the FedDRL reproduction: numerically stable softmax and
-// log-sum-exp, summary statistics over slices (mean, variance, extrema),
-// and the BLAS-1 style vector primitives (dot, axpy, scale) used by the
-// neural-network layers and the weighted model aggregation (Eq. 4 of the
-// paper).
+// log-sum-exp, summary statistics over slices (mean, variance, extrema)
+// and scalar helpers. The SIMD vector kernels (axpy, scale) live in the
+// tensor package.
 package mathx
 
-import (
-	"math"
-
-	"feddrl/internal/tensor"
-)
+import "math"
 
 // Softmax returns the softmax of x in a freshly allocated slice. It is
 // numerically stable (shifts by the max) and returns a uniform
@@ -169,28 +164,6 @@ func Dot(a, b []float64) float64 {
 	return sum
 }
 
-// Axpy computes y ← y + alpha*x in place through the SIMD-dispatched
-// tensor kernels (bit-identical to the scalar loop). Lengths must match.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: Axpy length mismatch")
-	}
-	tensor.Axpy(alpha, x, y)
-}
-
-// Scale multiplies x by alpha in place through the SIMD-dispatched
-// tensor kernels.
-func Scale(alpha float64, x []float64) {
-	tensor.Scale(alpha, x)
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -242,20 +215,4 @@ func AllFinite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// WeightedSum computes Σ_k w_k · vecs_k into dst (the aggregation kernel
-// of Eq. 4). All vectors must share dst's length; weights and vecs must
-// have equal length. dst is overwritten.
-func WeightedSum(dst []float64, weights []float64, vecs [][]float64) {
-	if len(weights) != len(vecs) {
-		panic("mathx: WeightedSum weights/vecs length mismatch")
-	}
-	Fill(dst, 0)
-	for k, v := range vecs {
-		if len(v) != len(dst) {
-			panic("mathx: WeightedSum vector length mismatch")
-		}
-		Axpy(weights[k], v, dst)
-	}
 }

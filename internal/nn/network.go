@@ -118,23 +118,6 @@ func (n *Network) ParamVector32() []float32 {
 	return out
 }
 
-// SetParamVector32 loads a flat float32 parameter vector produced by
-// ParamVector32 on a network of identical architecture, widening each
-// weight exactly (every float32 is representable in float64).
-func (n *Network) SetParamVector32(v []float32) {
-	want := n.NumParams()
-	if len(v) != want {
-		panic(fmt.Sprintf("nn: SetParamVector32 length %d, want %d", len(v), want))
-	}
-	off := 0
-	for _, p := range n.Params() {
-		for i := range p.Data {
-			p.Data[i] = float64(v[off+i])
-		}
-		off += p.Len()
-	}
-}
-
 // GradVector returns a copy of all gradients flattened, aligned with
 // ParamVector.
 func (n *Network) GradVector() []float64 {

@@ -59,11 +59,11 @@ func TestBlockedBitIdentity(t *testing.T) {
 		{1, 1, 1},
 		{1, 7, 1},
 		{3, 5, 2},
-		{4, kcBlock, 4},         // exact 4-wide tile, one full k panel
-		{8, kcBlock, 8},         // exact 8-wide (avx512) tile
-		{5, kcBlock + 1, 5},     // one past the 4-wide tile and panel
-		{9, kcBlock + 1, 9},     // one past the 8-wide tile and panel
-		{7, kcBlock - 1, 7},     // one short of the 8-wide tile and panel
+		{4, kcBlock, 4},     // exact 4-wide tile, one full k panel
+		{8, kcBlock, 8},     // exact 8-wide (avx512) tile
+		{5, kcBlock + 1, 5}, // one past the 4-wide tile and panel
+		{9, kcBlock + 1, 9}, // one past the 8-wide tile and panel
+		{7, kcBlock - 1, 7}, // one short of the 8-wide tile and panel
 		{13, 17, 11},
 		{mcBlock, 31, 12},
 		{mcBlock + 3, kcBlock*2 + 5, 9},
@@ -220,7 +220,8 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestKernelScratchReuse pins the allocation-free property of the
-// kernels themselves: warm MatMul*Into calls must not allocate.
+// kernels themselves: warm MatMul*Into calls and the f32 merge's Axpy32
+// must not allocate.
 func TestKernelScratchReuse(t *testing.T) {
 	r := rng.New(3)
 	m, k, n := 160, 96, 32
@@ -231,10 +232,12 @@ func TestKernelScratchReuse(t *testing.T) {
 	fillRandom(at, r)
 	fillRandom(bt, r)
 	dst := New(m, n)
+	x32, y32 := make([]float32, 1003), make([]float32, 1003)
 	step := func() {
 		MatMulInto(dst, a, b)
 		MatMulATInto(dst, at, b)
 		MatMulBTInto(dst, a, bt)
+		Axpy32(0.5, x32, y32)
 	}
 	step() // populate the scratch pool
 	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {

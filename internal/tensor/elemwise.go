@@ -10,8 +10,8 @@ package tensor
 // a slice into a vector body and a scalar tail cannot change any
 // element's rounding; each kernel still performs one rounding per
 // multiply and one per add, never fused. The scalar tails come from the
-// generic element core (generic.go), shared with the float32 layer
-// (elemwise32.go); they spell the multiply as E(a*b), the explicit
+// generic element core (generic.go), whose axpy tail Axpy32
+// (precision32.go) shares; they spell the multiply as E(a*b), the explicit
 // conversion that forces the product to round before the add and by the
 // Go spec forbids compiler FMA contraction (the arm64 compiler
 // otherwise emits FMADD) — a no-op on amd64 and the reason generic

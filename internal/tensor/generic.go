@@ -1,12 +1,12 @@
 package tensor
 
-// Generic element core shared by the float64 and float32 storage arms.
-// Every scalar kernel — the naive GEMM reference loops, the packing
-// routines, the portable register-tile micro-kernels, the elementwise
-// bodies and the im2col/col2im lowering — is written once over the Elem
-// constraint and instantiated at both widths, so the two precisions
-// cannot drift: a fix or a determinism-contract change lands in one
-// place.
+// Generic element core. Every scalar kernel — the naive GEMM reference
+// loops, the packing routines, the portable register-tile
+// micro-kernels, the elementwise bodies and the im2col/col2im lowering —
+// is written once over the Elem constraint. The float64 training arm
+// instantiates all of them; the scalar axpy tail also serves Axpy32,
+// the f32 merge's kernel, so both widths of that fold share one
+// per-element definition.
 //
 // Determinism: the multiply-adds are spelled acc += E(a*b). The explicit
 // conversion — even to the operand's own type — forces the product to
@@ -23,11 +23,11 @@ type Elem interface {
 }
 
 const (
-	// edgeMR × edgeNR bounds the register tile across every backend and
-	// element width (the f32 avx512 kernel's 8×16 is the largest);
-	// microEdgeG sizes its accumulator array with it.
+	// edgeMR × edgeNR bounds the register tile across every backend
+	// (avx512's 8×8 is the largest); microEdgeG sizes its accumulator
+	// array with it.
 	edgeMR = 8
-	edgeNR = 16
+	edgeNR = 8
 )
 
 // gemmNaiveG computes dst = op(a)·op(b) with plain triple loops over raw
@@ -168,7 +168,7 @@ func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr in
 }
 
 // micro4x4G computes one full 4×4 output tile over a kc-long packed
-// panel — the portable register-tile micro-kernel both widths fall back
+// panel — the portable register-tile micro-kernel the GEMM falls back
 // to when no vector kernel applies. c points at the tile's top-left
 // element of the row-major output with leading dimension ldc. first
 // selects overwrite (panel 0) versus accumulate-on-top (later panels).
@@ -239,10 +239,10 @@ func microEdgeG[E Elem](kc int, ap, bp, c []E, ldc, mv, nv, mr, nr int, first bo
 }
 
 // Elementwise scalar cores. The SIMD dispatch wrappers (elemwise.go,
-// elemwise32.go) run these over the tail [i, len(x)) the vector body
-// did not cover — or the whole slice on the generic backend. Per
-// element they are multiply-round-then-add-round, never fused (the
-// explicit E(·) conversion, see the package comment above).
+// and Axpy32 in precision32.go) run these over the tail [i, len(x)) the
+// vector body did not cover — or the whole slice on the generic
+// backend. Per element they are multiply-round-then-add-round, never
+// fused (the explicit E(·) conversion, see the package comment above).
 
 // axpyTailG computes y[j] += alpha·x[j] for j in [i, len(x)).
 func axpyTailG[E Elem](alpha E, x, y []E, i int) {

@@ -1,21 +1,21 @@
-// Package tensor implements the precision-parametric dense tensors used
-// as the data substrate of the neural-network library: float64 (Tensor,
-// the default) and float32 (Tensor32) storage arms over one generic
-// element core (generic.go). Only the operations needed by the FedDRL
-// reproduction are provided: construction and shape queries, element
-// access, matrix multiplication, transpose, the im2col/col2im lowering
-// used by the convolution layers, and exact f64↔f32 conversion
-// (Widen/Quantize) at the precision boundary.
+// Package tensor implements the dense float64 tensors used as the data
+// substrate of the neural-network library, over a generic element core
+// (generic.go). Only the operations needed by the FedDRL reproduction
+// are provided: construction and shape queries, element access, matrix
+// multiplication, transpose, the im2col/col2im lowering used by the
+// convolution layers, and, for the fl package's f32 federated state,
+// exact f64↔f32 conversion (Widen/Quantize) and the f32 merge's axpy
+// (precision32.go). Clients train in float64 whatever the run's
+// precision, so there is no float32 tensor.
 //
-// The matrix-product kernels of both widths are cache-blocked and
-// register-tiled (blocked.go, blocked32.go) with reusable packing
-// scratch, so steady-state training allocates nothing, and they
-// optionally fan out over the execution pool installed via SetParallel
-// — never over raw goroutines — so kernel parallelism composes with
-// the work-stealing scheduler instead of oversubscribing it. Blocked,
-// naive, sequential and parallel paths are all bit-identical by
-// construction, within each precision (see backend.go for the
-// backend×precision kernel table).
+// The matrix-product kernels are cache-blocked and register-tiled
+// (blocked.go) with reusable packing scratch, so steady-state training
+// allocates nothing, and they optionally fan out over the execution
+// pool installed via SetParallel — never over raw goroutines — so
+// kernel parallelism composes with the work-stealing scheduler instead
+// of oversubscribing it. Blocked, naive, sequential and parallel paths
+// are all bit-identical by construction (see backend.go for the
+// backend kernel table).
 //
 // Tensors are row-major. A 2-D tensor of shape (r, c) stores element
 // (i, j) at Data[i*c+j]. Batched activations are 2-D: (batch, features).
@@ -308,7 +308,7 @@ func Im2Col(g ConvGeom, img []float64, cols *Tensor) {
 	if cols.Rows() != oh*ow || cols.Cols() != patch {
 		panic(fmt.Sprintf("tensor: Im2Col cols shape %v, want (%d,%d)", cols.Shape, oh*ow, patch))
 	}
-	im2colCore(g, img, cols.Data)
+	im2colCoreG(g, img, cols.Data)
 }
 
 // Im2ColBatch lowers every row of x (batch, InC*InH*InW) into one column
@@ -329,15 +329,8 @@ func Im2ColBatch(g ConvGeom, x, cols *Tensor) {
 	}
 	block := ohw * patch
 	for i := 0; i < batch; i++ {
-		im2colCore(g, x.Row(i), cols.Data[i*block:(i+1)*block])
+		im2colCoreG(g, x.Row(i), cols.Data[i*block:(i+1)*block])
 	}
-}
-
-// im2colCore fills cd (length OutH·OutW·InC·K·K) from one image. The
-// loop nest lives in the generic element core (im2colCoreG), shared
-// with the float32 arm (Im2Col32).
-func im2colCore(g ConvGeom, img []float64, cd []float64) {
-	im2colCoreG(g, img, cd)
 }
 
 // Col2Im accumulates the column-matrix gradient back into an image
@@ -352,7 +345,7 @@ func Col2Im(g ConvGeom, cols *Tensor, img []float64) {
 	if cols.Rows() != oh*ow || cols.Cols() != patch {
 		panic(fmt.Sprintf("tensor: Col2Im cols shape %v, want (%d,%d)", cols.Shape, oh*ow, patch))
 	}
-	col2imCore(g, cols.Data, img)
+	col2imCoreG(g, cols.Data, img)
 }
 
 // Col2ImBatch accumulates a whole-batch column-matrix gradient (the
@@ -372,12 +365,6 @@ func Col2ImBatch(g ConvGeom, cols, imgs *Tensor) {
 	}
 	block := ohw * patch
 	for i := 0; i < batch; i++ {
-		col2imCore(g, cols.Data[i*block:(i+1)*block], imgs.Row(i))
+		col2imCoreG(g, cols.Data[i*block:(i+1)*block], imgs.Row(i))
 	}
-}
-
-// col2imCore accumulates cd (one sample's column block) into img via
-// the shared generic core (col2imCoreG).
-func col2imCore(g ConvGeom, cd []float64, img []float64) {
-	col2imCoreG(g, cd, img)
 }

@@ -1,11 +1,14 @@
 #!/bin/sh
 # Tier-1 verification gate (same sequence as `make verify`):
-# vet + build + full tests, then race coverage on the engine paths,
-# then the shard-merge and cache cold/warm round-trip gates on the real
-# CLI.
+# vet + gofmt + build + full tests, then race coverage on the engine
+# paths, then the shard-merge and cache cold/warm round-trip gates on
+# the real CLI.
 set -eux
 
 go vet ./...
+# Every tracked Go file is gofmt-clean (git ls-files keeps build output
+# such as .bench_build/ out of the scan).
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go test ./...
 go test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./internal/replay/...
@@ -93,13 +96,14 @@ go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMa
 # kernels stand alone (and that the override is honored end to end).
 TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
 
-# Float32 kernel gates: the f32 GEMM/elemwise kernels must be
-# bit-identical to their naive f32 references on every backend in the
+# Float32 kernel gates: Axpy32, the f32 weighted merge's kernel, must be
+# bit-identical to its scalar f32 reference on every backend in the
 # host's chain (the suite forces each tier itself), including the
-# non-finite special-value sweep and the f64↔f32 conversion round trip
-# — and the same suite must hold with every SIMD tier disabled.
-go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestIm2Col32MatchesFloat64|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32' ./internal/tensor/
-TENSOR_BACKEND=generic go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical' ./internal/tensor/
+# non-finite special values, and the f64↔f32 conversions must round
+# trip exactly — and both must hold with every SIMD tier disabled.
+# (Axpy32's no-allocation check rides TestKernelScratchReuse above.)
+go test -run 'TestElemwise32BitIdentity|TestWidenQuantizeRoundTrip' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestElemwise32BitIdentity|TestWidenQuantizeRoundTrip' ./internal/tensor/
 
 # Float32 precision-mode determinism gate under -race: an F32 run must
 # be bit-identical across eager/virtual construction, across worker
