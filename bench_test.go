@@ -822,6 +822,40 @@ func BenchmarkComputeGEMMNaive(b *testing.B) {
 	}
 }
 
+// gemmFixture32 builds deterministic f32 operands for a shape (the same
+// value pattern as gemmFixture, quantized).
+func gemmFixture32(m, k, n int) (a, b, dst *tensor.Tensor32) {
+	a, b, dst = tensor.New32(m, k), tensor.New32(k, n), tensor.New32(m, n)
+	for i := range a.Data {
+		a.Data[i] = 0.25 * float32(i%23)
+	}
+	for i := range b.Data {
+		b.Data[i] = 0.5 * float32(i%19)
+	}
+	return a, b, dst
+}
+
+// BenchmarkComputeGEMMF32Blocked / BenchmarkComputeGEMMF32Naive time
+// the half-width kernel pair at the same headline shape (bench-smoke
+// entries via the ComputeGEMM pattern).
+func BenchmarkComputeGEMMF32Blocked(b *testing.B) {
+	sh := computeGEMMShapes[len(computeGEMMShapes)-1]
+	x, y, dst := gemmFixture32(sh.M, sh.K, sh.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMul32Into(dst, x, y)
+	}
+}
+
+func BenchmarkComputeGEMMF32Naive(b *testing.B) {
+	sh := computeGEMMShapes[len(computeGEMMShapes)-1]
+	x, y, dst := gemmFixture32(sh.M, sh.K, sh.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulNaive32Into(dst, x, y)
+	}
+}
+
 // elemwiseBenchFixture sizes the vectors like one flattened model
 // update (the Eq. 4 aggregation and SGD step granularity).
 func elemwiseBenchFixture() (x, y []float64) {
@@ -924,15 +958,16 @@ type backendEntry struct {
 	AxpyGBs    float64 `json:"axpy_gb_s"`
 }
 
-// precisionEntry is one row of the f32-vs-f64 matrix: the weighted
-// merge's axpy kernel at each federated-state width, plus the wire size
-// of one reference model update. AxpyGBs is raw memory bandwidth
+// precisionEntry is one row of the f32-vs-f64 matrix: the same headline
+// GEMM and axpy kernels at each federated-state width, plus the wire
+// size of one reference model update. AxpyGBs is raw memory bandwidth
 // (12 B/element at f32, 24 at f64 — roughly equal on a bandwidth-bound
 // kernel); AxpyEffGBs is model-state throughput on a common scale —
 // weights/s × 8 bytes — which is where the half-width win shows up:
 // the same bandwidth carries twice the weights.
 type precisionEntry struct {
 	Precision  string  `json:"precision"`
+	GemmGFLOPS float64 `json:"gemm_gflops"`
 	AxpyGBs    float64 `json:"axpy_gb_s"`
 	AxpyEffGBs float64 `json:"axpy_effective_gb_s"`
 	UpdateWire int     `json:"update_wire_bytes"`
@@ -1098,19 +1133,23 @@ func TestComputeBenchJSON(t *testing.T) {
 		}
 	}
 
-	// Precision matrix: the merge's axpy kernel at both federated-state
-	// widths on the detected backend, plus the wire size of one reference
-	// update (the §5.3 payload a -precision f32 run halves). Clients
-	// train in f64 at either width, so there is no f32 GEMM to time.
+	// Precision matrix: the headline GEMM and axpy kernels at both
+	// federated-state widths on the detected backend, plus the wire size
+	// of one reference update (the §5.3 payload a -precision f32 run
+	// halves).
 	{
+		sh := computeGEMMShapes[len(computeGEMMShapes)-1]
+		flops := 2 * float64(sh.M) * float64(sh.K) * float64(sh.N)
 		const axpyN, axpyReps = 1 << 16, 256
 		const refWeights = 100_000 // reference model size for wire bytes
 		{
+			a, bb, dst := gemmFixture(sh.M, sh.K, sh.N)
 			ax := make([]float64, axpyN)
 			ay := make([]float64, axpyN)
 			for i := range ax {
 				ax[i] = 0.25 * float64(i%23)
 			}
+			gemmNs := best(func() { tensor.MatMulInto(dst, a, bb) })
 			axpyNs := best(func() {
 				for r := 0; r < axpyReps; r++ {
 					tensor.Axpy(1.0/1024, ax, ay)
@@ -1119,6 +1158,9 @@ func TestComputeBenchJSON(t *testing.T) {
 			e := precisionEntry{
 				Precision:  "f64",
 				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F64).UplinkBytes,
+			}
+			if gemmNs > 0 {
+				e.GemmGFLOPS = flops / float64(gemmNs)
 			}
 			if axpyNs > 0 {
 				e.AxpyGBs = 24 * axpyN * axpyReps / float64(axpyNs)
@@ -1129,11 +1171,13 @@ func TestComputeBenchJSON(t *testing.T) {
 			doc.Precisions = append(doc.Precisions, e)
 		}
 		{
+			a, bb, dst := gemmFixture32(sh.M, sh.K, sh.N)
 			ax := make([]float32, axpyN)
 			ay := make([]float32, axpyN)
 			for i := range ax {
 				ax[i] = 0.25 * float32(i%23)
 			}
+			gemmNs := best(func() { tensor.MatMul32Into(dst, a, bb) })
 			axpyNs := best(func() {
 				for r := 0; r < axpyReps; r++ {
 					tensor.Axpy32(1.0/1024, ax, ay)
@@ -1142,6 +1186,9 @@ func TestComputeBenchJSON(t *testing.T) {
 			e := precisionEntry{
 				Precision:  "f32",
 				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F32).UplinkBytes,
+			}
+			if gemmNs > 0 {
+				e.GemmGFLOPS = flops / float64(gemmNs)
 			}
 			if axpyNs > 0 {
 				e.AxpyGBs = 12 * axpyN * axpyReps / float64(axpyNs)
@@ -1241,7 +1288,7 @@ func TestComputeBenchJSON(t *testing.T) {
 		t.Fatalf("precision matrix rows mislabeled: %q, %q", p64.Precision, p32.Precision)
 	}
 	for _, e := range doc.Precisions {
-		if e.AxpyGBs <= 0 || e.AxpyEffGBs <= 0 || e.UpdateWire <= 0 {
+		if e.GemmGFLOPS <= 0 || e.AxpyGBs <= 0 || e.AxpyEffGBs <= 0 || e.UpdateWire <= 0 {
 			t.Fatalf("precision %s: no measurement (%+v)", e.Precision, e)
 		}
 	}

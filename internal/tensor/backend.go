@@ -6,18 +6,19 @@ import (
 )
 
 // Kernel backend dispatch. The numeric kernels — the blocked GEMM
-// micro-kernels (blocked.go), the vectorized elementwise layer
-// (elemwise.go) and the f32 merge's Axpy32 (precision32.go) — pick
-// their tier here:
+// micro-kernels (blocked.go, blocked32.go), the vectorized elementwise
+// layer (elemwise.go) and the f32 merge's Axpy32 (precision32.go) —
+// pick their tier here, with f32 vectors carrying twice the lanes of
+// their f64 twins:
 //
-//	backend   f64 lanes / GEMM tile      Axpy32 lanes
-//	avx512    8-wide ZMM, 8×8 tiles      16-wide ZMM
-//	avx       4-wide YMM, 4×4 tiles      8-wide YMM
-//	neon      2-wide, 4×4 tiles          generic core
-//	generic   pure Go, 4×4 tiles         pure Go
+//	backend   f64 lanes / GEMM tile      f32 Axpy32 lanes / GEMM tile
+//	avx512    8-wide ZMM, 8×8 tiles      16-wide ZMM, 8×16 tiles
+//	avx       4-wide YMM, 4×4 tiles      8-wide YMM, 4×8 tiles
+//	neon      2-wide, 4×4 tiles          generic core (no f32 kernel)
+//	generic   pure Go, 4×4 tiles         pure Go, 4×4 tiles
 //
 // (amd64 offers avx512/avx, arm64 neon; the generic element kernels of
-// generic.go cover every GOARCH.)
+// generic.go cover every GOARCH and both widths.)
 //
 // Every tier obeys the same determinism contract: one rounding per
 // multiply and one per add, never fused, with each output element
@@ -140,6 +141,29 @@ func kernelMR() int {
 
 func kernelNR() int {
 	if useAVX512 {
+		return 8
+	}
+	return 4
+}
+
+// kernelMR32 and kernelNR32 are the register-tile dimensions of the
+// active GEMM backend's float32 micro-kernel: 8×16 ZMM tiles on avx512,
+// 4×8 YMM tiles on avx, 4×4 otherwise (neon has no f32 kernel and runs
+// the portable generic tile). As with the f64 geometry, tiling cannot
+// change results — every output element's accumulation chain is the
+// same whatever tile it lands in.
+func kernelMR32() int {
+	if useAVX512 {
+		return 8
+	}
+	return 4
+}
+
+func kernelNR32() int {
+	switch {
+	case useAVX512:
+		return 16
+	case useAVX:
 		return 8
 	}
 	return 4

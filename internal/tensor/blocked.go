@@ -215,4 +215,5 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 }
 
 // The packing routines (packAG/packBG) and the portable micro-kernels
-// (micro4x4G/microEdgeG) live in the generic element core (generic.go).
+// (micro4x4G/microEdgeG) live in the generic element core (generic.go),
+// shared verbatim with the float32 arm (blocked32.go).

@@ -4,9 +4,10 @@ package tensor
 // loops, the packing routines, the portable register-tile
 // micro-kernels, the elementwise bodies and the im2col/col2im lowering —
 // is written once over the Elem constraint. The float64 training arm
-// instantiates all of them; the scalar axpy tail also serves Axpy32,
-// the f32 merge's kernel, so both widths of that fold share one
-// per-element definition.
+// instantiates all of them; the float32 GEMM (blocked32.go) shares the
+// GEMM loops, packing and micro-kernels, and Axpy32, the f32 merge's
+// kernel, the scalar axpy tail, so the two widths cannot drift: a fix
+// or a determinism-contract change lands in one place.
 //
 // Determinism: the multiply-adds are spelled acc += E(a*b). The explicit
 // conversion — even to the operand's own type — forces the product to
@@ -23,11 +24,11 @@ type Elem interface {
 }
 
 const (
-	// edgeMR × edgeNR bounds the register tile across every backend
-	// (avx512's 8×8 is the largest); microEdgeG sizes its accumulator
-	// array with it.
+	// edgeMR × edgeNR bounds the register tile across every backend and
+	// element width (the f32 avx512 kernel's 8×16 is the largest);
+	// microEdgeG sizes its accumulator array with it.
 	edgeMR = 8
-	edgeNR = 8
+	edgeNR = 16
 )
 
 // gemmNaiveG computes dst = op(a)·op(b) with plain triple loops over raw
@@ -168,7 +169,7 @@ func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr in
 }
 
 // micro4x4G computes one full 4×4 output tile over a kc-long packed
-// panel — the portable register-tile micro-kernel the GEMM falls back
+// panel — the portable register-tile micro-kernel both widths fall back
 // to when no vector kernel applies. c points at the tile's top-left
 // element of the row-major output with leading dimension ldc. first
 // selects overwrite (panel 0) versus accumulate-on-top (later panels).

@@ -51,9 +51,21 @@ func reluBwdAVX(x, grad, out *float64, n int)
 func leakyFwdAVX(alpha float64, x, out *float64, n int)
 func leakyBwdAVX(alpha float64, x, grad, out *float64, n int)
 
-// Float32 axpy bodies (micro_amd64.s): VMULPS then VADDPS, one rounding
-// each, never fused, bit-identical to the generic core. n is a positive
-// multiple of the lane width (8 for AVX YMM, 16 for AVX-512 ZMM);
-// Axpy32 (precision32.go) enforces it and runs the generic tail.
+// Float32 micro-kernels (micro_amd64.s). Same determinism contract at
+// half width: VMULPS then VADDPS, one rounding each, never fused, so
+// every tier is bit-identical to the generic float32 core.
+
+// micro4x8avxF32 computes one full 4×8 float32 output tile over a
+// kc-long packed panel: four rows in four YMM accumulators (8 floats
+// each), one broadcast per packed A value against the packed B vector.
+func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool)
+
+// micro8x16avx512F32 computes one full 8×16 float32 output tile: eight
+// rows in eight ZMM accumulators (16 floats each).
+func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool)
+
+// Float32 axpy bodies. n is a positive multiple of the lane width (8
+// for AVX YMM, 16 for AVX-512 ZMM); Axpy32 (precision32.go) enforces it
+// and runs the generic tail.
 func axpyAVXF32(alpha float32, x, y *float32, n int)
 func axpyAVX512F32(alpha float32, x, y *float32, n int)

@@ -52,6 +52,14 @@ func leakyBwdAVX(alpha float64, x, grad, out *float64, n int) {
 	panic("tensor: AVX kernel called on non-amd64")
 }
 
+func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool) {
+	panic("tensor: AVX f32 micro-kernel called on non-amd64")
+}
+
+func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool) {
+	panic("tensor: AVX-512 f32 micro-kernel called on non-amd64")
+}
+
 func axpyAVXF32(alpha float32, x, y *float32, n int) {
 	panic("tensor: AVX f32 kernel called on non-amd64")
 }

@@ -1,14 +1,14 @@
 package tensor
 
-// The float32 side of the substrate. Clients always train in float64;
-// f32 precision mode narrows only the federated state (the fl
-// package's uploads, merges and wire encoding). So float32 needs just
-// the exact conversions at that boundary and the one kernel the f32
-// weighted merge folds with, Axpy32, which has SIMD bodies behind the
-// same backend dispatch as the float64 layer (elemwise.go). Its f32
-// lanes are twice as wide per vector — 16 on avx512 ZMM, 8 on avx YMM —
-// so the same cache traffic moves twice the weights. The scalar tail
-// comes from the shared generic core (generic.go).
+// The float32 side of the substrate that runs reach. Clients always
+// train in float64; f32 precision mode narrows only the federated
+// state (the fl package's uploads, merges and wire encoding). So runs
+// need just the exact conversions at that boundary and the one kernel
+// the f32 weighted merge folds with, Axpy32, which has SIMD bodies
+// behind the same backend dispatch as the float64 layer (elemwise.go).
+// Its f32 lanes are twice as wide per vector — 16 on avx512 ZMM, 8 on
+// avx YMM — so the same cache traffic moves twice the weights. The
+// scalar tail comes from the shared generic core (generic.go).
 //
 // Determinism: per-element independent, one rounding per multiply
 // (VMULPS) and one per add (VADDPS), never fused — bit-identical to the

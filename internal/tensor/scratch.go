@@ -52,3 +52,43 @@ func putBuf(b []float64) {
 	}
 	kernelBufs.Unlock()
 }
+
+// kernelBufs32 is the float32 arm's packing-scratch pool — same bounded
+// LIFO discipline as kernelBufs, kept separate so the two widths never
+// alias each other's backing arrays.
+var kernelBufs32 struct {
+	sync.Mutex
+	bufs [][]float32
+}
+
+// getBuf32 returns a length-n float32 scratch slice, reusing pooled
+// capacity when available. Contents are unspecified; callers must
+// overwrite before reading.
+func getBuf32(n int) []float32 {
+	kernelBufs32.Lock()
+	for i := len(kernelBufs32.bufs) - 1; i >= 0; i-- {
+		if cap(kernelBufs32.bufs[i]) >= n {
+			b := kernelBufs32.bufs[i]
+			last := len(kernelBufs32.bufs) - 1
+			kernelBufs32.bufs[i] = kernelBufs32.bufs[last]
+			kernelBufs32.bufs[last] = nil
+			kernelBufs32.bufs = kernelBufs32.bufs[:last]
+			kernelBufs32.Unlock()
+			return b[:n]
+		}
+	}
+	kernelBufs32.Unlock()
+	return make([]float32, n)
+}
+
+// putBuf32 returns a float32 buffer to the pool for reuse.
+func putBuf32(b []float32) {
+	if cap(b) == 0 {
+		return
+	}
+	kernelBufs32.Lock()
+	if len(kernelBufs32.bufs) < kernelBufsCap {
+		kernelBufs32.bufs = append(kernelBufs32.bufs, b[:0])
+	}
+	kernelBufs32.Unlock()
+}

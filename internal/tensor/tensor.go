@@ -6,16 +6,18 @@
 // convolution layers, and, for the fl package's f32 federated state,
 // exact f64↔f32 conversion (Widen/Quantize) and the f32 merge's axpy
 // (precision32.go). Clients train in float64 whatever the run's
-// precision, so there is no float32 tensor.
+// precision; the float32 GEMM (Tensor32, blocked32.go) is reached only
+// by its own tests and benchmarks.
 //
-// The matrix-product kernels are cache-blocked and register-tiled
-// (blocked.go) with reusable packing scratch, so steady-state training
-// allocates nothing, and they optionally fan out over the execution
-// pool installed via SetParallel — never over raw goroutines — so
-// kernel parallelism composes with the work-stealing scheduler instead
-// of oversubscribing it. Blocked, naive, sequential and parallel paths
-// are all bit-identical by construction (see backend.go for the
-// backend kernel table).
+// The matrix-product kernels of both widths are cache-blocked and
+// register-tiled (blocked.go, blocked32.go) with reusable packing
+// scratch, so steady-state training allocates nothing, and they
+// optionally fan out over the execution pool installed via SetParallel
+// — never over raw goroutines — so kernel parallelism composes with
+// the work-stealing scheduler instead of oversubscribing it. Blocked,
+// naive, sequential and parallel paths are all bit-identical by
+// construction, within each precision (see backend.go for the
+// backend×precision kernel table).
 //
 // Tensors are row-major. A 2-D tensor of shape (r, c) stores element
 // (i, j) at Data[i*c+j]. Batched activations are 2-D: (batch, features).
