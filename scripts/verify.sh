@@ -87,9 +87,12 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # all three transpose variants, and the pool-hook stripe fan-out) must
 # be BIT-identical to the naive reference loops, same for the SIMD
 # elementwise kernels, and a warm arena-backed train step (dense and
-# conv stacks) must perform zero heap allocations.
+# conv stacks) must perform zero heap allocations. Every model the
+# reproduction builds (MLP, simple CNN, VGG stand-in, the agent's
+# policy and value MLPs) must train to the digests pinned in
+# internal/nn/digest_test.go, with and without an arena.
 go test -run 'TestBlockedBitIdentity|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain' ./internal/tensor/
-go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain' ./internal/nn/
+go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
