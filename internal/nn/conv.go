@@ -206,15 +206,20 @@ func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 			chOff := ch * m.H * m.W
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
+					// Each window starts from its first element, so its
+					// argmax is always a real input, even when nothing
+					// in it exceeds −Inf. A later element wins when it is
+					// greater or is the window's first NaN: a NaN
+					// propagates as it would through the GEMMs.
+					bestIdx := chOff + oy*m.Stride*m.W + ox*m.Stride
+					best := in[bestIdx]
 					for dy := 0; dy < m.Size; dy++ {
 						y := oy*m.Stride + dy
 						for dx := 0; dx < m.Size; dx++ {
 							xp := ox*m.Stride + dx
 							idx := chOff + y*m.W + xp
-							if in[idx] > best {
-								best = in[idx]
+							if v := in[idx]; v > best || math.IsNaN(v) && !math.IsNaN(best) {
+								best = v
 								bestIdx = idx
 							}
 						}

@@ -111,6 +111,33 @@ func TestMaxPoolGeometryPanics(t *testing.T) {
 	NewMaxPool2D(1, 5, 5, 2, 2)
 }
 
+// TestMaxPoolNonFinite checks max pooling over windows with no finite
+// maximum: a NaN anywhere in a window is the window's value, the first
+// NaN takes the gradient, and a window of −Inf routes its gradient to
+// its first element instead of to no input at all.
+func TestMaxPoolNonFinite(t *testing.T) {
+	nan, ninf := math.NaN(), math.Inf(-1)
+	p := NewMaxPool2D(1, 4, 4, 2, 2)
+	img := []float64{
+		nan, nan, 1, nan, // windows: all NaN | NaN before the max
+		nan, nan, 5, 2,
+		7, 3, ninf, ninf, // NaN after the max | all −Inf
+		4, nan, ninf, ninf,
+	}
+	y := p.ForwardScratch(nil, 0, tensor.FromSlice(img, 1, 16), true)
+	if !math.IsNaN(y.Data[0]) || !math.IsNaN(y.Data[1]) || !math.IsNaN(y.Data[2]) || y.Data[3] != ninf {
+		t.Fatalf("maxpool = %v, want [NaN NaN NaN -Inf]", y.Data)
+	}
+	dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4))
+	want := make([]float64, 16)
+	want[0], want[3], want[13], want[10] = 1, 2, 3, 4
+	for i := range want {
+		if dx.Data[i] != want[i] {
+			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
+		}
+	}
+}
+
 func TestConvOutputShape(t *testing.T) {
 	r := rng.New(2)
 	g := tensor.ConvGeom{InC: 3, InH: 8, InW: 8, K: 3, Stride: 1, Pad: 1}
