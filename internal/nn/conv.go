@@ -56,14 +56,10 @@ func (c *Conv2D) OutLen() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
 // InLen returns the flattened input length per sample.
 func (c *Conv2D) InLen() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
 
-// Forward convolves each batch row. Output rows are CHW-flattened.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch lowers the whole batch with one im2col and one GEMM:
-// res (batch·ohw, OutC) = cols (batch·ohw, patch) · W, then scatters
-// res into the CHW-flattened output layout with the bias added.
+// ForwardScratch convolves each batch row; output rows are
+// CHW-flattened. It lowers the whole batch with one im2col and one
+// GEMM: res (batch·ohw, OutC) = cols (batch·ohw, patch) · W, then
+// scatters res into the CHW-flattened output layout with the bias added.
 func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != c.InLen() {
 		panic(fmt.Sprintf("nn: Conv2D.Forward input width %d, want %d", x.Cols(), c.InLen()))
@@ -90,15 +86,11 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 	return out
 }
 
-// Backward accumulates kernel/bias gradients and returns the input
-// gradient, CHW-flattened per batch row.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch runs both backward matrix products over the whole
-// batch at once: dW += colsᵀ·dRes and dCols = dRes·Wᵀ, with dRes the
-// (batch·ohw, OutC) transposition of the incoming CHW gradient.
+// BackwardScratch accumulates kernel/bias gradients and returns the
+// input gradient, CHW-flattened per batch row. It runs both backward
+// matrix products over the whole batch at once: dW += colsᵀ·dRes and
+// dCols = dRes·Wᵀ, with dRes the (batch·ohw, OutC) transposition of
+// the incoming CHW gradient.
 func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastRows == 0 {
 		panic("nn: Conv2D.Backward before Forward")
@@ -178,12 +170,7 @@ func (m *MaxPool2D) OutLen() int { return m.C * m.OutH() * m.OutW() }
 // InLen returns the flattened input length per sample.
 func (m *MaxPool2D) InLen() int { return m.C * m.H * m.W }
 
-// Forward computes channelwise max pooling.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return m.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch is Forward writing into an arena slot.
+// ForwardScratch computes channelwise max pooling.
 func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != m.InLen() {
 		panic(fmt.Sprintf("nn: MaxPool2D.Forward input width %d, want %d", x.Cols(), m.InLen()))
@@ -234,12 +221,7 @@ func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 	return out
 }
 
-// Backward routes gradients to the argmax positions.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return m.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch is Backward writing into an arena slot.
+// BackwardScratch routes gradients to the argmax positions.
 func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if m.lastDim == 0 {
 		panic("nn: MaxPool2D.Backward before Forward")

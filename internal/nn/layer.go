@@ -8,8 +8,8 @@
 // (with the FedProx proximal term) and Adam optimizers.
 //
 // Gradients are computed by hand-derived backpropagation; every layer's
-// Backward is validated against central finite differences in the tests.
-// Layers are stateful across a Forward/Backward pair (they cache
+// backward pass is validated against central finite differences in the
+// tests. Layers are stateful across a forward/backward pair (they cache
 // activations) and are not safe for concurrent use; federated clients
 // therefore each own their model instance.
 package nn
@@ -22,18 +22,19 @@ import (
 	"feddrl/internal/tensor"
 )
 
-// Layer is one differentiable stage of a Network. Forward consumes a
-// (batch, features) activation and returns the next activation; Backward
-// consumes dLoss/dOutput and returns dLoss/dInput, accumulating parameter
-// gradients internally (retrieved via Grads, cleared via Network.ZeroGrads).
+// Layer is one differentiable stage of a Network. Its two passes draw
+// their outputs and temporaries from arena slots keyed by id, the
+// layer's index in its Network (see Scratch); a nil arena allocates
+// fresh buffers instead.
 type Layer interface {
-	// Forward computes the layer output. train reports whether the pass
-	// is part of training (affects nothing today but keeps the door open
-	// for dropout/batch-norm extensions).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward computes the input gradient from the output gradient and
-	// accumulates parameter gradients.
-	Backward(grad *tensor.Tensor) *tensor.Tensor
+	// ForwardScratch consumes a (batch, features) activation and returns
+	// the next activation. train reports whether the pass is part of
+	// training; no layer reads it.
+	ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor
+	// BackwardScratch consumes dLoss/dOutput of the last forward pass
+	// and returns dLoss/dInput, accumulating parameter gradients
+	// (retrieved via Grads, cleared via Network.ZeroGrads).
+	BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's parameter tensors (possibly empty).
 	Params() []*tensor.Tensor
 	// Grads returns the gradient tensors, aligned with Params.
@@ -70,12 +71,7 @@ func NewDense(r *rng.RNG, in, out int) *Dense {
 	return d
 }
 
-// Forward computes y = x·W + b for a (batch, In) input.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return d.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch is Forward writing into an arena slot.
+// ForwardScratch computes y = x·W + b for a (batch, In) input.
 func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != d.In {
 		panic(fmt.Sprintf("nn: Dense.Forward input width %d, want %d", x.Cols(), d.In))
@@ -89,12 +85,8 @@ func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool
 	return out
 }
 
-// Backward accumulates dW = xᵀ·g, dB = Σ_batch g and returns dx = g·Wᵀ.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return d.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch is Backward with arena-backed temporaries.
+// BackwardScratch accumulates dW = xᵀ·g, dB = Σ_batch g and returns
+// dx = g·Wᵀ.
 func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
@@ -128,12 +120,7 @@ type ReLU struct{ lastX *tensor.Tensor }
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(0, x) elementwise.
-func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch is Forward writing into an arena slot.
+// ForwardScratch applies max(0, x) elementwise.
 func (l *ReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastX = x
 	out := sc.tensor2D(id, 0, x.Rows(), x.Cols())
@@ -141,12 +128,7 @@ func (l *ReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 	return out
 }
 
-// Backward zeroes gradients where the input was non-positive.
-func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return l.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch is Backward writing into an arena slot.
+// BackwardScratch zeroes gradients where the input was non-positive.
 func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: ReLU.Backward shape mismatch with Forward")
@@ -178,12 +160,7 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 	return &LeakyReLU{Alpha: alpha}
 }
 
-// Forward applies x>0 ? x : alpha*x elementwise.
-func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch is Forward writing into an arena slot.
+// ForwardScratch applies x>0 ? x : alpha*x elementwise.
 func (l *LeakyReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.lastX = x
 	out := sc.tensor2D(id, 0, x.Rows(), x.Cols())
@@ -191,12 +168,8 @@ func (l *LeakyReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 	return out
 }
 
-// Backward scales gradients by alpha where the input was negative.
-func (l *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return l.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch is Backward writing into an arena slot.
+// BackwardScratch scales gradients by alpha where the input was
+// negative.
 func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: LeakyReLU.Backward shape mismatch with Forward")
@@ -212,19 +185,14 @@ func (l *LeakyReLU) Params() []*tensor.Tensor { return nil }
 // Grads returns no gradients.
 func (l *LeakyReLU) Grads() []*tensor.Tensor { return nil }
 
-// Tanh is the hyperbolic tangent activation (used to bound the policy
-// network's mean head).
+// Tanh is the hyperbolic tangent activation. No model of the
+// reproduction uses it; the gradient checks do.
 type Tanh struct{ lastY *tensor.Tensor }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward applies tanh elementwise.
-func (l *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardScratch(nil, 0, x, train)
-}
-
-// ForwardScratch is Forward writing into an arena slot.
+// ForwardScratch applies tanh elementwise.
 func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := sc.tensor2D(id, 0, x.Rows(), x.Cols())
 	for i, v := range x.Data {
@@ -234,12 +202,7 @@ func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 	return out
 }
 
-// Backward multiplies by 1 - tanh² of the input.
-func (l *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return l.BackwardScratch(nil, 0, grad)
-}
-
-// BackwardScratch is Backward writing into an arena slot.
+// BackwardScratch multiplies by 1 - tanh² of the input.
 func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastY == nil || len(l.lastY.Data) != len(grad.Data) {
 		panic("nn: Tanh.Backward shape mismatch with Forward")

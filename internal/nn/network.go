@@ -31,14 +31,33 @@ func NewNetwork(layers ...Layer) *Network {
 // Layers returns the layer slice (shared, not copied).
 func (n *Network) Layers() []Layer { return n.layers }
 
-// Forward runs all layers in order.
+// Forward runs all layers in order with fresh buffers (a nil arena).
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return n.ForwardScratch(nil, x, train)
 }
 
-// Backward runs all layers in reverse, returning the input gradient.
+// Backward runs all layers in reverse with fresh buffers, returning the
+// input gradient.
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return n.BackwardScratch(nil, grad)
+}
+
+// ForwardScratch runs all layers in order, drawing activation buffers
+// from the arena.
+func (n *Network) ForwardScratch(sc *Scratch, x *tensor.Tensor, train bool) *tensor.Tensor {
+	for i, l := range n.layers {
+		x = l.ForwardScratch(sc, i, x, train)
+	}
+	return x
+}
+
+// BackwardScratch runs all layers in reverse, drawing gradient buffers
+// from the arena, and returns the input gradient.
+func (n *Network) BackwardScratch(sc *Scratch, grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		grad = n.layers[i].BackwardScratch(sc, i, grad)
+	}
+	return grad
 }
 
 // Params returns all parameter tensors in layer order. The slice is

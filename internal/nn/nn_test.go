@@ -15,7 +15,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	copy(d.W.Data, []float64{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.B.Data, []float64{10, 20})
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
-	y := d.Forward(x, false)
+	y := d.ForwardScratch(nil, 0, x, false)
 	if y.At(0, 0) != 14 || y.At(0, 1) != 26 {
 		t.Fatalf("dense forward = %v", y.Data)
 	}
@@ -30,7 +30,7 @@ func TestDensePanics(t *testing.T) {
 				t.Fatal("wrong input width did not panic")
 			}
 		}()
-		d.Forward(tensor.New(1, 4), false)
+		d.ForwardScratch(nil, 0, tensor.New(1, 4), false)
 	}()
 	func() {
 		defer func() {
@@ -38,14 +38,14 @@ func TestDensePanics(t *testing.T) {
 				t.Fatal("Backward before Forward did not panic")
 			}
 		}()
-		NewDense(r, 3, 2).Backward(tensor.New(1, 2))
+		NewDense(r, 3, 2).BackwardScratch(nil, 0, tensor.New(1, 2))
 	}()
 }
 
 func TestActivations(t *testing.T) {
 	x := tensor.FromSlice([]float64{-2, -0.5, 0, 0.5, 2, 1}, 2, 3)
 	relu := NewReLU()
-	y := relu.Forward(x, false)
+	y := relu.ForwardScratch(nil, 0, x, false)
 	want := []float64{0, 0, 0, 0.5, 2, 1}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -53,12 +53,12 @@ func TestActivations(t *testing.T) {
 		}
 	}
 	lr := NewLeakyReLU(0.1)
-	y = lr.Forward(x, false)
+	y = lr.ForwardScratch(nil, 0, x, false)
 	if y.Data[0] != -0.2 || y.Data[4] != 2 {
 		t.Fatalf("leaky relu = %v", y.Data)
 	}
 	th := NewTanh()
-	y = th.Forward(x, false)
+	y = th.ForwardScratch(nil, 0, x, false)
 	if math.Abs(y.Data[2]) > 1e-12 || math.Abs(y.Data[4]-math.Tanh(2)) > 1e-12 {
 		t.Fatalf("tanh = %v", y.Data)
 	}
@@ -80,7 +80,7 @@ func TestMaxPoolKnown(t *testing.T) {
 		11, 12, 15, 16,
 	}
 	x := tensor.FromSlice(img, 1, 16)
-	y := p.Forward(x, false)
+	y := p.ForwardScratch(nil, 0, x, false)
 	want := []float64{4, 8, 12, 16}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -89,7 +89,7 @@ func TestMaxPoolKnown(t *testing.T) {
 	}
 	// Gradient routes only to argmax positions.
 	g := tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 4)
-	dx := p.Backward(g)
+	dx := p.BackwardScratch(nil, 0, g)
 	sum := 0.0
 	for _, v := range dx.Data {
 		sum += v
@@ -143,7 +143,7 @@ func TestConvOutputShape(t *testing.T) {
 	g := tensor.ConvGeom{InC: 3, InH: 8, InW: 8, K: 3, Stride: 1, Pad: 1}
 	c := NewConv2D(r, g, 5)
 	x := tensor.New(2, c.InLen())
-	y := c.Forward(x, false)
+	y := c.ForwardScratch(nil, 0, x, false)
 	if y.Rows() != 2 || y.Cols() != 5*8*8 {
 		t.Fatalf("conv output shape %v", y.Shape)
 	}
@@ -157,7 +157,7 @@ func TestConvBiasBroadcast(t *testing.T) {
 		c.W.Data[i] = 0
 	}
 	c.B.Data[0], c.B.Data[1] = 3, -1
-	y := c.Forward(tensor.New(1, 4), false)
+	y := c.ForwardScratch(nil, 0, tensor.New(1, 4), false)
 	// First channel (4 positions) all 3, second all -1.
 	for p := 0; p < 4; p++ {
 		if y.Data[p] != 3 || y.Data[4+p] != -1 {
@@ -386,26 +386,6 @@ func TestSGDProxRefLengthPanics(t *testing.T) {
 		}
 	}()
 	opt.Step(n)
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	r := rng.New(4)
-	n := NewNetwork(NewDense(r, 1, 1))
-	d := n.Layers()[0].(*Dense)
-	d.W.Data[0], d.B.Data[0] = 0, 0
-	opt := NewSGD(1)
-	opt.Momentum = 0.9
-	// Constant gradient 1 on W, 0 on B.
-	step := func() {
-		n.ZeroGrads()
-		d.dW.Data[0] = 1
-		opt.Step(n)
-	}
-	step() // v=1, w=-1
-	step() // v=1.9, w=-2.9
-	if math.Abs(d.W.Data[0]+2.9) > 1e-12 {
-		t.Fatalf("momentum w = %v, want -2.9", d.W.Data[0])
-	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {

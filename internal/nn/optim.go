@@ -7,23 +7,19 @@ import (
 	"feddrl/internal/tensor"
 )
 
-// SGD is stochastic gradient descent with optional momentum, weight decay
-// and the FedProx proximal term. The paper uses plain SGD with lr = 0.01
-// as the local solver (§4.1.2); FedProx clients additionally set ProxMu
-// and ProxRef to pull iterates toward the round's global model (μ‖w−w^t‖²/2,
-// Li et al. 2020, μ = 0.01 in §4.1.2).
+// SGD is stochastic gradient descent with the optional FedProx proximal
+// term. The paper uses plain SGD with lr = 0.01 as the local solver
+// (§4.1.2); FedProx clients additionally set ProxMu and ProxRef to pull
+// iterates toward the round's global model (μ‖w−w^t‖²/2, Li et al.
+// 2020, μ = 0.01 in §4.1.2).
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
+	LR float64
 
 	// ProxMu and ProxRef implement the FedProx proximal term: the
 	// gradient gains ProxMu·(w − ProxRef). ProxRef is a flat parameter
 	// vector aligned with Network.ParamVector; nil disables the term.
 	ProxMu  float64
 	ProxRef []float64
-
-	vel [][]float64
 }
 
 // NewSGD returns a plain SGD optimizer with the given learning rate.
@@ -39,16 +35,10 @@ func NewSGD(lr float64) *SGD {
 // usually follow with Network.ZeroGrads).
 func (o *SGD) Step(n *Network) {
 	params, grads := n.Params(), n.Grads()
-	if o.Momentum != 0 && o.vel == nil {
-		o.vel = make([][]float64, len(params))
-		for i, p := range params {
-			o.vel[i] = make([]float64, p.Len())
-		}
-	}
 	if o.ProxRef != nil && len(o.ProxRef) != n.NumParams() {
 		panic(fmt.Sprintf("nn: SGD proximal reference length %d, want %d", len(o.ProxRef), n.NumParams()))
 	}
-	if o.WeightDecay == 0 && o.Momentum == 0 && (o.ProxRef == nil || o.ProxMu == 0) {
+	if o.ProxRef == nil || o.ProxMu == 0 {
 		// Plain SGD (the paper's local solver) is one axpy per parameter:
 		// p ← p + (−lr)·g. IEEE negation of a product is an exact sign
 		// flip and a−b ≡ a+(−b), so this is bit-identical to the scalar
@@ -62,17 +52,7 @@ func (o *SGD) Step(n *Network) {
 	for i, p := range params {
 		g := grads[i]
 		for j := range p.Data {
-			gj := g.Data[j]
-			if o.WeightDecay != 0 {
-				gj += o.WeightDecay * p.Data[j]
-			}
-			if o.ProxRef != nil && o.ProxMu != 0 {
-				gj += o.ProxMu * (p.Data[j] - o.ProxRef[off+j])
-			}
-			if o.Momentum != 0 {
-				o.vel[i][j] = o.Momentum*o.vel[i][j] + gj
-				gj = o.vel[i][j]
-			}
+			gj := g.Data[j] + o.ProxMu*(p.Data[j]-o.ProxRef[off+j])
 			p.Data[j] -= o.LR * gj
 		}
 		off += p.Len()
