@@ -4,17 +4,19 @@ package tensor
 // to the float64 driver (blocked.go) — same kcBlock/mcBlock cache
 // blocking, the same fixed stripeRows parallel fan-out on the installed
 // Parallel hook, the same packed-panel layout via the shared generic
-// packing routines — with the register-tile geometry of the f32 vector
-// kernels (kernelMR32/kernelNR32 in backend.go): 8×16 ZMM tiles on
-// avx512, 4×8 YMM tiles on avx, 4×4 portable tiles otherwise (the f32
-// arm has no NEON kernel; arm64 uses the generic tiles).
+// packing routines — but with no vector micro-kernel: every backend
+// runs the portable 4×4 tile (micro4x4G). No run reaches this GEMM;
+// clients train in float64.
 //
 // Determinism contract: identical to the float64 arm, at float32
 // precision — every output element accumulates along a single
-// ascending-k chain with one rounding per multiply (VMULPS) and one per
-// add (VADDPS), never fused, so f32 results are bit-identical across
-// backends, tile geometries and worker counts. The f32 arm never mixes
-// widths: no intermediate is computed in float64.
+// ascending-k chain with one rounding per multiply and one per add,
+// never fused, so f32 results are bit-identical to the reference loops
+// at any worker count. The f32 arm never mixes widths: no intermediate
+// is computed in float64.
+
+// tile32 is the f32 register tile's height and width on every backend.
+const tile32 = 4
 
 // gemmDims32 returns the logical (M, K, N) of dst = op(a)·op(b).
 func gemmDims32(a, b *Tensor32, v gemmVariant) (m, k, n int) {
@@ -47,7 +49,7 @@ func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 		return
 	}
 	stripes := (m + stripeRows - 1) / stripeRows
-	mr, nr := kernelMR32(), kernelNR32()
+	mr, nr := tile32, tile32
 	pl := currentParallel()
 	if pl == nil || pl.Workers() <= 1 || stripes < 2 || m*k*n < parallelMinVolume {
 		kc := k
@@ -91,10 +93,10 @@ func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 
 // gemmBlockedRange32 runs the blocked f32 kernel over output rows
 // [rs, re). ap and bp are packing scratch sized by apSize/bpSize for
-// the active backend's f32 register tile.
+// the tile32×tile32 register tile.
 func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp []float32) {
 	_, k, n := gemmDims32(a, b, v)
-	mr, nr := kernelMR32(), kernelNR32()
+	mr, nr := tile32, tile32
 	dd := dst.Data
 	nTiles := (n + nr - 1) / nr
 	for p0 := 0; p0 < k; p0 += kcBlock {
@@ -126,14 +128,7 @@ func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp [
 					bpTile := bp[jt*kc*nr:]
 					c := dd[row0*n+jt*nr:]
 					if mv == mr && nv == nr {
-						switch {
-						case useAVX512:
-							micro8x16avx512F32(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						case useAVX:
-							micro4x8avxF32(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						default:
-							micro4x4G(kc, apTile, bpTile, c, n, first)
-						}
+						micro4x4G(kc, apTile, bpTile, c, n, first)
 					} else {
 						microEdgeG(kc, apTile, bpTile, c, n, mv, nv, mr, nr, first)
 					}

@@ -5,9 +5,10 @@ package tensor
 // micro-kernels, the elementwise bodies and the im2col/col2im lowering —
 // is written once over the Elem constraint. The float64 training arm
 // instantiates all of them; the float32 GEMM (blocked32.go) shares the
-// GEMM loops, packing and micro-kernels, and Axpy32, the f32 merge's
-// kernel, the scalar axpy tail, so the two widths cannot drift: a fix
-// or a determinism-contract change lands in one place.
+// GEMM loops, packing and the portable micro-kernels, its only tier,
+// and Axpy32, the f32 merge's kernel, the scalar axpy tail, so the two
+// widths cannot drift: a fix or a determinism-contract change lands in
+// one place.
 //
 // Determinism: the multiply-adds are spelled acc += E(a*b). The explicit
 // conversion — even to the operand's own type — forces the product to
@@ -25,10 +26,11 @@ type Elem interface {
 
 const (
 	// edgeMR × edgeNR bounds the register tile across every backend and
-	// element width (the f32 avx512 kernel's 8×16 is the largest);
-	// microEdgeG sizes its accumulator array with it.
+	// element width (the f64 avx512 kernel's 8×8 is the largest);
+	// microEdgeG sizes its accumulator array with it and zeroes the
+	// whole array on every edge tile.
 	edgeMR = 8
-	edgeNR = 16
+	edgeNR = 8
 )
 
 // gemmNaiveG computes dst = op(a)·op(b) with plain triple loops over raw
@@ -169,8 +171,8 @@ func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr in
 }
 
 // micro4x4G computes one full 4×4 output tile over a kc-long packed
-// panel — the portable register-tile micro-kernel both widths fall back
-// to when no vector kernel applies. c points at the tile's top-left
+// panel — the portable register-tile micro-kernel the f64 GEMM falls
+// back to when no vector kernel applies, and the f32 GEMM's only one. c points at the tile's top-left
 // element of the row-major output with leading dimension ldc. first
 // selects overwrite (panel 0) versus accumulate-on-top (later panels).
 func micro4x4G[E Elem](kc int, ap, bp, c []E, ldc int, first bool) {

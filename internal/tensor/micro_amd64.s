@@ -453,151 +453,11 @@ lbloop:
 	RET
 
 // ---------------------------------------------------------------------
-// Float32 kernels. Identical structure to the float64 kernels above at
-// half element width: VMULPS + VADDPS (multiply-round-then-add-round,
-// never fused), twice the lanes per vector. Strides shrink from 8 to 4
-// bytes per element; the YMM kernels step 8 floats (32 bytes) and the
-// ZMM kernels 16 floats (64 bytes) per vector op.
-
-// func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool)
-//
-// Y0..Y3 hold the four output rows (8 floats each) for the whole panel;
-// each k step broadcasts the four packed A values and issues one
-// mul+add pair per row against the packed B vector. first selects
-// zero-init (panel 0) versus accumulate-on-top of C.
-TEXT ·micro4x8avxF32(SB), NOSPLIT, $0-41
-	MOVQ	kc+0(FP), CX
-	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
-	SHLQ	$2, R8              // ldc in bytes (4 per float32)
-	LEAQ	(DX)(R8*2), R9      // &c[2*ldc]
-	MOVBLZX	first+40(FP), AX
-	TESTB	AL, AL
-	JZ	load32
-	VXORPS	Y0, Y0, Y0
-	VXORPS	Y1, Y1, Y1
-	VXORPS	Y2, Y2, Y2
-	VXORPS	Y3, Y3, Y3
-	JMP	kloop32
-load32:
-	VMOVUPS	(DX), Y0
-	VMOVUPS	(DX)(R8*1), Y1
-	VMOVUPS	(R9), Y2
-	VMOVUPS	(R9)(R8*1), Y3
-kloop32:
-	TESTQ	CX, CX
-	JZ	done32
-	VMOVUPS	(DI), Y4
-	VBROADCASTSS	(SI), Y5
-	VBROADCASTSS	4(SI), Y6
-	VBROADCASTSS	8(SI), Y7
-	VBROADCASTSS	12(SI), Y8
-	VMULPS	Y4, Y5, Y5
-	VADDPS	Y5, Y0, Y0
-	VMULPS	Y4, Y6, Y6
-	VADDPS	Y6, Y1, Y1
-	VMULPS	Y4, Y7, Y7
-	VADDPS	Y7, Y2, Y2
-	VMULPS	Y4, Y8, Y8
-	VADDPS	Y8, Y3, Y3
-	ADDQ	$16, SI             // 4 packed A floats
-	ADDQ	$32, DI             // 8 packed B floats
-	DECQ	CX
-	JMP	kloop32
-done32:
-	VMOVUPS	Y0, (DX)
-	VMOVUPS	Y1, (DX)(R8*1)
-	VMOVUPS	Y2, (R9)
-	VMOVUPS	Y3, (R9)(R8*1)
-	VZEROUPPER
-	RET
-
-// func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool)
-//
-// Z0..Z7 hold the eight output rows (16 floats each) for the whole
-// panel; each k step broadcasts the eight packed A values and issues
-// one VMULPS+VADDPS pair per row against the packed B vector. Zeroing
-// uses VEX VXORPS (clears the full ZMM) so only AVX512F encodings are
-// required.
-TEXT ·micro8x16avx512F32(SB), NOSPLIT, $0-41
-	MOVQ	kc+0(FP), CX
-	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
-	SHLQ	$2, R8              // ldc in bytes
-	LEAQ	(R8)(R8*2), R10     // 3*ldc bytes
-	LEAQ	(DX)(R8*4), R9      // &c[4*ldc]
-	MOVBLZX	first+40(FP), AX
-	TESTB	AL, AL
-	JZ	load16
-	VXORPS	Y0, Y0, Y0
-	VXORPS	Y1, Y1, Y1
-	VXORPS	Y2, Y2, Y2
-	VXORPS	Y3, Y3, Y3
-	VXORPS	Y4, Y4, Y4
-	VXORPS	Y5, Y5, Y5
-	VXORPS	Y6, Y6, Y6
-	VXORPS	Y7, Y7, Y7
-	JMP	kloop16
-load16:
-	VMOVUPS	(DX), Z0
-	VMOVUPS	(DX)(R8*1), Z1
-	VMOVUPS	(DX)(R8*2), Z2
-	VMOVUPS	(DX)(R10*1), Z3
-	VMOVUPS	(R9), Z4
-	VMOVUPS	(R9)(R8*1), Z5
-	VMOVUPS	(R9)(R8*2), Z6
-	VMOVUPS	(R9)(R10*1), Z7
-kloop16:
-	TESTQ	CX, CX
-	JZ	done16
-	VMOVUPS	(DI), Z8
-	VBROADCASTSS	(SI), Z9
-	VBROADCASTSS	4(SI), Z10
-	VBROADCASTSS	8(SI), Z11
-	VBROADCASTSS	12(SI), Z12
-	VBROADCASTSS	16(SI), Z13
-	VBROADCASTSS	20(SI), Z14
-	VBROADCASTSS	24(SI), Z15
-	VBROADCASTSS	28(SI), Z16
-	VMULPS	Z8, Z9, Z9
-	VADDPS	Z9, Z0, Z0
-	VMULPS	Z8, Z10, Z10
-	VADDPS	Z10, Z1, Z1
-	VMULPS	Z8, Z11, Z11
-	VADDPS	Z11, Z2, Z2
-	VMULPS	Z8, Z12, Z12
-	VADDPS	Z12, Z3, Z3
-	VMULPS	Z8, Z13, Z13
-	VADDPS	Z13, Z4, Z4
-	VMULPS	Z8, Z14, Z14
-	VADDPS	Z14, Z5, Z5
-	VMULPS	Z8, Z15, Z15
-	VADDPS	Z15, Z6, Z6
-	VMULPS	Z8, Z16, Z16
-	VADDPS	Z16, Z7, Z7
-	ADDQ	$32, SI             // 8 packed A floats
-	ADDQ	$64, DI             // 16 packed B floats
-	DECQ	CX
-	JMP	kloop16
-done16:
-	VMOVUPS	Z0, (DX)
-	VMOVUPS	Z1, (DX)(R8*1)
-	VMOVUPS	Z2, (DX)(R8*2)
-	VMOVUPS	Z3, (DX)(R10*1)
-	VMOVUPS	Z4, (R9)
-	VMOVUPS	Z5, (R9)(R8*1)
-	VMOVUPS	Z6, (R9)(R8*2)
-	VMOVUPS	Z7, (R9)(R10*1)
-	VZEROUPPER
-	RET
-
-// Float32 axpy, the f32 weighted merge's kernel. n is a positive
-// multiple of the lane width (8 for YMM, 16 for ZMM); Axpy32
-// (precision32.go) enforces it and runs the generic tail.
+// Float32 axpy, the f32 weighted merge's kernel: VMULPS + VADDPS
+// (multiply-round-then-add-round, never fused) at twice the lanes of
+// axpyAVX/axpyAVX512, stepping 8 floats (32 bytes) per YMM op and 16
+// floats (64 bytes) per ZMM op. n is a positive multiple of the lane
+// width; Axpy32 (precision32.go) enforces it and runs the generic tail.
 
 // func axpyAVXF32(alpha float32, x, y *float32, n int)
 TEXT ·axpyAVXF32(SB), NOSPLIT, $0-32

@@ -73,21 +73,22 @@ func gemmOperands32(v gemmVariant, m, k, n int) (a, b, dst *Tensor32) {
 
 // TestBlocked32BitIdentity is the float32 kernel determinism gate (run
 // explicitly by scripts/verify.sh, including a TENSOR_BACKEND=generic
-// pass): for all three GEMM variants and every backend in the host's
-// fallback chain, the blocked f32 kernel must reproduce the generic
-// reference triple loop BIT for bit across shapes straddling the wider
-// f32 tiles — exact 4×8 (avx) and 8×16 (avx512) multiples, one-off,
-// primes, tall/skinny and wide/flat.
+// pass): for all three GEMM variants and under every backend's dispatch
+// state in the host's fallback chain, the blocked f32 kernel (the
+// portable 4×4 tile on every backend) must reproduce the generic
+// reference triple loop BIT for bit across shapes straddling the tile
+// and the k panel — exact multiples, one-off, primes, tall/skinny and
+// wide/flat.
 func TestBlocked32BitIdentity(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
 		{1, 7, 1},
 		{3, 5, 2},
-		{4, kcBlock, 8},      // exact avx f32 tile, one full k panel
-		{8, kcBlock, 16},     // exact avx512 f32 tile
-		{5, kcBlock + 1, 9},  // one past the avx tile and panel
-		{9, kcBlock + 1, 17}, // one past the avx512 tile and panel
-		{7, kcBlock - 1, 15}, // one short of the avx512 tile and panel
+		{4, kcBlock, 8},      // exact tiles, one full k panel
+		{8, kcBlock, 16},     // exact tiles, 2×4 of them
+		{5, kcBlock + 1, 9},  // one past the tiles and the panel
+		{9, kcBlock + 1, 17}, // one past the tiles and the panel
+		{7, kcBlock - 1, 15}, // one short of the tiles and the panel
 		{13, 17, 11},
 		{mcBlock, 31, 12},
 		{mcBlock + 3, kcBlock*2 + 5, 9},
@@ -123,8 +124,8 @@ func TestBlocked32BitIdentity(t *testing.T) {
 					if kc > kcBlock {
 						kc = kcBlock
 					}
-					ap := getBuf32(apSize(m, kc, kernelMR32()))
-					bp := getBuf32(bpSize(n, kc, kernelNR32()))
+					ap := getBuf32(apSize(m, kc, tile32))
+					bp := getBuf32(bpSize(n, kc, tile32))
 					gemmBlockedRange32(got, a, b, vt.v, 0, m, ap, bp)
 					putBuf32(bp)
 					putBuf32(ap)
@@ -152,7 +153,7 @@ func TestBlocked32BitIdentity(t *testing.T) {
 }
 
 // TestBlocked32SpecialValues drives the blocked f32 GEMM with NaN, ±Inf,
-// signed zeros and denormals on every backend: since every output
+// signed zeros and denormals under every backend: since every output
 // element accumulates along one ascending-k chain, even non-finite
 // propagation (Inf−Inf, Inf·0) must match the generic reference bit for
 // bit.
@@ -176,8 +177,8 @@ func TestBlocked32SpecialValues(t *testing.T) {
 				if kc > kcBlock {
 					kc = kcBlock
 				}
-				ap := getBuf32(apSize(m, kc, kernelMR32()))
-				bp := getBuf32(bpSize(n, kc, kernelNR32()))
+				ap := getBuf32(apSize(m, kc, tile32))
+				bp := getBuf32(bpSize(n, kc, tile32))
 				gemmBlockedRange32(got, a, b, gemmNN, 0, m, ap, bp)
 				putBuf32(bp)
 				putBuf32(ap)

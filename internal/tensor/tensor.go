@@ -7,7 +7,8 @@
 // exact f64↔f32 conversion (Widen/Quantize) and the f32 merge's axpy
 // (precision32.go). Clients train in float64 whatever the run's
 // precision; the float32 GEMM (Tensor32, blocked32.go) is reached only
-// by its own tests and benchmarks.
+// by its own tests and benchmarks, and has no SIMD tier: it runs the
+// portable 4×4 tile on every backend.
 //
 // The matrix-product kernels of both widths are cache-blocked and
 // register-tiled (blocked.go, blocked32.go) with reusable packing
