@@ -5,9 +5,14 @@ GO ?= go
 
 verify: vet build test race
 
-# vet also requires every tracked Go file to be gofmt-clean.
+# vet also runs for arm64, 386 and riscv64 (the build-tagged assembly
+# and its stubs differ per arch) and requires every tracked Go file to
+# be gofmt-clean.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=riscv64 $(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 build:

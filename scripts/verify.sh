@@ -6,6 +6,14 @@
 set -eux
 
 go vet ./...
+# The same vet for GOARCHes the host does not run: the amd64/arm64
+# assembly and the pure-Go stubs that stand in for it elsewhere are
+# build-tagged, so a declaration or stub left behind or missing fails
+# only on another arch. vet's asmdecl pass also checks each .s file
+# against its Go declarations.
+GOARCH=arm64 go vet ./...
+GOARCH=386 go vet ./...
+GOARCH=riscv64 go vet ./...
 # Every tracked Go file is gofmt-clean (git ls-files keeps build output
 # such as .bench_build/ out of the scan).
 test -z "$(gofmt -l $(git ls-files '*.go'))"
