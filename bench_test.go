@@ -958,16 +958,17 @@ type backendEntry struct {
 	AxpyGBs    float64 `json:"axpy_gb_s"`
 }
 
-// precisionEntry is one row of the f32-vs-f64 matrix: the same headline
-// GEMM and axpy kernels at each federated-state width, plus the wire
-// size of one reference model update. AxpyGBs is raw memory bandwidth
+// precisionEntry is one row of the f32-vs-f64 matrix: the merge's axpy
+// kernel at each federated-state width, plus the wire size of one
+// reference model update. (No GEMM: clients train in float64 at either
+// width, and the f32 GEMM no run reaches has no SIMD tier.) AxpyGBs is
+// raw memory bandwidth
 // (12 B/element at f32, 24 at f64 — roughly equal on a bandwidth-bound
 // kernel); AxpyEffGBs is model-state throughput on a common scale —
 // weights/s × 8 bytes — which is where the half-width win shows up:
 // the same bandwidth carries twice the weights.
 type precisionEntry struct {
 	Precision  string  `json:"precision"`
-	GemmGFLOPS float64 `json:"gemm_gflops"`
 	AxpyGBs    float64 `json:"axpy_gb_s"`
 	AxpyEffGBs float64 `json:"axpy_effective_gb_s"`
 	UpdateWire int     `json:"update_wire_bytes"`
@@ -1138,18 +1139,14 @@ func TestComputeBenchJSON(t *testing.T) {
 	// of one reference update (the §5.3 payload a -precision f32 run
 	// halves).
 	{
-		sh := computeGEMMShapes[len(computeGEMMShapes)-1]
-		flops := 2 * float64(sh.M) * float64(sh.K) * float64(sh.N)
 		const axpyN, axpyReps = 1 << 16, 256
 		const refWeights = 100_000 // reference model size for wire bytes
 		{
-			a, bb, dst := gemmFixture(sh.M, sh.K, sh.N)
 			ax := make([]float64, axpyN)
 			ay := make([]float64, axpyN)
 			for i := range ax {
 				ax[i] = 0.25 * float64(i%23)
 			}
-			gemmNs := best(func() { tensor.MatMulInto(dst, a, bb) })
 			axpyNs := best(func() {
 				for r := 0; r < axpyReps; r++ {
 					tensor.Axpy(1.0/1024, ax, ay)
@@ -1158,9 +1155,6 @@ func TestComputeBenchJSON(t *testing.T) {
 			e := precisionEntry{
 				Precision:  "f64",
 				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F64).UplinkBytes,
-			}
-			if gemmNs > 0 {
-				e.GemmGFLOPS = flops / float64(gemmNs)
 			}
 			if axpyNs > 0 {
 				e.AxpyGBs = 24 * axpyN * axpyReps / float64(axpyNs)
@@ -1171,13 +1165,11 @@ func TestComputeBenchJSON(t *testing.T) {
 			doc.Precisions = append(doc.Precisions, e)
 		}
 		{
-			a, bb, dst := gemmFixture32(sh.M, sh.K, sh.N)
 			ax := make([]float32, axpyN)
 			ay := make([]float32, axpyN)
 			for i := range ax {
 				ax[i] = 0.25 * float32(i%23)
 			}
-			gemmNs := best(func() { tensor.MatMul32Into(dst, a, bb) })
 			axpyNs := best(func() {
 				for r := 0; r < axpyReps; r++ {
 					tensor.Axpy32(1.0/1024, ax, ay)
@@ -1186,9 +1178,6 @@ func TestComputeBenchJSON(t *testing.T) {
 			e := precisionEntry{
 				Precision:  "f32",
 				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F32).UplinkBytes,
-			}
-			if gemmNs > 0 {
-				e.GemmGFLOPS = flops / float64(gemmNs)
 			}
 			if axpyNs > 0 {
 				e.AxpyGBs = 12 * axpyN * axpyReps / float64(axpyNs)
@@ -1288,7 +1277,7 @@ func TestComputeBenchJSON(t *testing.T) {
 		t.Fatalf("precision matrix rows mislabeled: %q, %q", p64.Precision, p32.Precision)
 	}
 	for _, e := range doc.Precisions {
-		if e.GemmGFLOPS <= 0 || e.AxpyGBs <= 0 || e.AxpyEffGBs <= 0 || e.UpdateWire <= 0 {
+		if e.AxpyGBs <= 0 || e.AxpyEffGBs <= 0 || e.UpdateWire <= 0 {
 			t.Fatalf("precision %s: no measurement (%+v)", e.Precision, e)
 		}
 	}
