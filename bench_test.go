@@ -962,11 +962,10 @@ type backendEntry struct {
 // kernel at each federated-state width, plus the wire size of one
 // reference model update. (No GEMM: clients train in float64 at either
 // width, and the f32 GEMM no run reaches has no SIMD tier.) AxpyGBs is
-// raw memory bandwidth
-// (12 B/element at f32, 24 at f64 — roughly equal on a bandwidth-bound
-// kernel); AxpyEffGBs is model-state throughput on a common scale —
-// weights/s × 8 bytes — which is where the half-width win shows up:
-// the same bandwidth carries twice the weights.
+// raw memory bandwidth (12 B/element at f32, 24 at f64 — roughly equal
+// on a bandwidth-bound kernel); AxpyEffGBs is model-state throughput on
+// a common scale — weights/s × 8 bytes — which is where the half-width
+// win shows up: the same bandwidth carries twice the weights.
 type precisionEntry struct {
 	Precision  string  `json:"precision"`
 	AxpyGBs    float64 `json:"axpy_gb_s"`
@@ -1134,10 +1133,9 @@ func TestComputeBenchJSON(t *testing.T) {
 		}
 	}
 
-	// Precision matrix: the headline GEMM and axpy kernels at both
-	// federated-state widths on the detected backend, plus the wire size
-	// of one reference update (the §5.3 payload a -precision f32 run
-	// halves).
+	// Precision matrix: the merge's axpy kernel at both federated-state
+	// widths on the detected backend, plus the wire size of one
+	// reference update (the §5.3 payload a -precision f32 run halves).
 	{
 		const axpyN, axpyReps = 1 << 16, 256
 		const refWeights = 100_000 // reference model size for wire bytes

@@ -23,8 +23,8 @@ type Conv2D struct {
 	W, B   *tensor.Tensor
 	dW, dB *tensor.Tensor
 
-	// lastCols is the whole-batch im2col buffer cached from Forward for
-	// Backward (arena slot 0 when running with a Scratch).
+	// lastCols is the whole-batch im2col buffer the forward pass caches
+	// for the backward pass (arena slot 0 when running with a Scratch).
 	lastCols *tensor.Tensor
 	lastRows int
 }
@@ -62,7 +62,7 @@ func (c *Conv2D) InLen() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
 // scatters res into the CHW-flattened output layout with the bias added.
 func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != c.InLen() {
-		panic(fmt.Sprintf("nn: Conv2D.Forward input width %d, want %d", x.Cols(), c.InLen()))
+		panic(fmt.Sprintf("nn: Conv2D.ForwardScratch input width %d, want %d", x.Cols(), c.InLen()))
 	}
 	batch := x.Rows()
 	ohw := c.Geom.OutH() * c.Geom.OutW()
@@ -93,10 +93,10 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 // the incoming CHW gradient.
 func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastRows == 0 {
-		panic("nn: Conv2D.Backward before Forward")
+		panic("nn: Conv2D.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != c.lastRows || grad.Cols() != c.OutLen() {
-		panic(fmt.Sprintf("nn: Conv2D.Backward grad shape %v", grad.Shape))
+		panic(fmt.Sprintf("nn: Conv2D.BackwardScratch grad shape %v", grad.Shape))
 	}
 	batch := grad.Rows()
 	ohw := c.Geom.OutH() * c.Geom.OutW()
@@ -173,7 +173,7 @@ func (m *MaxPool2D) InLen() int { return m.C * m.H * m.W }
 // ForwardScratch computes channelwise max pooling.
 func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != m.InLen() {
-		panic(fmt.Sprintf("nn: MaxPool2D.Forward input width %d, want %d", x.Cols(), m.InLen()))
+		panic(fmt.Sprintf("nn: MaxPool2D.ForwardScratch input width %d, want %d", x.Cols(), m.InLen()))
 	}
 	batch := x.Rows()
 	oh, ow := m.OutH(), m.OutW()
@@ -224,10 +224,10 @@ func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 // BackwardScratch routes gradients to the argmax positions.
 func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if m.lastDim == 0 {
-		panic("nn: MaxPool2D.Backward before Forward")
+		panic("nn: MaxPool2D.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != m.lastDim || grad.Cols() != m.OutLen() {
-		panic(fmt.Sprintf("nn: MaxPool2D.Backward grad shape %v", grad.Shape))
+		panic(fmt.Sprintf("nn: MaxPool2D.BackwardScratch grad shape %v", grad.Shape))
 	}
 	batch := grad.Rows()
 	dx := sc.tensor2D(id, 1, batch, m.InLen())

@@ -74,7 +74,7 @@ func NewDense(r *rng.RNG, in, out int) *Dense {
 // ForwardScratch computes y = x·W + b for a (batch, In) input.
 func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != d.In {
-		panic(fmt.Sprintf("nn: Dense.Forward input width %d, want %d", x.Cols(), d.In))
+		panic(fmt.Sprintf("nn: Dense.ForwardScratch input width %d, want %d", x.Cols(), d.In))
 	}
 	d.lastX = x
 	out := sc.tensor2D(id, 0, x.Rows(), d.Out)
@@ -89,10 +89,10 @@ func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool
 // dx = g·Wᵀ.
 func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
-		panic("nn: Dense.Backward before Forward")
+		panic("nn: Dense.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != d.lastX.Rows() || grad.Cols() != d.Out {
-		panic(fmt.Sprintf("nn: Dense.Backward grad shape %v", grad.Shape))
+		panic(fmt.Sprintf("nn: Dense.BackwardScratch grad shape %v", grad.Shape))
 	}
 	dW := sc.tensor2D(id, 1, d.In, d.Out)
 	tensor.MatMulATInto(dW, d.lastX, grad)
@@ -131,7 +131,7 @@ func (l *ReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 // BackwardScratch zeroes gradients where the input was non-positive.
 func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
-		panic("nn: ReLU.Backward shape mismatch with Forward")
+		panic("nn: ReLU.BackwardScratch shape mismatch with ForwardScratch")
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	tensor.ReLUBackward(l.lastX.Data, grad.Data, out.Data)
@@ -172,7 +172,7 @@ func (l *LeakyReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 // negative.
 func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
-		panic("nn: LeakyReLU.Backward shape mismatch with Forward")
+		panic("nn: LeakyReLU.BackwardScratch shape mismatch with ForwardScratch")
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	tensor.LeakyReLUBackward(l.Alpha, l.lastX.Data, grad.Data, out.Data)
@@ -205,7 +205,7 @@ func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 // BackwardScratch multiplies by 1 - tanh² of the input.
 func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastY == nil || len(l.lastY.Data) != len(grad.Data) {
-		panic("nn: Tanh.Backward shape mismatch with Forward")
+		panic("nn: Tanh.BackwardScratch shape mismatch with ForwardScratch")
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	for i, y := range l.lastY.Data {

@@ -172,9 +172,10 @@ func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr in
 
 // micro4x4G computes one full 4×4 output tile over a kc-long packed
 // panel — the portable register-tile micro-kernel the f64 GEMM falls
-// back to when no vector kernel applies, and the f32 GEMM's only one. c points at the tile's top-left
-// element of the row-major output with leading dimension ldc. first
-// selects overwrite (panel 0) versus accumulate-on-top (later panels).
+// back to when no vector kernel applies, and the f32 GEMM's only one.
+// c points at the tile's top-left element of the row-major output with
+// leading dimension ldc. first selects overwrite (panel 0) versus
+// accumulate-on-top (later panels).
 func micro4x4G[E Elem](kc int, ap, bp, c []E, ldc int, first bool) {
 	var c00, c01, c02, c03 E
 	var c10, c11, c12, c13 E
