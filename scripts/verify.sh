@@ -107,12 +107,14 @@ go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMa
 # kernels stand alone (and that the override is honored end to end).
 TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
 
-# Float32 kernel gates: the f32 GEMM and Axpy32 (the f32 weighted
-# merge's kernel) must be bit-identical to their naive f32 references on
-# every backend in the host's chain (the suite forces each tier itself),
-# including the non-finite special-value sweep, the f64↔f32 conversions
-# must round trip exactly, and the warm f32 kernels must not allocate —
-# and the same suite must hold with every SIMD tier disabled.
+# Float32 kernel gates: the f32 GEMM (the portable 4×4 tile on every
+# backend; no run reaches it) and Axpy32 (the f32 weighted merge's
+# kernel, with SIMD tiers) must be bit-identical to their naive f32
+# references under every backend in the host's chain (the suite forces
+# each tier itself), including the non-finite special-value sweep, the
+# f64↔f32 conversions must round trip exactly, and the warm f32 kernels
+# must not allocate — and the same suite must hold with every SIMD tier
+# disabled.
 go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32' ./internal/tensor/
 TENSOR_BACKEND=generic go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip' ./internal/tensor/
 
