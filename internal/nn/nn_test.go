@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +137,112 @@ func TestMaxPoolNonFinite(t *testing.T) {
 		if dx.Data[i] != want[i] {
 			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
 		}
+	}
+}
+
+// refMaxPool is the reference max-pool loop: each window starts from
+// its first element, and a later element takes the window when it is
+// greater or is the window's first NaN. It returns one batch row's
+// outputs and the flat input index each one came from.
+func refMaxPool(m *MaxPool2D, in []float64) ([]float64, []int) {
+	oh, ow := m.OutH(), m.OutW()
+	out := make([]float64, m.OutLen())
+	am := make([]int, m.OutLen())
+	oi := 0
+	for ch := 0; ch < m.C; ch++ {
+		chOff := ch * m.H * m.W
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := chOff + oy*m.Stride*m.W + ox*m.Stride
+				best := in[bestIdx]
+				for dy := 0; dy < m.Size; dy++ {
+					y := oy*m.Stride + dy
+					for dx := 0; dx < m.Size; dx++ {
+						idx := chOff + y*m.W + ox*m.Stride + dx
+						if v := in[idx]; v > best || math.IsNaN(v) && !math.IsNaN(best) {
+							best = v
+							bestIdx = idx
+						}
+					}
+				}
+				out[oi] = best
+				am[oi] = bestIdx
+				oi++
+			}
+		}
+	}
+	return out, am
+}
+
+// TestMaxPoolTiesAndOverlap pins max pooling's tie rule, which no digest
+// sees: both CNNs put a ReLU before every pool, ReLU emits only +0, and
+// at a tie among zeros ReLU's backward zeroes the gradient anyway. A
+// window of equal values routes its gradient to its first element; a
+// window starting −0, +0 outputs the −0; and overlapping 3×3 windows
+// over ties, ±0, two NaN payloads and ±Inf match the reference loop in
+// value bits, in argmax and in the backward's scatter-add.
+func TestMaxPoolTiesAndOverlap(t *testing.T) {
+	t.Run("equal", func(t *testing.T) {
+		p := NewMaxPool2D(1, 2, 2, 2, 2)
+		p.ForwardScratch(nil, 0, tensor.FromSlice([]float64{3, 3, 3, 3}, 1, 4), true)
+		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1))
+		if want := []float64{1, 0, 0, 0}; !slices.Equal(dx.Data, want) {
+			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
+		}
+	})
+	t.Run("signed-zero", func(t *testing.T) {
+		negZero := math.Copysign(0, -1)
+		p := NewMaxPool2D(1, 2, 2, 2, 2)
+		y := p.ForwardScratch(nil, 0, tensor.FromSlice([]float64{negZero, 0, negZero, 0}, 1, 4), true)
+		if got := math.Float64bits(y.Data[0]); got != math.Float64bits(negZero) {
+			t.Fatalf("pool of (−0, +0, …) = %#x, want −0", got)
+		}
+		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1))
+		if want := []float64{1, 0, 0, 0}; !slices.Equal(dx.Data, want) {
+			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
+		}
+	})
+	specials := []float64{
+		0, math.Copysign(0, -1), 1, -1, 2,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		math.Inf(1), math.Inf(-1),
+	}
+	for _, stride := range []int{1, 2} {
+		t.Run(fmt.Sprintf("overlap-stride%d", stride), func(t *testing.T) {
+			const batch, c, h, w = 2, 2, 5, 5
+			p := NewMaxPool2D(c, h, w, 3, stride)
+			r := rng.New(uint64(17 + stride))
+			x := tensor.New(batch, p.InLen())
+			for i := range x.Data {
+				x.Data[i] = specials[r.Intn(len(specials))]
+			}
+			g := tensor.New(batch, p.OutLen())
+			for i := range g.Data {
+				g.Data[i] = r.Normal(0, 1)
+			}
+			y := p.ForwardScratch(nil, 0, x, true)
+			dx := p.BackwardScratch(nil, 0, g)
+			for i := 0; i < batch; i++ {
+				wantY, wantAM := refMaxPool(p, x.Row(i))
+				wantDX := make([]float64, p.InLen())
+				for oi, idx := range wantAM {
+					wantDX[idx] += g.Row(i)[oi]
+				}
+				for oi, v := range y.Row(i) {
+					if math.Float64bits(v) != math.Float64bits(wantY[oi]) {
+						t.Fatalf("row %d out[%d] = %#x, want %#x", i, oi, math.Float64bits(v), math.Float64bits(wantY[oi]))
+					}
+				}
+				if am := p.argmax[i*p.OutLen() : (i+1)*p.OutLen()]; !slices.Equal(am, wantAM) {
+					t.Fatalf("row %d argmax = %v, want %v", i, am, wantAM)
+				}
+				for j, v := range dx.Row(i) {
+					if math.Float64bits(v) != math.Float64bits(wantDX[j]) {
+						t.Fatalf("row %d dx[%d] = %#x, want %#x", i, j, math.Float64bits(v), math.Float64bits(wantDX[j]))
+					}
+				}
+			}
+		})
 	}
 }
 
