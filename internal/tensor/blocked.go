@@ -24,7 +24,12 @@ package tensor
 // store/reload of the output tile between panels is exact, so blocked
 // results are bit-identical to the naive kernels on every backend
 // (test-enforced across tile-straddling shapes, and gated in
-// scripts/verify.sh). The scalar kernels spell multiply-adds as
+// scripts/verify.sh), with one exception: a NaN's payload. When an
+// addition meets two NaNs, x86 returns the payload of the operand in a
+// fixed position, and the kernels do not all hold the accumulator in
+// the same position, so an output with two NaN terms may carry either
+// payload. It is NaN on every path (TestBlockedSpecialValues). The
+// scalar kernels spell multiply-adds as
 // acc += float64(a*b): the explicit conversion forces the product to
 // round before the add, which forbids compiler FMA contraction (the
 // arm64 compiler otherwise fuses into FMADD) — a no-op on amd64,

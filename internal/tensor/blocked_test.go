@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"feddrl/internal/rng"
@@ -46,6 +47,36 @@ func restoreBackend(t *testing.T) {
 	})
 }
 
+// gemmVariants names the three GEMM variants for subtest IDs.
+var gemmVariants = []struct {
+	name string
+	v    gemmVariant
+}{{"NN", gemmNN}, {"AT", gemmAT}, {"BT", gemmBT}}
+
+// gemmBlockedForced runs the blocked kernel over every row of dst,
+// whatever the dispatch threshold would pick.
+func gemmBlockedForced(dst, a, b *Tensor, v gemmVariant) {
+	m, k, n := gemmDims(a, b, v)
+	kc := min(k, kcBlock)
+	ap := getBuf(apSize(m, kc, kernelMR()))
+	bp := getBuf(bpSize(n, kc, kernelNR()))
+	gemmBlockedRange(dst, a, b, v, 0, m, ap, bp)
+	putBuf(bp)
+	putBuf(ap)
+}
+
+// gemmPublic runs the variant's exported entry point.
+func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
+	switch v {
+	case gemmAT:
+		MatMulATInto(dst, a, b)
+	case gemmBT:
+		MatMulBTInto(dst, a, b)
+	default:
+		MatMulInto(dst, a, b)
+	}
+}
+
 // TestBlockedBitIdentity is the kernel determinism gate (run explicitly
 // by scripts/verify.sh, including a TENSOR_BACKEND=generic pass): for
 // all three GEMM variants and every backend in the host's fallback
@@ -72,17 +103,13 @@ func TestBlockedBitIdentity(t *testing.T) {
 		{2, 300, 2},     // k spans two panels with tiny tiles
 		{131, 131, 131}, // primes straddling every block
 	}
-	variants := []struct {
-		name string
-		v    gemmVariant
-	}{{"NN", gemmNN}, {"AT", gemmAT}, {"BT", gemmBT}}
 	restoreBackend(t)
 	chain := Backends()
 	for _, bk := range chain {
 		if err := SetBackend(bk); err != nil {
 			t.Fatalf("SetBackend(%q): %v", bk, err)
 		}
-		for _, vt := range variants {
+		for _, vt := range gemmVariants {
 			for _, sh := range shapes {
 				m, k, n := sh[0], sh[1], sh[2]
 				t.Run(fmt.Sprintf("%s_%s_%dx%dx%d", bk, vt.name, m, k, n), func(t *testing.T) {
@@ -93,17 +120,7 @@ func TestBlockedBitIdentity(t *testing.T) {
 					want := New(m, n)
 					gemmNaive(want, a, b, vt.v)
 
-					// Force the blocked kernel regardless of the dispatch
-					// threshold.
-					kc := k
-					if kc > kcBlock {
-						kc = kcBlock
-					}
-					ap := getBuf(apSize(m, kc, kernelMR()))
-					bp := getBuf(bpSize(n, kc, kernelNR()))
-					gemmBlockedRange(got, a, b, vt.v, 0, m, ap, bp)
-					putBuf(bp)
-					putBuf(ap)
+					gemmBlockedForced(got, a, b, vt.v)
 					for i := range got.Data {
 						if got.Data[i] != want.Data[i] {
 							t.Fatalf("blocked[%d] = %x, naive = %x", i, got.Data[i], want.Data[i])
@@ -113,14 +130,7 @@ func TestBlockedBitIdentity(t *testing.T) {
 					// The public entry (whatever path it dispatches to) must
 					// agree too.
 					pub := New(m, n)
-					switch vt.v {
-					case gemmAT:
-						MatMulATInto(pub, a, b)
-					case gemmBT:
-						MatMulBTInto(pub, a, b)
-					default:
-						MatMulInto(pub, a, b)
-					}
+					gemmPublic(pub, a, b, vt.v)
 					for i := range pub.Data {
 						if pub.Data[i] != want.Data[i] {
 							t.Fatalf("dispatch[%d] = %x, naive = %x", i, pub.Data[i], want.Data[i])
@@ -134,6 +144,77 @@ func TestBlockedBitIdentity(t *testing.T) {
 	// the TENSOR_BACKEND override) exposes was also run force-disabled.
 	if chain[len(chain)-1] != "generic" {
 		t.Fatalf("fallback chain %v does not end at generic", chain)
+	}
+}
+
+// fillGEMMSpecials populates x with adversarial GEMM inputs, one
+// special value in 16: ±0, ±Inf, ±1, the smallest denormals and two NaN payloads, the
+// x86 indefinite (0xfff8000000000000, what Inf·0 and Inf−Inf produce)
+// and 0x7ff8000000000001 (what math.NaN returns).
+func fillGEMMSpecials(x []float64, r *rng.RNG) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1,
+		math.Float64frombits(1), math.Float64frombits(0x8000000000000001),
+		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff8000000000001),
+	}
+	for i := range x {
+		if r.Intn(16) == 0 {
+			x[i] = specials[r.Intn(len(specials))]
+		} else {
+			x[i] = r.Normal(0, 1)
+		}
+	}
+}
+
+// sameBitsUpToNaN fails unless got equals want bit for bit wherever want
+// is not NaN, and is NaN wherever want is.
+func sameBitsUpToNaN(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
+		if math.IsNaN(w) && !math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s[%d] = %#x, naive = %#x", tag, i, math.Float64bits(g), math.Float64bits(w))
+		}
+	}
+}
+
+// TestBlockedSpecialValues drives the f64 GEMM with NaN, ±Inf, signed
+// zeros and denormals under every backend, for all three variants, and
+// checks what the determinism contract promises for them: every output
+// the naive loop leaves non-NaN matches it bit for bit, and every NaN
+// output stays NaN. A NaN's payload is not promised. When an addition
+// meets two NaNs, x86 returns the payload of the operand in a fixed
+// position, and the naive loops, the portable tile and the SIMD tiles
+// do not all hold the accumulator in the same position. So an output
+// with two NaN terms can carry a different payload from the blocked
+// kernel than from the naive loop, and the public entries pick between
+// them by volume: 16×80×16 runs the blocked kernel, 16×40×16 the naive
+// loop.
+func TestBlockedSpecialValues(t *testing.T) {
+	restoreBackend(t)
+	shapes := [][3]int{{9, 33, 17}, {16, kcBlock + 3, 32}, {5, 70, 11}, {16, 80, 16}}
+	for _, bk := range Backends() {
+		if err := SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for _, vt := range gemmVariants {
+			for _, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				t.Run(fmt.Sprintf("%s_%s_%dx%dx%d", bk, vt.name, m, k, n), func(t *testing.T) {
+					r := rng.New(uint64(m*2718 + k*31 + n))
+					a, b, got := gemmOperands(vt.v, m, k, n)
+					fillGEMMSpecials(a.Data, r)
+					fillGEMMSpecials(b.Data, r)
+					want := New(m, n)
+					gemmNaive(want, a, b, vt.v)
+					gemmBlockedForced(got, a, b, vt.v)
+					sameBitsUpToNaN(t, "blocked", got.Data, want.Data)
+					pub := New(m, n)
+					gemmPublic(pub, a, b, vt.v)
+					sameBitsUpToNaN(t, "dispatch", pub.Data, want.Data)
+				})
+			}
+		}
 	}
 }
 
