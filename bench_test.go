@@ -931,7 +931,7 @@ func BenchmarkComputeConvBackward(b *testing.B) {
 	conv.ForwardScratch(sc, 0, x, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.BackwardScratch(sc, 0, grad)
+		conv.BackwardScratch(sc, 0, grad, true)
 	}
 }
 
@@ -1190,7 +1190,7 @@ func TestComputeBenchJSON(t *testing.T) {
 	conv, sc, x, grad := convBenchFixture()
 	doc.ConvForwardNs = best(func() { conv.ForwardScratch(sc, 0, x, true) })
 	conv.ForwardScratch(sc, 0, x, true)
-	doc.ConvBackwardNs = best(func() { conv.BackwardScratch(sc, 0, grad) })
+	doc.ConvBackwardNs = best(func() { conv.BackwardScratch(sc, 0, grad, true) })
 
 	doc.TrainStep.DenseAllocs = warmTrainStepAllocs(nn.NewMLP(rng.New(1), 24, []int{32, 16}, 4), 24)
 	doc.TrainStep.ConvAllocs = warmTrainStepAllocs(nn.NewSimpleCNN(rng.New(2), 1, 8, 8, 4), 64)

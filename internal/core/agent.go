@@ -408,7 +408,7 @@ func (a *Agent) Train() {
 		pred := a.value.ForwardScratch(a.vsc, a.sa, true)
 		a.mse.Forward(pred, targets)
 		a.value.ZeroGrads()
-		a.value.BackwardScratch(a.vsc, a.mse.Backward())
+		a.value.BackwardParams(a.vsc, a.mse.Backward())
 		a.vopt.Step(a.value)
 		a.value.ZeroGrads()
 
@@ -437,7 +437,7 @@ func (a *Agent) Train() {
 		}
 		dRaw := a.actionBackward(raw, a.dAct, clamped)
 		a.policy.ZeroGrads()
-		a.policy.BackwardScratch(a.psc, dRaw)
+		a.policy.BackwardParams(a.psc, dRaw)
 		a.popt.Step(a.policy)
 		a.policy.ZeroGrads()
 		a.value.ZeroGrads() // discard critic grads from the policy pass

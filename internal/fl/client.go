@@ -229,7 +229,7 @@ func (c *Client) run(global []float64, lc LocalConfig, prec Precision) Update {
 			}
 			c.ce.Forward(c.model.ForwardScratch(c.scratch, xb, true), yb)
 			c.model.ZeroGrads()
-			c.model.BackwardScratch(c.scratch, c.ce.Backward())
+			c.model.BackwardParams(c.scratch, c.ce.Backward())
 			opt.Step(c.model)
 		}
 	}

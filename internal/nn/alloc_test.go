@@ -8,17 +8,30 @@ import (
 )
 
 // trainStep runs one full optimization step — forward, loss, backward,
-// SGD update — through the arena.
-func trainStep(net *Network, sc *Scratch, ce *CrossEntropy, opt *SGD, x *tensor.Tensor, y []int) {
+// SGD update — through the arena, with BackwardParams when params is
+// set and BackwardScratch otherwise.
+func trainStep(net *Network, sc *Scratch, ce *CrossEntropy, opt *SGD, x *tensor.Tensor, y []int, params bool) {
 	ce.Forward(net.ForwardScratch(sc, x, true), y)
 	net.ZeroGrads()
-	net.BackwardScratch(sc, ce.Backward())
+	if params {
+		net.BackwardParams(sc, ce.Backward())
+	} else {
+		net.BackwardScratch(sc, ce.Backward())
+	}
 	opt.Step(net)
 }
 
-// assertZeroAllocTrainStep warms the arena and asserts that subsequent
-// steps perform zero heap allocations.
-func assertZeroAllocTrainStep(t *testing.T, net *Network, in int) {
+// assertZeroAllocTrainStep warms an arena and asserts that subsequent
+// steps perform zero heap allocations, for a BackwardScratch step and
+// for a BackwardParams step.
+func assertZeroAllocTrainStep(t *testing.T, build func() *Network, in int) {
+	t.Helper()
+	for _, params := range []bool{false, true} {
+		assertZeroAllocSteps(t, build(), in, params)
+	}
+}
+
+func assertZeroAllocSteps(t *testing.T, net *Network, in int, params bool) {
 	t.Helper()
 	sc := NewScratch()
 	ce := NewCrossEntropy()
@@ -35,32 +48,28 @@ func assertZeroAllocTrainStep(t *testing.T, net *Network, in int) {
 	}
 	// Warm: let every slot and kernel scratch buffer reach steady state.
 	for i := 0; i < 3; i++ {
-		trainStep(net, sc, ce, opt, x, y)
+		trainStep(net, sc, ce, opt, x, y, params)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		trainStep(net, sc, ce, opt, x, y)
+		trainStep(net, sc, ce, opt, x, y, params)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm train step allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm train step (BackwardParams %v) allocates %.1f times per run, want 0", params, allocs)
 	}
 }
 
 // TestTrainStepAllocsDense is the allocation gate for the dense stack
 // (run explicitly by scripts/verify.sh): a warm MLP train step through
-// an arena must not touch the heap.
+// an arena must not touch the heap, with either backward.
 func TestTrainStepAllocsDense(t *testing.T) {
-	r := rng.New(1)
-	net := NewMLP(r, 24, []int{32, 16}, 4)
-	assertZeroAllocTrainStep(t, net, 24)
+	assertZeroAllocTrainStep(t, func() *Network { return NewMLP(rng.New(1), 24, []int{32, 16}, 4) }, 24)
 }
 
 // TestTrainStepAllocsConv is the allocation gate for the convolution
 // stack: a warm SimpleCNN train step (conv, pool, ReLU, dense, batched
-// im2col, blocked GEMMs) must not touch the heap.
+// im2col, blocked GEMMs) must not touch the heap, with either backward.
 func TestTrainStepAllocsConv(t *testing.T) {
-	r := rng.New(2)
-	net := NewSimpleCNN(r, 1, 8, 8, 4)
-	assertZeroAllocTrainStep(t, net, 64)
+	assertZeroAllocTrainStep(t, func() *Network { return NewSimpleCNN(rng.New(2), 1, 8, 8, 4) }, 64)
 }
 
 // TestScratchPathMatchesPlain pins the arena's bit-identity: training

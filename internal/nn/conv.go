@@ -86,12 +86,13 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 	return out
 }
 
-// BackwardScratch accumulates kernel/bias gradients and returns the
-// input gradient, CHW-flattened per batch row. It runs both backward
-// matrix products over the whole batch at once: dW += colsᵀ·dRes and
-// dCols = dRes·Wᵀ, with dRes the (batch·ohw, OutC) transposition of
-// the incoming CHW gradient.
-func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+// BackwardScratch accumulates kernel/bias gradients and, with wantDX,
+// returns the input gradient, CHW-flattened per batch row. It runs both
+// backward matrix products over the whole batch at once: dW += colsᵀ·dRes
+// and dCols = dRes·Wᵀ, with dRes the (batch·ohw, OutC) transposition of
+// the incoming CHW gradient. Without wantDX it skips dCols and the
+// col2im scatter.
+func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if c.lastRows == 0 {
 		panic("nn: Conv2D.BackwardScratch before ForwardScratch")
 	}
@@ -101,30 +102,33 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tens
 	batch := grad.Rows()
 	ohw := c.Geom.OutH() * c.Geom.OutW()
 	patch := c.Geom.InC * c.Geom.K * c.Geom.K
-	dx := sc.tensor2D(id, 3, batch, c.InLen())
-	dRes := sc.tensor2D(id, 4, batch*ohw, c.OutC)
-	dWtmp := sc.tensor2D(id, 5, patch, c.OutC)
-	dCols := sc.tensor2D(id, 6, batch*ohw, patch)
+	outC := c.OutC
+	dRes := sc.tensor2D(id, 4, batch*ohw, outC)
+	dWtmp := sc.tensor2D(id, 5, patch, outC)
+	// Transpose the gradient into dRes and sum dB on the way: dB[ch]
+	// adds its rows of dRes in ascending order.
+	dB := c.dB.Data[:outC]
 	for i := 0; i < batch; i++ {
 		gRow := grad.Row(i)
-		for p := 0; p < ohw; p++ {
-			drow := dRes.Row(i*ohw + p)
-			for ch := 0; ch < c.OutC; ch++ {
-				drow[ch] = gRow[ch*ohw+p]
+		blk := dRes.Data[i*ohw*outC : (i+1)*ohw*outC]
+		for ch := range dB {
+			sum := dB[ch]
+			for p, v := range gRow[ch*ohw : (ch+1)*ohw] {
+				blk[p*outC+ch] = v
+				sum += v
 			}
+			dB[ch] = sum
 		}
 	}
 	// dW += colsᵀ · dRes over the whole batch in one product.
 	tensor.MatMulATInto(dWtmp, c.lastCols, dRes)
 	c.dW.AddInPlace(dWtmp)
-	// dB += Σ_rows dRes (row order matches the old per-sample loop).
-	for p := 0; p < batch*ohw; p++ {
-		drow := dRes.Row(p)
-		for ch, v := range drow {
-			c.dB.Data[ch] += v
-		}
+	if !wantDX {
+		return nil
 	}
 	// dCols = dRes · Wᵀ, then scatter every sample back to its image.
+	dx := sc.tensor2D(id, 3, batch, c.InLen())
+	dCols := sc.tensor2D(id, 6, batch*ohw, patch)
 	tensor.MatMulBTInto(dCols, dRes, c.W)
 	dx.Zero()
 	tensor.Col2ImBatch(c.Geom, dCols, dx)
@@ -143,6 +147,7 @@ type MaxPool2D struct {
 	Size, Stride int
 
 	argmax  []int // flat input index chosen per output element, per batch row
+	firsts  []int // flat input index of each window's first element
 	lastDim int
 }
 
@@ -170,64 +175,89 @@ func (m *MaxPool2D) OutLen() int { return m.C * m.OutH() * m.OutW() }
 // InLen returns the flattened input length per sample.
 func (m *MaxPool2D) InLen() int { return m.C * m.H * m.W }
 
-// ForwardScratch computes channelwise max pooling.
+// ForwardScratch computes channelwise max pooling (see poolRow).
 func (m *MaxPool2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Cols() != m.InLen() {
 		panic(fmt.Sprintf("nn: MaxPool2D.ForwardScratch input width %d, want %d", x.Cols(), m.InLen()))
 	}
-	batch := x.Rows()
-	oh, ow := m.OutH(), m.OutW()
-	out := sc.tensor2D(id, 0, batch, m.OutLen())
-	need := batch * m.OutLen()
+	batch, outLen := x.Rows(), m.OutLen()
+	if len(m.firsts) != outLen {
+		m.firsts = m.firsts[:0]
+		for ch := 0; ch < m.C; ch++ {
+			for oy := 0; oy < m.OutH(); oy++ {
+				for ox := 0; ox < m.OutW(); ox++ {
+					m.firsts = append(m.firsts, (ch*m.H+oy*m.Stride)*m.W+ox*m.Stride)
+				}
+			}
+		}
+	}
+	out := sc.tensor2D(id, 0, batch, outLen)
+	need := batch * outLen
 	if cap(m.argmax) < need {
 		m.argmax = make([]int, need)
 	}
 	m.argmax = m.argmax[:need]
 	m.lastDim = batch
 	for i := 0; i < batch; i++ {
-		in := x.Row(i)
-		o := out.Row(i)
-		amRow := m.argmax[i*m.OutLen() : (i+1)*m.OutLen()]
-		oi := 0
-		for ch := 0; ch < m.C; ch++ {
-			chOff := ch * m.H * m.W
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					// Each window starts from its first element, so its
-					// argmax is always a real input, even when nothing
-					// in it exceeds −Inf. A later element wins when it is
-					// greater or is the window's first NaN: a NaN
-					// propagates as it would through the GEMMs.
-					bestIdx := chOff + oy*m.Stride*m.W + ox*m.Stride
-					best := in[bestIdx]
-					for dy := 0; dy < m.Size; dy++ {
-						y := oy*m.Stride + dy
-						for dx := 0; dx < m.Size; dx++ {
-							xp := ox*m.Stride + dx
-							idx := chOff + y*m.W + xp
-							if v := in[idx]; v > best || math.IsNaN(v) && !math.IsNaN(best) {
-								best = v
-								bestIdx = idx
-							}
-						}
-					}
-					o[oi] = best
-					amRow[oi] = bestIdx
-					oi++
-				}
-			}
-		}
+		poolRow(x.Row(i), out.Row(i), m.argmax[i*outLen:(i+1)*outLen], m.firsts, m.Size, m.W)
 	}
 	return out
 }
 
-// BackwardScratch routes gradients to the argmax positions.
-func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+// poolRow max-pools one batch row: window oi starts at in[firsts[oi]]
+// and spans size rows of size elements, rows w apart. Each window's
+// first element seeds it, so its argmax is always a real input, even
+// when nothing in it exceeds −Inf. A later element takes the window
+// when it is greater or is the window's first NaN: a NaN propagates as
+// it would through the GEMMs. While best is not NaN, that rule is
+// !(v <= best).
+//
+// Every window meets its elements in row-major order, but the windows
+// are the inner loop, so their comparison chains are independent. The
+// pick has no data-dependent branch: the comparisons become a mask that
+// selects the candidate's index and value bits.
+func poolRow(in, out []float64, am, firsts []int, size, w int) {
+	out, am = out[:len(firsts)], am[:len(firsts)]
+	for oi, f := range firsts {
+		out[oi], am[oi] = in[f], f
+	}
+	for dy := 0; dy < size; dy++ {
+		for dx := 0; dx < size; dx++ {
+			if dy == 0 && dx == 0 {
+				continue // the seed
+			}
+			off := dy*w + dx
+			for oi, f := range firsts {
+				idx := f + off
+				v, best := in[idx], out[oi]
+				mask := -(b2i(!(v <= best)) & b2i(best == best))
+				am[oi] ^= (am[oi] ^ idx) & mask
+				bits := math.Float64bits(best)
+				out[oi] = math.Float64frombits(bits ^ (bits^math.Float64bits(v))&uint64(mask))
+			}
+		}
+	}
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// BackwardScratch routes gradients to the argmax positions. The pool
+// has no parameters, so without wantDX it does nothing.
+func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if m.lastDim == 0 {
 		panic("nn: MaxPool2D.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != m.lastDim || grad.Cols() != m.OutLen() {
 		panic(fmt.Sprintf("nn: MaxPool2D.BackwardScratch grad shape %v", grad.Shape))
+	}
+	if !wantDX {
+		return nil
 	}
 	batch := grad.Rows()
 	dx := sc.tensor2D(id, 1, batch, m.InLen())

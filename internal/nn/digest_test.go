@@ -79,13 +79,24 @@ func trainDigestCases() map[string]trainDigestCase {
 	}
 }
 
+// trainPath is how trainStepDigest runs each train step.
+type trainPath string
+
+const (
+	// arenaFull runs ForwardScratch/BackwardScratch on one Scratch.
+	arenaFull trainPath = "arena"
+	// arenaParams runs ForwardScratch/BackwardParams on one Scratch.
+	arenaParams trainPath = "arena-params"
+	// nilArena runs Network.Forward/Backward.
+	nilArena trainPath = "nil-arena"
+)
+
 // trainStepDigest trains c's model for trainStepDigestSteps steps on
-// seeded batches and hashes the result. With arena it runs
-// ForwardScratch/BackwardScratch on one Scratch; without, the nil-arena
-// Network.Forward/Backward.
-func trainStepDigest(c trainDigestCase, arena bool) string {
+// seeded batches along path and hashes the result.
+func trainStepDigest(c trainDigestCase, path trainPath) string {
 	net := c.build(rng.New(3))
 	opt := c.opt(c.build(rng.New(4)).ParamVector())
+	arena := path != nilArena
 	var sc *Scratch
 	if arena {
 		sc = NewScratch()
@@ -123,9 +134,12 @@ func trainStepDigest(c trainDigestCase, arena bool) string {
 			grad = tensor.FromSlice(mse.Backward().Data, out.Rows(), out.Cols())
 		}
 		net.ZeroGrads()
-		if arena {
+		switch path {
+		case arenaFull:
 			net.BackwardScratch(sc, grad)
-		} else {
+		case arenaParams:
+			net.BackwardParams(sc, grad)
+		default:
 			net.Backward(grad)
 		}
 		opt.Step(net)
@@ -137,19 +151,19 @@ func trainStepDigest(c trainDigestCase, arena bool) string {
 
 // TestTrainStepDigestPinned trains every model the reproduction builds
 // (the Table 1 MLPs under Adam with clipping, the client models under
-// plain SGD and under FedProx) through an arena and checks each digest
-// against its pinned constant; the nil-arena path must hash the same.
+// plain SGD and under FedProx) along three paths, through an arena with
+// BackwardScratch, through an arena with BackwardParams and with a nil
+// arena, and checks each digest against its pinned constant.
 func TestTrainStepDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64 only: the Go spec lets %s fuse x*y+z into one rounding, while amd64 fuses only explicit math.FMA, which this module never calls", runtime.GOARCH)
 	}
 	for name, c := range trainDigestCases() {
-		got := trainStepDigest(c, true)
-		if want := pinnedTrainStepDigests[name]; got != want {
-			t.Errorf("%s: train-step digest %s, pinned %s", name, got, want)
-		}
-		if plain := trainStepDigest(c, false); plain != got {
-			t.Errorf("%s: nil-arena digest %s, arena %s", name, plain, got)
+		want := pinnedTrainStepDigests[name]
+		for _, path := range []trainPath{arenaFull, arenaParams, nilArena} {
+			if got := trainStepDigest(c, path); got != want {
+				t.Errorf("%s: %s train-step digest %s, pinned %s", name, path, got, want)
+			}
 		}
 	}
 }

@@ -32,9 +32,11 @@ type Layer interface {
 	// training; no layer reads it.
 	ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor
 	// BackwardScratch consumes dLoss/dOutput of the last forward pass
-	// and returns dLoss/dInput, accumulating parameter gradients
-	// (retrieved via Grads, cleared via Network.ZeroGrads).
-	BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor
+	// and accumulates parameter gradients (retrieved via Grads, cleared
+	// via Network.ZeroGrads). With wantDX it returns dLoss/dInput;
+	// without, it computes no input gradient, draws no slot for one and
+	// returns nil.
+	BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor
 	// Params returns the layer's parameter tensors (possibly empty).
 	Params() []*tensor.Tensor
 	// Grads returns the gradient tensors, aligned with Params.
@@ -85,9 +87,9 @@ func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool
 	return out
 }
 
-// BackwardScratch accumulates dW = xᵀ·g, dB = Σ_batch g and returns
-// dx = g·Wᵀ.
-func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+// BackwardScratch accumulates dW = xᵀ·g, dB = Σ_batch g and, with
+// wantDX, returns dx = g·Wᵀ.
+func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.BackwardScratch before ForwardScratch")
 	}
@@ -99,6 +101,9 @@ func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tenso
 	d.dW.AddInPlace(dW)
 	for i := 0; i < grad.Rows(); i++ {
 		tensor.Add(grad.Row(i), d.dB.Data)
+	}
+	if !wantDX {
+		return nil
 	}
 	dx := sc.tensor2D(id, 2, grad.Rows(), d.In)
 	tensor.MatMulBTInto(dx, grad, d.W)
@@ -129,9 +134,12 @@ func (l *ReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 }
 
 // BackwardScratch zeroes gradients where the input was non-positive.
-func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: ReLU.BackwardScratch shape mismatch with ForwardScratch")
+	}
+	if !wantDX {
+		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	tensor.ReLUBackward(l.lastX.Data, grad.Data, out.Data)
@@ -170,9 +178,12 @@ func (l *LeakyReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 
 // BackwardScratch scales gradients by alpha where the input was
 // negative.
-func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: LeakyReLU.BackwardScratch shape mismatch with ForwardScratch")
+	}
+	if !wantDX {
+		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	tensor.LeakyReLUBackward(l.Alpha, l.lastX.Data, grad.Data, out.Data)
@@ -203,9 +214,12 @@ func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 }
 
 // BackwardScratch multiplies by 1 - tanh² of the input.
-func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if l.lastY == nil || len(l.lastY.Data) != len(grad.Data) {
 		panic("nn: Tanh.BackwardScratch shape mismatch with ForwardScratch")
+	}
+	if !wantDX {
+		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
 	for i, y := range l.lastY.Data {

@@ -54,8 +54,21 @@ func (n *Network) ForwardScratch(sc *Scratch, x *tensor.Tensor, train bool) *ten
 // BackwardScratch runs all layers in reverse, drawing gradient buffers
 // from the arena, and returns the input gradient.
 func (n *Network) BackwardScratch(sc *Scratch, grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(sc, grad, true)
+}
+
+// BackwardParams is BackwardScratch for a caller that reads only the
+// parameter gradients: layer 0 computes no input gradient. Every
+// gradient it does compute is bit-identical to BackwardScratch's.
+func (n *Network) BackwardParams(sc *Scratch, grad *tensor.Tensor) {
+	n.backward(sc, grad, false)
+}
+
+// backward runs all layers in reverse; wantDX is passed to layer 0
+// only, since every later layer's input gradient feeds the one below.
+func (n *Network) backward(sc *Scratch, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].BackwardScratch(sc, i, grad)
+		grad = n.layers[i].BackwardScratch(sc, i, grad, wantDX || i > 0)
 	}
 	return grad
 }
