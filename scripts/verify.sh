@@ -93,19 +93,24 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
 # all three transpose variants, and the pool-hook stripe fan-out) must
-# be BIT-identical to the naive reference loops, same for the SIMD
-# elementwise kernels, and a warm arena-backed train step (dense and
-# conv stacks) must perform zero heap allocations. Every model the
-# reproduction builds (MLP, simple CNN, VGG stand-in, the agent's
-# policy and value MLPs) must train to the digests pinned in
-# internal/nn/digest_test.go, with and without an arena.
-go test -run 'TestBlockedBitIdentity|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain' ./internal/tensor/
-go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned' ./internal/nn/
+# be BIT-identical to the naive reference loops, also over NaN, ±Inf,
+# ±0 and denormal inputs (where only a NaN's payload may differ), same
+# for the SIMD elementwise kernels, and im2col/col2im must match the
+# element-at-a-time loops. A warm arena-backed train step (dense and
+# conv stacks, with BackwardScratch and with BackwardParams) must
+# perform zero heap allocations, and max pooling must keep its tie rule
+# (first element of a window of equals, −0 before +0, first NaN) over
+# overlapping windows. Every model the reproduction builds (MLP, simple
+# CNN, VGG stand-in, the agent's policy and value MLPs) must train to
+# the digests pinned in internal/nn/digest_test.go, through an arena
+# with either backward and without an arena.
+go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain' ./internal/tensor/
+go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
 # kernels stand alone (and that the override is honored end to end).
-TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
 
 # Float32 kernel gates: the f32 GEMM (the portable 4×4 tile on every
 # backend; no run reaches it) and Axpy32 (the f32 weighted merge's
