@@ -21,21 +21,11 @@ func trainStep(net *Network, sc *Scratch, ce *CrossEntropy, opt *SGD, x *tensor.
 	opt.Step(net)
 }
 
-// assertZeroAllocTrainStep warms an arena and asserts that subsequent
-// steps perform zero heap allocations, for a BackwardScratch step and
-// for a BackwardParams step.
+// assertZeroAllocTrainStep warms a fresh network and arena and asserts
+// that subsequent steps perform zero heap allocations, once with
+// BackwardScratch and once with BackwardParams.
 func assertZeroAllocTrainStep(t *testing.T, build func() *Network, in int) {
 	t.Helper()
-	for _, params := range []bool{false, true} {
-		assertZeroAllocSteps(t, build(), in, params)
-	}
-}
-
-func assertZeroAllocSteps(t *testing.T, net *Network, in int, params bool) {
-	t.Helper()
-	sc := NewScratch()
-	ce := NewCrossEntropy()
-	opt := NewSGD(0.05)
 	r := rng.New(42)
 	const batch = 8
 	x := tensor.New(batch, in)
@@ -46,15 +36,16 @@ func assertZeroAllocSteps(t *testing.T, net *Network, in int, params bool) {
 	for i := range y {
 		y[i] = r.Intn(2)
 	}
-	// Warm: let every slot and kernel scratch buffer reach steady state.
-	for i := 0; i < 3; i++ {
-		trainStep(net, sc, ce, opt, x, y, params)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		trainStep(net, sc, ce, opt, x, y, params)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm train step (BackwardParams %v) allocates %.1f times per run, want 0", params, allocs)
+	for _, params := range []bool{false, true} {
+		net, sc, ce, opt := build(), NewScratch(), NewCrossEntropy(), NewSGD(0.05)
+		step := func() { trainStep(net, sc, ce, opt, x, y, params) }
+		// Warm: let every slot and kernel scratch buffer reach steady state.
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Fatalf("warm train step (BackwardParams %v) allocates %.1f times per run, want 0", params, allocs)
+		}
 	}
 }
 

@@ -148,9 +148,9 @@ func TestBlockedBitIdentity(t *testing.T) {
 }
 
 // fillGEMMSpecials populates x with adversarial GEMM inputs, one
-// special value in 16: ±0, ±Inf, ±1, the smallest denormals and two NaN payloads, the
-// x86 indefinite (0xfff8000000000000, what Inf·0 and Inf−Inf produce)
-// and 0x7ff8000000000001 (what math.NaN returns).
+// special value in 16: ±0, ±Inf, ±1, the smallest denormals and two
+// NaN payloads, the x86 indefinite (0xfff8000000000000, what Inf·0 and
+// Inf−Inf produce) and 0x7ff8000000000001 (what math.NaN returns).
 func fillGEMMSpecials(x []float64, r *rng.RNG) {
 	specials := []float64{
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1,
