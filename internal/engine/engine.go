@@ -148,10 +148,13 @@ func (j *forJob) releaseLane(l int) {
 	j.laneMu.Unlock()
 }
 
-// complete records k finished indices and signals completion to the
-// waiting submitter when the job is drained.
+// complete records k finished indices. The add that reaches n drops the
+// task, so entries left queued hold nothing it captured, and signals the
+// submitter. No lane reads task after that: each read follows claiming
+// an index below n, whose complete happens before that add.
 func (j *forJob) complete(k int) {
 	if atomic.AddInt64(&j.done, int64(k)) == int64(j.n) {
+		j.task = nil
 		close(j.fin)
 	}
 }
@@ -211,8 +214,9 @@ func (d *laneDeque) push(j *forJob) bool {
 	return true
 }
 
-// compactLocked drops entries whose jobs have already drained — they
-// would be no-ops anyway and only pin memory.
+// compactLocked drops entries whose jobs have already drained. They
+// would be no-ops anyway, and a finished job has dropped its task, so
+// compaction only makes room.
 func (d *laneDeque) compactLocked() {
 	w := 0
 	for r := 0; r < d.count; r++ {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,4 +252,52 @@ func TestSaturatedAnnounceStillCompletes(t *testing.T) {
 	if want := int64(outer * mid * inner); ran != want {
 		t.Fatalf("deeply nested run executed %d tasks, want %d", ran, want)
 	}
+}
+
+// TestFinishedJobReleasesTask checks that a finished job's queued
+// entries do not keep its closure alive. On a 2-lane pool, lane 0 blocks
+// inside outer index 0 while lane 1 runs an inner For by itself: no
+// lane is free to pop the inner job's entry, so it stays queued after
+// the job completes. The inner closure is the only reference to a
+// buffer with a finalizer, which must run once the For has returned.
+func TestFinishedJobReleasesTask(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	innerDone := make(chan struct{})
+	release := make(chan struct{})
+	freed := make(chan struct{})
+	collected := false
+	p.For(2, func(i int) {
+		if i == 1 {
+			runPinnedInner(p, freed)
+			close(innerDone)
+			<-release
+			return
+		}
+		<-innerDone
+		deadline := time.Now().Add(2 * time.Second)
+		for !collected && time.Now().Before(deadline) {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		close(release)
+	})
+	if !collected {
+		t.Fatal("a finished job's queued entry kept its closure alive")
+	}
+}
+
+// runPinnedInner runs an inner For whose closure alone references a
+// 1 MiB buffer; freed is closed when the buffer is collected. It is a
+// separate frame so nothing on the caller's stack holds the buffer.
+//
+//go:noinline
+func runPinnedInner(p *Pool, freed chan struct{}) {
+	buf := new([1 << 20]byte)
+	runtime.SetFinalizer(buf, func(*[1 << 20]byte) { close(freed) })
+	p.For(2, func(j int) { buf[j] = 1 })
 }
