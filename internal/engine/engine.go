@@ -27,6 +27,10 @@
 //   - Lane ids are allocated per job from a bounded free list, so within
 //     one For call concurrent tasks always observe distinct lane ids in
 //     [0, min(Workers, n)) no matter which goroutines steal in.
+//
+// Every job publishes into the same deques: a lane takes its job's next
+// index from the cursor and reads the deques only when idle or waiting.
+// A finished job drops its task, so its queued entries hold nothing.
 package engine
 
 import (
@@ -41,53 +45,12 @@ import (
 // error.
 const dequeCap = 64
 
-// Size classes for ForWorkerHinted. The hint is advisory: it reorders
-// which pending entry an idle lane picks up first, never which indices
-// run or what they compute.
-const (
-	// SizeCoarse marks tasks of unbounded duration — grid cells, client
-	// training rounds. The default for For/ForWorker.
-	SizeCoarse = 0
-	// SizeFine marks microsecond-scale tasks — GEMM stripes, evaluation
-	// chunks, aggregation segments — that would otherwise be parked
-	// behind stolen millisecond-scale coarse work.
-	SizeFine = 1
-)
-
-// priClasses is the number of scheduling priority classes. Idle lanes
-// scan pending entries from the highest class down:
-//
-//	class 2: fine, nested (depth >= 1) — kernel stripes under an outer
-//	         task; a lane is already blocked waiting on them
-//	class 1: fine, top-level (depth 0) — eval chunks, merge segments
-//	class 0: coarse (everything else) — grid cells, round loops
-//
-// Draining fine work first keeps the latency of a kernel fan-out bounded
-// by the fine tasks themselves rather than by whatever coarse cell a
-// thief happened to steal moments earlier.
-const priClasses = 3
-
-// priClass maps a (size, depth) hint to a scheduling class.
-func priClass(size, depth int) int {
-	if size != SizeFine {
-		return 0
-	}
-	if depth >= 1 {
-		return 2
-	}
-	return 1
-}
-
 // forJob is one For/ForWorker call in flight: an atomic index cursor
 // shared by every participant, a completion count, and the bounded set
 // of helper lane ids a thief must acquire before running tasks.
 type forJob struct {
 	task func(worker, i int)
 	n    int
-	// class is the scheduling priority class (see priClasses). It picks
-	// which deque set the job's helper entries are published into and is
-	// irrelevant to correctness: the submitter drains the cursor itself.
-	class int
 
 	// next is the shared index cursor. It starts at 1: index 0 is
 	// reserved for the submitting caller, which guarantees lane 0 always
@@ -106,13 +69,11 @@ type forJob struct {
 	freeLanes []int
 }
 
-// newJob builds a job over n indices with the given lane budget and
-// scheduling class.
-func newJob(task func(worker, i int), n, lanes, class int) *forJob {
+// newJob builds a job over n indices with the given lane budget.
+func newJob(task func(worker, i int), n, lanes int) *forJob {
 	j := &forJob{
 		task:      task,
 		n:         n,
-		class:     class,
 		next:      1,
 		fin:       make(chan struct{}),
 		freeLanes: make([]int, 0, lanes-1),
@@ -267,10 +228,8 @@ func (d *laneDeque) popSteal() *forJob {
 // pool without branching.
 type Pool struct {
 	workers int
-	// deques[c] is the per-lane deque set for priority class c. Idle
-	// lanes scan classes from priClasses-1 down to 0, so fine entries
-	// are always drained before coarse ones regardless of arrival order.
-	deques [priClasses][]laneDeque
+	// deques[g] is lane g's deque of pending entries.
+	deques []laneDeque
 	// rr spreads entry publication and external steal scans across the
 	// deques so no single lane becomes the contention point.
 	rr int64
@@ -285,18 +244,16 @@ type Pool struct {
 	// update behind one atomic load, so the disabled path costs a
 	// predictable never-taken branch and the scheduler's behavior is
 	// identical either way.
-	statsOn      int32
-	steals       int64
-	enqueues     int64
-	fineSteals   int64
-	fineEnqueues int64
-	busyCur      int64
-	busyMax      int64
+	statsOn  int32
+	steals   int64
+	enqueues int64
+	busyCur  int64
+	busyMax  int64
 }
 
 // Stats is a snapshot of the pool's scheduling counters (zero unless
-// EnableStats was called): entries published to the deques, successful
-// steals of pending entries, and the peak number of tasks observed
+// EnableStats was called): entries any job published to the deques,
+// successful steals of them, and the peak number of tasks observed
 // in flight at once. For flat workloads MaxLanesBusy is bounded by
 // Workers; under nesting a lane blocked in an outer task while it
 // steals inner work counts at every level, so the peak measures
@@ -305,11 +262,6 @@ type Stats struct {
 	Enqueues     int64
 	Steals       int64
 	MaxLanesBusy int64
-	// FineEnqueues and FineSteals are the subsets of Enqueues/Steals for
-	// fine-class jobs (published via ForWorkerHinted with SizeFine), the
-	// traffic the priority classes exist to expedite.
-	FineEnqueues int64
-	FineSteals   int64
 }
 
 // EnableStats turns on the sampled occupancy/steal counters. Counters
@@ -332,22 +284,16 @@ func (p *Pool) Stats() Stats {
 		Enqueues:     atomic.LoadInt64(&p.enqueues),
 		Steals:       atomic.LoadInt64(&p.steals),
 		MaxLanesBusy: atomic.LoadInt64(&p.busyMax),
-		FineEnqueues: atomic.LoadInt64(&p.fineEnqueues),
-		FineSteals:   atomic.LoadInt64(&p.fineSteals),
 	}
 }
 
 // statsEnabled reports whether counters are live.
 func (p *Pool) statsEnabled() bool { return atomic.LoadInt32(&p.statsOn) != 0 }
 
-// noteSteal counts one successful steal of a pending entry of the given
-// priority class.
-func (p *Pool) noteSteal(class int) {
+// noteSteal counts one successful steal of a pending entry.
+func (p *Pool) noteSteal() {
 	if p.statsEnabled() {
 		atomic.AddInt64(&p.steals, 1)
-		if class > 0 {
-			atomic.AddInt64(&p.fineSteals, 1)
-		}
 	}
 }
 
@@ -370,11 +316,9 @@ func New(workers int) *Pool {
 	}
 	p := &Pool{
 		workers: workers,
+		deques:  make([]laneDeque, workers),
 		notify:  make(chan struct{}, workers),
 		quit:    make(chan struct{}),
-	}
-	for c := range p.deques {
-		p.deques[c] = make([]laneDeque, workers)
 	}
 	// The submitting caller always participates in its own jobs, so only
 	// workers-1 stealing goroutines are needed. Worker g owns deques[g];
@@ -401,35 +345,28 @@ func (p *Pool) worker(id int) {
 	}
 }
 
-// grab pops the lane's own deques first (finest class first), then
-// scans the others as a thief, again finest class first.
+// grab pops the lane's own deque first, then steals from the others.
 func (p *Pool) grab(id int) *forJob {
-	for c := priClasses - 1; c >= 0; c-- {
-		if j := p.deques[c][id].popOwn(); j != nil {
-			return j
-		}
+	if j := p.deques[id].popOwn(); j != nil {
+		return j
 	}
-	for c := priClasses - 1; c >= 0; c-- {
-		for k := 1; k < p.workers; k++ {
-			if j := p.deques[c][(id+k)%p.workers].popSteal(); j != nil {
-				p.noteSteal(c)
-				return j
-			}
+	for k := 1; k < p.workers; k++ {
+		if j := p.deques[(id+k)%p.workers].popSteal(); j != nil {
+			p.noteSteal()
+			return j
 		}
 	}
 	return nil
 }
 
 // grabAny is the steal scan for goroutines that own no deque (external
-// callers helping while they wait). Like grab it prefers fine entries.
+// callers helping while they wait).
 func (p *Pool) grabAny() *forJob {
 	start := int(atomic.AddInt64(&p.rr, 1))
-	for c := priClasses - 1; c >= 0; c-- {
-		for k := 0; k < p.workers; k++ {
-			if j := p.deques[c][(start+k)%p.workers].popSteal(); j != nil {
-				p.noteSteal(c)
-				return j
-			}
+	for k := 0; k < p.workers; k++ {
+		if j := p.deques[(start+k)%p.workers].popSteal(); j != nil {
+			p.noteSteal()
+			return j
 		}
 	}
 	return nil
@@ -446,17 +383,13 @@ func (p *Pool) announce(j *forJob, k int) {
 	}
 	start := int(atomic.AddInt64(&p.rr, 1))
 	pushed := 0
-	dq := p.deques[j.class]
-	for i := 0; i < len(dq) && pushed < k; i++ {
-		if dq[(start+i)%len(dq)].push(j) {
+	for i := 0; i < p.workers && pushed < k; i++ {
+		if p.deques[(start+i)%p.workers].push(j) {
 			pushed++
 		}
 	}
 	if pushed > 0 && p.statsEnabled() {
 		atomic.AddInt64(&p.enqueues, int64(pushed))
-		if j.class > 0 {
-			atomic.AddInt64(&p.fineEnqueues, int64(pushed))
-		}
 	}
 	for i := 0; i < pushed; i++ {
 		select {
@@ -553,21 +486,6 @@ func (p *Pool) For(n int, task func(i int)) {
 // whatever the thieves leave), and while waiting for stolen indices to
 // finish it steals other pending work instead of parking.
 func (p *Pool) ForWorker(n int, task func(worker, i int)) {
-	p.ForWorkerHinted(n, SizeCoarse, 0, task)
-}
-
-// ForWorkerHinted is ForWorker with a scheduling hint: size is SizeFine
-// for microsecond-scale tasks (SizeCoarse otherwise) and depth is the
-// nesting depth of the call (0 for top-level fan-outs, >= 1 when the
-// call itself runs inside another pool task). Fine jobs publish their
-// helper entries into higher-priority deques that idle lanes drain
-// before coarse entries, so a kernel stripe fan-out is never parked
-// behind a freshly stolen grid cell.
-//
-// The hint changes only which pending entry a lane picks up first. The
-// index→task mapping, the lane-id bounds and the determinism contract
-// are exactly ForWorker's, so results are bit-identical for any hint.
-func (p *Pool) ForWorkerHinted(n, size, depth int, task func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -589,7 +507,7 @@ func (p *Pool) ForWorkerHinted(n, size, depth int, task func(worker, i int)) {
 	if lanes > n {
 		lanes = n
 	}
-	j := newJob(task, n, lanes, priClass(size, depth))
+	j := newJob(task, n, lanes)
 	p.announce(j, lanes-1)
 	// The cursor starts at 1 and index 0 runs here, so lane 0 (the
 	// caller) always executes work while thieves start on index 1.

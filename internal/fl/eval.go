@@ -153,10 +153,7 @@ func evalChunked(lanes []*evalLane, d dataset.Data, pool *engine.Pool, sums *eva
 	if sums.task == nil {
 		sums.task = sums.chunk
 	}
-	// Chunks are short, uniform batches: the fine scheduling class keeps
-	// them ahead of stolen coarse work so evaluation latency tracks the
-	// chunk cost, not the longest grid cell in flight.
-	pool.ForWorkerHinted(chunks, engine.SizeFine, 0, sums.task)
+	pool.ForWorker(chunks, sums.task)
 	sums.lanes, sums.d = nil, nil
 	totalLoss, correct := 0.0, 0.0
 	for i := 0; i < chunks; i++ {

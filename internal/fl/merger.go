@@ -127,10 +127,7 @@ func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool) []T {
 		weightedSum(out, alpha, vecs)
 		return out
 	}
-	// Segments are microsecond-scale axpy strips: publish them on the
-	// fine scheduling class so idle lanes drain them before any coarse
-	// grid cells pending in the same deques.
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
+	pool.ForWorker(segs, func(_, s int) {
 		lo := s * aggSegment
 		hi := min(lo+aggSegment, dim)
 		sub := make([][]T, len(vecs))
@@ -332,7 +329,7 @@ func krumMerge[T tensor.Elem](k Krum, vecs [][]T, pool *engine.Pool) []T {
 			}
 		}
 	} else {
-		pool.ForWorkerHinted(len(d2), engine.SizeCoarse, 0, func(_, p int) {
+		pool.ForWorker(len(d2), func(_, p int) {
 			i, j := pairFromIndex(n, p)
 			d2[p] = sqDist(vecs[i], vecs[j])
 		})
@@ -423,7 +420,7 @@ func orderStat[T tensor.Elem](vecs [][]T, pool *engine.Pool, read readout[T]) []
 		return out
 	}
 	lanes := make([]*orderScratch[T], min(pool.Workers(), segs))
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(w, s int) {
+	pool.ForWorker(segs, func(w, s int) {
 		if lanes[w] == nil {
 			lanes[w] = newOrderScratch[T](k)
 		}

@@ -36,10 +36,10 @@ package tensor
 // keeping generic results bit-identical across GOARCHes.
 //
 // Parallelism: output rows are cut into fixed stripeRows stripes and
-// fanned out on the installed Parallel hook (SetParallel). Stripe
-// geometry never depends on the worker count and every element is
-// produced by exactly one stripe, so results are bit-identical at any
-// pool width, including no pool at all.
+// fanned out with ForWorker on the installed Parallel hook (SetParallel).
+// Stripe geometry never depends on the worker count and every element
+// is produced by exactly one stripe, so results are bit-identical at
+// any pool width, including no pool at all.
 
 const (
 	// kcBlock is the reduction-panel length; one packed B tile column
@@ -123,7 +123,7 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 		aps[w] = getBuf(apSize(stripeRows, kc, mr))
 		bps[w] = getBuf(bpSize(n, kc, nr))
 	}
-	forWorkerFine(pl, stripes, func(w, s int) {
+	pl.ForWorker(stripes, func(w, s int) {
 		rs := s * stripeRows
 		re := rs + stripeRows
 		if re > m {

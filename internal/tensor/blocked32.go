@@ -77,7 +77,7 @@ func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 		aps[w] = getBuf32(apSize(stripeRows, kc, mr))
 		bps[w] = getBuf32(bpSize(n, kc, nr))
 	}
-	forWorkerFine(pl, stripes, func(w, s int) {
+	pl.ForWorker(stripes, func(w, s int) {
 		rs := s * stripeRows
 		re := rs + stripeRows
 		if re > m {

@@ -30,7 +30,9 @@ var parallelHook atomic.Value // parallelBox
 // concurrently with running kernels: every kernel partitions output rows
 // into fixed-size stripes whose elements are each computed entirely by
 // one task in a fixed order, so results are bit-identical whichever pool
-// (or no pool) executes them.
+// (or no pool) executes them. A closed pool left installed stays
+// reachable from the hook, but kernels no longer publish on it, and the
+// entries it still queues belong to finished jobs, which hold no task.
 func SetParallel(p Parallel) { parallelHook.Store(parallelBox{p: p}) }
 
 // ClearParallel uninstalls p if (and only if) it is the currently
@@ -41,29 +43,6 @@ func ClearParallel(p Parallel) {
 	if b, ok := parallelHook.Load().(parallelBox); ok && b.p == p {
 		parallelHook.CompareAndSwap(b, parallelBox{})
 	}
-}
-
-// parallelHinted is the optional steal-aware extension of Parallel
-// (satisfied by *engine.Pool): ForWorkerHinted carries a size class
-// (0 coarse, 1 fine) and nesting depth so microsecond-scale kernel
-// fan-outs are scheduled ahead of stolen millisecond-scale outer tasks.
-// Declared structurally to keep the tensor→engine dependency inverted.
-type parallelHinted interface {
-	ForWorkerHinted(n, size, depth int, task func(worker, i int))
-}
-
-// forWorkerFine fans a kernel loop out with the fine-grained, nested
-// hint (size 1, depth 1: GEMM stripes always run under an outer task —
-// a grid cell, round loop or evaluator chunk) when the pool supports
-// hints, and falls back to the plain contract otherwise. Hints only
-// affect scheduling order, never the index→task mapping, so results
-// stay bit-identical.
-func forWorkerFine(pl Parallel, n int, task func(worker, i int)) {
-	if h, ok := pl.(parallelHinted); ok {
-		h.ForWorkerHinted(n, 1, 1, task)
-		return
-	}
-	pl.ForWorker(n, task)
 }
 
 // currentParallel returns the installed hook, or nil for sequential.
