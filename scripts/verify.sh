@@ -25,8 +25,10 @@ go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./
 # Work-stealing scheduler gate: the engine package under -race with the
 # nested determinism matrix (saturated For/ForWorker at worker counts
 # 1/2/4/8 bit-identical to sequential) asserted explicitly in short
-# mode, plus the steal-proof and sibling-grid stress tests.
-go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace' ./internal/engine/
+# mode, plus the steal-proof and sibling-grid stress tests, and the
+# check that a finished job's entry left queued in a deque no longer
+# keeps the job's closure (and what it captured) alive.
+go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace|TestFinishedJobReleasesTask' ./internal/engine/
 
 # Key-codec fuzz seeds in short mode (the corpus only; `make fuzz` runs
 # the fuzzing engine proper). The corpus covers both the legacy 7-field
