@@ -203,7 +203,20 @@ func MatMulInto(dst, a, b *Tensor) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulInto dst aliases an input")
 	}
+	checkLen("MatMulInto", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulInto", "a", a.Shape, a.Data)
+	checkLen("MatMulInto", "b", b.Shape, b.Data)
 	gemmInto(dst, a, b, gemmNN)
+}
+
+// checkLen panics unless a 2-D GEMM operand's Data holds exactly the
+// Rows×Cols elements its Shape claims. Tensor's fields are exported, so
+// a header can claim more elements than it holds, and Go bounds-checks
+// only the first element of a pointer the kernels hand to assembly.
+func checkLen[E Elem](op, name string, shape []int, data []E) {
+	if n := shape[0] * shape[1]; len(data) != n {
+		panic(fmt.Sprintf("tensor: %s %s has shape %v but holds %d elements, want %d", op, name, shape, len(data), n))
+	}
 }
 
 // MatMulNaiveInto computes dst ← a·b with the unblocked reference
@@ -222,6 +235,9 @@ func MatMulNaiveInto(dst, a, b *Tensor) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulNaiveInto dst aliases an input")
 	}
+	checkLen("MatMulNaiveInto", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulNaiveInto", "a", a.Shape, a.Data)
+	checkLen("MatMulNaiveInto", "b", b.Shape, b.Data)
 	gemmNaive(dst, a, b, gemmNN)
 }
 
@@ -239,6 +255,9 @@ func MatMulATInto(dst, a, b *Tensor) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulATInto dst aliases an input")
 	}
+	checkLen("MatMulATInto", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulATInto", "a", a.Shape, a.Data)
+	checkLen("MatMulATInto", "b", b.Shape, b.Data)
 	gemmInto(dst, a, b, gemmAT)
 }
 
@@ -256,6 +275,9 @@ func MatMulBTInto(dst, a, b *Tensor) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulBTInto dst aliases an input")
 	}
+	checkLen("MatMulBTInto", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulBTInto", "a", a.Shape, a.Data)
+	checkLen("MatMulBTInto", "b", b.Shape, b.Data)
 	gemmInto(dst, a, b, gemmBT)
 }
 

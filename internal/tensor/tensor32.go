@@ -54,6 +54,9 @@ func MatMul32Into(dst, a, b *Tensor32) {
 	if dst == a || dst == b {
 		panic("tensor: MatMul32Into dst aliases an input")
 	}
+	checkLen("MatMul32Into", "dst", dst.Shape, dst.Data)
+	checkLen("MatMul32Into", "a", a.Shape, a.Data)
+	checkLen("MatMul32Into", "b", b.Shape, b.Data)
 	gemmInto32(dst, a, b, gemmNN)
 }
 
@@ -71,6 +74,9 @@ func MatMulNaive32Into(dst, a, b *Tensor32) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulNaive32Into dst aliases an input")
 	}
+	checkLen("MatMulNaive32Into", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulNaive32Into", "a", a.Shape, a.Data)
+	checkLen("MatMulNaive32Into", "b", b.Shape, b.Data)
 	gemmNaive32(dst, a, b, gemmNN)
 }
 
@@ -87,6 +93,9 @@ func MatMulAT32Into(dst, a, b *Tensor32) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulAT32Into dst aliases an input")
 	}
+	checkLen("MatMulAT32Into", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulAT32Into", "a", a.Shape, a.Data)
+	checkLen("MatMulAT32Into", "b", b.Shape, b.Data)
 	gemmInto32(dst, a, b, gemmAT)
 }
 
@@ -103,5 +112,8 @@ func MatMulBT32Into(dst, a, b *Tensor32) {
 	if dst == a || dst == b {
 		panic("tensor: MatMulBT32Into dst aliases an input")
 	}
+	checkLen("MatMulBT32Into", "dst", dst.Shape, dst.Data)
+	checkLen("MatMulBT32Into", "a", a.Shape, a.Data)
+	checkLen("MatMulBT32Into", "b", b.Shape, b.Data)
 	gemmInto32(dst, a, b, gemmBT)
 }

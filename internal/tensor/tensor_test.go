@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +204,53 @@ func TestMatMulPanics(t *testing.T) {
 		sq := New(3, 3)
 		MatMulInto(sq, sq, New(3, 3))
 	}()
+}
+
+// TestGEMMShortDataPanics requires every GEMM entry point, at both
+// widths, to panic before any kernel runs when one operand's Data holds
+// fewer elements than its Rows×Cols, and to name that operand's shape
+// and length. 16×64×16 reaches the blocked kernel. Each short operand
+// keeps its cut tail as capacity, so a kernel that read or wrote past
+// the slice's end would do so silently rather than panic.
+func TestGEMMShortDataPanics(t *testing.T) {
+	const m, k, n, cut = 16, 64, 16, 8
+	entries := []struct {
+		name string
+		v    gemmVariant
+		f64  func(dst, a, b *Tensor)
+		f32  func(dst, a, b *Tensor32)
+	}{
+		{"NN", gemmNN, MatMulInto, MatMul32Into},
+		{"AT", gemmAT, MatMulATInto, MatMulAT32Into},
+		{"BT", gemmBT, MatMulBTInto, MatMulBT32Into},
+		{"Naive", gemmNN, MatMulNaiveInto, MatMulNaive32Into},
+	}
+	wantPanic := func(t *testing.T, shape []int, held int, run func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, fmt.Sprint(shape)) || !strings.Contains(msg, fmt.Sprintf("holds %d ", held)) {
+				t.Fatalf("panic %q, want one naming shape %v and length %d", msg, shape, held)
+			}
+		}()
+		run()
+	}
+	for _, e := range entries {
+		for role, name := range []string{"dst", "a", "b"} {
+			t.Run(fmt.Sprintf("f64_%s_%s", e.name, name), func(t *testing.T) {
+				a, b, dst := gemmOperands(e.v, m, k, n)
+				op := [...]*Tensor{dst, a, b}[role]
+				op.Data = op.Data[:len(op.Data)-cut]
+				wantPanic(t, op.Shape, len(op.Data), func() { e.f64(dst, a, b) })
+			})
+			t.Run(fmt.Sprintf("f32_%s_%s", e.name, name), func(t *testing.T) {
+				a, b, dst := gemmOperands32(e.v, m, k, n)
+				op := [...]*Tensor32{dst, a, b}[role]
+				op.Data = op.Data[:len(op.Data)-cut]
+				wantPanic(t, op.Shape, len(op.Data), func() { e.f32(dst, a, b) })
+			})
+		}
+	}
 }
 
 func TestMatMulATMatches(t *testing.T) {
