@@ -3,14 +3,28 @@ package tensor
 // Blocked GEMM kernels. All three matrix-product variants (A·B, Aᵀ·B,
 // A·Bᵀ) funnel into one cache-blocked, register-tiled kernel:
 //
-//   - The reduction dimension is split into kcBlock panels. For each
-//     panel, B's rows are packed into nr-wide column tiles and A's
-//     rows into mr-tall row tiles, so the innermost loops stream
-//     contiguous memory regardless of the variant's transpose.
-//   - Each mr×nr output tile is computed by a micro-kernel that
-//     keeps the whole tile in local accumulators across the panel:
-//     mr·nr multiply-adds per mr+nr loads, versus the naive kernel's
-//     one load+store of the output element per term.
+//   - The reduction dimension is split into kcBlock panels. Each mr×nr
+//     output tile is computed by a micro-kernel that keeps the whole
+//     tile in local accumulators across the panel: mr·nr multiply-adds
+//     per mr+nr loads, versus the naive kernel's one load+store of the
+//     output element per term.
+//   - The micro-kernels read op(a)'s element (i, p) at a[i·rsA + p·csA]
+//     and op(b)'s row p at b[p·ldb], so one kernel per tier reads either
+//     a packed panel or an operand where it lies. Packing copies B's
+//     panel rows into nr-wide column tiles and A's rows into mr-tall row
+//     tiles, the strides (1, mr, nr), so the innermost loops stream
+//     contiguous memory whatever the variant's transpose.
+//   - When operands are read in place: on the amd64 SIMD tiers (avx512,
+//     avx), a product whose reduction fits one panel (k ≤ kcBlock) packs
+//     nothing except B under A·Bᵀ, whose tile columns are a
+//     transposition. These are the products a client step issues
+//     (640×9·9×8 and 160×72·72×16 for the simple CNN's convolutions),
+//     where packing took more time than multiplying.
+//   - When they are packed: a multi-panel product packs on every tier,
+//     because there each packed panel serves many tiles and strided
+//     reads lose; Aᵀ·B at 512³ read in place ran at 17.5–22.8 GFLOP/s,
+//     against 24.7–33.4 packed. The portable micro4x4G tier, NEON and
+//     the float32 GEMM (blocked32.go) always pack.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -46,15 +60,18 @@ const (
 	// (kcBlock·nr floats) stays L1-resident while A tiles stream by.
 	kcBlock = 256
 	// mcBlock rows of A are packed per inner block (mcBlock·kcBlock
-	// floats ≈ 128 KiB, sized for L2). Must be a multiple of every
-	// backend's mr (4 and 8).
+	// floats ≈ 128 KiB, sized for L2); when A is read in place the
+	// blocks only order the tiles. Must be a multiple of every backend's
+	// mr (4 and 8).
 	mcBlock = 64
 
-	// blockedMinVolume is the m·k·n product below which packing overhead
+	// blockedMinVolume is the m·k·n product below which the blocked
+	// path's overhead (tile set-up, and packing where it packs)
 	// outweighs register tiling and the naive loops win. The DRL policy
 	// and value nets straddle it: at Hidden 128 a single-row 128×128
-	// product is exactly 1<<14 and already packs, and a batch-32 update
-	// is 32× above it.
+	// product is exactly 1<<14 and takes the blocked path, read in
+	// place on the amd64 SIMD tiers, and a batch-32 update is 32× above
+	// it.
 	blockedMinVolume = 1 << 14
 	// parallelMinVolume is the volume below which stripe fan-out is not
 	// worth the scheduling round trip.
@@ -94,16 +111,12 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 		gemmNaive(dst, a, b, v)
 		return
 	}
+	apN, bpN := scratchSizes(m, k, n, v)
 	stripes := (m + stripeRows - 1) / stripeRows
-	mr, nr := kernelMR(), kernelNR()
 	pl := currentParallel()
 	if pl == nil || pl.Workers() <= 1 || stripes < 2 || m*k*n < parallelMinVolume {
-		kc := k
-		if kc > kcBlock {
-			kc = kcBlock
-		}
-		ap := getBuf(apSize(m, kc, mr))
-		bp := getBuf(bpSize(n, kc, nr))
+		ap := getBuf(apN)
+		bp := getBuf(bpN)
 		gemmBlockedRange(dst, a, b, v, 0, m, ap, bp)
 		putBuf(bp)
 		putBuf(ap)
@@ -113,15 +126,11 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 	if lanes > stripes {
 		lanes = stripes
 	}
-	kc := k
-	if kc > kcBlock {
-		kc = kcBlock
-	}
 	aps := make([][]float64, lanes)
 	bps := make([][]float64, lanes)
 	for w := range aps {
-		aps[w] = getBuf(apSize(stripeRows, kc, mr))
-		bps[w] = getBuf(bpSize(n, kc, nr))
+		aps[w] = getBuf(apN)
+		bps[w] = getBuf(bpN)
 	}
 	pl.ForWorker(stripes, func(w, s int) {
 		rs := s * stripeRows
@@ -135,6 +144,31 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 		putBuf(bps[w])
 		putBuf(aps[w])
 	}
+}
+
+// readsInPlace reports whether the blocked kernel reads a product's
+// operands where they lie rather than packing them: on the amd64 SIMD
+// tiers, for a reduction of k ≤ kcBlock (one panel). B under A·Bᵀ is
+// packed even then.
+func readsInPlace(k int) bool {
+	return k <= kcBlock && (useAVX512 || useAVX)
+}
+
+// scratchSizes returns the packed-A and packed-B scratch lengths that
+// gemmBlockedRange needs for any row range of an m×k×n product of
+// variant v on the active backend: zero for an operand read in place.
+// A row range never packs more than mcBlock rows at once, so a stripe
+// needs no more than the whole product.
+func scratchSizes(m, k, n int, v gemmVariant) (apN, bpN int) {
+	kc := min(k, kcBlock)
+	apN, bpN = apSize(m, kc, kernelMR()), bpSize(n, kc, kernelNR())
+	if readsInPlace(k) {
+		apN = 0
+		if v != gemmBT {
+			bpN = 0
+		}
+	}
+	return apN, bpN
 }
 
 // apSize returns the packed-A buffer length for a row range of rows,
@@ -164,54 +198,80 @@ func gemmNaive(dst, a, b *Tensor, v gemmVariant) {
 }
 
 // gemmBlockedRange runs the blocked kernel over output rows [rs, re).
-// ap and bp are packing scratch sized by apSize/bpSize for the active
+// ap and bp are packing scratch sized by scratchSizes for the active
 // backend's register tile (kernelMR/kernelNR, read once per call).
 func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []float64) {
-	_, k, n := gemmDims(a, b, v)
+	m, k, n := gemmDims(a, b, v)
 	mr, nr := kernelMR(), kernelNR()
 	dd := dst.Data
 	nTiles := (n + nr - 1) / nr
+	// The micro-kernels read op(a)'s element (i, p) at a[i·rsA + p·csA]
+	// and op(b)'s row p at b[p·ldb]: (1, mr, nr) in the packed tiles,
+	// the operand's own strides in place. In place means one panel, so
+	// p0 is 0 there.
+	inPlace := readsInPlace(k)
+	packB := !inPlace || v == gemmBT
+	rsA, csA, ldb := 1, mr, nr
+	if inPlace {
+		rsA, csA = k, 1 // a is m×k under A·B and A·Bᵀ
+		if v == gemmAT {
+			rsA, csA = 1, m // a is k×m
+		}
+	}
+	if !packB {
+		ldb = n
+	}
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		kc := k - p0
 		if kc > kcBlock {
 			kc = kcBlock
 		}
-		packBG(bp, b.Data, b.Rows(), b.Cols(), v, p0, kc, n, nr)
+		// Column tile jt of op(b) starts jt·bStep into bs.
+		bs, bStep := b.Data, nr
+		if packB {
+			packBG(bp, b.Data, b.Rows(), b.Cols(), v, p0, kc, n, nr)
+			bs, bStep = bp, kc*nr
+		}
 		first := p0 == 0
 		for i0 := rs; i0 < re; i0 += mcBlock {
 			ib := re - i0
 			if ib > mcBlock {
 				ib = mcBlock
 			}
-			packAG(ap, a.Data, a.Rows(), a.Cols(), v, i0, ib, p0, kc, mr)
+			// Row tile it of the block starts it·aStep into as.
+			as, aStep := a.Data[i0*rsA:], mr*rsA
+			if !inPlace {
+				packAG(ap, a.Data, a.Rows(), a.Cols(), v, i0, ib, p0, kc, mr)
+				as, aStep = ap, kc*mr
+			}
 			mTiles := (ib + mr - 1) / mr
 			for it := 0; it < mTiles; it++ {
 				mv := ib - it*mr
 				if mv > mr {
 					mv = mr
 				}
-				apTile := ap[it*kc*mr:]
+				aTile := as[it*aStep:]
 				row0 := i0 + it*mr
 				for jt := 0; jt < nTiles; jt++ {
 					nv := n - jt*nr
 					if nv > nr {
 						nv = nr
 					}
-					bpTile := bp[jt*kc*nr:]
+					bTile := bs[jt*bStep:]
 					c := dd[row0*n+jt*nr:]
 					if mv == mr && nv == nr {
 						switch {
 						case useAVX512:
-							micro8x8avx512(kc, &apTile[0], &bpTile[0], &c[0], n, first)
+							micro8x8avx512(kc, &aTile[0], rsA, csA, &bTile[0], ldb, &c[0], n, first)
 						case useAVX:
-							micro4x4avx(kc, &apTile[0], &bpTile[0], &c[0], n, first)
+							micro4x4avx(kc, &aTile[0], rsA, csA, &bTile[0], ldb, &c[0], n, first)
 						case useNEON:
-							microNeon4x4(kc, &apTile[0], &bpTile[0], &c[0], n, first)
+							microNeon4x4(kc, &aTile[0], &bTile[0], &c[0], n, first)
 						default:
-							micro4x4G(kc, apTile, bpTile, c, n, first)
+							micro4x4G(kc, aTile, bTile, c, n, first)
 						}
 					} else {
-						microEdgeG(kc, apTile, bpTile, c, n, mv, nv, mr, nr, first)
+						microEdgeG(kc, aTile, rsA, csA, bTile, ldb, c, n, mv, nv, first)
 					}
 				}
 			}

@@ -130,7 +130,7 @@ func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp [
 					if mv == mr && nv == nr {
 						micro4x4G(kc, apTile, bpTile, c, n, first)
 					} else {
-						microEdgeG(kc, apTile, bpTile, c, n, mv, nv, mr, nr, first)
+						microEdgeG(kc, apTile, 1, mr, bpTile, nr, c, n, mv, nv, first)
 					}
 				}
 			}

@@ -57,9 +57,8 @@ var gemmVariants = []struct {
 // whatever the dispatch threshold would pick.
 func gemmBlockedForced(dst, a, b *Tensor, v gemmVariant) {
 	m, k, n := gemmDims(a, b, v)
-	kc := min(k, kcBlock)
-	ap := getBuf(apSize(m, kc, kernelMR()))
-	bp := getBuf(bpSize(n, kc, kernelNR()))
+	apN, bpN := scratchSizes(m, k, n, v)
+	ap, bp := getBuf(apN), getBuf(bpN)
 	gemmBlockedRange(dst, a, b, v, 0, m, ap, bp)
 	putBuf(bp)
 	putBuf(ap)
@@ -77,6 +76,19 @@ func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
 	}
 }
 
+// stepGEMMs are the logical M×K×N products of a client train step on
+// the cnn-feddrl-ce and byz-async-f32 benchmark workloads: the simple
+// CNN's two convolutions at batch 10 (forward, weight gradient, input
+// gradient), the batch-8 MLP's layers and the agent's batch-32 update.
+// Each reduction fits one panel, so on the amd64 SIMD tiers the blocked
+// kernel reads these operands in place, with strides that differ from
+// the tile width.
+var stepGEMMs = [][3]int{
+	{640, 9, 8}, {160, 72, 16}, {72, 160, 16}, {160, 16, 72},
+	{8, 64, 256}, {64, 8, 256}, {8, 256, 64}, {8, 256, 128}, {8, 128, 256}, {256, 8, 128},
+	{32, 128, 128},
+}
+
 // TestBlockedBitIdentity is the kernel determinism gate (run explicitly
 // by scripts/verify.sh, including a TENSOR_BACKEND=generic pass): for
 // all three GEMM variants and every backend in the host's fallback
@@ -84,9 +96,10 @@ func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
 // blocked kernel must reproduce the naive triple loop BIT for bit
 // across shapes chosen to straddle every tile and block boundary —
 // 1×1, primes, exact 4- and 8-wide tile multiples, one-off-the-tile,
-// tall/skinny and wide/flat.
+// tall/skinny and wide/flat — and at the workloads' train-step
+// products (stepGEMMs).
 func TestBlockedBitIdentity(t *testing.T) {
-	shapes := [][3]int{
+	shapes := append([][3]int{
 		{1, 1, 1},
 		{1, 7, 1},
 		{3, 5, 2},
@@ -102,7 +115,8 @@ func TestBlockedBitIdentity(t *testing.T) {
 		{5, 23, 129},    // wide/flat
 		{2, 300, 2},     // k spans two panels with tiny tiles
 		{131, 131, 131}, // primes straddling every block
-	}
+		{20, 40, 44},    // edge rows and edge columns in one panel
+	}, stepGEMMs...)
 	restoreBackend(t)
 	chain := Backends()
 	for _, bk := range chain {
@@ -335,12 +349,8 @@ func benchGEMMPair(b *testing.B, m, k, n int) {
 		}
 	})
 	b.Run("blocked", func(b *testing.B) {
-		kc := k
-		if kc > kcBlock {
-			kc = kcBlock
-		}
-		ap := getBuf(apSize(m, kc, kernelMR()))
-		bp := getBuf(bpSize(n, kc, kernelNR()))
+		apN, bpN := scratchSizes(m, k, n, gemmNN)
+		ap, bp := getBuf(apN), getBuf(bpN)
 		defer putBuf(ap)
 		defer putBuf(bp)
 		b.ResetTimer()
@@ -348,6 +358,34 @@ func benchGEMMPair(b *testing.B, m, k, n int) {
 			gemmBlockedRange(dst, a, bb, gemmNN, 0, m, ap, bp)
 		}
 	})
+}
+
+// BenchmarkGEMMShapes times the public GEMM entries at the products
+// the cnn-feddrl-ce and byz-async-f32 workloads issue, one
+// sub-benchmark per variant and shape, and reports GFLOP/s: the train
+// step's products (stepGEMMs), the batch-60 and batch-128 evaluation
+// forwards, and 256³ for reference, the largest one-panel product.
+func BenchmarkGEMMShapes(b *testing.B) {
+	shapes := append(append([][3]int(nil), stepGEMMs...),
+		[3]int{3840, 9, 8}, [3]int{960, 72, 16}, [3]int{128, 64, 256}, [3]int{128, 256, 128},
+		[3]int{256, 256, 256})
+	for _, vt := range gemmVariants {
+		for _, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", vt.name, m, k, n), func(b *testing.B) {
+				r := rng.New(1)
+				a, bb, dst := gemmOperands(vt.v, m, k, n)
+				fillRandom(a, r)
+				fillRandom(bb, r)
+				gemmPublic(dst, a, bb, vt.v)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					gemmPublic(dst, a, bb, vt.v)
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
 }
 
 func BenchmarkGEMM256(b *testing.B)     { benchGEMMPair(b, 256, 256, 256) }

@@ -216,9 +216,12 @@ func micro4x4G[E Elem](kc int, ap, bp, c []E, ldc int, first bool) {
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// microEdgeG computes a partial tile of mv×nv valid elements (tile
-// strides in the packed panels stay the backend's mr/nr).
-func microEdgeG[E Elem](kc int, ap, bp, c []E, ldc, mv, nv, mr, nr int, first bool) {
+// microEdgeG computes a partial tile of mv×nv valid elements, reading
+// A's element (r, p) at a[r·rsA + p·csA] and B's row p at b[p·ldb] like
+// the SIMD micro-kernels: a packed panel is (rsA, csA, ldb) =
+// (1, mr, nr) for the backend's tile, an operand read in place passes
+// its own strides.
+func microEdgeG[E Elem](kc int, a []E, rsA, csA int, b []E, ldb int, c []E, ldc, mv, nv int, first bool) {
 	var acc [edgeMR][edgeNR]E
 	if !first {
 		for r := 0; r < mv; r++ {
@@ -228,10 +231,11 @@ func microEdgeG[E Elem](kc int, ap, bp, c []E, ldc, mv, nv, mr, nr int, first bo
 		}
 	}
 	for p := 0; p < kc; p++ {
+		bRow := b[p*ldb : p*ldb+nv]
 		for r := 0; r < mv; r++ {
-			av := ap[p*mr+r]
-			for j := 0; j < nv; j++ {
-				acc[r][j] += E(av * bp[p*nr+j])
+			av := a[r*rsA+p*csA]
+			for j, bv := range bRow {
+				acc[r][j] += E(av * bv)
 			}
 		}
 	}

@@ -19,17 +19,23 @@ func detectBackends() (avx512, avx, neon bool) {
 	return avx512, avx, false
 }
 
-// micro4x4avx is the AVX implementation of the full-tile micro-kernel.
-// It is bit-identical to micro4x4: each lane multiplies then adds with
-// one rounding per operation, never fusing. Implemented in
-// micro_amd64.s.
-func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool)
+// micro4x4avx is the AVX full-tile micro-kernel: one 4×4 output tile
+// over a kc-long reduction, reading A's element (i, p) at
+// a[i·rsA + p·csA] and B's row p at b[p·ldb]. A packed panel is the
+// case (rsA, csA, ldb) = (1, 4, 4); blocked.go passes an operand's own
+// strides when it reads it in place. It is bit-identical to micro4x4G:
+// each lane multiplies then adds with one rounding per operation, never
+// fusing. The caller guarantees every element the strides reach lies
+// inside its operand. Implemented in micro_amd64.s.
+func micro4x4avx(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 
 // micro8x8avx512 is the AVX-512 full-tile micro-kernel: one 8×8 output
-// tile held in eight ZMM accumulators across the packed panel, VMULPD +
-// VADDPD per row (never fused), bit-identical to an 8×8 walk of the
-// scalar kernel. Implemented in micro_amd64.s.
-func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool)
+// tile held in eight ZMM accumulators across the reduction, with the
+// same operand strides as micro4x4avx (a packed panel is
+// (rsA, csA, ldb) = (1, 8, 8)). VMULPD + VADDPD per row (never fused),
+// bit-identical to an 8×8 walk of the scalar kernel. Implemented in
+// micro_amd64.s.
+func micro8x8avx512(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 
 // Elementwise vector bodies (micro_amd64.s). Each processes exactly n
 // elements where the Go wrapper in elemwise.go guarantees n is a

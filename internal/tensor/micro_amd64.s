@@ -1,9 +1,11 @@
-// AVX micro-kernel for the blocked GEMM (see blocked.go). The kernel
-// computes one full 4x4 output tile over a packed kc-long panel using
-// VMULPD + VADDPD per lane — multiply-round-then-add-round, exactly the
-// scalar semantics of the pure-Go kernels, so the vector path is
-// bit-identical to them (no FMA: a fused multiply-add rounds once and
-// would break the bit-identity contract).
+// AVX and AVX-512 micro-kernels for the blocked GEMM (see blocked.go).
+// Each computes one full output tile (4x4 or 8x8) over a kc-long
+// reduction using VMULPD + VADDPD per lane — multiply-round-then-add-
+// round, exactly the scalar semantics of the pure-Go kernels, so the
+// vector path is bit-identical to them (no FMA: a fused multiply-add
+// rounds once and would break the bit-identity contract). Both read A
+// and B through strides, so one kernel serves a packed panel and an
+// operand read where it lies.
 
 #include "textflag.h"
 
@@ -29,23 +31,32 @@ noavx:
 	MOVB	$0, ret+0(FP)
 	RET
 
-// func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool)
+// func micro4x4avx(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 //
 // Y0..Y3 hold the four output rows (4 doubles each) for the whole
-// panel; each k step broadcasts the four packed A values and issues one
-// mul+add pair per row against the packed B vector. first selects
-// zero-init (panel 0) versus accumulate-on-top of C.
-TEXT ·micro4x4avx(SB), NOSPLIT, $0-41
+// reduction. Each k step broadcasts the four A values a[i·rsA + p·csA]
+// (rows i = 0..3 at SI, SI+rsA, SI+2rsA, SI+3rsA) and issues one
+// mul+add pair per row against the B row at b[p·ldb]. A packed panel is
+// the case (rsA, csA, ldb) = (1, 4, 4); an operand read in place passes
+// its own strides. first selects zero-init (panel 0) versus
+// accumulate-on-top of C.
+TEXT ·micro4x4avx(SB), NOSPLIT, $0-65
 	MOVQ	kc+0(FP), CX
-	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	a+8(FP), SI
+	MOVQ	rsA+16(FP), R12
+	SHLQ	$3, R12             // rsA in bytes
+	LEAQ	(R12)(R12*2), R13   // 3*rsA bytes
+	MOVQ	csA+24(FP), BX
+	SHLQ	$3, BX              // csA in bytes
+	MOVQ	b+32(FP), DI
+	MOVQ	ldb+40(FP), AX
+	SHLQ	$3, AX              // ldb in bytes
+	MOVQ	c+48(FP), DX
+	MOVQ	ldc+56(FP), R8
 	SHLQ	$3, R8              // ldc in bytes
 	LEAQ	(DX)(R8*2), R9      // &c[2*ldc]
-	MOVBLZX	first+40(FP), AX
-	TESTB	AL, AL
-	JZ	load
+	CMPB	first+64(FP), $0
+	JEQ	load
 	VXORPD	Y0, Y0, Y0
 	VXORPD	Y1, Y1, Y1
 	VXORPD	Y2, Y2, Y2
@@ -61,9 +72,9 @@ kloop:
 	JZ	done
 	VMOVUPD	(DI), Y4
 	VBROADCASTSD	(SI), Y5
-	VBROADCASTSD	8(SI), Y6
-	VBROADCASTSD	16(SI), Y7
-	VBROADCASTSD	24(SI), Y8
+	VBROADCASTSD	(SI)(R12*1), Y6
+	VBROADCASTSD	(SI)(R12*2), Y7
+	VBROADCASTSD	(SI)(R13*1), Y8
 	VMULPD	Y4, Y5, Y5
 	VADDPD	Y5, Y0, Y0
 	VMULPD	Y4, Y6, Y6
@@ -72,8 +83,8 @@ kloop:
 	VADDPD	Y7, Y2, Y2
 	VMULPD	Y4, Y8, Y8
 	VADDPD	Y8, Y3, Y3
-	ADDQ	$32, SI
-	ADDQ	$32, DI
+	ADDQ	BX, SI
+	ADDQ	AX, DI
 	DECQ	CX
 	JMP	kloop
 done:
@@ -112,26 +123,36 @@ no512:
 	MOVB	$0, ret+0(FP)
 	RET
 
-// func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool)
+// func micro8x8avx512(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 //
 // Z0..Z7 hold the eight output rows (8 doubles each) for the whole
-// panel; each k step broadcasts the eight packed A values and issues one
-// VMULPD+VADDPD pair per row against the packed B vector — multiply-
+// reduction; each k step broadcasts the eight A values a[i·rsA + p·csA]
+// (rows 0..3 off SI, rows 4..7 off R11 = SI+4rsA) and issues one
+// VMULPD+VADDPD pair per row against the B row at b[p·ldb] — multiply-
 // round-then-add-round, never fused, so the tile is bit-identical to an
-// 8×8 walk of the scalar kernel. Zeroing uses VEX VXORPD (clears the
-// full ZMM) so only AVX512F encodings are required.
-TEXT ·micro8x8avx512(SB), NOSPLIT, $0-41
+// 8×8 walk of the scalar kernel. A packed panel is the case
+// (rsA, csA, ldb) = (1, 8, 8); an operand read in place passes its own
+// strides. Zeroing uses VEX VXORPD (clears the full ZMM) so only
+// AVX512F encodings are required.
+TEXT ·micro8x8avx512(SB), NOSPLIT, $0-65
 	MOVQ	kc+0(FP), CX
-	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	a+8(FP), SI
+	MOVQ	rsA+16(FP), R12
+	SHLQ	$3, R12             // rsA in bytes
+	LEAQ	(R12)(R12*2), R13   // 3*rsA bytes
+	LEAQ	(SI)(R12*4), R11    // &a[4*rsA]
+	MOVQ	csA+24(FP), BX
+	SHLQ	$3, BX              // csA in bytes
+	MOVQ	b+32(FP), DI
+	MOVQ	ldb+40(FP), AX
+	SHLQ	$3, AX              // ldb in bytes
+	MOVQ	c+48(FP), DX
+	MOVQ	ldc+56(FP), R8
 	SHLQ	$3, R8              // ldc in bytes
 	LEAQ	(R8)(R8*2), R10     // 3*ldc bytes
 	LEAQ	(DX)(R8*4), R9      // &c[4*ldc]
-	MOVBLZX	first+40(FP), AX
-	TESTB	AL, AL
-	JZ	load8
+	CMPB	first+64(FP), $0
+	JEQ	load8
 	VXORPD	Y0, Y0, Y0
 	VXORPD	Y1, Y1, Y1
 	VXORPD	Y2, Y2, Y2
@@ -153,19 +174,23 @@ load8:
 	// k loop unrolled ×2 (same ascending-k operation order, so results
 	// are unchanged); odd kc finishes with a single step. The second
 	// step uses its own temporaries (Z17..Z25) so the two halves can
-	// issue independently.
+	// issue independently. Each step advances the A and B pointers
+	// right after its loads.
 kloop8:
 	CMPQ	CX, $2
 	JLT	ktail8
 	VMOVUPD	(DI), Z8
 	VBROADCASTSD	(SI), Z9
-	VBROADCASTSD	8(SI), Z10
-	VBROADCASTSD	16(SI), Z11
-	VBROADCASTSD	24(SI), Z12
-	VBROADCASTSD	32(SI), Z13
-	VBROADCASTSD	40(SI), Z14
-	VBROADCASTSD	48(SI), Z15
-	VBROADCASTSD	56(SI), Z16
+	VBROADCASTSD	(SI)(R12*1), Z10
+	VBROADCASTSD	(SI)(R12*2), Z11
+	VBROADCASTSD	(SI)(R13*1), Z12
+	VBROADCASTSD	(R11), Z13
+	VBROADCASTSD	(R11)(R12*1), Z14
+	VBROADCASTSD	(R11)(R12*2), Z15
+	VBROADCASTSD	(R11)(R13*1), Z16
+	ADDQ	BX, SI
+	ADDQ	BX, R11
+	ADDQ	AX, DI
 	VMULPD	Z8, Z9, Z9
 	VADDPD	Z9, Z0, Z0
 	VMULPD	Z8, Z10, Z10
@@ -182,15 +207,18 @@ kloop8:
 	VADDPD	Z15, Z6, Z6
 	VMULPD	Z8, Z16, Z16
 	VADDPD	Z16, Z7, Z7
-	VMOVUPD	64(DI), Z17
-	VBROADCASTSD	64(SI), Z18
-	VBROADCASTSD	72(SI), Z19
-	VBROADCASTSD	80(SI), Z20
-	VBROADCASTSD	88(SI), Z21
-	VBROADCASTSD	96(SI), Z22
-	VBROADCASTSD	104(SI), Z23
-	VBROADCASTSD	112(SI), Z24
-	VBROADCASTSD	120(SI), Z25
+	VMOVUPD	(DI), Z17
+	VBROADCASTSD	(SI), Z18
+	VBROADCASTSD	(SI)(R12*1), Z19
+	VBROADCASTSD	(SI)(R12*2), Z20
+	VBROADCASTSD	(SI)(R13*1), Z21
+	VBROADCASTSD	(R11), Z22
+	VBROADCASTSD	(R11)(R12*1), Z23
+	VBROADCASTSD	(R11)(R12*2), Z24
+	VBROADCASTSD	(R11)(R13*1), Z25
+	ADDQ	BX, SI
+	ADDQ	BX, R11
+	ADDQ	AX, DI
 	VMULPD	Z17, Z18, Z18
 	VADDPD	Z18, Z0, Z0
 	VMULPD	Z17, Z19, Z19
@@ -207,8 +235,6 @@ kloop8:
 	VADDPD	Z24, Z6, Z6
 	VMULPD	Z17, Z25, Z25
 	VADDPD	Z25, Z7, Z7
-	ADDQ	$128, SI
-	ADDQ	$128, DI
 	SUBQ	$2, CX
 	JMP	kloop8
 ktail8:
@@ -216,13 +242,16 @@ ktail8:
 	JZ	done8
 	VMOVUPD	(DI), Z8
 	VBROADCASTSD	(SI), Z9
-	VBROADCASTSD	8(SI), Z10
-	VBROADCASTSD	16(SI), Z11
-	VBROADCASTSD	24(SI), Z12
-	VBROADCASTSD	32(SI), Z13
-	VBROADCASTSD	40(SI), Z14
-	VBROADCASTSD	48(SI), Z15
-	VBROADCASTSD	56(SI), Z16
+	VBROADCASTSD	(SI)(R12*1), Z10
+	VBROADCASTSD	(SI)(R12*2), Z11
+	VBROADCASTSD	(SI)(R13*1), Z12
+	VBROADCASTSD	(R11), Z13
+	VBROADCASTSD	(R11)(R12*1), Z14
+	VBROADCASTSD	(R11)(R12*2), Z15
+	VBROADCASTSD	(R11)(R13*1), Z16
+	ADDQ	BX, SI
+	ADDQ	BX, R11
+	ADDQ	AX, DI
 	VMULPD	Z8, Z9, Z9
 	VADDPD	Z9, Z0, Z0
 	VMULPD	Z8, Z10, Z10

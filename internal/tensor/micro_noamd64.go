@@ -4,11 +4,11 @@ package tensor
 
 // amd64 vector kernels are never called when useAVX512/useAVX are false.
 
-func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool) {
+func micro4x4avx(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool) {
 	panic("tensor: AVX micro-kernel called on non-amd64")
 }
 
-func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool) {
+func micro8x8avx512(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool) {
 	panic("tensor: AVX-512 micro-kernel called on non-amd64")
 }
 

@@ -22,9 +22,12 @@ var kernelBufs struct {
 const kernelBufsCap = 64
 
 // getBuf returns a length-n scratch slice, reusing pooled capacity when
-// available. Contents are unspecified; callers must overwrite before
-// reading.
+// available; nil for n = 0, an operand the GEMM reads in place. Contents
+// are unspecified; callers must overwrite before reading.
 func getBuf(n int) []float64 {
+	if n == 0 {
+		return nil
+	}
 	kernelBufs.Lock()
 	for i := len(kernelBufs.bufs) - 1; i >= 0; i-- {
 		if cap(kernelBufs.bufs[i]) >= n {
