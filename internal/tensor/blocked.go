@@ -22,9 +22,11 @@ package tensor
 //     where packing took more time than multiplying.
 //   - When they are packed: a multi-panel product packs on every tier,
 //     because there each packed panel serves many tiles and strided
-//     reads lose; Aᵀ·B at 512³ read in place ran at 17.5–22.8 GFLOP/s,
-//     against 24.7–33.4 packed. The portable micro4x4G tier, NEON and
-//     the float32 GEMM (blocked32.go) always pack.
+//     reads lose. On a 2-core AVX-512 Xeon, 512³ read in place ran at
+//     14.4–15.7 GFLOP/s for Aᵀ·B and 16.0–18.0 for A·B, against
+//     19.2–19.9 and 20.3–21.2 packed (3 runs each). The portable
+//     micro4x4G tier, NEON and the float32 GEMM (blocked32.go) always
+//     pack.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -227,10 +229,11 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 			kc = kcBlock
 		}
 		// Column tile jt of op(b) starts jt·bStep into bs.
-		bs, bStep := b.Data, nr
+		bs, bStep := bp, kc*nr
 		if packB {
 			packBG(bp, b.Data, b.Rows(), b.Cols(), v, p0, kc, n, nr)
-			bs, bStep = bp, kc*nr
+		} else {
+			bs, bStep = b.Data, nr
 		}
 		first := p0 == 0
 		for i0 := rs; i0 < re; i0 += mcBlock {
@@ -239,10 +242,11 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 				ib = mcBlock
 			}
 			// Row tile it of the block starts it·aStep into as.
-			as, aStep := a.Data[i0*rsA:], mr*rsA
-			if !inPlace {
+			as, aStep := ap, kc*mr
+			if inPlace {
+				as, aStep = a.Data[i0*rsA:], mr*rsA
+			} else {
 				packAG(ap, a.Data, a.Rows(), a.Cols(), v, i0, ib, p0, kc, mr)
-				as, aStep = ap, kc*mr
 			}
 			mTiles := (ib + mr - 1) / mr
 			for it := 0; it < mTiles; it++ {

@@ -174,8 +174,8 @@ load8:
 	// k loop unrolled ×2 (same ascending-k operation order, so results
 	// are unchanged); odd kc finishes with a single step. The second
 	// step uses its own temporaries (Z17..Z25) so the two halves can
-	// issue independently. Each step advances the A and B pointers
-	// right after its loads.
+	// issue independently. Each loop step advances the A and B
+	// pointers right after its loads.
 kloop8:
 	CMPQ	CX, $2
 	JLT	ktail8
@@ -249,9 +249,6 @@ ktail8:
 	VBROADCASTSD	(R11)(R12*1), Z14
 	VBROADCASTSD	(R11)(R12*2), Z15
 	VBROADCASTSD	(R11)(R13*1), Z16
-	ADDQ	BX, SI
-	ADDQ	BX, R11
-	ADDQ	AX, DI
 	VMULPD	Z8, Z9, Z9
 	VADDPD	Z9, Z0, Z0
 	VMULPD	Z8, Z10, Z10
