@@ -96,9 +96,14 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
 # all three transpose variants, and the pool-hook stripe fan-out) must
 # be BIT-identical to the naive reference loops, also over NaN, ±Inf,
-# ±0 and denormal inputs (where only a NaN's payload may differ), same
+# ±0 and denormal inputs (where only a NaN's payload may differ), both
+# where they pack panels and where the amd64 SIMD tiers read a one-panel
+# product's operands in place (the shape table carries the workloads'
+# train-step products, whose strides differ from the tile width), same
 # for the SIMD elementwise kernels, and im2col/col2im must match the
-# element-at-a-time loops. A warm arena-backed train step (dense and
+# element-at-a-time loops. Every GEMM entry point, at both widths, must
+# panic before any kernel runs when an operand's Data is shorter than
+# its shape, since the kernels hand raw pointers to assembly. A warm arena-backed train step (dense and
 # conv stacks, with BackwardScratch and with BackwardParams) must
 # perform zero heap allocations, and max pooling must keep its tie rule
 # (first element of a window of equals, −0 before +0, first NaN) over
@@ -106,7 +111,7 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # CNN, VGG stand-in, the agent's policy and value MLPs) must train to
 # the digests pinned in internal/nn/digest_test.go, through an arena
 # with either backward and without an arena.
-go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain' ./internal/tensor/
+go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain|TestGEMMShortDataPanics' ./internal/tensor/
 go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
