@@ -97,16 +97,16 @@ func weightedMerge[T tensor.Elem](updates []Update, alpha []float64, pool *engin
 }
 
 // checkConvex panics unless the impact factors are non-negative and sum
-// to 1 within 1e-3.
+// to 1 within 1e-3. Both tests are written so that a NaN fails them.
 func checkConvex(alpha []float64) {
 	sum := 0.0
 	for _, a := range alpha {
-		if a < 0 {
-			panic("fl: negative impact factor")
+		if !(a >= 0) {
+			panic(fmt.Sprintf("fl: impact factor %v, want non-negative", a))
 		}
 		sum += a
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		panic(fmt.Sprintf("fl: impact factors sum to %v, want 1", sum))
 	}
 }

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
@@ -237,6 +238,12 @@ func TestMergerValidation(t *testing.T) {
 	for _, m := range []Merger{WeightedMerge{}, Median{}, TrimmedMean{Beta: 0.2}, Krum{F: 1}} {
 		expectPanic(m.Name()+" Merge of f32 uploads", func() { m.Merge(only32, half, nil) })
 		expectPanic(m.Name()+" Merge32 of f64 uploads", func() { m.Merge32(only64, half, nil) })
+	}
+	// A NaN impact factor fails both the sign and the sum test, at
+	// either width: it must not reach the fold as a NaN model.
+	for _, alpha := range [][]float64{{math.NaN(), 1}, {math.NaN(), math.NaN()}, {0.5, math.NaN()}} {
+		expectPanic(fmt.Sprintf("weighted Merge with factors %v", alpha), func() { WeightedMerge{}.Merge(only64, alpha, nil) })
+		expectPanic(fmt.Sprintf("weighted Merge32 with factors %v", alpha), func() { WeightedMerge{}.Merge32(only32, alpha, nil) })
 	}
 }
 
