@@ -52,6 +52,15 @@ func TestConfigValidatePanics(t *testing.T) {
 		func(c *Config) { c.WarmupExperiences = 0 },
 		func(c *Config) { c.ExploreStd = -1 },
 		func(c *Config) { c.RewardGapWeight = -1 },
+		// NaN fails every float range test.
+		func(c *Config) { c.PolicyLR = math.NaN() },
+		func(c *Config) { c.ValueLR = math.NaN() },
+		func(c *Config) { c.Gamma = math.NaN() },
+		func(c *Config) { c.Rho = math.NaN() },
+		func(c *Config) { c.Beta = math.NaN() },
+		func(c *Config) { c.ExploreStd = math.NaN() },
+		func(c *Config) { c.ExploreDecay = math.NaN() },
+		func(c *Config) { c.RewardGapWeight = math.NaN() },
 	}
 	for i, m := range mut {
 		cfg := DefaultConfig(4)

@@ -92,30 +92,31 @@ func (c Config) StateDim() int { return 3 * c.K }
 // ActionDim returns the action vector length (2K, §3.3.3).
 func (c Config) ActionDim() int { return 2 * c.K }
 
-// Validate panics on an inconsistent configuration.
+// Validate panics on an inconsistent configuration. Each float range
+// test is negated, !(lo <= x && x <= hi), so that a NaN fails it.
 func (c Config) Validate() {
 	switch {
 	case c.K <= 0:
 		panic("core: K must be positive")
 	case c.Hidden <= 0:
 		panic("core: Hidden must be positive")
-	case c.PolicyLR <= 0 || c.ValueLR <= 0:
-		panic("core: learning rates must be positive")
-	case c.Gamma < 0 || c.Gamma >= 1:
+	case !(c.PolicyLR > 0 && c.ValueLR > 0):
+		panic(fmt.Sprintf("core: learning rates %v, %v must be positive", c.PolicyLR, c.ValueLR))
+	case !(0 <= c.Gamma && c.Gamma < 1):
 		panic(fmt.Sprintf("core: Gamma %v out of [0,1)", c.Gamma))
-	case c.Rho <= 0 || c.Rho > 1:
+	case !(0 < c.Rho && c.Rho <= 1):
 		panic(fmt.Sprintf("core: Rho %v out of (0,1]", c.Rho))
-	case c.Beta <= 0 || c.Beta > 1:
+	case !(0 < c.Beta && c.Beta <= 1):
 		panic(fmt.Sprintf("core: Beta %v out of (0,1]", c.Beta))
 	case c.BufferCap <= 0 || c.BatchSize <= 0 || c.UpdatesPerRound <= 0:
 		panic("core: buffer/batch/update sizes must be positive")
 	case c.WarmupExperiences < 1:
 		panic("core: WarmupExperiences must be at least 1")
-	case c.ExploreStd < 0:
-		panic("core: ExploreStd must be non-negative")
-	case c.ExploreDecay <= 0 || c.ExploreDecay > 1:
+	case !(c.ExploreStd >= 0):
+		panic(fmt.Sprintf("core: ExploreStd %v must be non-negative", c.ExploreStd))
+	case !(0 < c.ExploreDecay && c.ExploreDecay <= 1):
 		panic(fmt.Sprintf("core: ExploreDecay %v out of (0,1]", c.ExploreDecay))
-	case c.RewardGapWeight < 0:
-		panic("core: RewardGapWeight must be non-negative")
+	case !(c.RewardGapWeight >= 0):
+		panic(fmt.Sprintf("core: RewardGapWeight %v must be non-negative", c.RewardGapWeight))
 	}
 }

@@ -171,7 +171,7 @@ type AsyncConfig struct {
 	// ArrivalSeed seeds the per-dispatch draw streams handed to
 	// Arrival.Draw; 0 derives a salted stream from RunConfig.Seed.
 	ArrivalSeed uint64
-	// StalenessDecay in (0, 1] is the per-round decay applied to an
+	// StalenessDecay in [0, 1] is the per-round decay applied to an
 	// update's impact factor: an update trained against a global model
 	// s server versions old is reweighted by StalenessDecay^s before
 	// the merge renormalizes. 0 means 1 (no decay — every update
@@ -188,8 +188,8 @@ type AsyncConfig struct {
 // Validate panics on an inconsistent async configuration.
 func (c AsyncConfig) Validate() {
 	c.RunConfig.Validate()
-	if c.StalenessDecay < 0 || c.StalenessDecay > 1 {
-		panic(fmt.Sprintf("fl: StalenessDecay %v outside (0, 1]", c.StalenessDecay))
+	if !(0 <= c.StalenessDecay && c.StalenessDecay <= 1) {
+		panic(fmt.Sprintf("fl: StalenessDecay %v outside [0, 1], 0 meaning 1", c.StalenessDecay))
 	}
 	if c.AggregateEvery < 0 {
 		panic("fl: negative AggregateEvery")

@@ -57,9 +57,10 @@ type LocalConfig struct {
 	ProxMu float64
 }
 
-// Validate panics on an inconsistent local configuration.
+// Validate panics on an inconsistent local configuration. The float
+// range tests are negated so that a NaN fails them.
 func (lc LocalConfig) Validate() {
-	if lc.Epochs <= 0 || lc.Batch <= 0 || lc.LR <= 0 || lc.ProxMu < 0 {
+	if lc.Epochs <= 0 || lc.Batch <= 0 || !(lc.LR > 0) || !(lc.ProxMu >= 0) {
 		panic(fmt.Sprintf("fl: invalid local config %+v", lc))
 	}
 }

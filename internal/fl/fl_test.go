@@ -399,6 +399,9 @@ func TestRunConfigValidatePanics(t *testing.T) {
 		func(c *RunConfig) { c.Factory = nil },
 		func(c *RunConfig) { c.Local.Epochs = 0 },
 		func(c *RunConfig) { c.Local.LR = 0 },
+		func(c *RunConfig) { c.Local.LR = math.NaN() },
+		func(c *RunConfig) { c.Local.ProxMu = -1 },
+		func(c *RunConfig) { c.Local.ProxMu = math.NaN() },
 	}
 	for i, m := range mut {
 		cfg := good
@@ -410,6 +413,21 @@ func TestRunConfigValidatePanics(t *testing.T) {
 				}
 			}()
 			cfg.Validate()
+		}()
+	}
+	// AsyncConfig accepts a staleness decay in [0, 1] (0 meaning 1)
+	// and nothing else, NaN included.
+	for _, d := range []float64{0, 0.5, 1} {
+		AsyncConfig{RunConfig: good, StalenessDecay: d}.Validate()
+	}
+	for _, d := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("StalenessDecay %v did not panic", d)
+				}
+			}()
+			AsyncConfig{RunConfig: good, StalenessDecay: d}.Validate()
 		}()
 	}
 }
