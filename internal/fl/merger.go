@@ -400,16 +400,20 @@ const orderBlock = 128
 // The sort is column-blocked. A block of orderBlock coordinates is
 // copied into a k×orderBlock scratch whose rows are updates and whose
 // lanes are coordinates, and one compare-exchange network sorts every
-// lane at once, each comparator an elementwise min/max of two rows.
-// Any correct sort yields the same sorted column unless two values
-// compare equal with different bits — for floats, NaNs or zeros of both
-// signs. There the historical per-coordinate pdqsort's tie order picks
-// the surviving NaN payload or zero sign, so such coordinates are
+// lane at once, each comparator one SIMD pass of
+// tensor.CompareExchange over two rows. Any correct sort yields the
+// same sorted column unless two values compare equal with different
+// bits — for floats, NaNs or zeros of both signs. There the historical
+// per-coordinate pdqsort's tie order picks the surviving NaN payload or
+// zero sign. So before the network runs, the lane screen
+// (tensor.ScreenZeroNaN) marks every lane holding a zero or a NaN in
+// any row, and each marked coordinate that really is tie-sensitive is
 // re-sorted from the updates, in update order, with slices.Sort: the
-// same pdqsort and NaN-first order. The output is therefore
-// bit-identical to sorting each coordinate on its own. Segments are
-// independent and scratch is per lane, so it is the same at any pool
-// width.
+// same pdqsort and NaN-first order. An unmarked lane holds neither, so
+// there a swap where hi < lo is exactly min/max and the network's
+// column is the sorted one. The output is therefore bit-identical to
+// sorting each coordinate on its own. Segments are independent and
+// scratch is per lane, so it is the same at any pool width.
 func orderStat[T tensor.Elem](vecs [][]T, pool *engine.Pool, read readout[T]) []T {
 	k, dim := len(vecs), len(vecs[0])
 	out := make([]T, dim)
@@ -430,14 +434,25 @@ func orderStat[T tensor.Elem](vecs [][]T, pool *engine.Pool, read readout[T]) []
 	return out
 }
 
-// orderScratch is one lane's working memory for orderStat.
+// orderScratch is one lane's working memory for orderStat, with the
+// width's sorting-network kernels.
 type orderScratch[T tensor.Elem] struct {
-	block []T // k rows × orderBlock lanes
-	col   []T // one coordinate's k values, for the exact re-sort
+	block  []T                   // k rows × orderBlock lanes
+	col    []T                   // one coordinate's k values, for the exact re-sort
+	mask   [orderBlock / 8]uint8 // the block's lane screen, bit j%8 of byte j/8
+	cx     func(lo, hi []T)
+	screen func(mask []uint8, block []T, stride, k, n int)
 }
 
 func newOrderScratch[T tensor.Elem](k int) *orderScratch[T] {
-	return &orderScratch[T]{block: make([]T, k*orderBlock), col: make([]T, k)}
+	s := &orderScratch[T]{block: make([]T, k*orderBlock), col: make([]T, k)}
+	switch f := any(s).(type) {
+	case *orderScratch[float64]:
+		f.cx, f.screen = tensor.CompareExchange, tensor.ScreenZeroNaN
+	case *orderScratch[float32]:
+		f.cx, f.screen = tensor.CompareExchange32, tensor.ScreenZeroNaN32
+	}
+	return s
 }
 
 // merge fills out with the statistic of coordinates [lo, lo+len(out)),
@@ -447,46 +462,28 @@ func (s *orderScratch[T]) merge(vecs [][]T, out []T, lo int, net []comparator, r
 	for b := 0; b < len(out); b += orderBlock {
 		w := min(orderBlock, len(out)-b)
 		c0 := lo + b
-		ties := false
 		for i, v := range vecs {
-			row := s.block[i*orderBlock:][:w]
-			copy(row, v[c0:c0+w])
-			ties = ties || zeroOrNaN(row)
+			copy(s.block[i*orderBlock:][:w], v[c0:c0+w])
 		}
+		s.screen(s.mask[:], s.block, orderBlock, k, w)
 		for _, c := range net {
-			x := s.block[c.lo*orderBlock:][:w]
-			y := s.block[c.hi*orderBlock:][:w]
-			for j, u := range x {
-				v := y[j]
-				x[j], y[j] = min(u, v), max(u, v)
-			}
+			s.cx(s.block[c.lo*orderBlock:][:w], s.block[c.hi*orderBlock:][:w])
 		}
 		dst := out[b : b+w]
 		read(dst, s.block, orderBlock, k)
-		if !ties {
-			continue
-		}
-		for j := range dst {
-			for i, v := range vecs {
-				s.col[i] = v[c0+j]
-			}
-			if tieSensitive(s.col) {
-				slices.Sort(s.col)
-				read(dst[j:j+1], s.col, 1, k)
+		for i, m := range s.mask[:(w+7)/8] {
+			for ; m != 0; m &= m - 1 {
+				j := 8*i + bits.TrailingZeros8(m)
+				for r, v := range vecs {
+					s.col[r] = v[c0+j]
+				}
+				if tieSensitive(s.col) {
+					slices.Sort(s.col)
+					read(dst[j:j+1], s.col, 1, k)
+				}
 			}
 		}
 	}
-}
-
-// zeroOrNaN is the cheap screen for blocks that may hold tie-sensitive
-// coordinates.
-func zeroOrNaN[T tensor.Elem](row []T) bool {
-	for _, v := range row {
-		if v == 0 || v != v {
-			return true
-		}
-	}
-	return false
 }
 
 // tieSensitive reports whether the sorted order of vals depends on how

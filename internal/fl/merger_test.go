@@ -633,3 +633,43 @@ func TestOrderStatAllocsFlat(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkOrderStat times the robust merge at byz-async-f32's shape:
+// Median over k = 16 uploads of its 64→256→128→10 MLP (50 826 weights),
+// with a nil pool, at both widths. The "dense" cohort holds no zero.
+// The "zeros" cohort zeroes 19% of the coordinates in every upload and
+// negates 3 of the 16 uploads, as a sign-flip attack does, so each of
+// those coordinates holds +0 and −0: the lane screen marks it and the
+// merge re-sorts it on its own.
+func BenchmarkOrderStat(b *testing.B) {
+	const k, dim = 16, 64*256 + 256 + 256*128 + 128 + 128*10 + 10
+	for _, cohort := range []string{"dense", "zeros"} {
+		updates, alpha := mergeCohort(k, dim, 23)
+		if cohort == "zeros" {
+			r := rng.New(29)
+			for c := 0; c < dim; c++ {
+				if r.Float64() < 0.19 {
+					for _, u := range updates {
+						u.Weights[c], u.Weights32[c] = 0, 0
+					}
+				}
+			}
+			for _, u := range updates[:3] {
+				tensor.Scale(-1, u.Weights)
+				for c := range u.Weights32 {
+					u.Weights32[c] = -u.Weights32[c]
+				}
+			}
+		}
+		b.Run(cohort+"/f64", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Median{}.Merge(updates, alpha, nil)
+			}
+		})
+		b.Run(cohort+"/f32", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Median{}.Merge32(updates, alpha, nil)
+			}
+		})
+	}
+}

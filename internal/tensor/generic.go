@@ -247,10 +247,11 @@ func microEdgeG[E Elem](kc int, a []E, rsA, csA int, b []E, ldb int, c []E, ldc,
 }
 
 // Elementwise scalar cores. The SIMD dispatch wrappers (elemwise.go,
-// and Axpy32 in precision32.go) run these over the tail [i, len(x)) the
-// vector body did not cover — or the whole slice on the generic
-// backend. Per element they are multiply-round-then-add-round, never
-// fused (the explicit E(·) conversion, see the package comment above).
+// Axpy32 in precision32.go and the sorting-network kernels of order.go)
+// run these over the tail [i, len(x)) the vector body did not cover —
+// or the whole slice on the generic backend. Per element they are
+// multiply-round-then-add-round, never fused (the explicit E(·)
+// conversion, see the package comment above).
 
 // axpyTailG computes y[j] += alpha·x[j] for j in [i, len(x)).
 func axpyTailG[E Elem](alpha E, x, y []E, i int) {
@@ -318,6 +319,35 @@ func leakyBwdTailG[E Elem](alpha E, x, g, out []E, i int) {
 		} else {
 			out[i] = g[i]
 		}
+	}
+}
+
+// compareExchangeTailG swaps lo[j] and hi[j] where hi[j] < lo[j], for j
+// in [i, len(lo)): a NaN or a pair of zeros never swaps.
+func compareExchangeTailG[E Elem](lo, hi []E, i int) {
+	for ; i < len(lo); i++ {
+		if u, v := lo[i], hi[i]; v < u {
+			lo[i], hi[i] = v, u
+		}
+	}
+}
+
+// screenTailG writes the lane-screen mask bytes of lanes [i, n), i a
+// multiple of 8: bit j%8 of mask[j/8] is set iff some row r < k holds a
+// zero or a NaN at block[r·stride+j], and the bits past lane n−1 are
+// clear.
+func screenTailG[E Elem](mask []uint8, block []E, stride, k, n, i int) {
+	for ; i < n; i += 8 {
+		var m uint8
+		for j := i; j < min(i+8, n); j++ {
+			for r := 0; r < k; r++ {
+				if v := block[r*stride+j]; v == 0 || v != v {
+					m |= 1 << (j - i)
+					break
+				}
+			}
+		}
+		mask[i/8] = m
 	}
 }
 

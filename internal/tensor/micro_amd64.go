@@ -65,3 +65,15 @@ func leakyBwdAVX(alpha float64, x, grad, out *float64, n int)
 // runs the generic tail.
 func axpyAVXF32(alpha float32, x, y *float32, n int)
 func axpyAVX512F32(alpha float32, x, y *float32, n int)
+
+// Sorting-network bodies (micro_amd64.s), the robust merge's kernels
+// (order.go). One YMM body per kernel and width serves both amd64
+// tiers. The compare-exchange bodies take n a positive multiple of the
+// lane width (4 for f64, 8 for f32); the screen bodies take n a
+// positive multiple of 8, one mask byte per 8 lanes, and k ≥ 1 rows at
+// stride elements apart. The wrappers enforce both and run the generic
+// tails.
+func compareExchangeAVX(lo, hi *float64, n int)
+func compareExchangeAVXF32(lo, hi *float32, n int)
+func screenZeroNaNAVX(mask *uint8, block *float64, stride, k, n int)
+func screenZeroNaNAVXF32(mask *uint8, block *float32, stride, k, n int)

@@ -522,3 +522,123 @@ axf325loop:
 	JNZ	axf325loop
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------
+// Sorting-network kernels, the robust merge's (order.go). Both are
+// per-lane selections with no arithmetic, so they are bit-identical to
+// the generic core on every input. One YMM body per kernel and width
+// serves both amd64 tiers.
+//
+// Compare-exchange: with the compare in VMINPD/VMAXPD's own form,
+// MIN(a, b) = a < b ? a : b and MAX(a, b) = a > b ? a : b, the new lo
+// is MIN(hi, lo) and the new hi MAX(lo, hi). Both select by the one
+// test hi < lo, so a NaN or a pair of zeros keeps both lanes in place,
+// exactly as compareExchangeTailG does. n is a positive multiple of the
+// lane width (4 doubles, 8 floats).
+
+// func compareExchangeAVX(lo, hi *float64, n int)
+TEXT ·compareExchangeAVX(SB), NOSPLIT, $0-24
+	MOVQ	lo+0(FP), SI
+	MOVQ	hi+8(FP), DI
+	MOVQ	n+16(FP), CX
+cxloop:
+	VMOVUPD	(SI), Y0
+	VMOVUPD	(DI), Y1
+	VMINPD	Y0, Y1, Y2          // hi < lo ? hi : lo
+	VMAXPD	Y1, Y0, Y3          // lo > hi ? lo : hi
+	VMOVUPD	Y2, (SI)
+	VMOVUPD	Y3, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	SUBQ	$4, CX
+	JNZ	cxloop
+	VZEROUPPER
+	RET
+
+// func compareExchangeAVXF32(lo, hi *float32, n int)
+TEXT ·compareExchangeAVXF32(SB), NOSPLIT, $0-24
+	MOVQ	lo+0(FP), SI
+	MOVQ	hi+8(FP), DI
+	MOVQ	n+16(FP), CX
+cxf32loop:
+	VMOVUPS	(SI), Y0
+	VMOVUPS	(DI), Y1
+	VMINPS	Y0, Y1, Y2          // hi < lo ? hi : lo
+	VMAXPS	Y1, Y0, Y3          // lo > hi ? lo : hi
+	VMOVUPS	Y2, (SI)
+	VMOVUPS	Y3, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JNZ	cxf32loop
+	VZEROUPPER
+	RET
+
+// Lane screen: for each group of 8 lanes, OR over the k rows the
+// compare v == 0 under predicate EQ_UQ (8), which also holds for an
+// unordered v, so a lane holding ±0 or any NaN in any row is marked;
+// VMOVMSKPD/VMOVMSKPS then pack the group's lane signs into one mask
+// byte. n is a positive multiple of 8 and k ≥ 1; stride is in
+// elements.
+
+// func screenZeroNaNAVX(mask *uint8, block *float64, stride, k, n int)
+TEXT ·screenZeroNaNAVX(SB), NOSPLIT, $0-40
+	MOVQ	mask+0(FP), DI
+	MOVQ	block+8(FP), SI
+	MOVQ	stride+16(FP), DX
+	SHLQ	$3, DX              // stride in bytes
+	MOVQ	k+24(FP), R8
+	MOVQ	n+32(FP), CX
+	VXORPD	Y0, Y0, Y0
+szgroup:
+	VXORPD	Y1, Y1, Y1          // lanes 0..3 of the group
+	VXORPD	Y3, Y3, Y3          // lanes 4..7
+	MOVQ	SI, AX
+	MOVQ	R8, BX
+szrow:
+	VCMPPD	$8, (AX), Y0, Y2    // v == 0 or unordered (EQ_UQ)
+	VORPD	Y2, Y1, Y1
+	VCMPPD	$8, 32(AX), Y0, Y4
+	VORPD	Y4, Y3, Y3
+	ADDQ	DX, AX
+	DECQ	BX
+	JNZ	szrow
+	VMOVMSKPD	Y1, AX
+	VMOVMSKPD	Y3, BX
+	SHLQ	$4, BX
+	ORQ	BX, AX
+	MOVB	AX, (DI)
+	INCQ	DI
+	ADDQ	$64, SI
+	SUBQ	$8, CX
+	JNZ	szgroup
+	VZEROUPPER
+	RET
+
+// func screenZeroNaNAVXF32(mask *uint8, block *float32, stride, k, n int)
+TEXT ·screenZeroNaNAVXF32(SB), NOSPLIT, $0-40
+	MOVQ	mask+0(FP), DI
+	MOVQ	block+8(FP), SI
+	MOVQ	stride+16(FP), DX
+	SHLQ	$2, DX              // stride in bytes
+	MOVQ	k+24(FP), R8
+	MOVQ	n+32(FP), CX
+	VXORPS	Y0, Y0, Y0
+szf32group:
+	VXORPS	Y1, Y1, Y1
+	MOVQ	SI, AX
+	MOVQ	R8, BX
+szf32row:
+	VCMPPS	$8, (AX), Y0, Y2    // v == 0 or unordered (EQ_UQ)
+	VORPS	Y2, Y1, Y1
+	ADDQ	DX, AX
+	DECQ	BX
+	JNZ	szf32row
+	VMOVMSKPS	Y1, AX
+	MOVB	AX, (DI)
+	INCQ	DI
+	ADDQ	$32, SI
+	SUBQ	$8, CX
+	JNZ	szf32group
+	VZEROUPPER
+	RET

@@ -59,3 +59,19 @@ func axpyAVXF32(alpha float32, x, y *float32, n int) {
 func axpyAVX512F32(alpha float32, x, y *float32, n int) {
 	panic("tensor: AVX-512 f32 kernel called on non-amd64")
 }
+
+func compareExchangeAVX(lo, hi *float64, n int) {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func compareExchangeAVXF32(lo, hi *float32, n int) {
+	panic("tensor: AVX f32 kernel called on non-amd64")
+}
+
+func screenZeroNaNAVX(mask *uint8, block *float64, stride, k, n int) {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func screenZeroNaNAVXF32(mask *uint8, block *float32, stride, k, n int) {
+	panic("tensor: AVX f32 kernel called on non-amd64")
+}
