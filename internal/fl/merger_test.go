@@ -447,34 +447,33 @@ func requireReference(t *testing.T, rule Merger, updates []Update, alpha []float
 	want, want32 := ref.Merge(updates, alpha, nil), ref.Merge32(updates, alpha, nil)
 	for _, pool := range pools {
 		if c := mismatch(want, rule.Merge(updates, alpha, pool)); c >= 0 {
-			t.Fatalf("%s k=%d dim=%d workers=%d: f64 coordinate %d differs from the sort reference",
-				rule.Name(), len(updates), len(want), pool.Workers(), c)
+			t.Fatalf("%s %s k=%d dim=%d workers=%d: f64 coordinate %d differs from the sort reference",
+				tensor.KernelBackend(), rule.Name(), len(updates), len(want), pool.Workers(), c)
 		}
 		if c := mismatch32(want32, rule.Merge32(updates, alpha, pool)); c >= 0 {
-			t.Fatalf("%s k=%d dim=%d workers=%d: f32 coordinate %d differs from the sort reference",
-				rule.Name(), len(updates), len(want32), pool.Workers(), c)
+			t.Fatalf("%s %s k=%d dim=%d workers=%d: f32 coordinate %d differs from the sort reference",
+				tensor.KernelBackend(), rule.Name(), len(updates), len(want32), pool.Workers(), c)
 		}
 	}
 }
 
 // TestOrderStatMatchesSortReference: the blocked kernel must reproduce
-// the per-coordinate sort bit for bit on tie-heavy cohorts of every
-// size from 1 to 40 plus 64 and 100, on dims around the block width,
-// and — across pool widths — on dims spanning several aggSegment
-// spans with a partial last block.
+// the per-coordinate sort bit for bit, under every kernel tier in the
+// host's fallback chain, on tie-heavy cohorts of every size from 1 to
+// 40 plus 64 and 100, on dims around the block width, and — across
+// pool widths — on dims spanning several aggSegment spans with a
+// partial last block.
 func TestOrderStatMatchesSortReference(t *testing.T) {
+	orig := tensor.KernelBackend()
+	defer func() {
+		if err := tensor.SetBackend(orig); err != nil {
+			t.Fatalf("restoring backend %q: %v", orig, err)
+		}
+	}()
 	nilPool := []*engine.Pool{nil}
 	ks := []int{64, 100}
 	for k := 1; k <= 40; k++ {
 		ks = append(ks, k)
-	}
-	for _, k := range ks {
-		for _, dim := range []int{1, orderBlock - 1, orderBlock + 1} {
-			updates, alpha := tieCohort(k, dim, uint64(1000*k+dim))
-			for _, rule := range orderRules {
-				requireReference(t, rule, updates, alpha, nilPool)
-			}
-		}
 	}
 	pools := []*engine.Pool{nil}
 	for _, w := range []int{1, 2, 4, 8} {
@@ -482,10 +481,23 @@ func TestOrderStatMatchesSortReference(t *testing.T) {
 		defer p.Close()
 		pools = append(pools, p)
 	}
-	for _, k := range []int{1, 2, 5, 16, 33} {
-		updates, alpha := tieCohort(k, 2*aggSegment+orderBlock/2+3, uint64(k))
-		for _, rule := range []Merger{Median{}, TrimmedMean{Beta: 0.3}} {
-			requireReference(t, rule, updates, alpha, pools)
+	for _, bk := range tensor.Backends() {
+		if err := tensor.SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for _, k := range ks {
+			for _, dim := range []int{1, orderBlock - 1, orderBlock + 1} {
+				updates, alpha := tieCohort(k, dim, uint64(1000*k+dim))
+				for _, rule := range orderRules {
+					requireReference(t, rule, updates, alpha, nilPool)
+				}
+			}
+		}
+		for _, k := range []int{1, 2, 5, 16, 33} {
+			updates, alpha := tieCohort(k, 2*aggSegment+orderBlock/2+3, uint64(k))
+			for _, rule := range []Merger{Median{}, TrimmedMean{Beta: 0.3}} {
+				requireReference(t, rule, updates, alpha, pools)
+			}
 		}
 	}
 }

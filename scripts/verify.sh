@@ -69,9 +69,12 @@ go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceRep
 # The blocked Median/TrimmedMean kernel must match the historical
 # per-coordinate sort bit for bit: on tie-heavy cohorts (signed zeros,
 # NaN payloads, ±Inf, subnormals) across cohort sizes, dims and pool
-# widths, on the fuzz target's seed corpus, and over whole sign-flip
-# runs at f64 and f32.
+# widths under every kernel tier, on the fuzz target's seed corpus, and
+# over whole sign-flip runs at f64 and f32. The same three suites run
+# again with every SIMD tier disabled, so the merge's generic
+# compare-exchange and lane screen stand alone.
 go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes|TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
+TENSOR_BACKEND=generic go test -run 'TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
 
 # Benign byte-identity across the merge-seam refactor: figure6 rendered
 # cold, warm (0 cache misses) and with the explicit weighted merge rule
@@ -100,8 +103,10 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # where they pack panels and where the amd64 SIMD tiers read a one-panel
 # product's operands in place (the shape table carries the workloads'
 # train-step products, whose strides differ from the tile width), same
-# for the SIMD elementwise kernels, and im2col/col2im must match the
-# element-at-a-time loops. Every GEMM entry point, at both widths, must
+# for the SIMD elementwise kernels and the robust merge's
+# compare-exchange and zero/NaN lane screen (NaN payloads, ±0, ±Inf and
+# subnormals; 1 to 17 rows at strides wider than the lane count), and
+# im2col/col2im must match the element-at-a-time loops. Every GEMM entry point, at both widths, must
 # panic before any kernel runs when an operand's Data is shorter than
 # its shape, since the kernels hand raw pointers to assembly. A warm arena-backed train step (dense and
 # conv stacks, with BackwardScratch and with BackwardParams) must
@@ -111,24 +116,25 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # CNN, VGG stand-in, the agent's policy and value MLPs) must train to
 # the digests pinned in internal/nn/digest_test.go, through an arena
 # with either backward and without an arena.
-go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain|TestGEMMShortDataPanics' ./internal/tensor/
+go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics' ./internal/tensor/
 go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
 # kernels stand alone (and that the override is honored end to end).
-TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
 
 # Float32 kernel gates: the f32 GEMM (the portable 4×4 tile on every
-# backend; no run reaches it) and Axpy32 (the f32 weighted merge's
-# kernel, with SIMD tiers) must be bit-identical to their naive f32
-# references under every backend in the host's chain (the suite forces
-# each tier itself), including the non-finite special-value sweep, the
+# backend; no run reaches it), Axpy32 (the f32 weighted merge's kernel,
+# with SIMD tiers) and the f32 compare-exchange and lane screen (the
+# f32 robust merge's) must be bit-identical to their f32 references
+# under every backend in the host's chain (the suite forces each tier
+# itself), including the non-finite special-value sweep, the
 # f64↔f32 conversions must round trip exactly, and the warm f32 kernels
 # must not allocate — and the same suite must hold with every SIMD tier
 # disabled.
-go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32' ./internal/tensor/
-TENSOR_BACKEND=generic go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip' ./internal/tensor/
+go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripes32BitIdentical|TestWidenQuantizeRoundTrip' ./internal/tensor/
 
 # Float32 precision-mode determinism gate under -race: an F32 run must
 # be bit-identical across eager/virtual construction, across worker
