@@ -7,16 +7,17 @@ import (
 
 // Kernel backend dispatch. The numeric kernels — the f64 blocked GEMM
 // micro-kernels (blocked.go), the vectorized elementwise layer
-// (elemwise.go) and the f32 merge's Axpy32 (precision32.go) — pick
-// their tier here, with f32 vectors carrying twice the lanes of their
-// f64 twins. The f32 GEMM (blocked32.go) has no vector kernel and runs
-// the portable 4×4 tile on every backend:
+// (elemwise.go), the f32 merge's Axpy32 (precision32.go) and the robust
+// merge's compare-exchange and lane screen (order.go) — pick their tier
+// here, with f32 vectors carrying twice the lanes of their f64 twins.
+// The f32 GEMM (blocked32.go) has no vector kernel and runs the
+// portable 4×4 tile on every backend:
 //
-//	backend   f64 lanes / GEMM tile      f32 Axpy32 lanes   f32 GEMM tile
-//	avx512    8-wide ZMM, 8×8 tiles      16-wide ZMM        4×4 (portable)
-//	avx       4-wide YMM, 4×4 tiles      8-wide YMM         4×4 (portable)
-//	neon      2-wide, 4×4 tiles          generic core       4×4 (portable)
-//	generic   pure Go, 4×4 tiles         pure Go            4×4 (portable)
+//	backend   f64 lanes / GEMM tile   f32 Axpy32 lanes   sort network (f64/f32)   f32 GEMM tile
+//	avx512    8-wide ZMM, 8×8 tiles   16-wide ZMM        4/8-wide YMM             4×4 (portable)
+//	avx       4-wide YMM, 4×4 tiles   8-wide YMM         4/8-wide YMM             4×4 (portable)
+//	neon      2-wide, 4×4 tiles       generic core       generic core             4×4 (portable)
+//	generic   pure Go, 4×4 tiles      pure Go            pure Go                  4×4 (portable)
 //
 // (amd64 offers avx512/avx, arm64 neon; the generic element kernels of
 // generic.go cover every GOARCH and both widths.)

@@ -249,9 +249,10 @@ func microEdgeG[E Elem](kc int, a []E, rsA, csA int, b []E, ldb int, c []E, ldc,
 // Elementwise scalar cores. The SIMD dispatch wrappers (elemwise.go,
 // Axpy32 in precision32.go and the sorting-network kernels of order.go)
 // run these over the tail [i, len(x)) the vector body did not cover —
-// or the whole slice on the generic backend. Per element they are
-// multiply-round-then-add-round, never fused (the explicit E(·)
-// conversion, see the package comment above).
+// or the whole slice on the generic backend. Per element the arithmetic
+// ones are multiply-round-then-add-round, never fused (the explicit
+// E(·) conversion, see the package comment above); the sorting-network
+// ones only compare and select.
 
 // axpyTailG computes y[j] += alpha·x[j] for j in [i, len(x)).
 func axpyTailG[E Elem](alpha E, x, y []E, i int) {

@@ -15,8 +15,9 @@ import "fmt"
 // elemwise.go. On amd64 one 256-bit YMM body per kernel and width
 // serves both the avx512 and avx tiers, as the activation kernels do:
 // a comparator pass over a cache-resident block is bound by its loads
-// and stores, so ZMM bodies measured no faster. Other tiers run the
-// generic core (generic.go), which also runs every vector body's tail.
+// and stores, and a prototype's ZMM bodies measured no faster. Other
+// tiers run the generic core (generic.go), which also runs every
+// vector body's tail.
 //
 // Determinism: both kernels are per-lane selections with no
 // arithmetic, so any split into vector body and scalar tail gives the
