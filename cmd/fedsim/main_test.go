@@ -77,6 +77,7 @@ func TestFedsimBadFlags(t *testing.T) {
 		{"-partition", "nope"},
 		{"-method", "nope"},
 		{"-precision", "f16"},
+		{"-attack-frac", "NaN", "-method", "FedAvg", "-datascale", "0.1", "-rounds", "1", "-epochs", "1"},
 	} {
 		if code := run(args, &out, &errOut); code == 0 {
 			t.Fatalf("run(%v) succeeded, want failure", args)

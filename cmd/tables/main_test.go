@@ -360,4 +360,7 @@ func TestTablesBadArgs(t *testing.T) {
 	if code := run([]string{"-exp", "nope", "-scale", "ci"}, &out, &errOut); code == 0 {
 		t.Fatal("bad experiment id accepted")
 	}
+	if code := run([]string{"-exp", "table2", "-scale", "ci", "-attack-frac", "NaN"}, &out, &errOut); code == 0 {
+		t.Fatal("NaN attack fraction accepted")
+	}
 }

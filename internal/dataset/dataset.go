@@ -123,10 +123,10 @@ func (s Spec) Validate() {
 	if s.Classes <= 1 || s.Shape.Len() <= 0 || s.TrainPerClass <= 0 || s.TestPerClass <= 0 {
 		panic(fmt.Sprintf("dataset: invalid spec %+v", s))
 	}
-	if s.ProtoStd <= 0 || s.NoiseStd < 0 {
+	if !(s.ProtoStd > 0 && s.NoiseStd >= 0) {
 		panic(fmt.Sprintf("dataset: invalid spec stds %+v", s))
 	}
-	if s.ClusterSharpen < 0 || s.ClusterSharpen > 1 {
+	if !(0 <= s.ClusterSharpen && s.ClusterSharpen <= 1) {
 		panic(fmt.Sprintf("dataset: ClusterSharpen %v out of [0,1]", s.ClusterSharpen))
 	}
 }

@@ -216,6 +216,9 @@ func TestSpecValidatePanics(t *testing.T) {
 		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 0, TestPerClass: 1, ProtoStd: 1},
 		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 0},
 		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 1, ClusterSharpen: 2},
+		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: math.NaN()},
+		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 1, NoiseStd: math.NaN()},
+		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 1, ClusterSharpen: math.NaN()},
 	}
 	for i, s := range bad {
 		func() {

@@ -268,7 +268,7 @@ func (a *attackRuntime) corrupt(round int, global []float64, u *Update) {
 // empty string and "none" mean no attack (nil model, the byte-identical
 // benign path).
 func ParseAttack(name string, frac float64) (AttackModel, error) {
-	if frac < 0 || frac > 1 {
+	if !(0 <= frac && frac <= 1) {
 		return nil, fmt.Errorf("fl: attack fraction %v outside [0, 1]", frac)
 	}
 	set := ByzantineSet{Frac: frac}

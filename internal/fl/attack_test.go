@@ -377,7 +377,7 @@ func TestParseAttack(t *testing.T) {
 	if _, err := ParseAttack("nope", 0.2); err == nil {
 		t.Fatal("unknown attack did not error")
 	}
-	for _, frac := range []float64{-0.1, 1.5} {
+	for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
 		if _, err := ParseAttack("signflip", frac); err == nil {
 			t.Fatalf("fraction %v accepted", frac)
 		}

@@ -116,7 +116,7 @@ func CompressionError[T tensor.Elem](weights, base []T, d SparseDelta[T]) float6
 // is busy), one update per index slot; a nil pool runs inline. The
 // result is bit-identical to the sequential path at any pool width.
 func CompressUpdatesOn[T tensor.Elem](updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta[T] {
-	if keepFrac <= 0 || keepFrac > 1 {
+	if !(0 < keepFrac && keepFrac <= 1) {
 		panic(fmt.Sprintf("fl: keepFrac %v out of (0,1]", keepFrac))
 	}
 	k := int(keepFrac * float64(len(global)))

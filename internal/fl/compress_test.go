@@ -90,6 +90,7 @@ func TestCompressPanics(t *testing.T) {
 		func() { CompressTopK([]float64{1}, []float64{1}, 0) },
 		func() { (SparseDelta[float64]{Dim: 3}).Decompress([]float64{1}) },
 		func() { CompressUpdatesOn[float64](nil, []float64{1}, 0, nil) },
+		func() { CompressUpdatesOn[float64](nil, []float64{1}, math.NaN(), nil) },
 		func() { DecompressUpdates[float64]([]Update{{}}, nil, nil) },
 	} {
 		func() {

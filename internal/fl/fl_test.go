@@ -402,6 +402,8 @@ func TestRunConfigValidatePanics(t *testing.T) {
 		func(c *RunConfig) { c.Local.LR = math.NaN() },
 		func(c *RunConfig) { c.Local.ProxMu = -1 },
 		func(c *RunConfig) { c.Local.ProxMu = math.NaN() },
+		func(c *RunConfig) { c.Quarantine.MaxNorm = -1 },
+		func(c *RunConfig) { c.Quarantine.MaxNorm = math.NaN() },
 	}
 	for i, m := range mut {
 		cfg := good

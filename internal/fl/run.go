@@ -97,7 +97,7 @@ type QuarantineConfig struct {
 	// the screen only reads.
 	DisableFiniteCheck bool
 	// MaxNorm additionally quarantines uploads whose L2 norm exceeds
-	// it; 0 disables the norm screen.
+	// it; 0 disables the norm screen. It must not be negative or NaN.
 	MaxNorm float64
 }
 
@@ -152,6 +152,9 @@ func (c RunConfig) Validate() {
 	}
 	if c.Workers < 0 {
 		panic("fl: negative Workers")
+	}
+	if !(c.Quarantine.MaxNorm >= 0) {
+		panic(fmt.Sprintf("fl: Quarantine.MaxNorm %v must be non-negative", c.Quarantine.MaxNorm))
 	}
 	c.Precision.Validate()
 }

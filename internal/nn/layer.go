@@ -162,7 +162,7 @@ type LeakyReLU struct {
 // NewLeakyReLU returns a LeakyReLU with the given negative slope. The
 // conventional default (and the one used for the DRL networks) is 0.01.
 func NewLeakyReLU(alpha float64) *LeakyReLU {
-	if alpha < 0 || alpha >= 1 {
+	if !(0 <= alpha && alpha < 1) {
 		panic(fmt.Sprintf("nn: LeakyReLU alpha %v out of [0,1)", alpha))
 	}
 	return &LeakyReLU{Alpha: alpha}

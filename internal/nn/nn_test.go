@@ -64,12 +64,16 @@ func TestActivations(t *testing.T) {
 	if math.Abs(y.Data[2]) > 1e-12 || math.Abs(y.Data[4]-math.Tanh(2)) > 1e-12 {
 		t.Fatalf("tanh = %v", y.Data)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad alpha did not panic")
-		}
-	}()
-	NewLeakyReLU(1.5)
+	for _, alpha := range []float64{1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("alpha %v did not panic", alpha)
+				}
+			}()
+			NewLeakyReLU(alpha)
+		}()
+	}
 }
 
 func TestMaxPoolKnown(t *testing.T) {

@@ -155,7 +155,7 @@ func buildClusters(classes, n int, delta float64, labelsPerClient, numGroups int
 	if numGroups < 2 {
 		panic("partition: clustered methods need at least 2 groups")
 	}
-	if delta <= 0 || delta >= 1 {
+	if !(0 < delta && delta < 1) {
 		panic(fmt.Sprintf("partition: delta %v out of (0,1)", delta))
 	}
 	if classes < numGroups*labelsPerClient {

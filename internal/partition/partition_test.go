@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,6 +306,7 @@ func TestPanics(t *testing.T) {
 		func() { Pareto(d, 5, 11, 1, rng.New(1)) },
 		func() { ClusteredEqual(d, 10, 0, 2, 3, rng.New(1)) },
 		func() { ClusteredEqual(d, 10, 1.5, 2, 3, rng.New(1)) },
+		func() { ClusteredEqual(d, 10, math.NaN(), 2, 3, rng.New(1)) },
 		func() { ClusteredEqual(d, 2, 0.5, 2, 3, rng.New(1)) },
 		func() { ClusteredEqual(d, 10, 0.5, 4, 3, rng.New(1)) }, // 3*4 > 10 classes
 		func() { EqualShards(d, 0, 2, rng.New(1)) },
