@@ -322,15 +322,6 @@ func (a *Agent) observe(s, act []float64, r float64, s2 []float64, done bool) bo
 // ("if D is sufficient", Algorithm 2 line 19).
 func (a *Agent) ReadyToTrain() bool { return a.Buffer.Len() >= a.cfg.WarmupExperiences }
 
-// QValue evaluates the main value network on one (state, action) pair.
-func (a *Agent) QValue(s, act []float64) float64 {
-	in := make([]float64, 0, len(s)+len(act))
-	in = append(in, s...)
-	in = append(in, act...)
-	x := tensor.FromSlice(in, 1, len(in))
-	return a.value.Forward(x, false).At(0, 0)
-}
-
 // reprioritize is Algorithm 1 lines 1–2: every buffered experience's
 // priority becomes its TD error |r + γ·Q(s′,a) − Q(s,a)| (r alone for
 // terminal ones) under the current value network, one tdChunk-sized
@@ -447,10 +438,6 @@ func (a *Agent) Train() {
 		a.valueT.SoftUpdateFrom(a.value, a.cfg.Rho)
 	}
 }
-
-// PolicyParams exposes the flat policy parameters (used by tests and by
-// the two-stage trainer's diagnostics).
-func (a *Agent) PolicyParams() []float64 { return a.policy.ParamVector() }
 
 // CopyPolicyFrom copies another agent's policy and value networks into
 // this agent (mains and targets). Configurations must agree on K and

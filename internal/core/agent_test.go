@@ -286,9 +286,9 @@ func TestObserveRejectsNaN(t *testing.T) {
 func TestTrainIsNoopBeforeWarmup(t *testing.T) {
 	cfg := smallConfig(2)
 	a := NewAgent(cfg)
-	before := a.PolicyParams()
+	before := a.policy.ParamVector()
 	a.Train()
-	after := a.PolicyParams()
+	after := a.policy.ParamVector()
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("Train before warmup modified the policy")
@@ -308,9 +308,9 @@ func TestTrainUpdatesNetworks(t *testing.T) {
 		act := a.Act(s, true)
 		a.Observe(s, act, -r.Float64(), s)
 	}
-	before := a.PolicyParams()
+	before := a.policy.ParamVector()
 	a.Train()
-	after := a.PolicyParams()
+	after := a.policy.ParamVector()
 	changed := false
 	for i := range before {
 		if before[i] != after[i] {
@@ -339,7 +339,7 @@ func TestDeterministicAgent(t *testing.T) {
 			a.Observe(s, act, -1, s)
 			a.Train()
 		}
-		return a.PolicyParams()
+		return a.policy.ParamVector()
 	}
 	p1, p2 := run(), run()
 	for i := range p1 {

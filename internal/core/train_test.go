@@ -34,6 +34,15 @@ func fillBuffer(a *Agent, n int, seed uint64) {
 	}
 }
 
+// QValue evaluates the main value network on one (state, action) pair.
+func (a *Agent) QValue(s, act []float64) float64 {
+	in := make([]float64, 0, len(s)+len(act))
+	in = append(in, s...)
+	in = append(in, act...)
+	x := tensor.FromSlice(in, 1, len(in))
+	return a.value.Forward(x, false).At(0, 0)
+}
+
 // TestReprioritizeMatchesQValue checks the chunked TD pass against the
 // per-experience reference |R + γ·QValue(S2,A) − QValue(S,A)| followed
 // by a stable descending sort, bit for bit and in order, at buffer

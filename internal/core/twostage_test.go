@@ -42,7 +42,7 @@ func TestTrainTwoStageRuns(t *testing.T) {
 	if res.OfflineUpdates != 10*cfg.UpdatesPerRound {
 		t.Fatalf("offline updates %d", res.OfflineUpdates)
 	}
-	if !mathx.AllFinite(res.Agent.PolicyParams()) {
+	if !mathx.AllFinite(res.Agent.policy.ParamVector()) {
 		t.Fatal("two-stage training produced non-finite policy")
 	}
 }
@@ -66,7 +66,7 @@ func TestTwoStageDeterministic(t *testing.T) {
 		res := TrainTwoStage(cfg, func(w int, seed uint64) Env {
 			return &lineEnv{k: 2, target: 0.3}
 		}, 2, 15, 5)
-		return res.Agent.PolicyParams()
+		return res.Agent.policy.ParamVector()
 	}
 	a, b := run(), run()
 	for i := range a {

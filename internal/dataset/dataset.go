@@ -72,15 +72,6 @@ func (d *Dataset) ByClass() [][]int {
 	return out
 }
 
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	out := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		out[y]++
-	}
-	return out
-}
-
 // Validate panics if the dataset's invariants are broken (used by tests
 // and by the partitioners' preconditions).
 func (d *Dataset) Validate() {

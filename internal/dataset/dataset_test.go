@@ -54,10 +54,10 @@ func TestPixelRange(t *testing.T) {
 
 func TestClassBalance(t *testing.T) {
 	tr, _ := Synthesize(MNISTSim().Scaled(0.25), 2)
-	counts := tr.ClassCounts()
-	for c, n := range counts {
-		if n != counts[0] {
-			t.Fatalf("class %d has %d samples, class 0 has %d", c, n, counts[0])
+	byc := tr.ByClass()
+	for c, idx := range byc {
+		if len(idx) != len(byc[0]) {
+			t.Fatalf("class %d has %d samples, class 0 has %d", c, len(idx), len(byc[0]))
 		}
 	}
 }

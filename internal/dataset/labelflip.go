@@ -43,9 +43,6 @@ func (f *LabelFlipped) Label(i int) int { return f.src.Classes() - 1 - f.src.Lab
 // flip.
 func (f *LabelFlipped) Raw() (x []float64, y []int, ok bool) { return nil, nil, false }
 
-// Source returns the wrapped data.
-func (f *LabelFlipped) Source() Data { return f.src }
-
 // Materialize copies the samples into a contiguous private Dataset
 // carrying the flipped labels.
 func (f *LabelFlipped) Materialize() *Dataset {

@@ -56,9 +56,9 @@ func (d *Dataset) Raw() (x []float64, y []int, ok bool) { return d.X, d.Y, true 
 func (d *Dataset) Materialize() *Dataset { return d }
 
 // View is a zero-copy subset of a parent dataset: an index recipe
-// instead of copied storage. Views satisfy the same Sample/ByClass/
-// Validate surface as Dataset, sharing the parent's X/Y arrays — a
-// view of any size costs len(idx) ints, not len(idx)*Dim floats.
+// instead of copied storage. Views satisfy the same Sample/Validate
+// surface as Dataset, sharing the parent's X/Y arrays — a view of any
+// size costs len(idx) ints, not len(idx)*Dim floats.
 //
 // Aliasing rules: a view shares the parent's storage, so mutating
 // sample data through a view (or mutating the parent while views are
@@ -103,27 +103,12 @@ func (v *View) Label(i int) int { return v.parent.Y[v.idx[i]] }
 // the parent's storage.
 func (v *View) Raw() (x []float64, y []int, ok bool) { return nil, nil, false }
 
-// Indices returns the view's index recipe into the parent (aliased,
-// do not mutate).
-func (v *View) Indices() []int { return v.idx }
-
 // Parent returns the dataset the view indexes into.
 func (v *View) Parent() *Dataset { return v.parent }
 
 // Materialize copies the viewed samples into a contiguous private
 // Dataset (the Subset semantics).
 func (v *View) Materialize() *Dataset { return v.parent.Subset(v.idx) }
-
-// ByClass returns, for each class, the view-local indices of its
-// samples (the same contract as Dataset.ByClass, in view index space).
-func (v *View) ByClass() [][]int {
-	out := make([][]int, v.parent.NumClasses)
-	for i, pi := range v.idx {
-		y := v.parent.Y[pi]
-		out[y] = append(out[y], i)
-	}
-	return out
-}
 
 // Validate panics if the view's invariants are broken: every index must
 // be in the parent's range and the parent itself must be valid.

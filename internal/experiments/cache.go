@@ -77,9 +77,6 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// Readonly reports whether the cache writes records back.
-func (c *Cache) Readonly() bool { return c != nil && c.readonly }
-
 // Stats returns a snapshot of this handle's lookup counters.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
@@ -105,9 +102,10 @@ func (c *Cache) Summary() string {
 
 // hashedScaleFields lists every Scale field folded into a cell's cache
 // key: exactly the fields that can change what a cell computes given
-// its CellSpec. hashedScaleFields and excludedScaleFields together must
-// cover the Scale struct — enforced by TestCacheKeyCoversScale — so a
-// new Scale field cannot silently produce false cache hits.
+// its CellSpec. With the excluded and conditionally hashed fields that
+// cache_test.go lists, it must cover the Scale struct — enforced by
+// TestCacheKeyCoversScale — so a new Scale field cannot silently produce
+// false cache hits.
 var hashedScaleFields = []string{
 	"DataScale", // sizes the synthesized datasets a cell trains on
 	"Rounds",
@@ -118,23 +116,6 @@ var hashedScaleFields = []string{
 	"UseConvNets",
 	"Precision", // federated-state width changes every cell's numbers
 	"EvalEvery",
-}
-
-// excludedScaleFields lists the Scale fields deliberately left out of
-// the cache key, each because it cannot change a cell's artifact:
-// Name is a display label; LargeN, K, KSweep and Deltas only steer job
-// enumeration (the resulting N/K/Delta live in each CellSpec); Workers
-// picks the engine width, whose output is bit-identical at any value.
-var excludedScaleFields = []string{
-	"Name", "LargeN", "K", "KSweep", "Deltas", "Workers",
-}
-
-// conditionallyHashedScaleFields are hashed only when any of them is
-// non-zero (see hashScale): the scale-level Byzantine knobs change what
-// a cell computes, but their zero values must contribute nothing so
-// every cache address minted before the knobs existed stays valid.
-var conditionallyHashedScaleFields = []string{
-	"Attack", "AttackFrac", "Merger",
 }
 
 // hashScale folds the code-relevant Scale fields into h, in the fixed

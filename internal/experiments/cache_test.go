@@ -362,6 +362,23 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// excludedScaleFields lists the Scale fields deliberately left out of
+// the cache key, each because it cannot change a cell's artifact:
+// Name is a display label; LargeN, K, KSweep and Deltas only steer job
+// enumeration (the resulting N/K/Delta live in each CellSpec); Workers
+// picks the engine width, whose output is bit-identical at any value.
+var excludedScaleFields = []string{
+	"Name", "LargeN", "K", "KSweep", "Deltas", "Workers",
+}
+
+// conditionallyHashedScaleFields are hashed only when any of them is
+// non-zero (see hashScale): the scale-level Byzantine knobs change what
+// a cell computes, but their zero values must contribute nothing so
+// every cache address minted before the knobs existed stays valid.
+var conditionallyHashedScaleFields = []string{
+	"Attack", "AttackFrac", "Merger",
+}
+
 // TestCacheKeyCoversScale guards cache-key completeness by reflection:
 // every field of Scale must be classified as hashed or excluded. A new
 // field fails this test until it is deliberately placed, so it cannot
@@ -389,7 +406,7 @@ func TestCacheKeyCoversScale(t *testing.T) {
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		if !classified[typ.Field(i).Name] {
-			t.Fatalf("scale field %s is neither hashed nor excluded — classify it in cache.go", typ.Field(i).Name)
+			t.Fatalf("scale field %s is neither hashed nor excluded — classify it in cache.go or cache_test.go", typ.Field(i).Name)
 		}
 	}
 	// And hashing must actually consume every hashed field without

@@ -236,15 +236,6 @@ func (r *AsyncResult) MeanStaleness() float64 {
 	return total / float64(len(r.Async))
 }
 
-// TotalDropped sums the dropped updates over the whole run.
-func (r *AsyncResult) TotalDropped() int {
-	total := 0
-	for _, m := range r.Async {
-		total += m.Dropped
-	}
-	return total
-}
-
 // inFlight is one dispatched update travelling to the server through
 // virtual time.
 type inFlight struct {

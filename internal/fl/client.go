@@ -142,14 +142,6 @@ func NewClient(id int, data dataset.Data, factory nn.Factory, seed uint64) *Clie
 // evalChunk bounds the batch size of full-dataset evaluation passes.
 const evalChunk = 128
 
-// EvalLoss returns the mean cross-entropy of the model on d (the
-// inference pass of Algorithm 2 lines 7 and 10). It returns 0 for an
-// empty dataset.
-func EvalLoss(m *nn.Network, d *dataset.Dataset) float64 {
-	loss, _ := EvalLossAcc(m, d)
-	return loss
-}
-
 // EvalLossAcc returns mean loss and top-1 accuracy of the model on d.
 // It is the sequential reference kernel and allocates its loss scratch
 // per call; hot paths (Run, SingleSet, client inference) go through the
@@ -163,9 +155,9 @@ func EvalLossAcc(m *nn.Network, d *dataset.Dataset) (loss, acc float64) {
 	return evalChunked([]*evalLane{{model: m, ce: nn.NewCrossEntropy()}}, d, nil, &sums)
 }
 
-// evalLoss is the client's arena-backed inference pass: the same chunk
-// walk as EvalLoss, reusing the client's model scratch and loss buffers
-// round over round.
+// evalLoss is the client's arena-backed inference pass (Algorithm 2
+// lines 7 and 10): the same chunk walk as EvalLossAcc, reusing the
+// client's model scratch and loss buffers round over round.
 func (c *Client) evalLoss() float64 {
 	if c.Data.Len() == 0 {
 		return 0

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"unsafe"
 
@@ -95,18 +94,6 @@ func (d SparseDelta[T]) WireSize() int {
 // width.
 func (d SparseDelta[T]) CompressionRatio() float64 {
 	return float64(weightWireSize(precisionOf[T](), d.Dim)) / float64(d.WireSize())
-}
-
-// CompressionError returns the L2 norm of the dropped delta mass — the
-// reconstruction error the top-k truncation introduces.
-func CompressionError[T tensor.Elem](weights, base []T, d SparseDelta[T]) float64 {
-	rec := d.Decompress(base)
-	sum := 0.0
-	for i := range weights {
-		diff := float64(weights[i] - rec[i])
-		sum += diff * diff
-	}
-	return math.Sqrt(sum)
 }
 
 // CompressUpdatesOn converts a round's updates at width T into sparse

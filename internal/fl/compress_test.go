@@ -49,11 +49,23 @@ func TestCompressFullKIsLossless(t *testing.T) {
 				return false
 			}
 		}
-		return CompressionError(w, base, d) < 1e-9
+		return compressionError(w, base, d) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compressionError returns the L2 norm of the delta mass top-k drops:
+// the distance between w and its reconstruction from d.
+func compressionError(w, base []float64, d SparseDelta[float64]) float64 {
+	rec := d.Decompress(base)
+	sum := 0.0
+	for i := range w {
+		diff := w[i] - rec[i]
+		sum += diff * diff
+	}
+	return math.Sqrt(sum)
 }
 
 func TestCompressionErrorDecreasesWithK(t *testing.T) {
@@ -67,7 +79,7 @@ func TestCompressionErrorDecreasesWithK(t *testing.T) {
 	prev := math.Inf(1)
 	for _, k := range []int{1, 10, 50, 100} {
 		d := CompressTopK(w, base, k)
-		e := CompressionError(w, base, d)
+		e := compressionError(w, base, d)
 		if e > prev+1e-12 {
 			t.Fatalf("error not monotone at k=%d: %v > %v", k, e, prev)
 		}

@@ -1,7 +1,7 @@
 // Package mathx collects the small numeric kernels shared by every other
-// package in the FedDRL reproduction: numerically stable softmax and
-// log-sum-exp, summary statistics over slices (mean, variance, extrema)
-// and scalar helpers. The SIMD vector kernels (axpy, scale) live in the
+// package in the FedDRL reproduction: a numerically stable softmax,
+// summary statistics over slices (mean, variance, extrema) and scalar
+// helpers. The SIMD vector kernels (axpy, scale) live in the
 // tensor package.
 package mathx
 
@@ -47,27 +47,6 @@ func SoftmaxTo(dst, x []float64) {
 	for i := range dst {
 		dst[i] /= sum
 	}
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
-func LogSumExp(x []float64) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
 }
 
 // Sum returns the sum of x using Kahan compensation, which matters when
@@ -150,50 +129,6 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return best
-}
-
-// Dot returns the inner product of a and b. Lengths must match.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mathx: Dot length mismatch")
-	}
-	sum := 0.0
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float64) float64 {
-	// Scaled accumulation to avoid overflow for large magnitudes.
-	max := 0.0
-	for _, v := range x {
-		a := math.Abs(v)
-		if a > max {
-			max = a
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		s := v / max
-		sum += s * s
-	}
-	return max * math.Sqrt(sum)
 }
 
 // Softplus returns log(1 + e^x) computed stably.

@@ -100,19 +100,6 @@ func TestSoftmaxToAliasing(t *testing.T) {
 	SoftmaxTo(make([]float64, 2), x)
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{0, 0})
-	if !almostEq(got, math.Log(2), 1e-12) {
-		t.Fatalf("LSE([0,0]) = %v", got)
-	}
-	if got := LogSumExp([]float64{1000, 1000}); !almostEq(got, 1000+math.Log(2), 1e-9) {
-		t.Fatalf("LSE overflow guard failed: %v", got)
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LSE(nil) = %v", got)
-	}
-}
-
 func TestSumKahan(t *testing.T) {
 	// 1 + 1e-16 repeated: naive summation loses the small terms.
 	x := make([]float64, 0, 10001)
@@ -160,39 +147,6 @@ func TestMinMaxArgMax(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestDotAxpyScaleFill(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if d := Dot(a, b); !almostEq(d, 32, 1e-12) {
-		t.Fatalf("dot = %v", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot length mismatch did not panic")
-		}
-	}()
-	Dot(a, b[:2])
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.3, 0, 1) != 0.3 {
-		t.Fatal("clamp wrong")
-	}
-}
-
-func TestL2Norm(t *testing.T) {
-	if n := L2Norm([]float64{3, 4}); !almostEq(n, 5, 1e-12) {
-		t.Fatalf("norm = %v", n)
-	}
-	if L2Norm(nil) != 0 || L2Norm([]float64{0, 0}) != 0 {
-		t.Fatal("zero norm wrong")
-	}
-	// Overflow guard: naive sum of squares would be +Inf.
-	if n := L2Norm([]float64{1e200, 1e200}); math.IsInf(n, 0) {
-		t.Fatalf("norm overflowed: %v", n)
 	}
 }
 

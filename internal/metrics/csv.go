@@ -72,40 +72,3 @@ func (ss *SeriesSet) SaveCSV(path string) error {
 	}
 	return f.Sync()
 }
-
-// ReadCSV parses a file written by WriteCSV back into a SeriesSet
-// (round-trip support for downstream tooling and tests).
-func ReadCSV(r io.Reader) (*SeriesSet, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("metrics: csv parse: %w", err)
-	}
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("metrics: empty csv")
-	}
-	header := rows[0]
-	ss := NewSeriesSet(header[0], nil)
-	cols := make([]Series, len(header)-1)
-	for _, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("metrics: ragged csv row")
-		}
-		x, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: bad x value %q: %w", row[0], err)
-		}
-		ss.X = append(ss.X, x)
-		for c := 1; c < len(row); c++ {
-			v, err := strconv.ParseFloat(row[c], 64)
-			if err != nil {
-				return nil, fmt.Errorf("metrics: bad value %q: %w", row[c], err)
-			}
-			cols[c-1] = append(cols[c-1], v)
-		}
-	}
-	for c, name := range header[1:] {
-		ss.Add(name, cols[c])
-	}
-	return ss, nil
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -16,22 +15,9 @@ func TestSeriesSetCSVRoundTrip(t *testing.T) {
 	if err := ss.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "round,FedAvg,FedDRL\n") {
-		t.Fatalf("csv header wrong:\n%s", out)
-	}
-	got, err := ReadCSV(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.XName != "round" || len(got.X) != 3 {
-		t.Fatalf("x axis lost: %+v", got)
-	}
-	if got.Data["FedDRL"][2] != 33 || got.Data["FedAvg"][0] != 10 {
-		t.Fatalf("values lost: %+v", got.Data)
-	}
-	if len(got.Names) != 2 || got.Names[0] != "FedAvg" {
-		t.Fatalf("column order lost: %v", got.Names)
+	want := "round,FedAvg,FedDRL\n0,10,12\n1,20,25\n2,30,33\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("csv = %q, want %q", got, want)
 	}
 }
 
@@ -42,15 +28,12 @@ func TestSeriesSetFile(t *testing.T) {
 	if err := ss.SaveCSV(path); err != nil {
 		t.Fatal(err)
 	}
-	// File is readable back through the os path too.
-	f, err := osOpen(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := ReadCSV(f)
-	if err != nil || got.Data["acc"][1] != 60 {
-		t.Fatalf("file round trip failed: %v %+v", err, got)
+	if want := "k,acc\n4,50\n8,60\n"; string(got) != want {
+		t.Fatalf("file = %q, want %q", got, want)
 	}
 }
 
@@ -72,20 +55,3 @@ func TestSeriesSetPanics(t *testing.T) {
 	}()
 	ss.Add("a", Series{3, 4})
 }
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"x,a\n1\n",        // ragged handled by csv reader as error
-		"x,a\nfoo,1\n",    // bad x
-		"x,a\n1,notnum\n", // bad value
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d did not error", i)
-		}
-	}
-}
-
-// osOpen indirects os.Open so the test file's imports stay tidy.
-func osOpen(path string) (*os.File, error) { return os.Open(path) }

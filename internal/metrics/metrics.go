@@ -1,9 +1,9 @@
 // Package metrics provides the series utilities behind the paper's
 // evaluation artifacts: best top-1 accuracy (Table 3/4), window-smoothed
-// accuracy timelines (Fig. 5), normalization of per-client inference-loss
-// curves to a reference method (Fig. 6), rounds-to-target-accuracy
-// (Fig. 10), and a plain-text table renderer shared by the experiment
-// harness and the CLI tools.
+// accuracy timelines (Fig. 5), rounds-to-target-accuracy (Fig. 10), and
+// a plain-text table renderer shared by the experiment harness and the
+// CLI tools. Fig. 6's normalization to a reference method lives in the
+// experiments package's renderFigure6.
 package metrics
 
 import (
@@ -71,28 +71,6 @@ func (s Series) RoundsToTarget(target float64) int {
 		}
 	}
 	return -1
-}
-
-// NormalizedTo divides the series elementwise by ref (Fig. 6 normalizes
-// every method's loss curves to FedDRL's). Zero reference entries yield
-// NaN-free output by mapping to 1 when both are zero and +Inf-free output
-// by clamping to a large sentinel otherwise.
-func (s Series) NormalizedTo(ref Series) Series {
-	if len(s) != len(ref) {
-		panic(fmt.Sprintf("metrics: NormalizedTo length mismatch %d vs %d", len(s), len(ref)))
-	}
-	out := make(Series, len(s))
-	for i, v := range s {
-		switch {
-		case ref[i] != 0:
-			out[i] = v / ref[i]
-		case v == 0:
-			out[i] = 1
-		default:
-			out[i] = 1e9
-		}
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean of the series, or 0 if empty.

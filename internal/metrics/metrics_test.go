@@ -90,27 +90,6 @@ func TestRoundsToTarget(t *testing.T) {
 	}
 }
 
-func TestNormalizedTo(t *testing.T) {
-	s := Series{2, 4, 0, 5}
-	ref := Series{1, 2, 0, 0}
-	n := s.NormalizedTo(ref)
-	if n[0] != 2 || n[1] != 2 {
-		t.Fatalf("normalized = %v", n)
-	}
-	if n[2] != 1 {
-		t.Fatalf("0/0 should map to 1, got %v", n[2])
-	}
-	if n[3] != 1e9 {
-		t.Fatalf("x/0 should clamp, got %v", n[3])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	s.NormalizedTo(Series{1})
-}
-
 func TestMeanAndTail(t *testing.T) {
 	s := Series{1, 2, 3, 4}
 	if s.Mean() != 2.5 {

@@ -195,41 +195,3 @@ func (l *LeakyReLU) Params() []*tensor.Tensor { return nil }
 
 // Grads returns no gradients.
 func (l *LeakyReLU) Grads() []*tensor.Tensor { return nil }
-
-// Tanh is the hyperbolic tangent activation. No model of the
-// reproduction uses it; the gradient checks do.
-type Tanh struct{ lastY *tensor.Tensor }
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// ForwardScratch applies tanh elementwise.
-func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := sc.tensor2D(id, 0, x.Rows(), x.Cols())
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	l.lastY = out
-	return out
-}
-
-// BackwardScratch multiplies by 1 - tanh² of the input.
-func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
-	if l.lastY == nil || len(l.lastY.Data) != len(grad.Data) {
-		panic("nn: Tanh.BackwardScratch shape mismatch with ForwardScratch")
-	}
-	if !wantDX {
-		return nil
-	}
-	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
-	for i, y := range l.lastY.Data {
-		out.Data[i] = grad.Data[i] * (1 - y*y)
-	}
-	return out
-}
-
-// Params returns no parameters.
-func (l *Tanh) Params() []*tensor.Tensor { return nil }
-
-// Grads returns no gradients.
-func (l *Tanh) Grads() []*tensor.Tensor { return nil }

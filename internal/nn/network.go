@@ -28,18 +28,9 @@ func NewNetwork(layers ...Layer) *Network {
 	return &Network{layers: layers}
 }
 
-// Layers returns the layer slice (shared, not copied).
-func (n *Network) Layers() []Layer { return n.layers }
-
 // Forward runs all layers in order with fresh buffers (a nil arena).
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return n.ForwardScratch(nil, x, train)
-}
-
-// Backward runs all layers in reverse with fresh buffers, returning the
-// input gradient.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return n.BackwardScratch(nil, grad)
 }
 
 // ForwardScratch runs all layers in order, drawing activation buffers
@@ -146,16 +137,6 @@ func (n *Network) ParamVector32() []float32 {
 		for _, v := range p.Data {
 			out = append(out, float32(v))
 		}
-	}
-	return out
-}
-
-// GradVector returns a copy of all gradients flattened, aligned with
-// ParamVector.
-func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, g := range n.Grads() {
-		out = append(out, g.Data...)
 	}
 	return out
 }

@@ -11,6 +11,15 @@ import (
 	"feddrl/internal/tensor"
 )
 
+// Layers returns the layer slice (shared, not copied).
+func (n *Network) Layers() []Layer { return n.layers }
+
+// Backward runs all layers in reverse with fresh buffers, returning the
+// input gradient.
+func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return n.BackwardScratch(nil, grad)
+}
+
 func TestDenseForwardKnown(t *testing.T) {
 	r := rng.New(1)
 	d := NewDense(r, 2, 2)

@@ -47,9 +47,6 @@ func New(capacity int, r *rng.RNG) *Buffer {
 // Len returns the number of stored experiences.
 func (b *Buffer) Len() int { return len(b.data) }
 
-// Cap returns the buffer capacity.
-func (b *Buffer) Cap() int { return b.cap }
-
 // Add stores an experience. Non-finite rewards or vectors are rejected
 // (returning false) so a diverging client loss cannot poison training.
 // When full, the lowest-priority experience is evicted.

@@ -15,7 +15,7 @@ func exp(prior float64) Experience {
 
 func TestAddAndLen(t *testing.T) {
 	b := New(3, rng.New(1))
-	if b.Len() != 0 || b.Cap() != 3 {
+	if b.Len() != 0 || b.cap != 3 {
 		t.Fatal("fresh buffer wrong")
 	}
 	for i := 0; i < 3; i++ {
@@ -164,7 +164,7 @@ func TestBufferNeverExceedsCapacityProperty(t *testing.T) {
 		b := New(8, r)
 		for _, op := range ops {
 			b.Add(exp(float64(op)))
-			if b.Len() > b.Cap() {
+			if b.Len() > b.cap {
 				return false
 			}
 		}

@@ -1,8 +1,8 @@
 // Package rng provides a small, deterministic, splittable pseudo-random
 // number generator together with the distribution samplers needed by the
 // FedDRL reproduction: Gaussian (policy exploration, synthetic data),
-// Gamma/Dirichlet and power-law (non-IID partitioners), categorical and
-// permutation sampling (client selection, shard shuffling).
+// Gamma/Dirichlet and power-law (non-IID partitioners), and permutation
+// sampling (client selection, shard shuffling).
 //
 // The generator is xoshiro256** seeded through splitmix64, the
 // combination recommended by Blackman & Vigna. It is not cryptographically
@@ -268,30 +268,6 @@ func (r *RNG) PowerLawWeights(n int, alpha float64) []float64 {
 	// lowest-numbered clients.
 	r.Shuffle(n, func(i, j int) { w[i], w[j] = w[j], w[i] })
 	return w
-}
-
-// Categorical samples an index with probability proportional to probs.
-// Entries must be non-negative and not all zero.
-func (r *RNG) Categorical(probs []float64) int {
-	total := 0.0
-	for _, p := range probs {
-		if p < 0 || math.IsNaN(p) {
-			panic("rng: Categorical with negative or NaN probability")
-		}
-		total += p
-	}
-	if total <= 0 {
-		panic("rng: Categorical with zero total mass")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(probs) - 1 // floating-point slack
 }
 
 // Shuffle performs a Fisher–Yates shuffle over n elements using swap.

@@ -244,36 +244,6 @@ func TestPowerLawWeights(t *testing.T) {
 	}
 }
 
-func TestCategoricalDistribution(t *testing.T) {
-	r := New(43)
-	probs := []float64{0.1, 0.2, 0.7}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(probs)]++
-	}
-	for i, p := range probs {
-		got := float64(counts[i]) / n
-		if math.Abs(got-p) > 0.01 {
-			t.Fatalf("categorical freq[%d] = %v, want %v", i, got, p)
-		}
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	cases := [][]float64{{0, 0}, {-1, 2}, {math.NaN()}}
-	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Categorical(%v) did not panic", c)
-				}
-			}()
-			New(1).Categorical(c)
-		}()
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%50 + 1

@@ -1,6 +1,7 @@
 package serialize
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strconv"
@@ -84,7 +85,7 @@ func TestCacheRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCacheRecordCorruptBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Decode(data[:cut]); err == nil {
+		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
@@ -135,7 +136,7 @@ func TestCacheRecordCorruptBytes(t *testing.T) {
 	// that magic corruption is caught.
 	flipped := append([]byte(nil), data...)
 	flipped[0] ^= 0xff
-	if _, err := Decode(flipped); err == nil {
+	if _, err := Read(bytes.NewReader(flipped)); err == nil {
 		t.Fatal("corrupt magic decoded cleanly")
 	}
 }

@@ -287,11 +287,6 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Decode parses a checkpoint from a byte slice written by Encode.
-func Decode(data []byte) (*Checkpoint, error) {
-	return Read(bytes.NewReader(data))
-}
-
 // SaveFile writes the checkpoint to a file path.
 func (c *Checkpoint) SaveFile(path string) error {
 	f, err := os.Create(path)

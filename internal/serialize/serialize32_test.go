@@ -149,7 +149,7 @@ func TestCheckpointLegacyLayout(t *testing.T) {
 	// A *corrupt* trailing section must still error: a declared f32
 	// count with a truncated body is not EOF tolerance territory.
 	raw := extBuf.Bytes()
-	if _, err := Decode(raw[:len(raw)-2]); err == nil {
+	if _, err := Read(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Fatal("truncated f32 section decoded cleanly")
 	}
 }

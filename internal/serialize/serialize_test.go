@@ -108,14 +108,14 @@ func TestEncodeDecodeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Meta["kind"] != "test" || len(got.Vectors["v"]) != 3 || got.Vectors["v"][0] != 3.5 {
 		t.Fatalf("byte round trip lost data: %+v", got)
 	}
-	if _, err := Decode(data[:3]); err == nil {
+	if _, err := Read(bytes.NewReader(data[:3])); err == nil {
 		t.Fatal("truncated bytes decoded")
 	}
 }

@@ -276,8 +276,8 @@ func TestParallelStripesBitIdentical(t *testing.T) {
 }
 
 // TestIm2ColBatchMatchesPerSample checks the whole-batch lowering is
-// exactly the per-sample lowering stacked, and that Col2ImBatch is its
-// adjoint applied per row block.
+// exactly each sample's one-row lowering stacked, and that Col2ImBatch
+// is the one-row adjoint applied per row block.
 func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 4, K: 3, Stride: 1, Pad: 1}
 	batch := 3
@@ -290,7 +290,7 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	Im2ColBatch(g, x, cols)
 	single := New(ohw, patch)
 	for i := 0; i < batch; i++ {
-		Im2Col(g, x.Row(i), single)
+		Im2ColBatch(g, FromSlice(x.Row(i), 1, x.Cols()), single)
 		for j, v := range single.Data {
 			if cols.Data[i*ohw*patch+j] != v {
 				t.Fatalf("sample %d element %d: batch %v, single %v", i, j, cols.Data[i*ohw*patch+j], v)
@@ -305,7 +305,7 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	for i := 0; i < batch; i++ {
 		ref := make([]float64, g.InC*g.InH*g.InW)
 		gi := FromSlice(grad.Data[i*ohw*patch:(i+1)*ohw*patch], ohw, patch)
-		Col2Im(g, gi, ref)
+		Col2ImBatch(g, gi, FromSlice(ref, 1, len(ref)))
 		for j, v := range ref {
 			if imgs.At(i, j) != v {
 				t.Fatalf("sample %d grad element %d: batch %v, single %v", i, j, imgs.At(i, j), v)

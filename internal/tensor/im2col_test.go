@@ -73,7 +73,7 @@ func TestIm2ColMatchesElementLoop(t *testing.T) {
 			ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
 			got, want := New(ohw, patch), New(ohw, patch)
 			fillRandom(got, r) // stale contents must be overwritten
-			Im2Col(g, img, got)
+			Im2ColBatch(g, FromSlice(img, 1, len(img)), got)
 			refIm2Col(g, img, want.Data)
 			for i, w := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
@@ -89,7 +89,7 @@ func TestIm2ColMatchesElementLoop(t *testing.T) {
 				gotImg[i] = r.Normal(0, 1)
 				wantImg[i] = gotImg[i]
 			}
-			Col2Im(g, cd, gotImg)
+			Col2ImBatch(g, cd, FromSlice(gotImg, 1, len(gotImg)))
 			refCol2Im(g, cd.Data, wantImg)
 			for i, w := range wantImg {
 				if math.Float64bits(gotImg[i]) != math.Float64bits(w) {

@@ -98,9 +98,6 @@ func Reuse2D(buf *Tensor, rows, cols int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dims returns the number of axes.
-func (t *Tensor) Dims() int { return len(t.Shape) }
-
 // Rows and Cols return the 2-D dimensions; they panic for non-2-D tensors.
 func (t *Tensor) Rows() int { t.want2D(); return t.Shape[0] }
 
@@ -172,22 +169,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 // kernels.
 func (t *Tensor) ScaleInPlace(alpha float64) {
 	Scale(alpha, t.Data)
-}
-
-// AxpyInPlace computes t ← t + alpha * o through the vectorized
-// elementwise kernels. Shapes must match.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AxpyInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	Axpy(alpha, o.Data, t.Data)
-}
-
-// MatMul returns a·b for 2-D tensors a (m×k) and b (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(a.Rows(), b.Cols())
-	MatMulInto(out, a, b)
-	return out
 }
 
 // MatMulInto computes dst ← a·b. dst must be m×n and distinct from a and b.
@@ -281,21 +262,8 @@ func MatMulBTInto(dst, a, b *Tensor) {
 	gemmInto(dst, a, b, gemmBT)
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func (t *Tensor) Transpose() *Tensor {
-	r, c := t.Rows(), t.Cols()
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			out.Data[j*r+i] = v
-		}
-	}
-	return out
-}
-
-// ConvGeom describes a 2-D convolution geometry shared by Im2Col/Col2Im
-// and the nn.Conv2D layer.
+// ConvGeom describes a 2-D convolution geometry shared by
+// Im2ColBatch/Col2ImBatch and the nn.Conv2D layer.
 type ConvGeom struct {
 	InC, InH, InW int // input channels and spatial size
 	K             int // square kernel size
@@ -319,23 +287,6 @@ func (g ConvGeom) Validate() {
 	}
 }
 
-// Im2Col lowers one image (flattened CHW layout, len = InC*InH*InW) into a
-// column matrix of shape (OutH*OutW, InC*K*K) so that convolution becomes
-// a matrix product with the (InC*K*K, OutC) kernel matrix. cols must have
-// that shape; it is overwritten.
-func Im2Col(g ConvGeom, img []float64, cols *Tensor) {
-	g.Validate()
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col image length %d, want %d", len(img), g.InC*g.InH*g.InW))
-	}
-	oh, ow := g.OutH(), g.OutW()
-	patch := g.InC * g.K * g.K
-	if cols.Rows() != oh*ow || cols.Cols() != patch {
-		panic(fmt.Sprintf("tensor: Im2Col cols shape %v, want (%d,%d)", cols.Shape, oh*ow, patch))
-	}
-	im2colCoreG(g, img, cols.Data)
-}
-
 // Im2ColBatch lowers every row of x (batch, InC*InH*InW) into one column
 // matrix of shape (batch·OutH·OutW, InC*K*K) — sample i occupies the row
 // block [i·OutH·OutW, (i+1)·OutH·OutW). One whole-batch buffer turns a
@@ -356,21 +307,6 @@ func Im2ColBatch(g ConvGeom, x, cols *Tensor) {
 	for i := 0; i < batch; i++ {
 		im2colCoreG(g, x.Row(i), cols.Data[i*block:(i+1)*block])
 	}
-}
-
-// Col2Im accumulates the column-matrix gradient back into an image
-// gradient (the adjoint of Im2Col). img is accumulated into, not zeroed.
-func Col2Im(g ConvGeom, cols *Tensor, img []float64) {
-	g.Validate()
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2Im image length %d, want %d", len(img), g.InC*g.InH*g.InW))
-	}
-	oh, ow := g.OutH(), g.OutW()
-	patch := g.InC * g.K * g.K
-	if cols.Rows() != oh*ow || cols.Cols() != patch {
-		panic(fmt.Sprintf("tensor: Col2Im cols shape %v, want (%d,%d)", cols.Shape, oh*ow, patch))
-	}
-	col2imCoreG(g, cols.Data, img)
 }
 
 // Col2ImBatch accumulates a whole-batch column-matrix gradient (the

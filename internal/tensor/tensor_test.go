@@ -12,7 +12,7 @@ import (
 
 func TestNewAndShape(t *testing.T) {
 	a := New(3, 4)
-	if a.Len() != 12 || a.Dims() != 2 || a.Rows() != 3 || a.Cols() != 4 {
+	if a.Len() != 12 || len(a.Shape) != 2 || a.Rows() != 3 || a.Cols() != 4 {
 		t.Fatalf("shape bookkeeping wrong: %+v", a)
 	}
 	for _, v := range a.Data {
@@ -78,9 +78,9 @@ func TestInPlaceOps(t *testing.T) {
 	if a.At(0, 0) != 5.5 {
 		t.Fatalf("ScaleInPlace = %v", a.Data)
 	}
-	a.AxpyInPlace(2, b)
+	Axpy(2, b.Data, a.Data)
 	if a.At(0, 1) != 11+40 {
-		t.Fatalf("AxpyInPlace = %v", a.Data)
+		t.Fatalf("Axpy = %v", a.Data)
 	}
 	a.Zero()
 	for _, v := range a.Data {
@@ -99,7 +99,8 @@ func TestInPlaceOps(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range c.Data {
 		if v != want[i] {
@@ -118,7 +119,8 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	c := MatMul(a, id)
+	c := New(5, 5)
+	MatMulInto(c, a, id)
 	for i, v := range c.Data {
 		if math.Abs(v-a.Data[i]) > 1e-12 {
 			t.Fatal("A·I != A")
@@ -143,6 +145,18 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// transposed returns a copy of a 2-D tensor's transpose, to feed the
+// Aᵀ·B and A·Bᵀ products to naiveMatMul.
+func transposed(a *Tensor) *Tensor {
+	out := New(a.Cols(), a.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			out.Set(j, i, a.At(i, j))
+		}
+	}
+	return out
+}
+
 func TestMatMulMatchesNaive(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -154,7 +168,8 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.Normal(0, 2)
 		}
-		got, want := MatMul(a, b), naiveMatMul(a, b)
+		got, want := New(m, n), naiveMatMul(a, b)
+		MatMulInto(got, a, b)
 		for i := range got.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
 				return false
@@ -177,7 +192,8 @@ func TestMatMulParallelPath(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.Normal(0, 1)
 	}
-	got, want := MatMul(a, b), naiveMatMul(a, b)
+	got, want := New(128, 32), naiveMatMul(a, b)
+	MatMulInto(got, a, b)
 	for i := range got.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
 			t.Fatal("parallel MatMul diverges from naive")
@@ -193,7 +209,7 @@ func TestMatMulPanics(t *testing.T) {
 				t.Fatal("inner mismatch did not panic")
 			}
 		}()
-		MatMul(a, b)
+		MatMulInto(New(2, 2), a, b)
 	}()
 	func() {
 		defer func() {
@@ -266,7 +282,7 @@ func TestMatMulATMatches(t *testing.T) {
 		}
 		dst := New(k, n)
 		MatMulATInto(dst, a, b)
-		want := naiveMatMul(a.Transpose(), b)
+		want := naiveMatMul(transposed(a), b)
 		for i := range dst.Data {
 			if math.Abs(dst.Data[i]-want.Data[i]) > 1e-9 {
 				return false
@@ -292,7 +308,7 @@ func TestMatMulBTMatches(t *testing.T) {
 		}
 		dst := New(m, n)
 		MatMulBTInto(dst, a, b)
-		want := naiveMatMul(a, b.Transpose())
+		want := naiveMatMul(a, transposed(b))
 		for i := range dst.Data {
 			if math.Abs(dst.Data[i]-want.Data[i]) > 1e-9 {
 				return false
@@ -302,24 +318,6 @@ func TestMatMulBTMatches(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := a.Transpose()
-	if at.Rows() != 3 || at.Cols() != 2 {
-		t.Fatalf("transpose shape %v", at.Shape)
-	}
-	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("transpose values wrong: %v", at.Data)
-	}
-	// (Aᵀ)ᵀ = A
-	back := at.Transpose()
-	for i := range a.Data {
-		if back.Data[i] != a.Data[i] {
-			t.Fatal("double transpose not identity")
-		}
 	}
 }
 
@@ -345,7 +343,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, K: 1, Stride: 1, Pad: 0}
 	img := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	cols := New(9, 1)
-	Im2Col(g, img, cols)
+	Im2ColBatch(g, FromSlice(img, 1, len(img)), cols)
 	for i, v := range img {
 		if cols.Data[i] != v {
 			t.Fatalf("1x1 im2col wrong: %v", cols.Data)
@@ -357,7 +355,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, K: 3, Stride: 1, Pad: 1}
 	img := []float64{1, 2, 3, 4}
 	cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-	Im2Col(g, img, cols)
+	Im2ColBatch(g, FromSlice(img, 1, len(img)), cols)
 	// First output position (0,0) covers rows -1..1, cols -1..1; the
 	// top-left 2x2 of the patch is padding.
 	first := cols.Row(0)
@@ -390,7 +388,7 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 			x[i] = r.Normal(0, 1)
 		}
 		cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-		Im2Col(g, x, cols)
+		Im2ColBatch(g, FromSlice(x, 1, n), cols)
 		y := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
 		for i := range y.Data {
 			y.Data[i] = r.Normal(0, 1)
@@ -400,7 +398,7 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 			lhs += cols.Data[i] * y.Data[i]
 		}
 		xGrad := make([]float64, n)
-		Col2Im(g, y, xGrad)
+		Col2ImBatch(g, y, FromSlice(xGrad, 1, n))
 		rhs := 0.0
 		for i := range x {
 			rhs += x[i] * xGrad[i]
@@ -430,10 +428,10 @@ func BenchmarkMatMul64(b *testing.B) {
 
 func BenchmarkIm2Col(b *testing.B) {
 	g := ConvGeom{InC: 3, InH: 16, InW: 16, K: 3, Stride: 1, Pad: 1}
-	img := make([]float64, g.InC*g.InH*g.InW)
+	img := New(1, g.InC*g.InH*g.InW)
 	cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(g, img, cols)
+		Im2ColBatch(g, img, cols)
 	}
 }
