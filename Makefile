@@ -7,13 +7,16 @@ verify: vet build test race
 
 # vet also runs for arm64, 386 and riscv64 (the build-tagged assembly
 # and its stubs differ per arch) and requires every tracked Go file to
-# be gofmt-clean.
+# be gofmt-clean. The reachability gate is a static check of the source
+# like vet, so it runs here too: it type-checks the module and fails on
+# any top-level internal/ declaration that no run reaches.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=riscv64 $(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+	$(GO) test -run TestNoUnreachableDeclarations .
 
 build:
 	$(GO) build ./...
@@ -46,10 +49,13 @@ bench-smoke:
 	$(GO) test -bench 'EngineRoundLoop|NestedGridSteal|ComputeGEMM|ComputeConv|ComputeElemwise' -benchtime=1x -run 'TestEngineBenchJSON|TestComputeBenchJSON' .
 
 # Fuzz the cell-key codec (the identity under artifact files, shard
-# assignment and cache addressing) with the native fuzzing engine.
-# Plain `go test` / verify.sh only replay the seed corpus.
+# assignment and cache addressing) and the checkpoint reader (the one
+# decoder of agent checkpoints, cache records and shard artifacts) with
+# the native fuzzing engine. Plain `go test` / verify.sh only replay the
+# seed corpora.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseCellKey -fuzztime 15s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 15s ./internal/serialize/
 
 clean:
 	$(GO) clean ./...

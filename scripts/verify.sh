@@ -17,6 +17,12 @@ GOARCH=riscv64 go vet ./...
 # Every tracked Go file is gofmt-clean (git ls-files keeps build output
 # such as .bench_build/ out of the scan).
 test -z "$(gofmt -l $(git ls-files '*.go'))"
+# Reachability gate, a static check of the source like vet: it
+# type-checks the module and perfbench and fails on any top-level
+# internal/ declaration that no command, example, perfbench or other
+# package's test reaches, naming each as file:line. Code only its own
+# package's tests use belongs in a _test.go file.
+go test -run TestNoUnreachableDeclarations .
 go build ./...
 go test ./...
 go test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./internal/replay/...
@@ -36,6 +42,13 @@ go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivale
 # merge rule), including the malformed 8/9-field and non-canonical
 # all-zero long-form shapes.
 go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/experiments/
+
+# Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
+# never panic, and a stream it accepts must re-encode to a fixed point.
+# The corpus holds a legacy checkpoint, every prefix of one with a
+# Vectors32 section (the empty input included) and length prefixes
+# that claim 1 GiB.
+go test -short -run 'FuzzCheckpointRead' ./internal/serialize/
 
 # Virtual-client gates: the lazy ClientPool path must be bit-identical
 # to the eager fleet for every aggregator at worker counts 1/2/4/8
