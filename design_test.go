@@ -175,8 +175,8 @@ func TestVerifyRunPatternsResolve(t *testing.T) {
 // TestNoUnreachableDeclarations tolerates, each with its reason. An entry
 // that a run reaches again, or that no longer exists, fails the test.
 var unreachableAllowed = map[string]string{
-	"tensor.MatMulAT32Into": "f32 GEMM, no caller outside its tests; deleted with its last bit-identity cases in the second of two changes (ROADMAP item 3)",
-	"tensor.MatMulBT32Into": "f32 GEMM, no caller outside its tests; deleted with its last bit-identity cases in the second of two changes (ROADMAP item 3)",
+	"tensor.MatMulAT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (ROADMAP item 3)",
+	"tensor.MatMulBT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (ROADMAP item 3)",
 }
 
 // TestNoUnreachableDeclarations type-checks every package of the module
