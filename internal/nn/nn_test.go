@@ -474,6 +474,23 @@ func TestSGDPlainStep(t *testing.T) {
 	if math.Abs(d.W.Data[0]-1.95) > 1e-12 || math.Abs(d.B.Data[0]-0.975) > 1e-12 {
 		t.Fatalf("SGD step wrong: w=%v b=%v", d.W.Data[0], d.B.Data[0])
 	}
+	checkBadLRPanics(t, "NewSGD", func(lr float64) { NewSGD(lr) })
+}
+
+// checkBadLRPanics requires an optimizer constructor to panic on a
+// zero, negative or NaN learning rate.
+func checkBadLRPanics(t *testing.T, name string, build func(lr float64)) {
+	t.Helper()
+	for _, lr := range []float64{0, -0.1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(%v) did not panic", name, lr)
+				}
+			}()
+			build(lr)
+		}()
+	}
 }
 
 func TestSGDProximalPullsTowardReference(t *testing.T) {
@@ -529,6 +546,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	if math.Abs(d.W.Data[0]+d.B.Data[0]-3) > 1e-3 {
 		t.Fatalf("Adam did not converge: w+b = %v", d.W.Data[0]+d.B.Data[0])
 	}
+	checkBadLRPanics(t, "NewAdam", func(lr float64) { NewAdam(lr) })
 }
 
 func TestAdamGradClipping(t *testing.T) {

@@ -24,7 +24,7 @@ type SGD struct {
 
 // NewSGD returns a plain SGD optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD {
-	if lr <= 0 {
+	if !(lr > 0) {
 		panic(fmt.Sprintf("nn: SGD with non-positive learning rate %v", lr))
 	}
 	return &SGD{LR: lr}
@@ -79,7 +79,7 @@ type Adam struct {
 // NewAdam returns an Adam optimizer with the conventional
 // β1=0.9, β2=0.999, ε=1e-8 defaults.
 func NewAdam(lr float64) *Adam {
-	if lr <= 0 {
+	if !(lr > 0) {
 		panic(fmt.Sprintf("nn: Adam with non-positive learning rate %v", lr))
 	}
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}

@@ -20,7 +20,7 @@ func Dirichlet(d *dataset.Dataset, nClients int, alpha float64, r *rng.RNG) *Ass
 	if nClients <= 0 {
 		panic("partition: Dirichlet with no clients")
 	}
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		panic(fmt.Sprintf("partition: Dirichlet with non-positive alpha %v", alpha))
 	}
 	conc := make([]float64, nClients)

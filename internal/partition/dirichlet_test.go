@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,11 +62,15 @@ func TestDirichletPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { Dirichlet(d, 0, 0.5, rng.New(1)) },
 		func() { Dirichlet(d, 5, 0, rng.New(1)) },
+		func() { Dirichlet(d, 5, math.NaN(), rng.New(1)) },
 	} {
 		func() {
+			// The panic must be Dirichlet's own message, not a runtime
+			// error from deeper in.
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d did not panic", i)
+				r := recover()
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "partition: Dirichlet") {
+					t.Fatalf("case %d: panic %v, want Dirichlet's own", i, r)
 				}
 			}()
 			f()

@@ -187,9 +187,9 @@ func (r *RNG) Exp() float64 {
 
 // Gamma returns a deviate from the Gamma distribution with shape k and
 // scale 1, using the Marsaglia–Tsang method (with the standard boost for
-// k < 1). It panics if k <= 0.
+// k < 1). It panics unless k > 0, so a NaN shape panics too.
 func (r *RNG) Gamma(k float64) float64 {
-	if k <= 0 {
+	if !(k > 0) {
 		panic("rng: Gamma with non-positive shape")
 	}
 	if k < 1 {

@@ -176,6 +176,16 @@ func TestGammaMoments(t *testing.T) {
 			t.Fatalf("Gamma(%v) variance = %v", k, variance)
 		}
 	}
+	for _, k := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Gamma(%v) did not panic", k)
+				}
+			}()
+			New(1).Gamma(k)
+		}()
+	}
 }
 
 func TestDirichletSimplex(t *testing.T) {
