@@ -51,6 +51,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Range checks come before anything is built, and each is written
+	// so that NaN fails it. CE and CN put one client in each of their
+	// three groups.
+	clustered := *partName == "CE" || *partName == "CN"
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*clients < 1, "-clients must be >= 1"},
+		{clustered && *clients < 3, "-clients must be >= 3 for CE and CN"},
+		{*k < 1, "-k must be >= 1"},
+		{*rounds < 1, "-rounds must be >= 1"},
+		{*epochs < 1, "-epochs must be >= 1"},
+		{!(*dataScale > 0), "-datascale must be > 0"},
+		{!(*lr > 0), "-lr must be > 0"},
+		{clustered && !(*delta > 0 && *delta < 1), "-delta must be in (0, 1) for CE and CN"},
+		{!(*exploreStd >= 0), "-explorestd must be >= 0"},
+		{!(*exploreDecay > 0 && *exploreDecay <= 1), "-exploredecay must be in (0, 1]"},
+	} {
+		if c.bad {
+			fmt.Fprintln(stderr, "fedsim: "+c.msg)
+			return 2
+		}
+	}
 
 	prec, err := feddrl.ParsePrecision(*precName)
 	if err != nil {

@@ -70,17 +70,37 @@ func TestFedsimPrecisionFlag(t *testing.T) {
 	}
 }
 
+// TestFedsimBadFlags: every bad flag value prints one line and exits 2
+// before anything is built, NaN included.
 func TestFedsimBadFlags(t *testing.T) {
-	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
 		{"-dataset", "nope"},
 		{"-partition", "nope"},
 		{"-method", "nope"},
 		{"-precision", "f16"},
 		{"-attack-frac", "NaN", "-method", "FedAvg", "-datascale", "0.1", "-rounds", "1", "-epochs", "1"},
+		{"-delta", "1.5"},
+		{"-delta", "NaN"},
+		{"-partition", "CN", "-delta", "0"},
+		{"-clients", "0", "-partition", "PA"},
+		{"-clients", "2"},
+		{"-k", "0"},
+		{"-rounds", "0"},
+		{"-epochs", "0"},
+		{"-lr", "-1"},
+		{"-lr", "NaN"},
+		{"-datascale", "NaN"},
+		{"-datascale", "0"},
+		{"-explorestd", "NaN"},
+		{"-exploredecay", "2"},
+		{"-exploredecay", "NaN"},
 	} {
-		if code := run(args, &out, &errOut); code == 0 {
-			t.Fatalf("run(%v) succeeded, want failure", args)
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("run(%v) exited %d, want 2", args, code)
+		}
+		if msg := errOut.String(); strings.Count(msg, "\n") != 1 {
+			t.Fatalf("run(%v) printed %q, want one line", args, msg)
 		}
 	}
 }

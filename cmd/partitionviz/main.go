@@ -37,6 +37,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// The same range checks as fedsim's, before anything is built.
+	clustered := false
+	for _, p := range strings.Split(*parts, ",") {
+		p = strings.TrimSpace(p)
+		clustered = clustered || p == "CE" || p == "CN"
+	}
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*clients < 1, "-clients must be >= 1"},
+		{clustered && *clients < 3, "-clients must be >= 3 for CE and CN"},
+		{clustered && !(*delta > 0 && *delta < 1), "-delta must be in (0, 1) for CE and CN"},
+	} {
+		if c.bad {
+			fmt.Fprintln(stderr, "partitionviz: "+c.msg)
+			return 2
+		}
+	}
 
 	var spec feddrl.DataSpec
 	switch *dsName {

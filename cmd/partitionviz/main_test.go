@@ -45,10 +45,15 @@ func TestPartitionvizBadArgs(t *testing.T) {
 		{"-dataset", "imagenet"},
 		{"-partitions", "XX"},
 		{"-bogusflag"},
+		{"-clients", "0", "-partitions", "PA"},
+		{"-clients", "2", "-partitions", "CE"},
+		{"-clients", "2", "-partitions", "PA, CN"},
+		{"-delta", "1.5"},
+		{"-delta", "NaN", "-partitions", "CE"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code == 0 {
-			t.Fatalf("args %v accepted", args)
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("args %v exited %d, want 2", args, code)
 		}
 	}
 }
