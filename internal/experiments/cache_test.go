@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,11 +149,11 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 		ck := serialize.NewCheckpoint()
 		ck.Meta["kind"] = cellRecordKind
 		ck.Meta["cache-schema"] = "0"
-		data, err := ck.Encode()
-		if err != nil {
+		var buf bytes.Buffer
+		if err := ck.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return buf.Bytes()
 	}
 
 	for name, corrupt := range map[string]func(path string){

@@ -46,7 +46,7 @@ type CommRound struct {
 
 // weightWireSize returns the encoded byte size of one weight vector
 // under the run's precision: 8 bytes per weight for F64, 4 for F32
-// (the half-width encoding of serialize.WriteVector32).
+// (serialize.VectorWireSize32's half-width payload).
 func weightWireSize(prec Precision, weightLen int) int {
 	if prec == F32 {
 		return serialize.VectorWireSize32(weightLen)

@@ -32,9 +32,10 @@ import (
 // outputs by rounding-level amounts.
 //
 // v3: float32 precision mode — Scale gains a Precision axis (hashed
-// into the cell key) and checkpoints gain the optional Vectors32
-// section; pre-precision records must re-run so every cached cell
-// carries an explicit precision lineage.
+// into the cell key) and checkpoints gained an optional float32 section
+// (since removed; no record ever carried one); pre-precision records
+// must re-run so every cached cell carries an explicit precision
+// lineage.
 const CacheSchema = 3
 
 // cacheSchemaKey is the metadata key carrying a record's schema version.

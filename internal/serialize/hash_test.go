@@ -81,10 +81,11 @@ func TestCacheRecordRoundTrip(t *testing.T) {
 	c := NewCacheRecord("cell-artifact")
 	c.Meta["key"] = "a|b|c|1|1|0.5|7"
 	c.Vectors["acc"] = []float64{10, 20}
-	data, err := c.Encode()
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	data := buf.Bytes()
 	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +123,11 @@ func TestCacheRecordCorruptBytes(t *testing.T) {
 	c := NewCacheRecord("cell-artifact")
 	c.Meta["key"] = "k"
 	c.Vectors["acc"] = []float64{1, 2, 3}
-	data, err := c.Encode()
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	data := buf.Bytes()
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)

@@ -1,18 +1,17 @@
-// Package serialize provides the binary wire/checkpoint format used by
-// the reproduction: flat float64 parameter vectors (the payload clients
-// and server exchange every round) and named checkpoint files (global
-// model snapshots, trained DRL agents). The format is explicit
-// little-endian with a magic header and length prefixes, so checkpoints
-// are portable across machines and versions can be detected.
+// Package serialize provides the binary checkpoint format used by the
+// reproduction: named float64 vectors plus string metadata, the one
+// layout behind trained DRL agents, cache records and shard artifacts.
+// The format is explicit little-endian with a magic header and length
+// prefixes, so checkpoints are portable across machines and versions
+// can be detected.
 //
-// The same encoder measures message sizes for the communication
+// Its vector encoding also sizes messages for the communication
 // accounting of §5.3 (FedDRL adds only a few floats of inference-loss
 // metadata per round on top of FedAvg's weight payload).
 package serialize
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,35 +89,6 @@ func readPayload(r io.Reader, what string, size int) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteVector32 writes a float32 vector with a length prefix — the
-// half-width wire encoding of f32 precision mode (4 bytes per weight).
-func WriteVector32(w io.Writer, v []float32) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(v))); err != nil {
-		return fmt.Errorf("serialize: vector32 length: %w", err)
-	}
-	buf := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(f))
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("serialize: vector32 payload: %w", err)
-	}
-	return nil
-}
-
-// ReadVector32 reads a vector written by WriteVector32.
-func ReadVector32(r io.Reader) ([]float32, error) {
-	buf, err := readPayload(r, "vector32", 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(buf)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return out, nil
-}
-
 // WriteString writes a length-prefixed UTF-8 string.
 func WriteString(w io.Writer, s string) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
@@ -140,23 +110,20 @@ func ReadString(r io.Reader) (string, error) {
 }
 
 // Checkpoint is a named collection of vectors (e.g. "policy", "value",
-// "global") plus free-form metadata. Vectors32 carries half-width
-// payloads (f32 precision mode); it is encoded as an appended section
-// that legacy streams simply lack, so old checkpoints decode with an
-// empty Vectors32 and checkpoints without f32 payloads encode
-// byte-identically to the legacy layout.
+// "global") plus free-form metadata. Its stream is the magic, the
+// metadata section, then the vectors section, each a count followed by
+// its entries in key order, and nothing after. A float32 vector fits
+// Vectors exactly.
 type Checkpoint struct {
-	Meta      map[string]string
-	Vectors   map[string][]float64
-	Vectors32 map[string][]float32
+	Meta    map[string]string
+	Vectors map[string][]float64
 }
 
 // NewCheckpoint returns an empty checkpoint.
 func NewCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Meta:      map[string]string{},
-		Vectors:   map[string][]float64{},
-		Vectors32: map[string][]float32{},
+		Meta:    map[string]string{},
+		Vectors: map[string][]float64{},
 	}
 }
 
@@ -188,23 +155,11 @@ func (c *Checkpoint) Write(w io.Writer) error {
 			return err
 		}
 	}
-	if len(c.Vectors32) > 0 {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.Vectors32))); err != nil {
-			return fmt.Errorf("serialize: vector32 count: %w", err)
-		}
-		for _, k := range sortedVec32Keys(c.Vectors32) {
-			if err := WriteString(bw, k); err != nil {
-				return err
-			}
-			if err := WriteVector32(bw, c.Vectors32[k]); err != nil {
-				return err
-			}
-		}
-	}
 	return bw.Flush()
 }
 
-// Read decodes a checkpoint from r.
+// Read decodes a checkpoint from r. The stream must end where the
+// vectors section does: a byte after it is an error.
 func Read(r io.Reader) (*Checkpoint, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -250,41 +205,14 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 		c.Vectors[k] = v
 	}
-	// The float32 section is optional: legacy streams end here, so a
-	// clean EOF means an empty Vectors32, not corruption.
-	var nVec32 uint32
-	if err := binary.Read(r, binary.LittleEndian, &nVec32); err != nil {
-		if errors.Is(err, io.EOF) {
-			return c, nil
-		}
-		return nil, fmt.Errorf("serialize: vector32 count: %w", err)
-	}
-	if nVec32 > 1<<20 {
-		return nil, fmt.Errorf("serialize: vector32 count %d exceeds limit", nVec32)
-	}
-	for i := uint32(0); i < nVec32; i++ {
-		k, err := ReadString(r)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ReadVector32(r)
-		if err != nil {
-			return nil, err
-		}
-		c.Vectors32[k] = v
+	var end [1]byte
+	switch _, err := io.ReadFull(r, end[:]); {
+	case err == nil:
+		return nil, errors.New("serialize: trailing bytes after the vectors section")
+	case !errors.Is(err, io.EOF):
+		return nil, fmt.Errorf("serialize: end of stream: %w", err)
 	}
 	return c, nil
-}
-
-// Encode returns the checkpoint serialized to a byte slice — the
-// in-memory counterpart of SaveFile, used by the experiment shard
-// artifacts and their round-trip tests.
-func (c *Checkpoint) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	if err := c.Write(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
 }
 
 // SaveFile writes the checkpoint to a file path.
@@ -329,15 +257,6 @@ func sortedKeys(m map[string]string) []string {
 }
 
 func sortedVecKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-func sortedVec32Keys(m map[string][]float32) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

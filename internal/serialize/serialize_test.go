@@ -104,10 +104,11 @@ func TestEncodeDecodeBytes(t *testing.T) {
 	c := NewCheckpoint()
 	c.Meta["kind"] = "test"
 	c.Vectors["v"] = []float64{3.5, -0.25, 0}
-	data, err := c.Encode()
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	data := buf.Bytes()
 	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +118,33 @@ func TestEncodeDecodeBytes(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(data[:3])); err == nil {
 		t.Fatal("truncated bytes decoded")
+	}
+}
+
+// TestCheckpointLegacyLayout: Read takes one layout. A stream that
+// ends with its vectors section reads; one byte more fails, and so does
+// the retired float32 section (a count, then each key and its
+// length-prefixed float32 payload) that earlier writers could append.
+func TestCheckpointLegacyLayout(t *testing.T) {
+	c := NewCheckpoint()
+	c.Meta["k"] = "v"
+	c.Vectors["w"] = []float64{3.14}
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	got, err := Read(bytes.NewReader(raw))
+	if err != nil || got.Meta["k"] != "v" || got.Vectors["w"][0] != 3.14 {
+		t.Fatalf("stream ending at the vectors section: %+v, %v", got, err)
+	}
+	for name, tail := range map[string][]byte{
+		"one byte more":       {0},
+		"old float32 section": bytes.Join([][]byte{words(1, 3), []byte("w32"), words(1, math.Float32bits(1.5))}, nil),
+	} {
+		if _, err := Read(bytes.NewReader(append(raw[:len(raw):len(raw)], tail...))); err == nil {
+			t.Fatalf("%s decoded cleanly", name)
+		}
 	}
 }
 
@@ -185,7 +213,6 @@ func TestShortStreamAllocBounded(t *testing.T) {
 		read func(io.Reader) error
 	}{
 		{"ReadVector", func(r io.Reader) error { _, err := ReadVector(r); return err }},
-		{"ReadVector32", func(r io.Reader) error { _, err := ReadVector32(r); return err }},
 		{"ReadString", func(r io.Reader) error { _, err := ReadString(r); return err }},
 	} {
 		var before, after runtime.MemStats
@@ -209,16 +236,9 @@ func TestLongPayloadRoundTrip(t *testing.T) {
 	for i := range v {
 		v[i] = r.Normal(0, 100)
 	}
-	v32 := make([]float32, 3*readChunk/4+3)
-	for i := range v32 {
-		v32[i] = float32(r.Normal(0, 100))
-	}
 	s := strings.Repeat("FedDRL", readChunk/2)
 	var buf bytes.Buffer
 	if err := WriteVector(&buf, v); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVector32(&buf, v32); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteString(&buf, s); err != nil {
@@ -231,15 +251,6 @@ func TestLongPayloadRoundTrip(t *testing.T) {
 	for i := range v {
 		if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
 			t.Fatalf("ReadVector[%d] = %v, want %v", i, got[i], v[i])
-		}
-	}
-	got32, err := ReadVector32(&buf)
-	if err != nil || len(got32) != len(v32) {
-		t.Fatalf("ReadVector32: %d of %d elements, %v", len(got32), len(v32), err)
-	}
-	for i := range v32 {
-		if math.Float32bits(got32[i]) != math.Float32bits(v32[i]) {
-			t.Fatalf("ReadVector32[%d] = %v, want %v", i, got32[i], v32[i])
 		}
 	}
 	if gs, err := ReadString(&buf); err != nil || gs != s {
@@ -274,6 +285,18 @@ func TestDeterministicEncoding(t *testing.T) {
 func TestVectorWireSize(t *testing.T) {
 	if VectorWireSize(0) != 4 || VectorWireSize(10) != 84 {
 		t.Fatalf("wire sizes wrong: %d %d", VectorWireSize(0), VectorWireSize(10))
+	}
+}
+
+func TestVectorWireSize32(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		if VectorWireSize32(n) != 4+4*n {
+			t.Fatalf("VectorWireSize32(%d) = %d, want %d", n, VectorWireSize32(n), 4+4*n)
+		}
+	}
+	// The f32 payload is half the f64 payload plus nothing: same header.
+	if VectorWireSize(1000)-VectorWireSize32(1000) != 4*1000 {
+		t.Fatal("f32 encoding does not save exactly 4 bytes per element")
 	}
 }
 
