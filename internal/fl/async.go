@@ -457,7 +457,14 @@ func runRounds(cfg AsyncConfig, pop population, test *dataset.Dataset, agg Aggre
 		if len(selected) > k {
 			panic(fmt.Sprintf("fl: selector %q returned %d clients for a cohort of %d", sel.Name(), len(selected), k))
 		}
-		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
+		clear(seen)
+		for _, i := range selected {
+			if _, dup := seen[i]; dup {
+				panic(fmt.Sprintf("fl: selector %q returned client %d twice in one cohort", sel.Name(), i))
+			}
+			seen[i] = struct{}{}
+		}
+		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots)
 		for i, u := range updates[:len(selected)] {
 			draw.Reseed(rng.MixSeed(arrivalSeed, uint64(round), uint64(u.ClientID), uint64(attempt)))
 			a := arr.Draw(round, u.ClientID, &draw)

@@ -123,8 +123,8 @@ func TestRunSharedPool(t *testing.T) {
 }
 
 // dupSelector violates the Selector contract on purpose: it returns the
-// same client twice, which must force Run onto the sequential fallback
-// instead of racing two lanes on one client.
+// same client twice, which must panic instead of racing two lanes on
+// one client.
 type dupSelector struct{}
 
 func (dupSelector) Name() string { return "dup" }
@@ -134,19 +134,6 @@ func (dupSelector) Select(round, k int, pop Population, r *rng.RNG) []int {
 		out[i] = i % 2
 	}
 	return out
-}
-
-func TestRunDuplicateSelectionFallsBackSequential(t *testing.T) {
-	const seed = 19
-	run := func(workers int) *Result {
-		clients, test, cfg := detFederation(t, seed)
-		cfg.Selector = dupSelector{}
-		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
-	}
-	if !reflect.DeepEqual(run(1), run(4)) {
-		t.Fatal("duplicate-selection run differs across worker counts")
-	}
 }
 
 // TestEvaluatorMatchesEvalLossAcc checks the chunk-parallel evaluator

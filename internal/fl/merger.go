@@ -116,17 +116,12 @@ func checkConvex(alpha []float64) {
 // whichever segment it lands in.
 const aggSegment = 8192
 
-// segmentFold runs weightedSum over the updates' coordinate segments on
-// the pool, one sequential kernel call when there is no pool or only
-// one segment.
+// segmentFold runs weightedSum over the updates' coordinate segments,
+// one pool task each.
 func segmentFold[T tensor.Elem](vecs [][]T, alpha []T, pool *engine.Pool) []T {
 	dim := len(vecs[0])
 	out := make([]T, dim)
 	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs <= 1 {
-		weightedSum(out, alpha, vecs)
-		return out
-	}
 	pool.ForWorker(segs, func(_, s int) {
 		lo := s * aggSegment
 		hi := min(lo+aggSegment, dim)
@@ -322,18 +317,10 @@ func (k Krum) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []fl
 func krumMerge[T tensor.Elem](k Krum, vecs [][]T, pool *engine.Pool) []T {
 	n := len(vecs)
 	d2 := make([]float64, n*(n-1)/2)
-	if pool == nil || len(d2) < 2 {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d2[pairIndex(n, i, j)] = sqDist(vecs[i], vecs[j])
-			}
-		}
-	} else {
-		pool.ForWorker(len(d2), func(_, p int) {
-			i, j := pairFromIndex(n, p)
-			d2[p] = sqDist(vecs[i], vecs[j])
-		})
-	}
+	pool.ForWorker(len(d2), func(_, p int) {
+		i, j := pairFromIndex(n, p)
+		d2[p] = sqDist(vecs[i], vecs[j])
+	})
 	return slices.Clone(vecs[k.krumPick(n, d2)])
 }
 

@@ -283,8 +283,8 @@ func (c RunConfig) enginePool() (pool *engine.Pool, release func()) {
 // population is the round engine's view of a client fleet: the Population
 // surface the Selector sees, plus slot checkout for the training phase
 // and loss write-back. checkout/checkin are never called concurrently —
-// the parallel path binds all K slots before fanning out and releases
-// them after the barrier — so implementations need no locking.
+// trainCohort binds every slot of the cohort before fanning out and
+// releases them after the barrier — so implementations need no locking.
 type population interface {
 	Population
 	// checkout returns a ready-to-train client for eligible index i,
@@ -353,24 +353,17 @@ func runSync(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregato
 }
 
 // trainCohort runs one dispatch cohort's local training: every selected
-// eligible index is checked out, trained against the broadcast global
-// vector, and checked back in. It is the round engine's training phase
-// for eager and virtual fleets alike, so both produce bit-identical
-// client updates for the same cohort.
+// eligible index is checked out to its own slot, the slots train against
+// the broadcast global vector on the pool (inline when it is nil), and
+// all are checked back in after the barrier, so checkout/checkin stay
+// single-threaded. It is the round engine's training phase for eager
+// and virtual fleets alike, so both produce bit-identical client updates
+// for the same cohort. The selection must be distinct (dispatch checks
+// it): a repeated index would have two tasks share one client's model
+// and RNG.
 //
-// When a pool is available and the selection is distinct, every identity
-// is bound to its own slot before the fan-out, the slots run in
-// parallel, and all are released after the barrier — checkout/checkin
-// stay single-threaded. The sequential path doubles as the safety net
-// for a custom Selector that violates the distinct-indices contract,
-// where two tasks would otherwise share one client's model and RNG: one
-// slot is checked out and returned per iteration, so a duplicated
-// identity resumes the RNG stream its earlier occurrence advanced,
-// exactly like a reused eager client.
-//
-// updates, slots and seen are caller-owned scratch of length (capacity
-// for seen) at least len(selected); updates[:len(selected)] is filled in
-// selection order.
+// updates and slots are caller-owned scratch of length at least
+// len(selected); updates[:len(selected)] is filled in selection order.
 //
 // A non-nil attack runtime corrupts the cohort in two places, both
 // order-invariant: data poisoning wraps each malicious client's shard
@@ -378,45 +371,28 @@ func runSync(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregato
 // and weight corruption rewrites each finished update inside the
 // fan-out — a pure function of (round, client id), so any lane may run
 // it. atk == nil compiles down to the historical benign path.
-func trainCohort(pop population, selected []int, global []float64, lc LocalConfig, prec Precision, pool *engine.Pool, round int, atk *attackRuntime, updates []Update, slots []*Client, seen map[int]struct{}) {
+func trainCohort(pop population, selected []int, global []float64, lc LocalConfig, prec Precision, pool *engine.Pool, round int, atk *attackRuntime, updates []Update, slots []*Client) {
 	var orig []dataset.Data
 	if atk != nil && atk.data != nil {
 		orig = make([]dataset.Data, len(selected))
 	}
-	if pool != nil && len(selected) > 1 && distinctInto(seen, selected) {
-		for i, ci := range selected {
-			slots[i] = pop.checkout(i, ci)
-			if orig != nil {
-				orig[i] = poisonData(atk, slots[i])
-			}
-		}
-		pool.For(len(selected), func(i int) {
-			updates[i] = slots[i].run(global, lc, prec)
-			if atk != nil && atk.malicious(updates[i].ClientID) {
-				atk.corrupt(round, global, &updates[i])
-			}
-		})
-		for i := range selected {
-			if orig != nil && orig[i] != nil {
-				slots[i].Data = orig[i]
-			}
-			pop.checkin(i, slots[i])
-		}
-		return
-	}
 	for i, ci := range selected {
-		c := pop.checkout(0, ci)
+		slots[i] = pop.checkout(i, ci)
 		if orig != nil {
-			orig[i] = poisonData(atk, c)
+			orig[i] = poisonData(atk, slots[i])
 		}
-		updates[i] = c.run(global, lc, prec)
+	}
+	pool.For(len(selected), func(i int) {
+		updates[i] = slots[i].run(global, lc, prec)
 		if atk != nil && atk.malicious(updates[i].ClientID) {
 			atk.corrupt(round, global, &updates[i])
 		}
+	})
+	for i := range selected {
 		if orig != nil && orig[i] != nil {
-			c.Data = orig[i]
+			slots[i].Data = orig[i]
 		}
-		pop.checkin(0, c)
+		pop.checkin(i, slots[i])
 	}
 }
 
@@ -429,20 +405,6 @@ func poisonData(atk *attackRuntime, c *Client) dataset.Data {
 	orig := c.Data
 	c.Data = atk.data.CorruptData(orig)
 	return orig
-}
-
-// distinctInto reports whether all indices differ (the Selector
-// contract; verified before sharing clients across pool lanes). seen is
-// caller-owned scratch, cleared on entry.
-func distinctInto(seen map[int]struct{}, idx []int) bool {
-	clear(seen)
-	for _, i := range idx {
-		if _, dup := seen[i]; dup {
-			return false
-		}
-		seen[i] = struct{}{}
-	}
-	return true
 }
 
 // SingleSet trains on the concatenation of all client data in one place

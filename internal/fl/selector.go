@@ -32,9 +32,9 @@ type Population interface {
 type Selector interface {
 	// Name identifies the strategy.
 	Name() string
-	// Select returns k distinct indices into the eligible population.
-	// Returning duplicates violates the contract; Run tolerates it by
-	// falling back to its sequential safety-net path.
+	// Select returns at most k distinct indices into the eligible
+	// population. A run panics, naming the selector, on a repeated
+	// index or on more than k.
 	Select(round, k int, pop Population, r *rng.RNG) []int
 }
 

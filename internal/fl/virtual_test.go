@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"feddrl/internal/dataset"
@@ -72,29 +73,37 @@ func TestVirtualMatchesEagerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunVirtualDuplicateSelection: a contract-violating Selector that
-// returns duplicates must push RunVirtual onto the sequential safety-net
-// path with well-defined semantics — the second occurrence of an
-// identity resumes the RNG stream its first occurrence advanced, exactly
-// like a reused eager client — identically at every worker count.
+// TestRunVirtualDuplicateSelection: a Selector that returns one client
+// twice in a cohort breaks the distinct-indices contract, so eager and
+// virtual runs must panic, naming the selector, at every worker count,
+// before two lanes can share the client.
 func TestRunVirtualDuplicateSelection(t *testing.T) {
 	const seed = 19
-	eager := func(workers int) *Result {
-		clients, test, cfg := detFederation(t, seed)
-		cfg.Selector = dupSelector{}
-		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+	runs := map[string]func(workers int){
+		"eager": func(workers int) {
+			clients, test, cfg := detFederation(t, seed)
+			cfg.Selector = dupSelector{}
+			cfg.Workers = workers
+			Run(cfg, clients, test, FedAvg{})
+		},
+		"virtual": func(workers int) {
+			cp, test, cfg := detVirtualFederation(t, seed)
+			cfg.Selector = dupSelector{}
+			cfg.Workers = workers
+			RunVirtual(cfg, cp, test, FedAvg{})
+		},
 	}
-	virtual := func(workers int) *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		cfg.Selector = dupSelector{}
-		cfg.Workers = workers
-		return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-	}
-	ref := eager(1)
-	for _, workers := range []int{1, 4} {
-		if got := virtual(workers); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("Workers=%d: duplicate-selection virtual run differs from eager", workers)
+	for name, run := range runs {
+		for _, workers := range []int{1, 4} {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, ok := r.(string); !ok || !strings.Contains(msg, `selector "dup" returned client 0 twice`) {
+						t.Fatalf("%s, Workers=%d: panic %v, want the repeated-client panic", name, workers, r)
+					}
+				}()
+				run(workers)
+			}()
 		}
 	}
 }
