@@ -129,21 +129,10 @@ func hashScale(h *serialize.Hasher, s Scale) {
 			h.String(f.String())
 		case reflect.Int:
 			h.Int(int(f.Int()))
-		case reflect.Uint64:
-			h.Uint64(f.Uint())
 		case reflect.Float64:
 			h.Float64(f.Float())
 		case reflect.Bool:
 			h.Bool(f.Bool())
-		case reflect.Slice:
-			switch e := f.Interface().(type) {
-			case []int:
-				h.Ints(e)
-			case []float64:
-				h.Floats(e)
-			default:
-				panic(fmt.Sprintf("experiments: unhashable scale slice field %s", name))
-			}
 		default:
 			panic(fmt.Sprintf("experiments: unhashable scale field %s (%s)", name, f.Kind()))
 		}

@@ -8,17 +8,18 @@ import (
 	"testing"
 )
 
-// microGetter returns the getter of a fresh microScale store, closed at
-// the end of the test.
-func microGetter(t *testing.T) (Scale, ArtifactGetter) {
+// microGetter returns the getter of a fresh microScale store holding
+// experiment id's cells at seed, closed at the end of the test.
+func microGetter(t *testing.T, id string, seed uint64) (Scale, ArtifactGetter) {
 	s := microScale()
 	st := newStore(s, nil)
 	t.Cleanup(st.close)
+	st.prefetch(Registry[id].Jobs(s, seed))
 	return s, st.get
 }
 
 func TestFigure7And8Series(t *testing.T) {
-	s, get := microGetter(t)
+	s, get := microGetter(t, "figure7", 31)
 	ss7 := figure7Series(s, 31, get)["figure7"]
 	if ss7.XName != "K" || len(ss7.X) != len(s.KSweep) {
 		t.Fatalf("figure7 x axis wrong: %+v", ss7)
@@ -28,6 +29,7 @@ func TestFigure7And8Series(t *testing.T) {
 			t.Fatalf("figure7 series %s wrong length", m)
 		}
 	}
+	s, get = microGetter(t, "figure8", 33)
 	ss8 := figure8Series(s, 33, get)["figure8"]
 	if ss8.XName != "delta" || len(ss8.X) != len(s.Deltas) {
 		t.Fatalf("figure8 x axis wrong: %+v", ss8)
@@ -35,7 +37,7 @@ func TestFigure7And8Series(t *testing.T) {
 }
 
 func TestFigure5Series(t *testing.T) {
-	s, get := microGetter(t)
+	s, get := microGetter(t, "figure5", 35)
 	sets := figure5Series(s, 35, get)
 	// 2 datasets (cifar, fashion) × 3 partitions.
 	if len(sets) != 6 {

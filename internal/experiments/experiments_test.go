@@ -263,13 +263,23 @@ func TestArtifactStoreHits(t *testing.T) {
 	defer st.close()
 	ds := s.datasets()[2]
 	ce := table3Spec(s, ds.Name, "CE", "FedAvg", s.SmallN, 25)
+	cn := table3Spec(s, ds.Name, "CN", "FedAvg", s.SmallN, 25)
+	st.prefetch([]CellSpec{ce, ce})
 	r1 := st.get(ce)
-	r2 := st.get(ce)
-	if r1 != r2 {
+	st.prefetch([]CellSpec{ce, cn})
+	if st.get(ce) != r1 {
 		t.Fatal("store did not reuse the run")
 	}
-	cn := table3Spec(s, ds.Name, "CN", "FedAvg", s.SmallN, 25)
 	if st.get(cn) == r1 {
 		t.Fatal("store conflated distinct cells")
 	}
+	// A cell no prefetch enumerated is a renderer bug: get panics,
+	// naming it, instead of computing it off the pool.
+	pa := table3Spec(s, ds.Name, "PA", "FedAvg", s.SmallN, 25)
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.Contains(msg, pa.Key()) {
+			t.Fatalf("get of an unprefetched cell: panic %q, want one naming %s", msg, pa.Key())
+		}
+	}()
+	st.get(pa)
 }

@@ -206,9 +206,8 @@ func (st *artifactStore) compute(spec CellSpec) *CellArtifact {
 // first (I/O, not compute); only genuine misses fan out across the
 // pool. Results land in per-job slots and are committed to the map only
 // after the barrier, so no lock is needed and the store contents do not
-// depend on completion order. Callers must enumerate the same cells
-// their rendering loop will get(): a cell missing from the job list
-// still computes correctly, just sequentially.
+// depend on completion order. Callers must enumerate every cell their
+// rendering loop will get(): get panics on any other.
 func (st *artifactStore) prefetch(jobs []CellSpec) {
 	pending := make([]CellSpec, 0, len(jobs))
 	queued := map[string]bool{}
@@ -240,19 +239,13 @@ func (st *artifactStore) prefetch(jobs []CellSpec) {
 	}
 }
 
-// get returns the cell's artifact, computing it on demand (consulting
-// the cache first, and writing a fresh computation back).
+// get returns a prefetched cell's artifact. A renderer that asks for a
+// cell outside its grid's job list is a bug, so that panics, naming the
+// cell, as RenderSet's getter does.
 func (st *artifactStore) get(spec CellSpec) *CellArtifact {
-	key := spec.Key()
-	if a, ok := st.cells[key]; ok {
-		return a
+	a, ok := st.cells[spec.Key()]
+	if !ok {
+		panic(fmt.Sprintf("experiments: renderer requested cell %s outside the job list", spec.Key()))
 	}
-	if a, ok := st.cache.load(st.s, spec); ok {
-		st.cells[key] = a
-		return a
-	}
-	a := st.compute(spec)
-	st.cells[key] = a
-	st.cache.store(st.s, spec, a)
 	return a
 }

@@ -194,6 +194,7 @@ func TestRunSeedsMeanStd(t *testing.T) {
 	st := newStore(s, nil)
 	defer st.close()
 	spec := table3Spec(s, s.datasets()[2].Name, "CE", "FedAvg", s.SmallN, 1)
+	st.prefetch([]CellSpec{spec, replicateSpec(spec, 1)})
 	vals := []float64{st.get(spec).Best(), st.get(replicateSpec(spec, 1)).Best()}
 	want := metrics.MeanStd(mathx.Mean(vals), mathx.Std(vals))
 	if !strings.Contains(out, want) {

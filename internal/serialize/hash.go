@@ -81,12 +81,6 @@ func (hs *Hasher) Int(v int) {
 	hs.word(uint64(int64(v)))
 }
 
-// Uint64 writes an unsigned integer field.
-func (hs *Hasher) Uint64(v uint64) {
-	hs.tag('u')
-	hs.word(v)
-}
-
 // Float64 writes a float field by its IEEE-754 bits, so -0.0, NaN
 // payloads and denormals all hash distinctly and exactly.
 func (hs *Hasher) Float64(v float64) {
@@ -101,15 +95,6 @@ func (hs *Hasher) Bool(v bool) {
 		hs.word(1)
 	} else {
 		hs.word(0)
-	}
-}
-
-// Ints writes a length-prefixed integer slice field.
-func (hs *Hasher) Ints(v []int) {
-	hs.tag('I')
-	hs.word(uint64(len(v)))
-	for _, x := range v {
-		hs.word(uint64(int64(x)))
 	}
 }
 

@@ -13,10 +13,8 @@ func TestHasherDeterministic(t *testing.T) {
 		h := NewHasher()
 		h.String("table3")
 		h.Int(-42)
-		h.Uint64(1 << 63)
 		h.Float64(0.6)
 		h.Bool(true)
-		h.Ints([]int{4, 8, 12})
 		h.Floats([]float64{0.2, 0.4, 0.6})
 		return h.Sum()
 	}
@@ -44,10 +42,9 @@ func TestHasherFraming(t *testing.T) {
 		sum(func(h *Hasher) { h.String("c"); h.String("ab") }),
 		sum(func(h *Hasher) { h.Int(1); h.Int(2) }),
 		sum(func(h *Hasher) { h.Int(2); h.Int(1) }),
-		sum(func(h *Hasher) { h.Uint64(1); h.Uint64(2) }),
-		sum(func(h *Hasher) { h.Ints([]int{1, 2}) }),
-		sum(func(h *Hasher) { h.Ints([]int{1}); h.Ints([]int{2}) }),
-		sum(func(h *Hasher) { h.Ints(nil) }),
+		sum(func(h *Hasher) { h.Float64(1); h.Float64(2) }),
+		sum(func(h *Hasher) { h.Floats([]float64{1, 2}) }),
+		sum(func(h *Hasher) { h.Floats([]float64{1}); h.Floats([]float64{2}) }),
 		sum(func(h *Hasher) { h.Floats(nil) }),
 		sum(func(h *Hasher) {}),
 	}
