@@ -35,8 +35,8 @@
 // change its result. Any later invocation — plain, -shard or -seeds —
 // loads matching cells instead of recomputing them and renders
 // byte-identical output; a one-line hit/miss summary goes to stderr.
-// -cache-readonly serves hits without writing back; -no-cache
-// explicitly disables caching and conflicts with the other two.
+// -cache-readonly serves hits without writing back. Without -cache
+// nothing is cached.
 //
 // Cache GC: long-lived shared caches grow without bound, so -cache-gc
 // runs a maintenance pass over -cache dir/ and exits: records that can
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "artifact output path for -shard (default <exp>_<scale>_seed<seed>_seeds<m>_shard<i>of<n>.art)")
 	cacheDir := fs.String("cache", "", "content-addressed artifact cache directory (created if missing): grid cells already cached are loaded instead of recomputed, fresh cells are written back")
 	cacheRO := fs.Bool("cache-readonly", false, "with -cache: serve cache hits but never write new records (for shared or audited cache directories)")
-	noCache := fs.Bool("no-cache", false, "explicitly disable artifact caching; conflicts with -cache and -cache-readonly")
 	cacheGC := fs.Bool("cache-gc", false, "garbage-collect the -cache directory and exit: prune stale-schema/corrupt records and abandoned temp files, then evict oldest records down to -cache-max-bytes")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "with -cache-gc: evict records oldest-mtime-first until the cache fits this many bytes (0 = prune only)")
 	if err := fs.Parse(args); err != nil {
@@ -205,10 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *out != "" && *shard == "" {
 		fmt.Fprintln(stderr, "tables: -out only applies to -shard artifact runs")
-		return 2
-	}
-	if *noCache && (*cacheDir != "" || *cacheRO) {
-		fmt.Fprintln(stderr, "tables: -no-cache conflicts with -cache/-cache-readonly")
 		return 2
 	}
 	if *cacheRO && *cacheDir == "" {

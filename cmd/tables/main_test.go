@@ -221,8 +221,6 @@ func TestTablesCacheShard(t *testing.T) {
 
 func TestTablesCacheFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-exp", "table3", "-no-cache", "-cache", "dir"},
-		{"-exp", "table3", "-no-cache", "-cache-readonly"},
 		{"-exp", "table3", "-cache-readonly"}, // readonly without -cache
 		{"-merge", "dir", "-cache", "dir"},    // merge reads config from artifacts
 		{"-exp", "table3", "-cache", ""},      // empty dir with readonly is still invalid
@@ -291,7 +289,6 @@ func TestTablesCacheGCBadArgs(t *testing.T) {
 		{"-cache-gc", "-cache", "d", "-exp", "table3"},  // experiment flags conflict
 		{"-cache-gc", "-cache", "d", "-cache-readonly"}, // readonly conflicts
 		{"-cache-max-bytes", "10", "-exp", "table3"},    // budget without -cache-gc
-		{"-cache-gc", "-cache", "d", "-no-cache"},       // no-cache conflicts
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code == 0 {
