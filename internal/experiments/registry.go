@@ -9,8 +9,9 @@ import "sort"
 type Runner func(s Scale, seed uint64) string
 
 // ArtifactGetter resolves a cell spec to its computed artifact. Inside
-// one process it is backed by the artifact store (computing on demand);
-// in the merge path it is backed by decoded shard files.
+// one process it is backed by the artifact store's prefetched cells; in
+// the merge path it is backed by decoded shard files. Both panic on a
+// cell outside the grid's job list.
 type ArtifactGetter func(spec CellSpec) *CellArtifact
 
 // Experiment is a registry entry. Grid experiments define Jobs (the

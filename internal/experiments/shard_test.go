@@ -280,3 +280,43 @@ func TestShardAndMergeValidation(t *testing.T) {
 		t.Fatal("rounds mismatch accepted")
 	}
 }
+
+// TestRenderersStayInsideJobs: every grid's renderer, and the CSV
+// builders of figure5/7/8, ask only for cells of the grid's own job
+// list, at ci, medium and paper scale and at every seed count the grid
+// supports. The getter serves an empty artifact for each job and fails
+// on any other cell, so nothing trains. A request outside the list
+// would panic in every entry point.
+func TestRenderersStayInsideJobs(t *testing.T) {
+	for _, s := range []Scale{CI(), Medium(), Paper()} {
+		for _, name := range Names() {
+			e := Registry[name]
+			if !e.Shardable() {
+				continue
+			}
+			for _, seeds := range []int{1, 2} {
+				if seeds > 1 && !e.Seeds {
+					continue
+				}
+				_, jobs, err := jobsFor(name, s, 1, seeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inside := make(map[string]bool, len(jobs))
+				for _, j := range jobs {
+					inside[j.Key()] = true
+				}
+				get := func(spec CellSpec) *CellArtifact {
+					if !inside[spec.Key()] {
+						t.Fatalf("%s at %s scale, %d seeds: renderer asked for %s, outside its jobs", name, s.Name, seeds, spec.Key())
+					}
+					return &CellArtifact{Spec: spec}
+				}
+				e.Render(s, 1, seeds, get)
+				if series, ok := csvSeries[name]; ok && seeds == 1 {
+					series(s, 1, get)
+				}
+			}
+		}
+	}
+}
