@@ -45,16 +45,17 @@ go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/e
 
 # Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
 # never panic, and a stream it accepts must re-encode to a fixed point.
-# The corpus holds a legacy checkpoint, every prefix of one with a
-# Vectors32 section (the empty input included) and length prefixes
-# that claim 1 GiB.
+# The corpus holds a legacy checkpoint, every prefix of one that ends
+# in the retired float32 section, which Read must now reject as
+# trailing bytes (the empty input included), and length prefixes that
+# claim 1 GiB.
 go test -short -run 'FuzzCheckpointRead' ./internal/serialize/
 
 # Virtual-client gates: the lazy ClientPool path must be bit-identical
 # to the eager fleet for every aggregator at worker counts 1/2/4/8
-# (including the duplicate-selection safety net and empty-shard
-# eligibility), and a million-client K=10 run must keep its live state
-# O(K). The flat-peak-memory record itself (1e6 vs 100 clients within
+# (and with empty-shard eligibility), a Selector that repeats a client
+# in one cohort must panic in eager and virtual runs alike, and a
+# million-client K=10 run must keep its live state O(K). The flat-peak-memory record itself (1e6 vs 100 clients within
 # 2x) is asserted by TestEngineBenchJSON in the full `go test ./...`
 # above and emitted into BENCH_engine.json by `make bench-smoke`.
 go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateSelection|TestClientPoolSkipsEmptyShards|TestRunVirtualMillionClients|TestSingleSetHonorsWorkers|TestEvaluatorWarmEvalAllocFree' ./internal/fl/
@@ -94,11 +95,13 @@ TENSOR_BACKEND=generic go test -run 'TestOrderStatMatchesSortReference|FuzzOrder
 # must be byte-for-byte the zero-value output. Every experiment's
 # rendered output, the seed-replicated renders, every grid's job order
 # and every cache record those runs write must hash to the digests
-# pinned in digest_test.go. And the README's Byzantine claim must hold
-# with margins at CI scale: under a 20% sign-flip, weighted averaging
-# keeps under half of its benign best, median and trimmed mean over
-# three quarters of theirs.
-go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid|TestExperimentDigestsPinned|TestByzantineClaim' ./internal/experiments/
+# pinned in digest_test.go, and every grid's renderer (and CSV builder)
+# must ask only for cells of its own job list at ci, medium and paper
+# scale. And the README's Byzantine claim must hold with margins at CI
+# scale: under a 20% sign-flip, weighted averaging keeps under half of
+# its benign best, median and trimmed mean over three quarters of
+# theirs.
+go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid|TestExperimentDigestsPinned|TestRenderersStayInsideJobs|TestByzantineClaim' ./internal/experiments/
 
 # DRL-agent gate: three training loops must reproduce the agent digest
 # (networks, buffer priorities, actions) pinned in digest_test.go; the
