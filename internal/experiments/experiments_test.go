@@ -274,7 +274,7 @@ func TestArtifactStoreHits(t *testing.T) {
 		t.Fatal("store conflated distinct cells")
 	}
 	// A cell no prefetch enumerated is a renderer bug: get panics,
-	// naming it, instead of computing it off the pool.
+	// naming it.
 	pa := table3Spec(s, ds.Name, "PA", "FedAvg", s.SmallN, 25)
 	defer func() {
 		if msg, ok := recover().(string); !ok || !strings.Contains(msg, pa.Key()) {

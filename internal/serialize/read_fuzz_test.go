@@ -27,7 +27,7 @@ func FuzzCheckpointRead(f *testing.F) {
 	// prefix of it, the empty input included, so each section is also
 	// cut somewhere inside. The last section is the retired float32
 	// one (a count, then a key and its length-prefixed float32 payload),
-	// which Read must now reject as trailing bytes.
+	// which Read must reject as trailing bytes.
 	full := NewCheckpoint()
 	full.Meta["k"] = "v"
 	full.Vectors["w"] = []float64{2, math.Float64frombits(0x7ff8000000000001)}

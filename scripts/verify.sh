@@ -46,8 +46,8 @@ go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/e
 # Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
 # never panic, and a stream it accepts must re-encode to a fixed point.
 # The corpus holds a legacy checkpoint, every prefix of one that ends
-# in the retired float32 section, which Read must now reject as
-# trailing bytes (the empty input included), and length prefixes that
+# in the retired float32 section (the empty input included; Read must
+# reject that section as trailing bytes) and length prefixes that
 # claim 1 GiB.
 go test -short -run 'FuzzCheckpointRead' ./internal/serialize/
 
