@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -64,10 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*k < 1, "-k must be >= 1"},
 		{*rounds < 1, "-rounds must be >= 1"},
 		{*epochs < 1, "-epochs must be >= 1"},
-		{!(*dataScale > 0), "-datascale must be > 0"},
-		{!(*lr > 0), "-lr must be > 0"},
+		{!(*dataScale > 0 && *dataScale <= math.MaxFloat64), "-datascale must be finite and > 0"},
+		{!(*lr > 0 && *lr <= math.MaxFloat64), "-lr must be finite and > 0"},
 		{clustered && !(*delta > 0 && *delta < 1), "-delta must be in (0, 1) for CE and CN"},
-		{!(*exploreStd >= 0), "-explorestd must be >= 0"},
+		{!(*exploreStd >= 0 && *exploreStd <= math.MaxFloat64), "-explorestd must be finite and >= 0"},
 		{!(*exploreDecay > 0 && *exploreDecay <= 1), "-exploredecay must be in (0, 1]"},
 	} {
 		if c.bad {
@@ -97,6 +98,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec = feddrl.CIFAR100Sim()
 	default:
 		fmt.Fprintf(stderr, "unknown dataset %q\n", *dsName)
+		return 2
+	}
+	// Scaled converts the scaled per-class counts to int.
+	if !(*dataScale*float64(max(spec.TrainPerClass, spec.TestPerClass)) < math.MaxInt64) {
+		fmt.Fprintf(stderr, "fedsim: -datascale %v scales %s past an int's range of samples per class\n", *dataScale, spec.Name)
 		return 2
 	}
 	spec = spec.Scaled(*dataScale)

@@ -89,9 +89,13 @@ func TestFedsimBadFlags(t *testing.T) {
 		{"-epochs", "0"},
 		{"-lr", "-1"},
 		{"-lr", "NaN"},
+		{"-lr", "Inf", "-method", "FedAvg", "-datascale", "0.05", "-rounds", "1", "-epochs", "1", "-clients", "6", "-k", "3"},
 		{"-datascale", "NaN"},
 		{"-datascale", "0"},
+		{"-datascale", "Inf"},
+		{"-datascale", "1e300"},
 		{"-explorestd", "NaN"},
+		{"-explorestd", "Inf", "-method", "FedDRL", "-datascale", "0.05", "-rounds", "2", "-epochs", "1", "-clients", "6", "-k", "3"},
 		{"-exploredecay", "2"},
 		{"-exploredecay", "NaN"},
 	} {

@@ -144,6 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tables: -cache-max-bytes only applies to -cache-gc")
 		return 2
 	}
+	if *rounds < 0 {
+		fmt.Fprintln(stderr, "tables: -rounds must be >= 0 (0 keeps the scale's rounds)")
+		return 2
+	}
 
 	scale, err := feddrl.ScaleByName(*scaleName)
 	if err != nil {

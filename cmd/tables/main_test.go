@@ -360,4 +360,8 @@ func TestTablesBadArgs(t *testing.T) {
 	if code := run([]string{"-exp", "table2", "-scale", "ci", "-attack-frac", "NaN"}, &out, &errOut); code == 0 {
 		t.Fatal("NaN attack fraction accepted")
 	}
+	errOut.Reset()
+	if code := run([]string{"-exp", "table2", "-scale", "ci", "-rounds", "-3"}, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 1 {
+		t.Fatalf("-rounds -3 exited %d with %q, want 2 and one line", code, errOut.String())
+	}
 }

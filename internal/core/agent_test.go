@@ -61,6 +61,10 @@ func TestConfigValidatePanics(t *testing.T) {
 		func(c *Config) { c.ExploreStd = math.NaN() },
 		func(c *Config) { c.ExploreDecay = math.NaN() },
 		func(c *Config) { c.RewardGapWeight = math.NaN() },
+		// +Inf fails the learning-rate and exploration checks.
+		func(c *Config) { c.PolicyLR = math.Inf(1) },
+		func(c *Config) { c.ValueLR = math.Inf(1) },
+		func(c *Config) { c.ExploreStd = math.Inf(1) },
 	}
 	for i, m := range mut {
 		cfg := DefaultConfig(4)

@@ -15,7 +15,10 @@
 // strategy of §3.4.2 is provided by TrainTwoStage.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config holds the agent hyperparameters. Defaults follow Table 1.
 type Config struct {
@@ -93,15 +96,16 @@ func (c Config) StateDim() int { return 3 * c.K }
 func (c Config) ActionDim() int { return 2 * c.K }
 
 // Validate panics on an inconsistent configuration. Each float range
-// test is negated, !(lo <= x && x <= hi), so that a NaN fails it.
+// test is negated, !(lo <= x && x <= hi), so that a NaN fails it; the
+// learning rates and the exploration noise must also be finite.
 func (c Config) Validate() {
 	switch {
 	case c.K <= 0:
 		panic("core: K must be positive")
 	case c.Hidden <= 0:
 		panic("core: Hidden must be positive")
-	case !(c.PolicyLR > 0 && c.ValueLR > 0):
-		panic(fmt.Sprintf("core: learning rates %v, %v must be positive", c.PolicyLR, c.ValueLR))
+	case !(c.PolicyLR > 0 && c.PolicyLR <= math.MaxFloat64 && c.ValueLR > 0 && c.ValueLR <= math.MaxFloat64):
+		panic(fmt.Sprintf("core: learning rates %v, %v must be positive and finite", c.PolicyLR, c.ValueLR))
 	case !(0 <= c.Gamma && c.Gamma < 1):
 		panic(fmt.Sprintf("core: Gamma %v out of [0,1)", c.Gamma))
 	case !(0 < c.Rho && c.Rho <= 1):
@@ -112,8 +116,8 @@ func (c Config) Validate() {
 		panic("core: buffer/batch/update sizes must be positive")
 	case c.WarmupExperiences < 1:
 		panic("core: WarmupExperiences must be at least 1")
-	case !(c.ExploreStd >= 0):
-		panic(fmt.Sprintf("core: ExploreStd %v must be non-negative", c.ExploreStd))
+	case !(c.ExploreStd >= 0 && c.ExploreStd <= math.MaxFloat64):
+		panic(fmt.Sprintf("core: ExploreStd %v must be non-negative and finite", c.ExploreStd))
 	case !(0 < c.ExploreDecay && c.ExploreDecay <= 1):
 		panic(fmt.Sprintf("core: ExploreDecay %v out of (0,1]", c.ExploreDecay))
 	case !(c.RewardGapWeight >= 0):

@@ -24,6 +24,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 
 	"feddrl/internal/dataset"
 	"feddrl/internal/nn"
@@ -58,9 +59,10 @@ type LocalConfig struct {
 }
 
 // Validate panics on an inconsistent local configuration. The float
-// range tests are negated so that a NaN fails them.
+// range tests are negated so that a NaN fails them, and the learning
+// rate must be finite.
 func (lc LocalConfig) Validate() {
-	if lc.Epochs <= 0 || lc.Batch <= 0 || !(lc.LR > 0) || !(lc.ProxMu >= 0) {
+	if lc.Epochs <= 0 || lc.Batch <= 0 || !(lc.LR > 0 && lc.LR <= math.MaxFloat64) || !(lc.ProxMu >= 0) {
 		panic(fmt.Sprintf("fl: invalid local config %+v", lc))
 	}
 }

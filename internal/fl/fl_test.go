@@ -400,6 +400,7 @@ func TestRunConfigValidatePanics(t *testing.T) {
 		func(c *RunConfig) { c.Local.Epochs = 0 },
 		func(c *RunConfig) { c.Local.LR = 0 },
 		func(c *RunConfig) { c.Local.LR = math.NaN() },
+		func(c *RunConfig) { c.Local.LR = math.Inf(1) },
 		func(c *RunConfig) { c.Local.ProxMu = -1 },
 		func(c *RunConfig) { c.Local.ProxMu = math.NaN() },
 		func(c *RunConfig) { c.Quarantine.MaxNorm = -1 },

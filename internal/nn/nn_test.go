@@ -481,7 +481,7 @@ func TestSGDPlainStep(t *testing.T) {
 // zero, negative or NaN learning rate.
 func checkBadLRPanics(t *testing.T, name string, build func(lr float64)) {
 	t.Helper()
-	for _, lr := range []float64{0, -0.1, math.NaN()} {
+	for _, lr := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {

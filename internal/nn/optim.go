@@ -24,8 +24,8 @@ type SGD struct {
 
 // NewSGD returns a plain SGD optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD {
-	if !(lr > 0) {
-		panic(fmt.Sprintf("nn: SGD with non-positive learning rate %v", lr))
+	if !(lr > 0 && lr <= math.MaxFloat64) {
+		panic(fmt.Sprintf("nn: SGD learning rate %v must be positive and finite", lr))
 	}
 	return &SGD{LR: lr}
 }
@@ -79,8 +79,8 @@ type Adam struct {
 // NewAdam returns an Adam optimizer with the conventional
 // β1=0.9, β2=0.999, ε=1e-8 defaults.
 func NewAdam(lr float64) *Adam {
-	if !(lr > 0) {
-		panic(fmt.Sprintf("nn: Adam with non-positive learning rate %v", lr))
+	if !(lr > 0 && lr <= math.MaxFloat64) {
+		panic(fmt.Sprintf("nn: Adam learning rate %v must be positive and finite", lr))
 	}
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
