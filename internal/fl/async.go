@@ -379,8 +379,8 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	return runRounds(cfg, clients, test, agg)
 }
 
-// runRounds is the round engine behind Run, RunVirtual and RunAsync,
-// the package's only round loop. Each server round dispatches a cohort
+// runRounds is the round engine behind Run, RunVirtual, RunAsync and
+// SingleSet, the package's only round loop. Each server round dispatches a cohort
 // (Select → trainCohort → arrival draws), drains arrivals into the
 // aggregation buffer, screens it through the ingress gate, then runs
 // ImpactFactors → staleness decay → mergeP and evaluates on the

@@ -13,6 +13,8 @@
 // partial rounds and staleness-decay-weighted merging. Run and
 // RunVirtual are its degenerate case: every update arrives at once,
 // nothing is dropped, and each round folds exactly its own cohort.
+// SingleSet, the centralized baseline, is the same case with one client
+// that holds all the data.
 //
 // Clients exist in two forms that produce bit-identical results: eager
 // clients (NewClient/BuildClients + Run), each permanently bound to its

@@ -363,6 +363,17 @@ func TestSingleSetRuns(t *testing.T) {
 	if res.Best() < 40 {
 		t.Fatalf("SingleSet accuracy too low: %v", res.Best())
 	}
+	// A diverging run passes the quarantine gate like a federated one:
+	// the non-finite updates are dropped and the last finite model kept.
+	cfg.Local.LR = 1e300
+	res = SingleSet(cfg, tr, te)
+	quarantined := 0
+	for _, m := range res.Rounds {
+		quarantined += m.Quarantined
+	}
+	if quarantined == 0 || !AllFinite(res.Weights) {
+		t.Fatalf("diverging SingleSet: %d rounds quarantined, final weights finite %v", quarantined, AllFinite(res.Weights))
+	}
 }
 
 func TestSingleSetBeatsOrMatchesFederated(t *testing.T) {

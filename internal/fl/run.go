@@ -408,52 +408,24 @@ func poisonData(atk *attackRuntime, c *Client) dataset.Data {
 }
 
 // SingleSet trains on the concatenation of all client data in one place
-// (the reference upper bound of §4.1): per "round" the model runs the
-// same local-solver budget over the combined dataset, and the test
-// accuracy is recorded on the same cadence as the federated runs. It
-// honors Workers/Pool exactly like Run — the tensor kernels and the
-// test evaluation fan out on the same engine — so its timings are
-// comparable with the federated runs; results are bit-identical at any
-// worker count.
+// (the reference upper bound of §4.1). It is the round engine's
+// one-client run: one client holding all the data trains the local
+// solver's budget every round, and FedAvg's α = 1 merges it as 0 + 1·w,
+// which is w bit for bit (a −0 weight comes back +0). Its update passes
+// the quarantine gate like every federated upload, so a diverging run
+// keeps its last finite model. Workers/Pool, EvalEvery and Quarantine
+// apply as in Run; K, Selector, Precision, Attack and Merger are
+// ignored.
 func SingleSet(cfg RunConfig, all *dataset.Dataset, test *dataset.Dataset) *Result {
 	cfg.Validate()
 	if all == nil || all.N == 0 {
 		panic("fl: SingleSet with no data")
 	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
-	pool, release := cfg.enginePool()
-	defer release()
+	cfg.K = 1
+	cfg.Selector, cfg.Precision, cfg.Attack, cfg.Merger = nil, F64, nil, nil
 	client := NewClient(0, all, cfg.Factory, cfg.Seed+0xace)
-	serverModel := cfg.Factory(cfg.Seed)
-	global := serverModel.ParamVector()
-	var ev *Evaluator
-	if test != nil {
-		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
-	}
-	res := &Result{Method: "SingleSet", NumParam: len(global)}
-	for round := 0; round < cfg.Rounds; round++ {
-		u := client.Run(global, cfg.Local)
-		global = u.Weights
-		m := RoundMetrics{
-			Round:          round,
-			ClientLossMean: u.LossBefore,
-			ClientLossMax:  u.LossBefore,
-			ClientLossMin:  u.LossBefore,
-		}
-		if test != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			loss, acc := ev.Eval(global, test)
-			m.Evaluated = true
-			m.TestLoss = loss
-			m.TestAcc = acc * 100
-			res.Accuracy = append(res.Accuracy, m.TestAcc)
-			res.AccRounds = append(res.AccRounds, round)
-		}
-		res.Rounds = append(res.Rounds, m)
-	}
-	res.Weights = global
+	res := runSync(cfg, &eagerClients{clients: []*Client{client}, losses: make([]float64, 1)}, test, FedAvg{})
+	res.Method = "SingleSet"
 	return res
 }
 
