@@ -42,7 +42,7 @@ func runExperimentBench(b *testing.B, id string) {
 	b.Helper()
 	s := experiments.CI()
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Run(id, s, 1)
+		out, err := experiments.RunCached(id, s, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1345,7 +1345,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	s.Deltas = []float64{0.3, 0.6}
 	start := time.Now()
 	for _, id := range experiments.Names() {
-		if _, err := experiments.Run(id, s, 1); err != nil {
+		if _, err := experiments.RunCached(id, s, 1, nil); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}

@@ -238,14 +238,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		out, err := feddrl.RunExperimentSeedsCached(id, scale, *seed, *seeds, cache)
+		out, set, err := feddrl.RunExperimentSeedsCached(id, scale, *seed, *seeds, cache)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		fmt.Fprintf(stdout, "### %s (scale=%s, seed=%d, took %v)\n\n%s\n", id, scale.Name, *seed, time.Since(start).Round(time.Millisecond), out)
 		if *csvDir != "" && (id == "figure5" || id == "figure7" || id == "figure8") {
-			paths, err := feddrl.ExportExperimentCSVCached(id, scale, *seed, *csvDir, cache)
+			// The export reads the set the render computed; it trains
+			// and loads nothing again.
+			paths, err := feddrl.ExportExperimentCSV(scale, set, *csvDir)
 			if err != nil {
 				fmt.Fprintf(stderr, "csv export of %s failed: %v\n", id, err)
 			}
@@ -373,7 +375,7 @@ func runMerge(dir string, stdout, stderr io.Writer) int {
 
 // parseShard parses an "i/n" shard selector. Range validation (1 <= i
 // <= n) lives in the library's shard scheduler, whose error surfaces
-// through RunExperimentShard.
+// through RunExperimentShardCached.
 func parseShard(s string) (index, count int, err error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 2 {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"feddrl"
 )
 
 func TestTablesList(t *testing.T) {
@@ -216,6 +218,44 @@ func TestTablesCacheShard(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "0 misses") {
 		t.Fatalf("warm shard rerun should compute nothing: %s", errOut.String())
+	}
+}
+
+// TestTablesCSVDirTrainsOnce: -csvdir exports the artifact set the text
+// render computed, so against an empty cache every cell of the grid
+// misses once and is written once, and no cell is read back.
+func TestTablesCSVDirTrainsOnce(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cells")
+	args := []string{"-exp", "figure7", "-scale", "ci", "-rounds", "2",
+		"-csvdir", filepath.Join(dir, "csv"), "-cache", cacheDir}
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("-csvdir run exited %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "csv: ") {
+		t.Fatalf("no CSV written:\n%s", out.String())
+	}
+	var hits, misses, written int
+	if _, err := fmt.Sscanf(errOut.String(), "cache: %d hits, %d misses, %d written", &hits, &misses, &written); err != nil {
+		t.Fatalf("cache summary %q: %v", errOut.String(), err)
+	}
+	// The grid's cell count, read back from the cache the run filled.
+	s, err := feddrl.ScaleByName("ci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Rounds = 2
+	ro, err := feddrl.OpenExperimentCache(cacheDir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := feddrl.RunExperimentShardCached("figure7", s, 1, 1, 1, 1, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := set.Len(); hits != 0 || misses != cells || written != cells || ro.Stats().Misses != 0 {
+		t.Fatalf("summary %q over a %d-cell grid: want 0 hits and %d misses and writes", errOut.String(), cells, cells)
 	}
 }
 

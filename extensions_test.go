@@ -125,21 +125,26 @@ func TestScaleRoundsOverride(t *testing.T) {
 	s.Rounds = 3
 	s.DataScale = 0.06
 	s.SmallN, s.LargeN, s.K, s.Epochs = 4, 6, 4, 1
-	out, err := RunExperiment("table2", s, 1)
+	out, err := RunExperimentCached("table2", s, 1, nil)
 	if err != nil || out == "" {
 		t.Fatalf("override run failed: %v", err)
 	}
 }
 
-// TestCSVExportPublic writes figure series through the façade.
+// TestCSVExportPublic writes figure series through the façade, from the
+// artifact set the text render computed.
 func TestCSVExportPublic(t *testing.T) {
 	s := CIScale()
 	s.DataScale = 0.06
 	s.Rounds = 3
 	s.SmallN, s.LargeN, s.K, s.Epochs = 4, 6, 4, 1
 	s.KSweep = []int{2, 4}
+	_, set, err := RunExperimentSeedsCached("figure7", s, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	paths, err := ExportExperimentCSV("figure7", s, 1, dir)
+	paths, err := ExportExperimentCSV(s, set, dir)
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("csv export failed: %v %v", err, paths)
 	}

@@ -34,8 +34,10 @@
 //     norm-exploded uploads — all deterministic across worker counts
 //     and engines, with the zero values bit-identical to a benign run
 //   - the DRL agent: NewAgent, DefaultAgentConfig, TrainTwoStage
-//   - experiment harness: ExperimentNames, RunExperiment and the
-//     CIScale/MediumScale/PaperScale presets
+//   - experiment harness: ExperimentNames, RunExperimentCached and the
+//     CIScale/MediumScale/PaperScale presets; a grid experiment computes
+//     one ArtifactSet of cells (whole, or one -shard slice of it) and
+//     renders or CSV-exports that set
 //
 // See examples/quickstart for a 30-second end-to-end run.
 package feddrl
@@ -430,15 +432,6 @@ var (
 	ScaleByName = experiments.ScaleByName
 	// ExperimentNames lists the reproducible tables and figures.
 	ExperimentNames = experiments.Names
-	// RunExperiment executes a registered table/figure by id.
-	RunExperiment = experiments.Run
-	// RunExperimentSeeds runs a grid experiment with m seed replicates
-	// per cell and renders mean±std columns (m <= 1 behaves like
-	// RunExperiment).
-	RunExperimentSeeds = experiments.RunSeeds
-	// RunExperimentShard computes the deterministic i/n slice of a grid
-	// experiment and returns its artifact set.
-	RunExperimentShard = experiments.RunShard
 	// MergeExperimentArtifacts recombines shard artifact sets.
 	MergeExperimentArtifacts = experiments.MergeSets
 	// RenderExperimentArtifacts renders a complete artifact set into
@@ -448,24 +441,26 @@ var (
 	LoadExperimentArtifacts = experiments.LoadArtifactSet
 	// ExperimentShardable reports whether an id supports -shard/-merge.
 	ExperimentShardable = experiments.Shardable
-	// ExportExperimentCSV writes a figure's series as CSV files.
+	// ExportExperimentCSV writes a computed figure artifact set's series
+	// as CSV files; it trains nothing.
 	ExportExperimentCSV = experiments.ExportCSV
 	// OpenExperimentCache opens (creating unless readonly) a
 	// content-addressed artifact cache directory.
 	OpenExperimentCache = experiments.OpenCache
-	// RunExperimentCached is RunExperiment with an artifact cache: grid
-	// cells found in the cache are loaded instead of recomputed.
+	// RunExperimentCached executes a registered table/figure by id; grid
+	// cells found in the artifact cache (nil for none) are loaded
+	// instead of recomputed.
 	RunExperimentCached = experiments.RunCached
-	// RunExperimentSeedsCached is RunExperimentSeeds with an artifact
-	// cache.
+	// RunExperimentSeedsCached runs an experiment with m seed replicates
+	// per cell (mean±std columns when m > 1) against an artifact cache
+	// (nil for none), returning the text and, for a grid, the artifact
+	// set it rendered.
 	RunExperimentSeedsCached = experiments.RunSeedsCached
-	// RunExperimentShardCached is RunExperimentShard with an artifact
-	// cache — rerunning an interrupted shard against the same cache
-	// recomputes only the cells it had not finished.
+	// RunExperimentShardCached computes the deterministic i/n slice of a
+	// grid experiment and returns its artifact set; with an artifact
+	// cache (nil for none), rerunning an interrupted shard recomputes
+	// only the cells it had not finished.
 	RunExperimentShardCached = experiments.RunShardCached
-	// ExportExperimentCSVCached is ExportExperimentCSV with an artifact
-	// cache.
-	ExportExperimentCSVCached = experiments.ExportCSVCached
 )
 
 // Checkpointing, communication accounting, selection and compression.

@@ -96,7 +96,7 @@ func TestRunExperimentPublic(t *testing.T) {
 	s.LargeN = 8
 	s.K = 4
 	s.Epochs = 1
-	out, err := RunExperiment("table2", s, 1)
+	out, err := RunExperimentCached("table2", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,6 +234,17 @@ func (as *ArtifactSet) Get(spec CellSpec) (*CellArtifact, bool) {
 	return a, ok
 }
 
+// get is the ArtifactGetter every renderer and CSV builder reads
+// through. A renderer that asks for a cell outside its grid's job list
+// is a bug, so that panics, naming the cell.
+func (as *ArtifactSet) get(spec CellSpec) *CellArtifact {
+	a, ok := as.Get(spec)
+	if !ok {
+		panic(fmt.Sprintf("experiments: renderer requested cell %s outside the job list", spec.Key()))
+	}
+	return a
+}
+
 // Len returns the number of cells in the set.
 func (as *ArtifactSet) Len() int { return len(as.order) }
 

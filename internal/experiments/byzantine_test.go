@@ -9,7 +9,7 @@ import (
 // scale and checks its shape: one row per attack setting, one accuracy
 // column per merge rule, and the benign baseline present.
 func TestByzantineGrid(t *testing.T) {
-	out, err := Run("byzantine", gridScale(), 1)
+	out, err := RunCached("byzantine", gridScale(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +41,12 @@ func TestByzantineGrid(t *testing.T) {
 // fields win over the scale's.
 func TestScaleAttackAppliesToCells(t *testing.T) {
 	s := gridScale()
-	benign, err := Run("figure5", s, 1)
+	benign, err := RunCached("figure5", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Attack, s.AttackFrac, s.Merger = "signflip", 0.4, ""
-	attacked, err := Run("figure5", s, 1)
+	attacked, err := RunCached("figure5", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBenignOutputsUnchangedByRefactor(t *testing.T) {
 	// is conditionally hashed — so no cache is attached here).
 	sw := s
 	sw.Merger = "weighted"
-	explicit, err := Run("figure6", sw, 1)
+	explicit, err := RunCached("figure6", sw, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBenignOutputsUnchangedByRefactor(t *testing.T) {
 
 	// And an uncached re-run under the zero value still matches (cold
 	// path equality, not just cache equality).
-	again, err := Run("figure6", s, 1)
+	again, err := RunCached("figure6", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +125,16 @@ func TestBenignOutputsUnchangedByRefactor(t *testing.T) {
 // of theirs.
 func TestByzantineClaim(t *testing.T) {
 	s := CI()
-	st := newStore(s, nil)
-	defer st.close()
+	set := NewArtifactSet("byzantine", s, 1, 1)
 	benign, attacked := byzantineAttacks[0], byzantineAttack{"signflip", 0.2}
 	best := func(att byzantineAttack, merger string) float64 {
-		return st.get(byzantineSpec(s, att, merger, 1)).Best()
+		return set.get(byzantineSpec(s, att, merger, 1)).Best()
 	}
 	var jobs []CellSpec
 	for _, m := range []string{"weighted", "median", "trimmed"} {
 		jobs = append(jobs, byzantineSpec(s, benign, m, 1), byzantineSpec(s, attacked, m, 1))
 	}
-	st.prefetch(jobs)
+	set.compute(s, jobs, nil)
 	for _, c := range []struct {
 		merger   string
 		holds    bool    // the rule is claimed to hold under the attack

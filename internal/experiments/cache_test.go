@@ -37,7 +37,7 @@ func TestCacheColdWarm(t *testing.T) {
 	dir := t.TempDir()
 	cells := uniqueCells(Registry["figure8"].Jobs(s, 1))
 
-	want, err := Run("figure8", s, 1)
+	want, err := RunCached("figure8", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCacheShardResume(t *testing.T) {
 	s := gridScale()
 	dir := t.TempDir()
 
-	want, err := Run("figure8", s, 1)
+	want, err := RunCached("figure8", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestRunCachedMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run("table2", microScale(), 1)
+	want, err := RunCached("table2", microScale(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestCacheGCEvictsByMtimeToBudget(t *testing.T) {
 	}
 	// Evicted cells are ordinary misses: a rerun recomputes only them
 	// and the output is unchanged.
-	want, err := Run("figure8", gridScale(), 1)
+	want, err := RunCached("figure8", gridScale(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

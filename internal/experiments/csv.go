@@ -13,8 +13,7 @@ import (
 // builder. The figure runners print text tables; ExportCSV writes the
 // same series as CSV files for external plotting, one file per figure
 // panel (cmd/tables -csvdir). A builder reads cell artifacts through the
-// getter of the one store ExportCSVCached opens, the same
-// CellSpec→artifact pipeline as the text renderers, and returns its
+// getter of the ArtifactSet the text render computed, and returns its
 // series keyed by file name.
 var csvSeries = map[string]func(s Scale, seed uint64, get ArtifactGetter) map[string]*metrics.SeriesSet{
 	"figure5": figure5Series,
@@ -78,30 +77,21 @@ func sweepSeries(xName string, x []float64, get ArtifactGetter, spec func(i int,
 	return ss
 }
 
-// ExportCSV writes the figure series of the given experiment id into
-// dir, returning the written file paths. Supported ids: figure5,
-// figure7, figure8.
-func ExportCSV(id string, s Scale, seed uint64, dir string) ([]string, error) {
-	return ExportCSVCached(id, s, seed, dir, nil)
-}
-
-// ExportCSVCached is ExportCSV backed by a content-addressed artifact
-// cache — after a cached text render of the same figure, the CSV export
-// reloads every cell instead of retraining it. An unsupported id is
-// rejected before dir is created, and the paths come back sorted.
-func ExportCSVCached(id string, s Scale, seed uint64, dir string, cache *Cache) ([]string, error) {
-	series, ok := csvSeries[id]
+// ExportCSV writes the figure series of a computed artifact set (from
+// RunSeedsCached or RunShardCached at scale s) into dir, returning the
+// written file paths sorted. Supported experiments: figure5, figure7,
+// figure8; any other is rejected before dir is created. It trains
+// nothing: every cell comes from the set.
+func ExportCSV(s Scale, set *ArtifactSet, dir string) ([]string, error) {
+	series, ok := csvSeries[set.Experiment]
 	if !ok {
-		return nil, fmt.Errorf("experiments: no CSV export for %q (supported: figure5, figure7, figure8)", id)
+		return nil, fmt.Errorf("experiments: no CSV export for %q (supported: figure5, figure7, figure8)", set.Experiment)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: csv dir: %w", err)
 	}
-	st := newStore(s, cache)
-	defer st.close()
-	st.prefetch(Registry[id].Jobs(s, seed))
 	var paths []string
-	for name, ss := range series(s, seed, st.get) {
+	for name, ss := range series(s, set.Seed, set.get) {
 		p := filepath.Join(dir, name+".csv")
 		if err := ss.SaveCSV(p); err != nil {
 			return nil, err

@@ -8,19 +8,20 @@ import (
 	"testing"
 )
 
-// microGetter returns the getter of a fresh microScale store holding
-// experiment id's cells at seed, closed at the end of the test.
-func microGetter(t *testing.T, id string, seed uint64) (Scale, ArtifactGetter) {
+// microSet computes experiment id's artifact set at microScale and
+// seed.
+func microSet(t *testing.T, id string, seed uint64) (Scale, *ArtifactSet) {
 	s := microScale()
-	st := newStore(s, nil)
-	t.Cleanup(st.close)
-	st.prefetch(Registry[id].Jobs(s, seed))
-	return s, st.get
+	set, err := RunShardCached(id, s, seed, 1, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, set
 }
 
 func TestFigure7And8Series(t *testing.T) {
-	s, get := microGetter(t, "figure7", 31)
-	ss7 := figure7Series(s, 31, get)["figure7"]
+	s, set := microSet(t, "figure7", 31)
+	ss7 := figure7Series(s, 31, set.get)["figure7"]
 	if ss7.XName != "K" || len(ss7.X) != len(s.KSweep) {
 		t.Fatalf("figure7 x axis wrong: %+v", ss7)
 	}
@@ -29,16 +30,16 @@ func TestFigure7And8Series(t *testing.T) {
 			t.Fatalf("figure7 series %s wrong length", m)
 		}
 	}
-	s, get = microGetter(t, "figure8", 33)
-	ss8 := figure8Series(s, 33, get)["figure8"]
+	s, set = microSet(t, "figure8", 33)
+	ss8 := figure8Series(s, 33, set.get)["figure8"]
 	if ss8.XName != "delta" || len(ss8.X) != len(s.Deltas) {
 		t.Fatalf("figure8 x axis wrong: %+v", ss8)
 	}
 }
 
 func TestFigure5Series(t *testing.T) {
-	s, get := microGetter(t, "figure5", 35)
-	sets := figure5Series(s, 35, get)
+	s, set := microSet(t, "figure5", 35)
+	sets := figure5Series(s, 35, set.get)
 	// 2 datasets (cifar, fashion) × 3 partitions.
 	if len(sets) != 6 {
 		t.Fatalf("figure5 panels = %d, want 6", len(sets))
@@ -54,9 +55,9 @@ func TestFigure5Series(t *testing.T) {
 }
 
 func TestExportCSV(t *testing.T) {
-	s := microScale()
+	s, set := microSet(t, "figure7", 37)
 	dir := t.TempDir()
-	paths, err := ExportCSV("figure7", s, 37, dir)
+	paths, err := ExportCSV(s, set, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,26 +71,25 @@ func TestExportCSV(t *testing.T) {
 	if !strings.HasPrefix(string(data), "K,FedAvg,FedProx,FedDRL\n") {
 		t.Fatalf("csv header wrong:\n%s", data)
 	}
-	// An unsupported id errors before the output directory is created.
+	// An unsupported experiment errors before the output directory is
+	// created.
 	rejected := filepath.Join(dir, "rejected")
-	if _, err := ExportCSV("table3", s, 37, rejected); err == nil {
+	if _, err := ExportCSV(s, NewArtifactSet("table3", s, 37, 1), rejected); err == nil {
 		t.Fatal("unsupported id did not error")
 	}
 	if _, err := os.Stat(rejected); !os.IsNotExist(err) {
 		t.Fatalf("unsupported id created its output directory (stat err %v)", err)
 	}
-	if _, err := ExportCSV("figure8", s, 37, filepath.Join(dir, "sub")); err != nil {
+	_, set8 := microSet(t, "figure8", 37)
+	if _, err := ExportCSV(s, set8, filepath.Join(dir, "sub")); err != nil {
 		t.Fatalf("nested dir export failed: %v", err)
 	}
 	// figure5's six panel paths come back sorted, in the same order on
 	// every call (map iteration order must not leak into the result).
-	cache, err := OpenCache(t.TempDir(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, set5 := microSet(t, "figure5", 37)
 	var first []string
 	for i := 0; i < 4; i++ {
-		paths, err := ExportCSVCached("figure5", s, 37, filepath.Join(dir, "fig5"), cache)
+		paths, err := ExportCSV(s, set5, filepath.Join(dir, "fig5"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestCacheDeterminismMatrix(t *testing.T) {
 	for _, name := range shardableNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			want, err := Run(name, s, 1)
+			want, err := RunCached(name, s, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestCacheDeterminismMatrix(t *testing.T) {
 func TestCacheDeterminismSeeds(t *testing.T) {
 	s := gridScale()
 	dir := t.TempDir()
-	want, err := RunSeeds("figure8", s, 1, 2)
+	want, _, err := RunSeedsCached("figure8", s, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCacheDeterminismSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSeedsCached("figure8", s, 1, 2, cold)
+	got, _, err := RunSeedsCached("figure8", s, 1, 2, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCacheDeterminismSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = RunSeedsCached("figure8", s, 1, 2, warm)
+	got, _, err = RunSeedsCached("figure8", s, 1, 2, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func experimentDigests(t *testing.T) map[string]string {
 		}
 	}
 	for _, id := range digestSeedsIDs {
-		out, err := RunSeedsCached(id, s, 1, 2, cache)
+		out, _, err := RunSeedsCached(id, s, 1, 2, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

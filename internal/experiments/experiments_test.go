@@ -73,7 +73,7 @@ func TestRegistryComplete(t *testing.T) {
 	if len(Names()) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(Names()), len(want))
 	}
-	if _, err := Run("nope", microScale(), 1); err == nil {
+	if _, err := RunCached("nope", microScale(), 1, nil); err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
 }
@@ -102,20 +102,19 @@ func TestFigure4Output(t *testing.T) {
 
 func TestTable3Micro(t *testing.T) {
 	s := microScale()
-	st := newStore(s, nil)
-	defer st.close()
+	set := NewArtifactSet("table3", s, 3, 1)
 	jobs := table3Jobs(s, 3)
 	// 3 datasets × 2 sizes × 3 partitions cells, four methods each.
 	if len(jobs) != 18*len(Methods) {
 		t.Fatalf("Table3 jobs = %d, want %d", len(jobs), 18*len(Methods))
 	}
-	st.prefetch(jobs)
+	set.compute(s, jobs, nil)
 	for _, c := range jobs {
-		if acc := st.get(c).Best(); acc < 0 || acc > 100 {
+		if acc := set.get(c).Best(); acc < 0 || acc > 100 {
 			t.Fatalf("cell %s/%s/%d method %s acc %v out of range", c.Dataset, c.Partition, c.N, c.Method, acc)
 		}
 	}
-	out := renderTable3(s, 3, 1, st.get)
+	out := renderTable3(s, 3, 1, set.get)
 	for _, want := range []string{"cifar100-sim", "fashion-sim", "mnist-sim", "impr.(a)", "impr.(b)", "FedDRL"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table3 render missing %q", want)
@@ -126,7 +125,7 @@ func TestTable3Micro(t *testing.T) {
 // runMicro runs a registered experiment at microScale.
 func runMicro(t *testing.T, id string, seed uint64) string {
 	t.Helper()
-	out, err := Run(id, microScale(), seed)
+	out, err := RunCached(id, microScale(), seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,29 +256,34 @@ func TestFLEnvContract(t *testing.T) {
 	}
 }
 
+// TestArtifactStoreHits: computing into a set runs each distinct cell
+// once, keeps the cells it already holds, and its getter panics on a
+// cell no job list enumerated.
 func TestArtifactStoreHits(t *testing.T) {
 	s := microScale()
-	st := newStore(s, nil)
-	defer st.close()
+	set := NewArtifactSet("table3", s, 25, 1)
 	ds := s.datasets()[2]
 	ce := table3Spec(s, ds.Name, "CE", "FedAvg", s.SmallN, 25)
 	cn := table3Spec(s, ds.Name, "CN", "FedAvg", s.SmallN, 25)
-	st.prefetch([]CellSpec{ce, ce})
-	r1 := st.get(ce)
-	st.prefetch([]CellSpec{ce, cn})
-	if st.get(ce) != r1 {
-		t.Fatal("store did not reuse the run")
+	set.compute(s, []CellSpec{ce, ce}, nil)
+	if set.Len() != 1 {
+		t.Fatalf("set holds %d cells after one distinct job, want 1", set.Len())
 	}
-	if st.get(cn) == r1 {
-		t.Fatal("store conflated distinct cells")
+	r1 := set.get(ce)
+	set.compute(s, []CellSpec{ce, cn}, nil)
+	if set.get(ce) != r1 {
+		t.Fatal("set did not reuse the run")
 	}
-	// A cell no prefetch enumerated is a renderer bug: get panics,
+	if set.get(cn) == r1 || set.Len() != 2 {
+		t.Fatal("set conflated distinct cells")
+	}
+	// A cell no job list enumerated is a renderer bug: get panics,
 	// naming it.
 	pa := table3Spec(s, ds.Name, "PA", "FedAvg", s.SmallN, 25)
 	defer func() {
 		if msg, ok := recover().(string); !ok || !strings.Contains(msg, pa.Key()) {
-			t.Fatalf("get of an unprefetched cell: panic %q, want one naming %s", msg, pa.Key())
+			t.Fatalf("get of an uncomputed cell: panic %q, want one naming %s", msg, pa.Key())
 		}
 	}()
-	st.get(pa)
+	set.get(pa)
 }

@@ -33,14 +33,14 @@ func TestGridOutputIdenticalAcrossWorkers(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			seq := gridScale()
 			seq.Workers = 1
-			want, err := Run(id, seq, 1)
+			want, err := RunCached(id, seq, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3} {
 				par := gridScale()
 				par.Workers = workers
-				got, err := Run(id, par, 1)
+				got, err := RunCached(id, par, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +60,7 @@ func TestGridOutputIdenticalAcrossWorkers(t *testing.T) {
 func TestConcurrentFanOutSmoke(t *testing.T) {
 	s := gridScale()
 	s.Workers = 4
-	out, err := Run("table3", s, 2)
+	out, err := RunCached("table3", s, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@ import "sort"
 // experiments decompose further — see Experiment.
 type Runner func(s Scale, seed uint64) string
 
-// ArtifactGetter resolves a cell spec to its computed artifact. Inside
-// one process it is backed by the artifact store's prefetched cells; in
-// the merge path it is backed by decoded shard files. Both panic on a
-// cell outside the grid's job list.
+// ArtifactGetter resolves a cell spec to its computed artifact. It is
+// an ArtifactSet's getter, whether the set was computed in this process
+// or merged from shard files, and it panics on a cell outside the
+// grid's job list.
 type ArtifactGetter func(spec CellSpec) *CellArtifact
 
 // Experiment is a registry entry. Grid experiments define Jobs (the
@@ -78,19 +78,15 @@ func Shardable(name string) bool {
 	return ok && e.Shardable()
 }
 
-// Run executes a registered experiment by id: monolithic runners
+// RunCached executes a registered experiment by id: monolithic runners
 // directly, grid experiments through the spec→artifact→render pipeline
-// on the scale's engine pool.
-func Run(name string, s Scale, seed uint64) (string, error) {
-	return RunCached(name, s, seed, nil)
-}
-
-// RunCached is Run with a content-addressed artifact cache: grid cells
-// whose records exist in the cache are loaded instead of recomputed,
-// fresh cells are written back, and the rendered output is
+// on the scale's engine pool. With a content-addressed artifact cache,
+// grid cells whose records exist in the cache are loaded instead of
+// recomputed, fresh cells are written back, and the rendered output is
 // byte-identical to an uncached run. A nil cache disables caching.
 // Monolithic experiments do not decompose into cells and run in full
 // regardless of the cache.
 func RunCached(name string, s Scale, seed uint64, cache *Cache) (string, error) {
-	return RunSeedsCached(name, s, seed, 1, cache)
+	out, _, err := RunSeedsCached(name, s, seed, 1, cache)
+	return out, err
 }

@@ -164,88 +164,51 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool, v
 	return fl.RunVirtual(cfg, cp, test, agg)
 }
 
-// artifactStore executes cell jobs and caches their artifacts within one
-// experiment invocation. It owns the invocation's engine pool: prefetch
-// fans independent cells out across the pool's lanes, and every cell's
-// inner federated run borrows the same lanes, keeping total parallelism
-// bounded. The pool's work-stealing scheduler is what keeps the grid's
+// compute fills the set with the artifacts of jobs, which join it in
+// job order: a cell the set already holds is kept, a cache hit is
+// loaded, and the misses run concurrently on one engine pool of the
+// scale's width, built only when some cell misses. Every cell's inner
+// federated run borrows the same lanes, keeping total parallelism
+// bounded, and the pool's work-stealing scheduler keeps the grid's
 // three layers (cells → FL rounds → evaluation/merge) all parallel: a
 // lane that drains its cells steals the nested jobs of the cells still
-// running, so the tail of a grid is finished by every lane instead of
-// one. Every grid entry point must release the pool with
-// `defer st.close()` so a panicking cell run cannot leak it.
-//
-// An optional content-addressed Cache extends the in-memory store
-// across invocations: cells found in the cache are loaded instead of
-// recomputed, and freshly computed cells are written back (unless the
-// cache is readonly). Lookups and write-backs are bit-exact, so cached
-// and uncached runs render byte-identical output.
-type artifactStore struct {
-	s     Scale
-	pool  *engine.Pool
-	cache *Cache
-	cells map[string]*CellArtifact
-}
-
-func newStore(s Scale, cache *Cache) *artifactStore {
-	return &artifactStore{s: s, pool: s.newPool(), cache: cache, cells: map[string]*CellArtifact{}}
-}
-
-// close releases the store's pool (idempotent; nil-safe).
-func (st *artifactStore) close() { st.pool.Close() }
-
-// compute runs one cell spec to an artifact on the store's pool.
-func (st *artifactStore) compute(spec CellSpec) *CellArtifact {
-	ds := st.s.datasetByName(spec.Dataset)
-	res := runMethodOn(st.s, ds, spec, st.pool, nil)
-	return artifactOf(spec, res)
-}
-
-// prefetch computes every not-yet-cached job, independent cells in
-// parallel on the pool. The on-disk cache is consulted sequentially
-// first (I/O, not compute); only genuine misses fan out across the
-// pool. Results land in per-job slots and are committed to the map only
-// after the barrier, so no lock is needed and the store contents do not
-// depend on completion order. Callers must enumerate every cell their
-// rendering loop will get(): get panics on any other.
-func (st *artifactStore) prefetch(jobs []CellSpec) {
-	pending := make([]CellSpec, 0, len(jobs))
-	queued := map[string]bool{}
+// running. Cached and computed cells are bit-exact, so cached and
+// uncached runs render byte-identical output.
+func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
+	var misses []CellSpec
+	var missKeys []string
 	for _, j := range jobs {
 		key := j.Key()
-		if _, done := st.cells[key]; done || queued[key] {
+		if _, done := as.Cells[key]; done {
 			continue
 		}
-		if a, ok := st.cache.load(st.s, j); ok {
-			st.cells[key] = a
-			continue
+		// A miss holds its place in the job order as a nil entry until
+		// it is computed.
+		a, _ := cache.load(s, j)
+		as.Cells[key] = a
+		as.order = append(as.order, key)
+		if a == nil {
+			misses = append(misses, j)
+			missKeys = append(missKeys, key)
 		}
-		queued[key] = true
-		pending = append(pending, j)
 	}
-	results := make([]*CellArtifact, len(pending))
-	st.pool.For(len(pending), func(i int) {
-		a := st.compute(pending[i])
-		results[i] = a
-		// Publish to the cache immediately, not after the barrier: a
-		// killed run must keep every cell it finished, or interrupted
-		// shards could never resume. Concurrent stores are safe — each
-		// record is its own temp file + rename, and the stats counters
-		// are mutex-guarded.
-		st.cache.store(st.s, pending[i], a)
+	if len(misses) == 0 {
+		return
+	}
+	pool := s.newPool()
+	defer pool.Close()
+	results := make([]*CellArtifact, len(misses))
+	pool.For(len(misses), func(i int) {
+		j := misses[i]
+		results[i] = artifactOf(j, runMethodOn(s, s.datasetByName(j.Dataset), j, pool, nil))
+		// Publish to the cache as soon as the cell finishes, not after
+		// the barrier: a killed run must keep every cell it finished, or
+		// interrupted shards could never resume. Concurrent stores are
+		// safe — each record is its own temp file + rename, and the stats
+		// counters are mutex-guarded.
+		cache.store(s, j, results[i])
 	})
-	for i, j := range pending {
-		st.cells[j.Key()] = results[i]
+	for i, key := range missKeys {
+		as.Cells[key] = results[i]
 	}
-}
-
-// get returns a prefetched cell's artifact. A renderer that asks for a
-// cell outside its grid's job list is a bug, so that panics, naming the
-// cell, as RenderSet's getter does.
-func (st *artifactStore) get(spec CellSpec) *CellArtifact {
-	a, ok := st.cells[spec.Key()]
-	if !ok {
-		panic(fmt.Sprintf("experiments: renderer requested cell %s outside the job list", spec.Key()))
-	}
-	return a
 }

@@ -91,20 +91,15 @@ func ShardJobs(jobs []CellSpec, index, count int) ([]CellSpec, error) {
 	return out, nil
 }
 
-// RunShard computes shard index/count of a grid experiment (optionally
-// seed-replicated) and returns its artifact set, ready to SaveFile.
-// The slice runs concurrently on the scale's engine pool, exactly like
-// the corresponding cells of an unsharded run.
-func RunShard(name string, s Scale, seed uint64, seeds, index, count int) (*ArtifactSet, error) {
-	return RunShardCached(name, s, seed, seeds, index, count, nil)
-}
-
-// RunShardCached is RunShard backed by a content-addressed artifact
-// cache: the shard's artifact set is assembled from cache hits where
-// possible and only the missing cells are computed (and written back).
-// This is also the kill-and-resume path — rerunning an interrupted
-// shard against the same cache recomputes only the cells it had not
-// finished.
+// RunShardCached computes shard index/count of a grid experiment
+// (optionally seed-replicated) and returns its artifact set, ready to
+// SaveFile. The slice runs concurrently on the scale's engine pool,
+// exactly like the corresponding cells of an unsharded run. With a
+// content-addressed cache (nil for none) the set is assembled from
+// cache hits where possible and only the missing cells are computed
+// and written back. This is also the kill-and-resume path — rerunning
+// an interrupted shard against the same cache recomputes only the
+// cells it had not finished.
 func RunShardCached(name string, s Scale, seed uint64, seeds, index, count int, cache *Cache) (*ArtifactSet, error) {
 	_, jobs, err := jobsFor(name, s, seed, seeds)
 	if err != nil {
@@ -114,13 +109,8 @@ func RunShardCached(name string, s Scale, seed uint64, seeds, index, count int, 
 	if err != nil {
 		return nil, err
 	}
-	st := newStore(s, cache)
-	defer st.close()
-	st.prefetch(slice)
 	set := NewArtifactSet(name, s, seed, seeds)
-	for _, spec := range slice {
-		set.Add(st.get(spec))
-	}
+	set.compute(s, slice, cache)
 	return set, nil
 }
 
@@ -181,43 +171,29 @@ func RenderSet(s Scale, set *ArtifactSet) (string, error) {
 		return "", fmt.Errorf("experiments: artifact set is missing %d of %d cells (incomplete shard merge?): %s",
 			len(missing), len(jobs), strings.Join(missing, ", "))
 	}
-	get := func(spec CellSpec) *CellArtifact {
-		a, ok := set.Get(spec)
-		if !ok {
-			panic(fmt.Sprintf("experiments: renderer requested cell %s outside the job list", spec.Key()))
-		}
-		return a
-	}
-	return e.Render(s, set.Seed, max(set.Seeds, 1), get), nil
+	return e.Render(s, set.Seed, max(set.Seeds, 1), set.get), nil
 }
 
-// RunSeeds executes a grid experiment with m seed replicates per cell
-// and renders mean±std columns. seeds <= 1 falls back to Run. The
-// replicated jobs flow through the same pipeline as sharded runs, so
-// -shard and -seeds compose.
-func RunSeeds(name string, s Scale, seed uint64, seeds int) (string, error) {
-	return RunSeedsCached(name, s, seed, seeds, nil)
-}
-
-// RunSeedsCached is RunSeeds backed by a content-addressed artifact
-// cache. Seed replicates are ordinary cells (each replicate has its own
-// absolute seed, hence its own content address), so a multi-seed run
-// reuses the single-seed cells a previous run already cached. This is
-// the one execution path of Run, RunCached and RunSeeds: monolithic
-// experiments run directly, and a grid enumerates its jobs, computes
-// the ones the cache lacks concurrently on the scale's engine pool, and
-// renders.
-func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) (string, error) {
+// RunSeedsCached executes a registered experiment with m seed
+// replicates per cell (mean±std columns when m > 1) against a
+// content-addressed artifact cache (nil for none), and returns its
+// text with the artifact set it rendered, nil for a monolithic
+// experiment. It is the one execution path of RunCached too:
+// monolithic experiments run directly, and a grid computes the same
+// ArtifactSet a 1/1 shard writes, then renders it. Seed replicates are
+// ordinary cells (each has its own absolute seed, hence its own content
+// address), so a multi-seed run reuses the single-seed cells a previous
+// run already cached, and -shard and -seeds compose.
+func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) (string, *ArtifactSet, error) {
 	seeds = max(seeds, 1)
 	if e := Registry[name]; e.Mono != nil && seeds == 1 {
-		return e.Mono(s, seed), nil
+		return e.Mono(s, seed), nil, nil
 	}
 	e, jobs, err := jobsFor(name, s, seed, seeds)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	st := newStore(s, cache)
-	defer st.close()
-	st.prefetch(jobs)
-	return e.Render(s, seed, seeds, st.get), nil
+	set := NewArtifactSet(name, s, seed, seeds)
+	set.compute(s, jobs, cache)
+	return e.Render(s, seed, seeds, set.get), set, nil
 }

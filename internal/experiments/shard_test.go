@@ -67,7 +67,7 @@ func TestShardJobsPartition(t *testing.T) {
 
 func TestArtifactSetFileRoundTrip(t *testing.T) {
 	s := gridScale()
-	set, err := RunShard("figure8", s, 3, 1, 1, 2)
+	set, err := RunShardCached("figure8", s, 3, 1, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +114,14 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		{"figure5", 2},
 		{"figure6", 2},
 	} {
-		want, err := Run(tc.exp, s, 1)
+		want, err := RunCached(tc.exp, s, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
 		var sets []*ArtifactSet
 		for i := 1; i <= tc.shards; i++ {
-			set, err := RunShard(tc.exp, s, 1, 1, i, tc.shards)
+			set, err := RunShardCached(tc.exp, s, 1, 1, i, tc.shards, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,13 +152,13 @@ func TestShardMergeByteIdentical(t *testing.T) {
 
 func TestShardSeedsCompose(t *testing.T) {
 	s := gridScale()
-	want, err := RunSeeds("figure8", s, 1, 2)
+	want, _, err := RunSeedsCached("figure8", s, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sets []*ArtifactSet
 	for i := 1; i <= 2; i++ {
-		set, err := RunShard("figure8", s, 1, 2, i, 2)
+		set, err := RunShardCached("figure8", s, 1, 2, i, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestShardSeedsCompose(t *testing.T) {
 
 func TestRunSeedsMeanStd(t *testing.T) {
 	s := gridScale()
-	out, err := RunSeeds("table3", s, 1, 2)
+	out, set, err := RunSeedsCached("table3", s, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,64 +190,61 @@ func TestRunSeedsMeanStd(t *testing.T) {
 		t.Fatalf("seeds render malformed:\n%s", out)
 	}
 	// Numeric spot check: one cell's mean±std must equal the stats of
-	// the two replicates' best accuracies.
-	st := newStore(s, nil)
-	defer st.close()
+	// the two replicates' best accuracies in the set the run rendered.
 	spec := table3Spec(s, s.datasets()[2].Name, "CE", "FedAvg", s.SmallN, 1)
-	st.prefetch([]CellSpec{spec, replicateSpec(spec, 1)})
-	vals := []float64{st.get(spec).Best(), st.get(replicateSpec(spec, 1)).Best()}
+	vals := []float64{set.get(spec).Best(), set.get(replicateSpec(spec, 1)).Best()}
 	want := metrics.MeanStd(mathx.Mean(vals), mathx.Std(vals))
 	if !strings.Contains(out, want) {
 		t.Fatalf("expected cell %q not found in:\n%s", want, out)
 	}
 	// Determinism: a second run renders the identical bytes.
-	again, err := RunSeeds("table3", s, 1, 2)
+	again, _, err := RunSeedsCached("table3", s, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != out {
-		t.Fatal("RunSeeds is not deterministic")
+		t.Fatal("RunSeedsCached is not deterministic")
 	}
 	// seeds=1 falls back to the single-seed render.
-	one, err := RunSeeds("table3", s, 1, 1)
+	one, _, err := RunSeedsCached("table3", s, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run("table3", s, 1)
+	single, err := RunCached("table3", s, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one != single {
-		t.Fatal("RunSeeds(1) differs from Run")
+		t.Fatal("RunSeedsCached with 1 seed differs from RunCached")
 	}
 }
 
 func TestShardAndMergeValidation(t *testing.T) {
 	s := gridScale()
-	if _, err := RunShard("table2", s, 1, 1, 1, 2); err == nil {
+	if _, err := RunShardCached("table2", s, 1, 1, 1, 2, nil); err == nil {
 		t.Fatal("monolithic experiment accepted for sharding")
 	}
-	if _, err := RunShard("nope", s, 1, 1, 1, 2); err == nil {
+	if _, err := RunShardCached("nope", s, 1, 1, 1, 2, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if _, err := RunShard("table3", s, 1, 1, 5, 2); err == nil {
+	if _, err := RunShardCached("table3", s, 1, 1, 5, 2, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := RunSeeds("figure5", s, 1, 3); err == nil {
+	if _, _, err := RunSeedsCached("figure5", s, 1, 3, nil); err == nil {
 		t.Fatal("seed replication accepted for experiment without a seed-replicated render")
 	}
-	if _, err := RunSeeds("table2", s, 1, 3); err == nil || !strings.Contains(err.Error(), "seed replication") {
+	if _, _, err := RunSeedsCached("table2", s, 1, 3, nil); err == nil || !strings.Contains(err.Error(), "seed replication") {
 		t.Fatalf("monolithic -seeds error should mention seed replication, got %v", err)
 	}
 	if _, err := MergeSets(nil); err == nil {
 		t.Fatal("empty merge accepted")
 	}
 
-	a, err := RunShard("figure8", s, 1, 1, 1, 2)
+	a, err := RunShardCached("figure8", s, 1, 1, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShard("figure8", s, 2, 1, 2, 2) // different seed
+	b, err := RunShardCached("figure8", s, 2, 1, 2, 2, nil) // different seed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func TestShardAndMergeValidation(t *testing.T) {
 	}
 
 	// Scale mismatch is rejected.
-	full, err := RunShard("figure8", s, 1, 1, 1, 1)
+	full, err := RunShardCached("figure8", s, 1, 1, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
