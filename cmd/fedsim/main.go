@@ -53,21 +53,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// Range checks come before anything is built, and each is written
-	// so that NaN fails it. CE and CN put one client in each of their
-	// three groups.
-	clustered := *partName == "CE" || *partName == "CN"
+	// so that NaN fails it. PartitionByName checks -clients and -delta.
 	for _, c := range []struct {
 		bad bool
 		msg string
 	}{
-		{*clients < 1, "-clients must be >= 1"},
-		{clustered && *clients < 3, "-clients must be >= 3 for CE and CN"},
 		{*k < 1, "-k must be >= 1"},
 		{*rounds < 1, "-rounds must be >= 1"},
 		{*epochs < 1, "-epochs must be >= 1"},
 		{!(*dataScale > 0 && *dataScale <= math.MaxFloat64), "-datascale must be finite and > 0"},
 		{!(*lr > 0 && *lr <= math.MaxFloat64), "-lr must be finite and > 0"},
-		{clustered && !(*delta > 0 && *delta < 1), "-delta must be in (0, 1) for CE and CN"},
 		{!(*exploreStd >= 0 && *exploreStd <= math.MaxFloat64), "-explorestd must be finite and >= 0"},
 		{!(*exploreDecay > 0 && *exploreDecay <= 1), "-exploredecay must be in (0, 1]"},
 	} {
@@ -108,25 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec = spec.Scaled(*dataScale)
 	train, test := feddrl.Synthesize(spec, *seed)
 
-	lpc := 2
-	if spec.Classes >= 100 {
-		lpc = 20
-	}
-	r := feddrl.NewRNG(*seed + 1)
-	var assign *feddrl.Assignment
-	switch *partName {
-	case "PA":
-		assign = feddrl.Pareto(train, *clients, lpc, 1.5, r)
-	case "CE":
-		assign = feddrl.ClusteredEqual(train, *clients, *delta, lpc, 3, r)
-	case "CN":
-		assign = feddrl.ClusteredNonEqual(train, *clients, *delta, lpc, 3, 1.0, r)
-	case "Equal":
-		assign = feddrl.EqualShards(train, *clients, 2, r)
-	case "Non-equal":
-		assign = feddrl.NonEqualShards(train, *clients, 10, 6, 14, r)
-	default:
-		fmt.Fprintf(stderr, "unknown partition %q\n", *partName)
+	assign, err := feddrl.PartitionByName(*partName, train, *clients, *delta, feddrl.NewRNG(*seed+1))
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 

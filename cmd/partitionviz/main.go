@@ -37,26 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	// The same range checks as fedsim's, before anything is built.
-	clustered := false
-	for _, p := range strings.Split(*parts, ",") {
-		p = strings.TrimSpace(p)
-		clustered = clustered || p == "CE" || p == "CN"
-	}
-	for _, c := range []struct {
-		bad bool
-		msg string
-	}{
-		{*clients < 1, "-clients must be >= 1"},
-		{clustered && *clients < 3, "-clients must be >= 3 for CE and CN"},
-		{clustered && !(*delta > 0 && *delta < 1), "-delta must be in (0, 1) for CE and CN"},
-	} {
-		if c.bad {
-			fmt.Fprintln(stderr, "partitionviz: "+c.msg)
-			return 2
-		}
-	}
-
 	var spec feddrl.DataSpec
 	switch *dsName {
 	case "mnist":
@@ -70,28 +50,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	train, _ := feddrl.Synthesize(spec.Scaled(0.3), *seed)
-	lpc := 2
-	if spec.Classes >= 100 {
-		lpc = 20
-	}
+	// Every partition is built before any is printed, so a bad name,
+	// -clients or -delta prints nothing but its one-line error.
+	var assigns []*feddrl.Assignment
 	for _, p := range strings.Split(*parts, ",") {
-		r := feddrl.NewRNG(*seed + 7)
-		var assign *feddrl.Assignment
-		switch strings.TrimSpace(p) {
-		case "PA":
-			assign = feddrl.Pareto(train, *clients, lpc, 1.5, r)
-		case "CE":
-			assign = feddrl.ClusteredEqual(train, *clients, *delta, lpc, 3, r)
-		case "CN":
-			assign = feddrl.ClusteredNonEqual(train, *clients, *delta, lpc, 3, 1.0, r)
-		case "Equal":
-			assign = feddrl.EqualShards(train, *clients, 2, r)
-		case "Non-equal":
-			assign = feddrl.NonEqualShards(train, *clients, 10, 6, 14, r)
-		default:
-			fmt.Fprintf(stderr, "unknown partition %q\n", p)
+		assign, err := feddrl.PartitionByName(strings.TrimSpace(p), train, *clients, *delta, feddrl.NewRNG(*seed+7))
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
+		assigns = append(assigns, assign)
+	}
+	for _, assign := range assigns {
 		fmt.Fprintln(stdout, feddrl.PartitionASCII(train, assign))
 		st := feddrl.ComputePartitionStats(train, assign)
 		fmt.Fprintf(stdout, "coverage %.0f%%  quantityCV %.3f  clusterScore %.3f\n\n",

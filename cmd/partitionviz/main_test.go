@@ -40,10 +40,13 @@ func TestPartitionvizDatasets(t *testing.T) {
 	}
 }
 
+// TestPartitionvizBadArgs: every bad argument exits 2 and prints nothing
+// to stdout, also when it is not the first partition requested.
 func TestPartitionvizBadArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dataset", "imagenet"},
 		{"-partitions", "XX"},
+		{"-partitions", "PA,XX"},
 		{"-bogusflag"},
 		{"-clients", "0", "-partitions", "PA"},
 		{"-clients", "2", "-partitions", "CE"},
@@ -54,6 +57,9 @@ func TestPartitionvizBadArgs(t *testing.T) {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
 			t.Fatalf("args %v exited %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("args %v printed to stdout:\n%s", args, out.String())
 		}
 	}
 }

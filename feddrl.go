@@ -9,7 +9,9 @@
 //
 //   - datasets: Synthesize + the MNISTSim/FashionSim/CIFAR100Sim specs
 //   - non-IID partitioners: Pareto (PA), ClusteredEqual (CE, the paper's
-//     cluster skew), ClusteredNonEqual (CN), EqualShards, NonEqualShards
+//     cluster skew), ClusteredNonEqual (CN), EqualShards, NonEqualShards,
+//     and PartitionByName, which builds each by name with the paper's
+//     constants
 //   - the FL loop: NewClient/BuildClients, Run, SingleSet — and the
 //     constant-memory virtual-client path NewClientPool/RunVirtual, where
 //     clients are (seed, index-recipe) identities over zero-copy
@@ -273,6 +275,10 @@ var (
 
 // Partitioners (§4.1.1, §5.1).
 var (
+	// PartitionByName builds PA, CE, CN, Equal or Non-equal with the
+	// paper's constants, returning an error for a bad name, client
+	// count or delta.
+	PartitionByName = partition.ByName
 	// Pareto is the PA power-law partitioner.
 	Pareto = partition.Pareto
 	// ClusteredEqual is the CE cluster-skew partitioner.

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"feddrl/internal/dataset"
+	"feddrl/internal/rng"
 )
 
 // microScale is an even smaller configuration than CI for unit tests.
@@ -46,14 +49,26 @@ func TestScalesAreConsistent(t *testing.T) {
 	}
 }
 
+// TestLabelsPerClient: the grid's PA partition gives every client 20
+// labels on the 100-class dataset and 2 on a 10-class one (§4.1.1).
 func TestLabelsPerClient(t *testing.T) {
 	s := CI()
 	ds := s.datasets()
-	if labelsPerClient(ds[0]) != 20 { // cifar100-sim
-		t.Fatal("100-class dataset should use 20 labels/client")
-	}
-	if labelsPerClient(ds[2]) != 2 { // mnist-sim
-		t.Fatal("10-class dataset should use 2 labels/client")
+	for _, c := range []struct {
+		spec dataset.Spec
+		want int
+	}{{ds[0], 20}, {ds[2], 2}} { // cifar100-sim, mnist-sim
+		train, _ := dataset.Synthesize(c.spec, 1)
+		a := buildPartition("PA", train, s.SmallN, defaultDelta, rng.New(2))
+		for k, idx := range a.ClientIndices {
+			labels := map[int]bool{}
+			for _, i := range idx {
+				labels[train.Label(i)] = true
+			}
+			if len(labels) != c.want {
+				t.Fatalf("%s client %d holds %d labels, want %d", c.spec.Name, k, len(labels), c.want)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"feddrl/internal/fl"
 	"feddrl/internal/metrics"
 	"feddrl/internal/nn"
-	"feddrl/internal/partition"
 	"feddrl/internal/rng"
 )
 
@@ -57,7 +56,7 @@ func Figure9(s Scale, seed uint64) string {
 	}
 	for _, mc := range cases {
 		train, test := dataset.Synthesize(mc.spec, seed)
-		assign := partition.ClusteredEqual(train, s.SmallN, defaultDelta, labelsPerClient(mc.spec), numGroups, rng.New(seed+5))
+		assign := buildPartition("CE", train, s.SmallN, defaultDelta, rng.New(seed+5))
 		cfg := fl.RunConfig{
 			Rounds:    rounds,
 			K:         s.K,

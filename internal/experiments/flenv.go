@@ -42,7 +42,7 @@ func newFLEnv(s Scale, spec dataset.Spec, drlCfg core.Config, seed uint64, round
 // weights to obtain the initial state.
 func (e *flEnv) Reset() []float64 {
 	k := e.drlCfg.K
-	assign := buildPartition("CE", e.train, e.spec, k, defaultDelta, rng.New(e.seed+21))
+	assign := buildPartition("CE", e.train, k, defaultDelta, rng.New(e.seed+21))
 	factory := e.s.factoryFor(e.spec)
 	// Full participation, so every client stays live each round — the
 	// eager fleet is the right shape here, and its shards are zero-copy

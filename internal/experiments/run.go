@@ -21,25 +21,15 @@ var PartitionNames = []string{"PA", "CE", "CN"}
 // defaultDelta is the non-IID level used by Table 3 ("we set δ = 0.6").
 const defaultDelta = 0.6
 
-// numGroups is the cluster count of the CE/CN partitions.
-const numGroups = 3
-
-// buildPartition constructs the named partition over the training set.
-func buildPartition(name string, train *dataset.Dataset, spec dataset.Spec, n int, delta float64, r *rng.RNG) *partition.Assignment {
-	lpc := labelsPerClient(spec)
-	switch name {
-	case "PA":
-		return partition.Pareto(train, n, lpc, 1.5, r)
-	case "CE":
-		return partition.ClusteredEqual(train, n, delta, lpc, numGroups, r)
-	case "CN":
-		return partition.ClusteredNonEqual(train, n, delta, lpc, numGroups, 1.0, r)
-	case "Equal":
-		return partition.EqualShards(train, n, 2, r)
-	case "Non-equal":
-		return partition.NonEqualShards(train, n, 10, 6, 14, r)
+// buildPartition builds the named partition with the paper's constants
+// (partition.ByName). Every caller's name, client count and delta are
+// valid by construction, so an error is a bug.
+func buildPartition(name string, train *dataset.Dataset, n int, delta float64, r *rng.RNG) *partition.Assignment {
+	a, err := partition.ByName(name, train, n, delta, r)
+	if err != nil {
+		panic(err)
 	}
-	panic(fmt.Sprintf("experiments: unknown partition %q", name))
+	return a
 }
 
 // drlConfig sizes the agent per Table 1, shrunk by the scale.
@@ -101,7 +91,7 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool, v
 		return fl.SingleSet(cfg, train, test)
 	}
 	r := rng.New(seed + 2)
-	assign := buildPartition(partName, train, spec, n, delta, r)
+	assign := buildPartition(partName, train, n, delta, r)
 
 	// A "+mode" suffix selects the asynchronous engine (see async.go);
 	// the base method picks the aggregator as before. FedDRL's impact

@@ -193,15 +193,6 @@ func (s Scale) datasetByName(name string) dataset.Spec {
 	panic(fmt.Sprintf("experiments: unknown dataset %q in cell spec", name))
 }
 
-// labelsPerClient mirrors §4.1.1: 2 labels per client, 20 for the
-// 100-class dataset.
-func labelsPerClient(spec dataset.Spec) int {
-	if spec.Classes >= 100 {
-		return 20
-	}
-	return 2
-}
-
 // factoryFor returns the client model factory for a dataset at this
 // scale: MLPs at CI/medium scale, the paper's CNN/VGG shapes at paper
 // scale (§4.1.2: simple CNN for MNIST/Fashion, VGG for CIFAR-100).

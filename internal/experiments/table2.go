@@ -27,7 +27,7 @@ func Table2(s Scale, seed uint64) string {
 		return "no"
 	}
 	for _, name := range PartitionNames {
-		a := buildPartition(name, train, spec, s.SmallN, defaultDelta, rng.New(seed+7))
+		a := buildPartition(name, train, s.SmallN, defaultDelta, rng.New(seed+7))
 		st := partition.ComputeStats(train, a)
 		ch := st.Characteristics(train.NumClasses)
 		t.AddRow(name, mark(ch.ClusterSkew), mark(ch.LabelSizeImbalance), mark(ch.QuantityImbalance),
@@ -44,7 +44,7 @@ func Figure4(s Scale, seed uint64) string {
 	var b strings.Builder
 	b.WriteString("Figure 4: data partitioning illustrations (10 clients)\n\n")
 	for _, name := range PartitionNames {
-		a := buildPartition(name, train, spec, 10, defaultDelta, rng.New(seed+7))
+		a := buildPartition(name, train, 10, defaultDelta, rng.New(seed+7))
 		b.WriteString(partition.ASCII(train, a))
 		b.WriteByte('\n')
 	}

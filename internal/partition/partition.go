@@ -395,3 +395,41 @@ func NonEqualShards(d *dataset.Dataset, nClients, shardFactor, minShards, maxSha
 	}
 	return a
 }
+
+// ByName builds the named partition with the paper's constants: PA with
+// Pareto exponent 1.5, CE over three groups, CN over three groups with
+// quantity skew 1, Equal with 2 shards per client and Non-equal with 10
+// shards per client dealt 6 to 14 at a time. A client gets 2 labels, or
+// 20 on a dataset of 100 or more classes (§4.1.1). delta applies to CE
+// and CN only. It returns an error, and builds nothing, for an unknown
+// name, fewer than 1 client, or, for CE and CN, fewer than 3 clients (one
+// per group) or a delta outside (0, 1); NaN fails every range check.
+func ByName(name string, d *dataset.Dataset, clients int, delta float64, r *rng.RNG) (*Assignment, error) {
+	const groups = 3
+	clustered := name == "CE" || name == "CN"
+	switch {
+	case !clustered && name != "PA" && name != "Equal" && name != "Non-equal":
+		return nil, fmt.Errorf("partition: unknown partition %q (want PA, CE, CN, Equal or Non-equal)", name)
+	case clients < 1:
+		return nil, fmt.Errorf("partition: %s over %d clients, want at least 1", name, clients)
+	case clustered && clients < groups:
+		return nil, fmt.Errorf("partition: %s over %d clients, want at least %d (one per group)", name, clients, groups)
+	case clustered && !(0 < delta && delta < 1):
+		return nil, fmt.Errorf("partition: %s delta %v outside (0, 1)", name, delta)
+	}
+	labels := 2
+	if d.NumClasses >= 100 {
+		labels = 20
+	}
+	switch name {
+	case "PA":
+		return Pareto(d, clients, labels, 1.5, r), nil
+	case "CE":
+		return ClusteredEqual(d, clients, delta, labels, groups, r), nil
+	case "CN":
+		return ClusteredNonEqual(d, clients, delta, labels, groups, 1, r), nil
+	case "Equal":
+		return EqualShards(d, clients, 2, r), nil
+	}
+	return NonEqualShards(d, clients, 10, 6, 14, r), nil
+}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,6 +322,57 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestByName: each name builds exactly what its constructor builds with
+// the paper's constants, and a bad name, client count or delta returns
+// an error without drawing from the generator.
+func TestByName(t *testing.T) {
+	for _, d := range []*dataset.Dataset{tenClassData(t, 37), hundredClassData(t, 37)} {
+		labels := 2
+		if d.NumClasses >= 100 {
+			labels = 20
+		}
+		want := map[string]func(r *rng.RNG) *Assignment{
+			"PA":        func(r *rng.RNG) *Assignment { return Pareto(d, 9, labels, 1.5, r) },
+			"CE":        func(r *rng.RNG) *Assignment { return ClusteredEqual(d, 9, 0.4, labels, 3, r) },
+			"CN":        func(r *rng.RNG) *Assignment { return ClusteredNonEqual(d, 9, 0.4, labels, 3, 1, r) },
+			"Equal":     func(r *rng.RNG) *Assignment { return EqualShards(d, 9, 2, r) },
+			"Non-equal": func(r *rng.RNG) *Assignment { return NonEqualShards(d, 9, 10, 6, 14, r) },
+		}
+		for name, build := range want {
+			got, err := ByName(name, d, 9, 0.4, rng.New(38))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, build(rng.New(38))) {
+				t.Fatalf("%s over %d classes differs from its constructor", name, d.NumClasses)
+			}
+		}
+	}
+	d := tenClassData(t, 39)
+	for _, c := range []struct {
+		name    string
+		clients int
+		delta   float64
+	}{
+		{"XX", 5, 0.5},
+		{"PA", 0, 0.5},
+		{"Equal", -1, 0.5},
+		{"CE", 2, 0.5},
+		{"CN", 10, 0},
+		{"CE", 10, 1},
+		{"CN", 10, 1.5},
+		{"CE", 10, math.NaN()},
+	} {
+		r := rng.New(40)
+		if a, err := ByName(c.name, d, c.clients, c.delta, r); err == nil || a != nil {
+			t.Fatalf("ByName(%q, %d clients, delta %v) = %v, %v; want an error", c.name, c.clients, c.delta, a, err)
+		}
+		if r.Uint64() != rng.New(40).Uint64() {
+			t.Fatalf("ByName(%q, %d clients, delta %v) drew from the generator", c.name, c.clients, c.delta)
+		}
 	}
 }
 
