@@ -157,13 +157,11 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool, v
 // compute fills the set with the artifacts of jobs, which join it in
 // job order: a cell the set already holds is kept, a cache hit is
 // loaded, and the misses run concurrently on one engine pool of the
-// scale's width, built only when some cell misses. Every cell's inner
-// federated run borrows the same lanes, keeping total parallelism
-// bounded, and the pool's work-stealing scheduler keeps the grid's
-// three layers (cells → FL rounds → evaluation/merge) all parallel: a
-// lane that drains its cells steals the nested jobs of the cells still
-// running. Cached and computed cells are bit-exact, so cached and
-// uncached runs render byte-identical output.
+// scale's width, built only when some cell misses. Each cell's inner
+// federated run borrows the same lanes, and work stealing keeps the
+// grid's three layers (cells → FL rounds → evaluation/merge) parallel.
+// Cached and computed cells are bit-exact, so cached and uncached runs
+// render byte-identical output.
 func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 	var misses []CellSpec
 	var missKeys []string

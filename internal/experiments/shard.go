@@ -92,14 +92,10 @@ func ShardJobs(jobs []CellSpec, index, count int) ([]CellSpec, error) {
 }
 
 // RunShardCached computes shard index/count of a grid experiment
-// (optionally seed-replicated) and returns its artifact set, ready to
-// SaveFile. The slice runs concurrently on the scale's engine pool,
-// exactly like the corresponding cells of an unsharded run. With a
-// content-addressed cache (nil for none) the set is assembled from
-// cache hits where possible and only the missing cells are computed
-// and written back. This is also the kill-and-resume path — rerunning
-// an interrupted shard against the same cache recomputes only the
-// cells it had not finished.
+// (optionally seed-replicated) against an artifact cache (nil for none)
+// and returns its artifact set, ready to SaveFile. Only the cells the
+// cache lacks are computed, so rerunning an interrupted shard against
+// the same cache recomputes only the cells it had not finished.
 func RunShardCached(name string, s Scale, seed uint64, seeds, index, count int, cache *Cache) (*ArtifactSet, error) {
 	_, jobs, err := jobsFor(name, s, seed, seeds)
 	if err != nil {
@@ -175,15 +171,12 @@ func RenderSet(s Scale, set *ArtifactSet) (string, error) {
 }
 
 // RunSeedsCached executes a registered experiment with m seed
-// replicates per cell (mean±std columns when m > 1) against a
-// content-addressed artifact cache (nil for none), and returns its
-// text with the artifact set it rendered, nil for a monolithic
-// experiment. It is the one execution path of RunCached too:
-// monolithic experiments run directly, and a grid computes the same
-// ArtifactSet a 1/1 shard writes, then renders it. Seed replicates are
-// ordinary cells (each has its own absolute seed, hence its own content
-// address), so a multi-seed run reuses the single-seed cells a previous
-// run already cached, and -shard and -seeds compose.
+// replicates per cell (mean±std columns when m > 1) against an artifact
+// cache (nil for none), and returns its text with the artifact set it
+// rendered (nil for a monolithic experiment, which runs directly). A
+// grid computes the same ArtifactSet a 1/1 shard writes, then renders
+// it. Seed replicates are ordinary cells with their own seeds, hence
+// their own content addresses, so -shard and -seeds compose.
 func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) (string, *ArtifactSet, error) {
 	seeds = max(seeds, 1)
 	if e := Registry[name]; e.Mono != nil && seeds == 1 {
