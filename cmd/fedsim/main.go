@@ -1,6 +1,9 @@
 // Command fedsim runs one federated-learning experiment cell from flags:
 // a dataset, a non-IID partition, a method, and federation sizes. It
-// prints the per-round accuracy timeline and a summary.
+// prints the per-round accuracy timeline and a summary. The partition
+// is built by feddrl.PartitionByName with the paper's constants, and a
+// bad flag value (a partition's -clients or -delta included) prints one
+// line and exits 2.
 //
 // Example:
 //

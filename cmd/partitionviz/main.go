@@ -1,6 +1,9 @@
 // Command partitionviz prints Figure-4 style illustrations of the
 // non-IID partitioners: one row per label, one column per client, glyph
-// area proportional to sample count.
+// area proportional to sample count. Each partition is built by
+// feddrl.PartitionByName with the paper's constants, and all are built
+// before any is printed: a bad name, -clients or -delta prints one line
+// to stderr, nothing to stdout, and exits 2.
 //
 // Example:
 //

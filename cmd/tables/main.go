@@ -245,8 +245,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "### %s (scale=%s, seed=%d, took %v)\n\n%s\n", id, scale.Name, *seed, time.Since(start).Round(time.Millisecond), out)
 		if *csvDir != "" && (id == "figure5" || id == "figure7" || id == "figure8") {
-			// The export reads the set the render computed; it trains
-			// and loads nothing again.
 			paths, err := feddrl.ExportExperimentCSV(scale, set, *csvDir)
 			if err != nil {
 				fmt.Fprintf(stderr, "csv export of %s failed: %v\n", id, err)

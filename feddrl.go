@@ -18,11 +18,12 @@
 //     DataView shards, materialized only while selected (bit-identical
 //     to the eager path)
 //   - asynchronous rounds: RunAsync exposes the one deterministic
-//     event-driven round engine behind Run and RunVirtual over the same
-//     ClientPool — seeded virtual clock, pluggable ArrivalModel traces
-//     (stragglers, dropout, availability) and staleness-weighted
-//     merging; Run and RunVirtual are its degenerate trace (instant
-//     arrivals, no drops, no decay)
+//     event-driven round engine behind Run, RunVirtual and SingleSet
+//     over the same ClientPool — seeded virtual clock, pluggable
+//     ArrivalModel traces (stragglers, dropout, availability) and
+//     staleness-weighted merging; Run and RunVirtual are its degenerate
+//     trace (instant arrivals, no drops, no decay), and SingleSet that
+//     trace over one client holding all the data
 //   - the execution engine: NewWorkerPool + RunConfig.Workers, a bounded
 //     work-stealing pool whose parallel results are bit-identical to
 //     sequential and whose nested loops stay parallel under saturation

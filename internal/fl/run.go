@@ -60,8 +60,8 @@ type RunConfig struct {
 	// seeded, identity-stable subset of clients corrupts its uploads
 	// (or its local training data, for DataAttack implementations)
 	// deterministically per (round, client). nil is the benign path,
-	// bit-for-bit identical to runs predating the knob. SingleSet (no
-	// clients) ignores it.
+	// bit-for-bit identical to runs predating the knob. SingleSet
+	// ignores it.
 	Attack AttackModel
 	// AttackSeed keys the attack's membership and corruption streams;
 	// 0 derives Seed ^ attackSalt, so by default distinct runs see

@@ -192,6 +192,17 @@ grep -q 'pruned 0 stale' "$tmp/gc.err"
 diff "$tmp/cold.txt" "$tmp/postgc.txt"
 grep -q ' 0 misses' "$tmp/postgc.err"
 
+# CSV export from the rendered set: -csvdir exports the ArtifactSet the
+# text render computed, so against an empty cache every figure7 cell
+# misses and is written once and none is read back (0 hits), and the
+# CSV bytes equal an uncached export's. The test asserts the same
+# counts against the grid's cell count.
+go test -run 'TestTablesCSVDirTrainsOnce' ./cmd/tables/
+"$tmp/tables" -exp figure7 -scale ci -rounds 2 -seed 1 -csvdir "$tmp/csv-cached" -cache "$tmp/csvcells" 2> "$tmp/csv.err" > /dev/null
+grep -q ' 0 hits' "$tmp/csv.err"
+"$tmp/tables" -exp figure7 -scale ci -rounds 2 -seed 1 -csvdir "$tmp/csv-plain" > /dev/null
+diff -r "$tmp/csv-plain" "$tmp/csv-cached"
+
 # Byzantine CLI smoke: the attack × merger grid renders, and the benign
 # spellings of the new flags (-attack none -merger weighted) are
 # canonicalized — byte-identical output AND the same cache addresses as
