@@ -103,10 +103,19 @@ func (*FedDRL) Name() string { return "FedDRL" }
 // standard DDPG warmup treatment and is recorded in DESIGN.md §3; it
 // matters at compressed round budgets, where the paper's 200–300 rounds
 // of early exploration are unavailable.
+//
+// A cohort of 1 to K-1 updates (a quarantined upload, an async drop, a
+// selector returning fewer than K) fits no 3K state: it is merged by
+// FedAvg's weights and the pending (state, action) is dropped, so it
+// records no experience (DESIGN.md §8).
 func (f *FedDRL) ImpactFactors(round int, updates []Update) []float64 {
 	k := f.Agent.Config().K
-	if len(updates) != k {
-		panic(fmt.Sprintf("fl: FedDRL configured for K=%d but received %d updates", k, len(updates)))
+	if len(updates) == 0 || len(updates) > k {
+		panic(fmt.Sprintf("fl: FedDRL takes 1 to K=%d updates, received %d", k, len(updates)))
+	}
+	if len(updates) < k {
+		f.havePending = false
+		return (FedAvg{}).ImpactFactors(round, updates)
 	}
 	lb := make([]float64, k)
 	la := make([]float64, k)

@@ -185,6 +185,37 @@ func TestAsyncPartialRounds(t *testing.T) {
 	}
 }
 
+// TestAsyncFedDRLDrops: under a trace that drops a tenth of the
+// dispatches, some async rounds fold fewer than K updates. FedDRL must
+// merge those by FedAvg and complete the run, and its agent must record
+// an experience only between two consecutive full cohorts
+// (DESIGN.md §8).
+func TestAsyncFedDRLDrops(t *testing.T) {
+	const seed = 67
+	cp, test, cfg := detVirtualFederation(t, seed)
+	cfg.Rounds = 20
+	agg := detAggregators(cfg.K, seed)["FedDRL"]().(*FedDRL)
+	acfg := AsyncConfig{RunConfig: cfg, Arrival: TraceArrivals{BaseDelay: 1, Jitter: 0.5, DropRate: 0.1}}
+	res := mustAsync(RunAsync(acfg, cp, test, agg))
+	if len(res.Rounds) != cfg.Rounds || !AllFinite(res.Weights) {
+		t.Fatalf("completed %d of %d rounds, final weights finite %v", len(res.Rounds), cfg.Rounds, AllFinite(res.Weights))
+	}
+	short, pairs := 0, 0
+	for i, m := range res.Async {
+		if m.Arrived < cfg.K {
+			short++
+		} else if i > 0 && res.Async[i-1].Arrived == cfg.K {
+			pairs++
+		}
+	}
+	if short == 0 {
+		t.Fatal("the drop trace never produced a short cohort")
+	}
+	if got := agg.Agent.Buffer.Len(); got != pairs {
+		t.Fatalf("agent recorded %d experiences, want %d (one per pair of consecutive full cohorts)", got, pairs)
+	}
+}
+
 // TestAsyncStarvationReturnsError: an arrival model that drops
 // everything can never finish a round; the engine must return a
 // diagnosable *StarvationError — stuck round, dispatch/arrival census,

@@ -254,37 +254,34 @@ func (nanAttack) Corrupt(round, id int, seed uint64, global []float64, u *Update
 // TestQuarantineNaNRunCompletes: with poisoned uploads arriving every
 // round, the zero-value quarantine gate must keep the run alive, count
 // the rejections, and keep the global model finite — on the synchronous
-// and the async engine.
+// and the async engine, under FedAvg and under FedDRL, whose agent then
+// sees cohorts shorter than its K (DESIGN.md §8).
 func TestQuarantineNaNRunCompletes(t *testing.T) {
 	const seed = 67
-	clients, test, cfg := detFederation(t, seed)
-	cfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
-	cfg.AttackSeed = 5
-	res := Run(cfg, clients, test, FedAvg{})
-	total := 0
-	for _, m := range res.Rounds {
-		total += m.Quarantined
+	check := func(name string, res *Result) {
+		t.Helper()
+		total := 0
+		for _, m := range res.Rounds {
+			total += m.Quarantined
+		}
+		if total == 0 {
+			t.Fatalf("%s: NaN uploads were never quarantined", name)
+		}
+		if !AllFinite(res.Weights) {
+			t.Fatalf("%s: NaN leaked into the global model", name)
+		}
 	}
-	if total == 0 {
-		t.Fatal("NaN uploads were never quarantined")
-	}
-	if !AllFinite(res.Weights) {
-		t.Fatal("NaN leaked into the global model")
-	}
+	aggs := detAggregators(4, seed)
+	for _, agg := range []string{"FedAvg", "FedDRL"} {
+		clients, test, cfg := detFederation(t, seed)
+		cfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
+		cfg.AttackSeed = 5
+		check(agg+" sync", Run(cfg, clients, test, aggs[agg]()))
 
-	cp, test2, vcfg := detVirtualFederation(t, seed)
-	vcfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
-	vcfg.AttackSeed = 5
-	ar := mustAsync(RunAsync(AsyncConfig{RunConfig: vcfg}, cp, test2, FedAvg{}))
-	total = 0
-	for _, m := range ar.Rounds {
-		total += m.Quarantined
-	}
-	if total == 0 {
-		t.Fatal("async engine never quarantined the NaN uploads")
-	}
-	if !AllFinite(ar.Weights) {
-		t.Fatal("NaN leaked into the async global model")
+		cp, test2, vcfg := detVirtualFederation(t, seed)
+		vcfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
+		vcfg.AttackSeed = 5
+		check(agg+" async", mustAsync(RunAsync(AsyncConfig{RunConfig: vcfg}, cp, test2, aggs[agg]())).Result)
 	}
 }
 

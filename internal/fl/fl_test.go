@@ -341,16 +341,46 @@ func TestFedDRLAggregatorLifecycle(t *testing.T) {
 	}
 }
 
+// TestFedDRLWrongKPanics: FedDRL takes 1 to K updates; an empty cohort
+// or one above K panics.
 func TestFedDRLWrongKPanics(t *testing.T) {
 	drlCfg := core.DefaultConfig(3)
 	drlCfg.Hidden = 8
 	agg := NewFedDRL(core.NewAgent(drlCfg))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("K mismatch did not panic")
-		}
-	}()
-	agg.ImpactFactors(0, []Update{{N: 1}, {N: 1}})
+	for _, n := range []int{4, 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d updates for K=3 did not panic", n)
+				}
+			}()
+			agg.ImpactFactors(0, make([]Update, n))
+		}()
+	}
+}
+
+// TestFedDRLShortCohort: a cohort below K is merged by FedAvg's weights
+// and drops the pending (state, action), so the next full cohort records
+// no experience (DESIGN.md §8).
+func TestFedDRLShortCohort(t *testing.T) {
+	drlCfg := core.DefaultConfig(3)
+	drlCfg.Hidden = 8
+	agg := NewFedDRL(core.NewAgent(drlCfg))
+	full := []Update{{N: 1, LossBefore: 1}, {N: 2, LossBefore: 1}, {N: 3, LossBefore: 1}}
+	agg.ImpactFactors(0, full)
+	short := full[:2]
+	got := agg.ImpactFactors(1, short)
+	if want := (FedAvg{}).ImpactFactors(1, short); got[0] != want[0] || got[1] != want[1] || len(got) != 2 {
+		t.Fatalf("short cohort got %v, want FedAvg's %v", got, want)
+	}
+	agg.ImpactFactors(2, full)
+	if n := agg.Agent.Buffer.Len(); n != 0 {
+		t.Fatalf("a full cohort after a short one recorded %d experiences, want 0", n)
+	}
+	agg.ImpactFactors(3, full)
+	if n := agg.Agent.Buffer.Len(); n != 1 {
+		t.Fatalf("two consecutive full cohorts recorded %d experiences, want 1", n)
+	}
 }
 
 func TestSingleSetRuns(t *testing.T) {

@@ -79,8 +79,12 @@ go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceRep
 # straggler-trace composition), the zero-value attack/merger/quarantine
 # configuration must reproduce the benign run byte for byte, every
 # robust merger must be pool-width-invariant, and a NaN-uploading fleet
-# must finish with quarantine counts instead of a poisoned global model,
-# as must a diverging SingleSet run (the round engine's one-client case).
+# must finish with quarantine counts instead of a poisoned global model
+# under FedAvg and FedDRL, sync and async, as must a diverging SingleSet
+# run (the round engine's one-client case). FedDRL must merge a cohort
+# shorter than its K by FedAvg and record no experience for it
+# (DESIGN.md §8), directly and in an async run that drops a tenth of
+# its dispatches.
 # The blocked Median/TrimmedMean kernel must match the historical
 # per-coordinate sort bit for bit: on tie-heavy cohorts (signed zeros,
 # NaN payloads, ±Inf, subnormals) across cohort sizes, dims and pool
@@ -88,7 +92,7 @@ go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceRep
 # over whole sign-flip runs at f64 and f32. The same three suites run
 # again with every SIMD tier disabled, so the merge's generic
 # compare-exchange and lane screen stand alone.
-go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes|TestSingleSetRuns|TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
+go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes|TestFedDRLShortCohort|TestAsyncFedDRLDrops|TestSingleSetRuns|TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
 TENSOR_BACKEND=generic go test -run 'TestOrderStatMatchesSortReference|FuzzOrderStatMatchesSort|TestRobustMergeRunMatchesSortReference' ./internal/fl/
 
 # Benign byte-identity across the merge-seam refactor: figure6 rendered
