@@ -54,7 +54,9 @@ type Agent struct {
 
 // NewAgent builds an agent from the configuration.
 func NewAgent(cfg Config) *Agent {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	r := rng.New(cfg.Seed)
 	a := &Agent{
 		cfg:     cfg,

@@ -34,12 +34,16 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.Gamma != 0.99 || cfg.Rho != 0.02 {
 		t.Fatalf("gamma/rho %v/%v, Table 1 says 0.99/0.02", cfg.Gamma, cfg.Rho)
 	}
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		t.Fatal(err)
+	}
 	if cfg.StateDim() != 30 || cfg.ActionDim() != 20 {
 		t.Fatalf("dims %d/%d, want 30/20", cfg.StateDim(), cfg.ActionDim())
 	}
 }
 
+// TestConfigValidatePanics: Check returns an error for every bad agent
+// configuration, NaN and +Inf included, and NewAgent panics with it.
 func TestConfigValidatePanics(t *testing.T) {
 	mut := []func(*Config){
 		func(c *Config) { c.K = 0 },
@@ -69,15 +73,16 @@ func TestConfigValidatePanics(t *testing.T) {
 	for i, m := range mut {
 		cfg := DefaultConfig(4)
 		m(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("mutation %d did not panic", i)
-				}
-			}()
-			cfg.Validate()
-		}()
+		if cfg.Check() == nil {
+			t.Fatalf("mutation %d passed Check", i)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewAgent accepted K 0")
+		}
+	}()
+	NewAgent(DefaultConfig(0))
 }
 
 func TestBuildState(t *testing.T) {

@@ -95,32 +95,33 @@ func (c Config) StateDim() int { return 3 * c.K }
 // ActionDim returns the action vector length (2K, §3.3.3).
 func (c Config) ActionDim() int { return 2 * c.K }
 
-// Validate panics on an inconsistent configuration. Each float range
-// test is negated, !(lo <= x && x <= hi), so that a NaN fails it; the
+// Check reports an inconsistent configuration. Each float range test
+// is negated, !(lo <= x && x <= hi), so that a NaN fails it; the
 // learning rates and the exploration noise must also be finite.
-func (c Config) Validate() {
+func (c Config) Check() error {
 	switch {
 	case c.K <= 0:
-		panic("core: K must be positive")
+		return fmt.Errorf("core: K %d must be positive", c.K)
 	case c.Hidden <= 0:
-		panic("core: Hidden must be positive")
+		return fmt.Errorf("core: Hidden %d must be positive", c.Hidden)
 	case !(c.PolicyLR > 0 && c.PolicyLR <= math.MaxFloat64 && c.ValueLR > 0 && c.ValueLR <= math.MaxFloat64):
-		panic(fmt.Sprintf("core: learning rates %v, %v must be positive and finite", c.PolicyLR, c.ValueLR))
+		return fmt.Errorf("core: learning rates %v, %v must be positive and finite", c.PolicyLR, c.ValueLR)
 	case !(0 <= c.Gamma && c.Gamma < 1):
-		panic(fmt.Sprintf("core: Gamma %v out of [0,1)", c.Gamma))
+		return fmt.Errorf("core: Gamma %v out of [0,1)", c.Gamma)
 	case !(0 < c.Rho && c.Rho <= 1):
-		panic(fmt.Sprintf("core: Rho %v out of (0,1]", c.Rho))
+		return fmt.Errorf("core: Rho %v out of (0,1]", c.Rho)
 	case !(0 < c.Beta && c.Beta <= 1):
-		panic(fmt.Sprintf("core: Beta %v out of (0,1]", c.Beta))
+		return fmt.Errorf("core: Beta %v out of (0,1]", c.Beta)
 	case c.BufferCap <= 0 || c.BatchSize <= 0 || c.UpdatesPerRound <= 0:
-		panic("core: buffer/batch/update sizes must be positive")
+		return fmt.Errorf("core: BufferCap %d, BatchSize %d and UpdatesPerRound %d must be positive", c.BufferCap, c.BatchSize, c.UpdatesPerRound)
 	case c.WarmupExperiences < 1:
-		panic("core: WarmupExperiences must be at least 1")
+		return fmt.Errorf("core: WarmupExperiences %d must be at least 1", c.WarmupExperiences)
 	case !(c.ExploreStd >= 0 && c.ExploreStd <= math.MaxFloat64):
-		panic(fmt.Sprintf("core: ExploreStd %v must be non-negative and finite", c.ExploreStd))
+		return fmt.Errorf("core: ExploreStd %v must be non-negative and finite", c.ExploreStd)
 	case !(0 < c.ExploreDecay && c.ExploreDecay <= 1):
-		panic(fmt.Sprintf("core: ExploreDecay %v out of (0,1]", c.ExploreDecay))
+		return fmt.Errorf("core: ExploreDecay %v out of (0,1]", c.ExploreDecay)
 	case !(c.RewardGapWeight >= 0):
-		panic(fmt.Sprintf("core: RewardGapWeight %v must be non-negative", c.RewardGapWeight))
+		return fmt.Errorf("core: RewardGapWeight %v must be non-negative", c.RewardGapWeight)
 	}
+	return nil
 }

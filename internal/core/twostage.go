@@ -42,7 +42,9 @@ type TwoStageResult struct {
 // main agent *using* the gathered experience to boost, not replace, the
 // online phase).
 func TrainTwoStage(cfg Config, makeEnv func(worker int, seed uint64) Env, workers, stepsPerWorker, offlineRounds int) TwoStageResult {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if workers <= 0 || stepsPerWorker <= 0 || offlineRounds < 0 {
 		panic("core: TrainTwoStage with non-positive sizes")
 	}

@@ -109,17 +109,17 @@ type Spec struct {
 	ClusterSharpen float64 // in [0,1]: fraction of super-prototype in each prototype
 }
 
-// Validate panics on inconsistent specs.
-func (s Spec) Validate() {
-	if s.Classes <= 1 || s.Shape.Len() <= 0 || s.TrainPerClass <= 0 || s.TestPerClass <= 0 {
-		panic(fmt.Sprintf("dataset: invalid spec %+v", s))
+// Check reports an inconsistent spec.
+func (s Spec) Check() error {
+	switch {
+	case s.Classes <= 1 || s.Shape.Len() <= 0 || s.TrainPerClass <= 0 || s.TestPerClass <= 0:
+		return fmt.Errorf("dataset: invalid spec %+v", s)
+	case !(s.ProtoStd > 0 && s.NoiseStd >= 0):
+		return fmt.Errorf("dataset: invalid spec stds %+v", s)
+	case !(0 <= s.ClusterSharpen && s.ClusterSharpen <= 1):
+		return fmt.Errorf("dataset: ClusterSharpen %v out of [0,1]", s.ClusterSharpen)
 	}
-	if !(s.ProtoStd > 0 && s.NoiseStd >= 0) {
-		panic(fmt.Sprintf("dataset: invalid spec stds %+v", s))
-	}
-	if !(0 <= s.ClusterSharpen && s.ClusterSharpen <= 1) {
-		panic(fmt.Sprintf("dataset: ClusterSharpen %v out of [0,1]", s.ClusterSharpen))
-	}
+	return nil
 }
 
 // MNISTSim returns the spec for the MNIST analogue: 10 well-separated
@@ -171,7 +171,9 @@ func (s Spec) Scaled(f float64) Spec {
 // is fully deterministic given (spec, seed); the same class prototypes
 // underlie both splits.
 func Synthesize(s Spec, seed uint64) (train, test *Dataset) {
-	s.Validate()
+	if err := s.Check(); err != nil {
+		panic(err)
+	}
 	r := rng.New(seed)
 	dim := s.Shape.Len()
 

@@ -209,6 +209,8 @@ func TestCIFAR100SimSuperClusters(t *testing.T) {
 	}
 }
 
+// TestSpecValidatePanics: Check returns an error for every bad spec,
+// NaN included, and Synthesize panics with it.
 func TestSpecValidatePanics(t *testing.T) {
 	bad := []Spec{
 		{Name: "x", Classes: 1, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 1},
@@ -221,15 +223,16 @@ func TestSpecValidatePanics(t *testing.T) {
 		{Name: "x", Classes: 2, Shape: ImageShape{1, 2, 2}, TrainPerClass: 1, TestPerClass: 1, ProtoStd: 1, ClusterSharpen: math.NaN()},
 	}
 	for i, s := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("bad spec %d did not panic", i)
-				}
-			}()
-			s.Validate()
-		}()
+		if s.Check() == nil {
+			t.Fatalf("bad spec %d passed Check", i)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Synthesize accepted a one-class spec")
+		}
+	}()
+	Synthesize(bad[0], 1)
 }
 
 func TestScaled(t *testing.T) {
@@ -246,7 +249,9 @@ func TestScaled(t *testing.T) {
 
 func TestStandardSpecs(t *testing.T) {
 	for _, s := range []Spec{MNISTSim(), FashionSim(), CIFAR100Sim()} {
-		s.Validate()
+		if err := s.Check(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if CIFAR100Sim().Classes != 100 || MNISTSim().Classes != 10 {
 		t.Fatal("class counts wrong")

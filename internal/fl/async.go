@@ -185,15 +185,15 @@ type AsyncConfig struct {
 	AggregateEvery int
 }
 
-// Validate panics on an inconsistent async configuration.
-func (c AsyncConfig) Validate() {
-	c.RunConfig.Validate()
-	if !(0 <= c.StalenessDecay && c.StalenessDecay <= 1) {
-		panic(fmt.Sprintf("fl: StalenessDecay %v outside [0, 1], 0 meaning 1", c.StalenessDecay))
+// Check reports an inconsistent async configuration.
+func (c AsyncConfig) Check() error {
+	switch {
+	case !(0 <= c.StalenessDecay && c.StalenessDecay <= 1):
+		return fmt.Errorf("fl: StalenessDecay %v outside [0, 1], 0 meaning 1", c.StalenessDecay)
+	case c.AggregateEvery < 0:
+		return fmt.Errorf("fl: AggregateEvery %d must be non-negative", c.AggregateEvery)
 	}
-	if c.AggregateEvery < 0 {
-		panic("fl: negative AggregateEvery")
-	}
+	return c.RunConfig.Check()
 }
 
 // AsyncRoundMetrics records one aggregation step's async bookkeeping,
@@ -372,7 +372,9 @@ func staleWeights(alpha []float64, buf []inFlight, round int, decay float64) []f
 // consecutive cohorts was dropped. The partial result for the rounds
 // that completed is returned alongside it.
 func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) (*AsyncResult, error) {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if clients == nil {
 		panic("fl: RunAsync with nil client pool")
 	}

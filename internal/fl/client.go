@@ -60,13 +60,14 @@ type LocalConfig struct {
 	ProxMu float64
 }
 
-// Validate panics on an inconsistent local configuration. The float
-// range tests are negated so that a NaN fails them, and the learning
-// rate must be finite.
-func (lc LocalConfig) Validate() {
+// Check reports an inconsistent local configuration. The float range
+// tests are negated so that a NaN fails them, and the learning rate
+// must be finite.
+func (lc LocalConfig) Check() error {
 	if lc.Epochs <= 0 || lc.Batch <= 0 || !(lc.LR > 0 && lc.LR <= math.MaxFloat64) || !(lc.ProxMu >= 0) {
-		panic(fmt.Sprintf("fl: invalid local config %+v", lc))
+		return fmt.Errorf("fl: invalid local config %+v", lc)
 	}
+	return nil
 }
 
 // Update is the tuple p_k^t a client uploads after local training
@@ -179,7 +180,9 @@ func (c *Client) Run(global []float64, lc LocalConfig) Update {
 }
 
 func (c *Client) run(global []float64, lc LocalConfig, prec Precision) Update {
-	lc.Validate()
+	if err := lc.Check(); err != nil {
+		panic(err)
+	}
 	c.model.SetParamVector(global)
 	n := c.Data.Len()
 	u := Update{ClientID: c.ID, N: n}

@@ -431,9 +431,15 @@ func TestEvalEveryCadence(t *testing.T) {
 	}
 }
 
+// TestRunConfigValidatePanics: Check returns an error for every bad
+// run or local configuration, NaN and +Inf included, and Run panics
+// with it.
 func TestRunConfigValidatePanics(t *testing.T) {
-	tr, _ := tinyData(t, 24)
+	tr, te := tinyData(t, 24)
 	good := runConfig(tr, 2, 2)
+	if err := good.Check(); err != nil {
+		t.Fatalf("good config: %v", err)
+	}
 	mut := []func(*RunConfig){
 		func(c *RunConfig) { c.Rounds = 0 },
 		func(c *RunConfig) { c.K = 0 },
@@ -450,28 +456,30 @@ func TestRunConfigValidatePanics(t *testing.T) {
 	for i, m := range mut {
 		cfg := good
 		m(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("mutation %d did not panic", i)
-				}
-			}()
-			cfg.Validate()
-		}()
+		if cfg.Check() == nil {
+			t.Fatalf("mutation %d passed Check", i)
+		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run accepted Rounds 0")
+			}
+		}()
+		cfg := good
+		cfg.Rounds = 0
+		Run(cfg, BuildClients(tr, [][]int{{0, 1}, {2, 3}}, cfg.Factory, 1), te, FedAvg{})
+	}()
 	// AsyncConfig accepts a staleness decay in [0, 1] (0 meaning 1)
 	// and nothing else, NaN included.
 	for _, d := range []float64{0, 0.5, 1} {
-		AsyncConfig{RunConfig: good, StalenessDecay: d}.Validate()
+		if err := (AsyncConfig{RunConfig: good, StalenessDecay: d}).Check(); err != nil {
+			t.Fatalf("StalenessDecay %v: %v", d, err)
+		}
 	}
 	for _, d := range []float64{-0.1, 1.5, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("StalenessDecay %v did not panic", d)
-				}
-			}()
-			AsyncConfig{RunConfig: good, StalenessDecay: d}.Validate()
-		}()
+		if (AsyncConfig{RunConfig: good, StalenessDecay: d}).Check() == nil {
+			t.Fatalf("StalenessDecay %v passed Check", d)
+		}
 	}
 }

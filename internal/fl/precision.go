@@ -59,15 +59,6 @@ func ParsePrecision(s string) (Precision, error) {
 	return "", fmt.Errorf("fl: unknown precision %q (valid: f32, f64)", s)
 }
 
-// Validate panics on an unknown precision value.
-func (p Precision) Validate() {
-	switch p {
-	case "", F64, F32:
-	default:
-		panic(fmt.Sprintf("fl: unknown precision %q (valid: f32, f64)", string(p)))
-	}
-}
-
 // precisionOf is the Precision whose federated state has element type
 // T.
 func precisionOf[T tensor.Elem]() Precision {

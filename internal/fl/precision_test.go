@@ -277,7 +277,8 @@ func TestCompress32RoundTrip(t *testing.T) {
 }
 
 // TestPrecisionParseValidate pins the CLI-facing surface: spellings,
-// the zero-value default, wire widths and the Validate panic.
+// the zero-value default, and RunConfig.Check's error for an unknown
+// precision, with which Run panics.
 func TestPrecisionParseValidate(t *testing.T) {
 	for _, c := range []struct {
 		in   string
@@ -291,13 +292,22 @@ func TestPrecisionParseValidate(t *testing.T) {
 	if _, err := ParsePrecision("f16"); err == nil {
 		t.Fatal("ParsePrecision accepted f16")
 	}
-	Precision("").Validate()
-	F64.Validate()
-	F32.Validate()
+	tr, te := tinyData(t, 24)
+	cfg := runConfig(tr, 1, 2)
+	for _, p := range []Precision{"", F64, F32} {
+		cfg.Precision = p
+		if err := cfg.Check(); err != nil {
+			t.Fatalf("precision %q: %v", p, err)
+		}
+	}
+	cfg.Precision = "f16"
+	if cfg.Check() == nil {
+		t.Fatal("Check accepted an unknown precision")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Validate accepted an unknown precision")
+			t.Fatal("Run accepted an unknown precision")
 		}
 	}()
-	Precision("f16").Validate()
+	Run(cfg, BuildClients(tr, [][]int{{0, 1}, {2, 3}}, cfg.Factory, 1), te, FedAvg{})
 }

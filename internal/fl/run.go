@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -141,22 +142,25 @@ func (q QuarantineConfig) screen(buf []inFlight, merge []Update) ([]inFlight, []
 	return kept, merge, len(buf) - len(kept)
 }
 
-// Validate panics on an inconsistent run configuration.
-func (c RunConfig) Validate() {
-	if c.Rounds <= 0 || c.K <= 0 || c.Factory == nil {
-		panic(fmt.Sprintf("fl: invalid run config %+v", c))
+// Check reports an inconsistent run configuration.
+func (c RunConfig) Check() error {
+	switch {
+	case c.Rounds <= 0:
+		return fmt.Errorf("fl: Rounds %d must be positive", c.Rounds)
+	case c.K <= 0:
+		return fmt.Errorf("fl: K %d must be positive", c.K)
+	case c.Factory == nil:
+		return errors.New("fl: nil model Factory")
+	case c.EvalEvery < 0 || c.Workers < 0:
+		return fmt.Errorf("fl: EvalEvery %d and Workers %d must be non-negative", c.EvalEvery, c.Workers)
+	case !(c.Quarantine.MaxNorm >= 0):
+		return fmt.Errorf("fl: Quarantine.MaxNorm %v must be non-negative", c.Quarantine.MaxNorm)
 	}
-	c.Local.Validate()
-	if c.EvalEvery < 0 {
-		panic("fl: negative EvalEvery")
+	if err := c.Local.Check(); err != nil {
+		return err
 	}
-	if c.Workers < 0 {
-		panic("fl: negative Workers")
-	}
-	if !(c.Quarantine.MaxNorm >= 0) {
-		panic(fmt.Sprintf("fl: Quarantine.MaxNorm %v must be non-negative", c.Quarantine.MaxNorm))
-	}
-	c.Precision.Validate()
+	_, err := ParsePrecision(string(c.Precision))
+	return err
 }
 
 // RoundMetrics captures one communication round's measurements.
@@ -321,7 +325,9 @@ func (e *eagerClients) noteLoss(i int, v float64)    { e.losses[i] = v }
 // constant-memory equivalent over a ClientPool, bit-identical for the
 // same identities.
 func Run(cfg RunConfig, clients []*Client, test *dataset.Dataset, agg Aggregator) *Result {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if len(clients) == 0 {
 		panic("fl: Run with no clients")
 	}
@@ -417,7 +423,9 @@ func poisonData(atk *attackRuntime, c *Client) dataset.Data {
 // apply as in Run; K, Selector, Precision, Attack and Merger are
 // ignored.
 func SingleSet(cfg RunConfig, all *dataset.Dataset, test *dataset.Dataset) *Result {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if all == nil || all.N == 0 {
 		panic("fl: SingleSet with no data")
 	}

@@ -242,7 +242,9 @@ func (p *ClientPool) checkin(slot int, c *Client) {
 // memory stays O(K) in client count. Results are bit-identical to Run
 // over the equivalent eager fleet.
 func RunVirtual(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) *Result {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if clients == nil {
 		panic("fl: RunVirtual with nil client pool")
 	}
