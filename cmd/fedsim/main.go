@@ -1,9 +1,25 @@
-// Command fedsim runs one federated-learning experiment cell from flags:
-// a dataset, a non-IID partition, a method, and federation sizes. It
-// prints the per-round accuracy timeline and a summary. The partition
-// is built by feddrl.PartitionByName with the paper's constants, and a
-// bad flag value (a partition's -clients or -delta included) prints one
-// line and exits 2.
+// Command fedsim runs one grid cell of the paper's evaluation from
+// flags: a dataset, a non-IID partition, a method and federation sizes.
+// It runs the cell through the grids' cell runner
+// (feddrl.RunExperimentCell) at the medium scale's model and agent
+// sizes (feddrl.MediumScale) with its flags' overrides, and prints the
+// per-round accuracy timeline and a summary. Its numbers are therefore
+// those of the matching grid cell; they differ from earlier versions of
+// fedsim, which seeded and built the run its own way.
+//
+// The flags map onto the scale and the cell one to one: -datascale,
+// -rounds, -epochs, -lr, -explorestd, -exploredecay, -precision and
+// -workers (-1 meaning GOMAXPROCS) set the Scale's DataScale, Rounds,
+// Epochs, LR, DRLExploreStd, DRLExploreDecay, Precision and Workers,
+// and EvalEvery is 1. -dataset (with "-sim" appended), -partition,
+// -method, -clients, -k, -delta, -seed, -attack, -attack-frac and
+// -merger set the CellSpec's Dataset, Partition, Method, N, K, Delta,
+// Seed, Attack, AttackFrac and Merger.
+//
+// As in the grids, every client participates when -clients is at most
+// the scale's SmallN (10), and K is clamped to the clients whose shard
+// holds data; the header prints the K the run used. A bad flag value
+// prints one line and exits 2.
 //
 // Example:
 //
@@ -15,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -31,140 +46,44 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	s := feddrl.MediumScale()
+	s.EvalEvery = 1
+	var cell feddrl.ExperimentCellSpec
 	dsName := fs.String("dataset", "mnist", "dataset: mnist, fashion or cifar100")
-	partName := fs.String("partition", "CE", "partition: PA, CE, CN, Equal or Non-equal")
-	method := fs.String("method", "FedDRL", "method: SingleSet, FedAvg, FedProx or FedDRL")
-	clients := fs.Int("clients", 10, "number of clients N")
-	k := fs.Int("k", 10, "participating clients per round K")
-	rounds := fs.Int("rounds", 20, "communication rounds")
-	delta := fs.Float64("delta", 0.6, "cluster-skew level (CE/CN)")
-	dataScale := fs.Float64("datascale", 0.3, "dataset size multiplier")
-	epochs := fs.Int("epochs", 3, "local epochs E")
-	lr := fs.Float64("lr", 0.03, "local learning rate")
-	exploreStd := fs.Float64("explorestd", 0.05, "FedDRL exploration noise scale")
-	exploreDecay := fs.Float64("exploredecay", 0.99, "FedDRL exploration decay per action")
-	workers := fs.Int("workers", 0, "work-stealing engine lanes shared by client training, evaluation and the weight merge (0 = sequential, -1 = GOMAXPROCS); results are identical at any width")
-	precName := fs.String("precision", "f64", "federated-state width: f64 (full, the default) or f32 (half-width uploads and merge; local training stays f64; SingleSet ignores it)")
-	attackName := fs.String("attack", "none", "Byzantine fault model corrupting a seeded identity-stable client fraction: none, signflip, gauss, replace, collude or labelflip")
-	attackFrac := fs.Float64("attack-frac", 0.2, "malicious client fraction for -attack (identity-stable across rounds)")
-	mergerName := fs.String("merger", "", "server merge rule: weighted (the default impact-factor merge), median, trimmed or krum")
-	seed := fs.Uint64("seed", 1, "run seed")
+	fs.StringVar(&cell.Partition, "partition", "CE", "partition: PA, CE, CN, Equal or Non-equal")
+	fs.StringVar(&cell.Method, "method", "FedDRL", "method: SingleSet, FedAvg, FedProx or FedDRL; a federated method may take a +async or +stale suffix")
+	fs.IntVar(&cell.N, "clients", 10, "number of clients N")
+	fs.IntVar(&cell.K, "k", 10, "participating clients per round K (every client at N <= 10)")
+	fs.IntVar(&s.Rounds, "rounds", 20, "communication rounds")
+	fs.Float64Var(&cell.Delta, "delta", 0.6, "cluster-skew level (CE/CN)")
+	fs.Float64Var(&s.DataScale, "datascale", 0.3, "dataset size multiplier")
+	fs.IntVar(&s.Epochs, "epochs", 3, "local epochs E")
+	fs.Float64Var(&s.LR, "lr", 0.03, "local learning rate")
+	fs.Float64Var(&s.DRLExploreStd, "explorestd", 0.05, "FedDRL exploration noise scale")
+	fs.Float64Var(&s.DRLExploreDecay, "exploredecay", 0.99, "FedDRL exploration decay per action")
+	fs.IntVar(&s.Workers, "workers", 0, "work-stealing engine lanes shared by client training, evaluation and the weight merge (0 = sequential, -1 = GOMAXPROCS); results are identical at any width")
+	fs.StringVar(&s.Precision, "precision", "f64", "federated-state width: f64 (full, the default) or f32 (half-width uploads and merge; local training stays f64; SingleSet ignores it)")
+	fs.StringVar(&cell.Attack, "attack", "none", "Byzantine fault model corrupting a seeded identity-stable client fraction: none, signflip, gauss, replace, collude or labelflip")
+	fs.Float64Var(&cell.AttackFrac, "attack-frac", 0.2, "malicious client fraction for -attack (identity-stable across rounds)")
+	fs.StringVar(&cell.Merger, "merger", "", "server merge rule: weighted (the default impact-factor merge), median, trimmed or krum")
+	fs.Uint64Var(&cell.Seed, "seed", 1, "run seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	// Range checks come before anything is built, and each is written
-	// so that NaN fails it. PartitionByName checks -clients and -delta.
-	for _, c := range []struct {
-		bad bool
-		msg string
-	}{
-		{*k < 1, "-k must be >= 1"},
-		{*rounds < 1, "-rounds must be >= 1"},
-		{*epochs < 1, "-epochs must be >= 1"},
-		{!(*dataScale > 0 && *dataScale <= math.MaxFloat64), "-datascale must be finite and > 0"},
-		{!(*lr > 0 && *lr <= math.MaxFloat64), "-lr must be finite and > 0"},
-		{!(*exploreStd >= 0 && *exploreStd <= math.MaxFloat64), "-explorestd must be finite and >= 0"},
-		{!(*exploreDecay > 0 && *exploreDecay <= 1), "-exploredecay must be in (0, 1]"},
-	} {
-		if c.bad {
-			fmt.Fprintln(stderr, "fedsim: "+c.msg)
-			return 2
-		}
+	cell.Dataset = *dsName + "-sim"
+	if s.Workers < 0 {
+		s.Workers = runtime.GOMAXPROCS(0)
 	}
-
-	prec, err := feddrl.ParsePrecision(*precName)
+	res, err := feddrl.RunExperimentCell(s, cell)
 	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return 2
-	}
-	attack, err := feddrl.ParseAttack(*attackName, *attackFrac)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
+		fmt.Fprintln(stderr, "fedsim:", err)
 		return 2
 	}
 
-	var spec feddrl.DataSpec
-	switch *dsName {
-	case "mnist":
-		spec = feddrl.MNISTSim()
-	case "fashion":
-		spec = feddrl.FashionSim()
-	case "cifar100":
-		spec = feddrl.CIFAR100Sim()
-	default:
-		fmt.Fprintf(stderr, "unknown dataset %q\n", *dsName)
-		return 2
-	}
-	// Scaled converts the scaled per-class counts to int.
-	if !(*dataScale*float64(max(spec.TrainPerClass, spec.TestPerClass)) < math.MaxInt64) {
-		fmt.Fprintf(stderr, "fedsim: -datascale %v scales %s past an int's range of samples per class\n", *dataScale, spec.Name)
-		return 2
-	}
-	spec = spec.Scaled(*dataScale)
-	train, test := feddrl.Synthesize(spec, *seed)
-
-	assign, err := feddrl.PartitionByName(*partName, train, *clients, *delta, feddrl.NewRNG(*seed+1))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-
-	factory := feddrl.MLPFactory(train.Dim, []int{48}, train.NumClasses)
-	kk := *k
-	if kk > *clients {
-		kk = *clients
-	}
-	engineWorkers := *workers
-	if engineWorkers < 0 {
-		engineWorkers = runtime.GOMAXPROCS(0)
-	}
-	// Krum sizes its tolerated-fault count f from the malicious
-	// fraction, so the merger parses once K is clamped.
-	merger, err := feddrl.ParseMerger(*mergerName, *attackFrac, kk)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return 2
-	}
-	cfg := feddrl.RunConfig{
-		Rounds:    *rounds,
-		K:         kk,
-		Local:     feddrl.LocalConfig{Epochs: *epochs, Batch: 10, LR: *lr},
-		Factory:   factory,
-		Seed:      *seed + 2,
-		Workers:   engineWorkers,
-		Precision: prec,
-		Attack:    attack,
-		Merger:    merger,
-	}
-
-	var res *feddrl.Result
-	switch *method {
-	case "SingleSet":
-		res = feddrl.SingleSet(cfg, train, test)
-	case "FedAvg":
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.FedAvg{})
-	case "FedProx":
-		cfg.Local.ProxMu = 0.01
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.FedProx{})
-	case "FedDRL":
-		drlCfg := feddrl.DefaultAgentConfig(kk)
-		drlCfg.Hidden = 64
-		drlCfg.BatchSize = 32
-		drlCfg.WarmupExperiences = 8
-		drlCfg.UpdatesPerRound = 4
-		drlCfg.ExploreStd = *exploreStd
-		drlCfg.ExploreDecay = *exploreDecay
-		drlCfg.Seed = *seed + 4
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
-	default:
-		fmt.Fprintf(stderr, "unknown method %q\n", *method)
-		return 2
-	}
-
-	fmt.Fprintf(stdout, "%s on %s/%s, N=%d K=%d rounds=%d\n", res.Method, spec.Name, *partName, *clients, kk, *rounds)
+	fmt.Fprintf(stdout, "%s on %s/%s, N=%d K=%d rounds=%d\n", cell.Method, cell.Dataset, cell.Partition, cell.N, res.K, s.Rounds)
 	fmt.Fprintln(stdout, strings.Repeat("-", 48))
 	for i, acc := range res.Accuracy {
 		fmt.Fprintf(stdout, "round %3d  acc %6.2f%%\n", res.AccRounds[i], acc)

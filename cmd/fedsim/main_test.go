@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"feddrl"
 )
 
 // runArgs invokes the CLI entrypoint and returns stdout.
@@ -106,5 +110,45 @@ func TestFedsimBadFlags(t *testing.T) {
 		if msg := errOut.String(); strings.Count(msg, "\n") != 1 {
 			t.Fatalf("run(%v) printed %q, want one line", args, msg)
 		}
+	}
+}
+
+// TestFedsimShortFleet: at 100 clients the Equal partition leaves fewer
+// clients with data than K 100. The run must size FedDRL's agent to the
+// clients it can select, finish, and print the K it ran.
+func TestFedsimShortFleet(t *testing.T) {
+	out := runArgs(t, "-method", "FedDRL", "-partition", "Equal", "-clients", "100", "-k", "100", "-rounds", "1", "-epochs", "1", "-datascale", "0.05")
+	m := regexp.MustCompile(`N=100 K=(\d+) `).FindStringSubmatch(out)
+	if m == nil || len(m[1]) > 2 {
+		t.Fatalf("header does not print a K below 100:\n%s", out)
+	}
+}
+
+// TestFedsimRunsGridCell: a fedsim run is the grid cell its flags name.
+// The test builds the scale and the cell from the mapping fedsim
+// documents, and the run's per-round accuracy lines must equal the
+// Accuracy series RunExperimentCell returns for them. N = 12 is above
+// the scale's SmallN, so K 6 is honoured.
+func TestFedsimRunsGridCell(t *testing.T) {
+	out := runArgs(t, "-dataset", "fashion", "-partition", "CN", "-method", "FedDRL", "-clients", "12", "-k", "6", "-rounds", "3", "-datascale", "0.1", "-epochs", "1")
+	s := feddrl.MediumScale()
+	s.DataScale, s.Rounds, s.Epochs, s.LR = 0.1, 3, 1, 0.03
+	s.DRLExploreStd, s.DRLExploreDecay, s.Precision, s.Workers, s.EvalEvery = 0.05, 0.99, "f64", 0, 1
+	cell := feddrl.ExperimentCellSpec{Dataset: "fashion-sim", Partition: "CN", Method: "FedDRL", N: 12, K: 6, Delta: 0.6, Seed: 1, Attack: "none", AttackFrac: 0.2}
+	res, err := feddrl.RunExperimentCell(s, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got strings.Builder
+	for i, acc := range res.Accuracy {
+		fmt.Fprintf(&want, "round %3d  acc %6.2f%%\n", res.AccRounds[i], acc)
+	}
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if strings.HasPrefix(line, "round ") {
+			got.WriteString(line)
+		}
+	}
+	if res.K != 6 || !strings.Contains(out, "N=12 K=6 rounds=3") || got.String() != want.String() {
+		t.Fatalf("fedsim printed\n%s\nwant K=%d and the accuracy lines\n%s", out, res.K, want.String())
 	}
 }

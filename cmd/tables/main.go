@@ -144,17 +144,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tables: -cache-max-bytes only applies to -cache-gc")
 		return 2
 	}
-	if *rounds < 0 {
-		fmt.Fprintln(stderr, "tables: -rounds must be >= 0 (0 keeps the scale's rounds)")
-		return 2
-	}
 
 	scale, err := feddrl.ScaleByName(*scaleName)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *rounds > 0 {
+	if *rounds != 0 {
 		scale.Rounds = *rounds
 	}
 	switch {
@@ -163,36 +159,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *workers < 0:
 		scale.Workers = runtime.GOMAXPROCS(0)
 	}
-	prec, err := feddrl.ParsePrecision(*precName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	// "f64" canonicalizes to the zero value so "-precision f64" and the
 	// default share cache records; F32 cells hash to distinct addresses.
-	if prec == feddrl.F32 {
-		scale.Precision = string(prec)
+	if *precName != "f64" {
+		scale.Precision = *precName
 	}
 	// Same canonicalization for the Byzantine knobs: only a real attack
 	// or a non-default merge rule reaches the Scale (and hence the cell
 	// cache addresses); "-attack none"/"-merger weighted" spellings stay
-	// byte-identical to the defaults. Validation runs regardless so a
-	// typo fails fast.
+	// byte-identical to the defaults. The fraction is checked even when
+	// no attack is set, so a NaN fails.
 	attack, err := feddrl.ParseAttack(*attackName, *attackFrac)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if _, err := feddrl.ParseMerger(*mergerName, *attackFrac, 2); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	if attack != nil {
-		scale.Attack = *attackName
-		scale.AttackFrac = *attackFrac
+		scale.Attack, scale.AttackFrac = *attackName, *attackFrac
 	}
-	if *mergerName != "" && *mergerName != "weighted" {
+	if *mergerName != "weighted" {
 		scale.Merger = *mergerName
+	}
+	if err := scale.Check(); err != nil {
+		fmt.Fprintln(stderr, "tables:", err)
+		return 2
 	}
 	if *seeds < 1 {
 		fmt.Fprintln(stderr, "tables: -seeds must be >= 1")

@@ -390,18 +390,16 @@ func TestTablesPrecisionFlag(t *testing.T) {
 }
 
 func TestTablesBadArgs(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-scale", "nope"}, &out, &errOut); code == 0 {
-		t.Fatal("bad scale accepted")
-	}
-	if code := run([]string{"-exp", "nope", "-scale", "ci"}, &out, &errOut); code == 0 {
-		t.Fatal("bad experiment id accepted")
-	}
-	if code := run([]string{"-exp", "table2", "-scale", "ci", "-attack-frac", "NaN"}, &out, &errOut); code == 0 {
-		t.Fatal("NaN attack fraction accepted")
-	}
-	errOut.Reset()
-	if code := run([]string{"-exp", "table2", "-scale", "ci", "-rounds", "-3"}, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 1 {
-		t.Fatalf("-rounds -3 exited %d with %q, want 2 and one line", code, errOut.String())
+	for _, args := range [][]string{
+		{"-scale", "nope"},
+		{"-exp", "nope", "-scale", "ci"},
+		{"-exp", "table2", "-scale", "ci", "-attack-frac", "NaN"},
+		{"-exp", "table2", "-scale", "ci", "-rounds", "-3"},
+		{"-exp", "table2", "-scale", "ci", "-merger", "mean"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 || strings.Count(errOut.String(), "\n") != 1 {
+			t.Fatalf("run(%v) exited %d with %q, want 2 and one line", args, code, errOut.String())
+		}
 	}
 }

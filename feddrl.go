@@ -463,6 +463,10 @@ var (
 	// (nil for none), returning the text and, for a grid, the artifact
 	// set it rendered.
 	RunExperimentSeedsCached = experiments.RunSeedsCached
+	// RunExperimentCell runs one grid cell at a scale, as the grids run
+	// it, returning an error before anything trains for a scale or cell
+	// no run can be built from.
+	RunExperimentCell = experiments.RunCell
 	// RunExperimentShardCached computes the deterministic i/n slice of a
 	// grid experiment and returns its artifact set; with an artifact
 	// cache (nil for none), rerunning an interrupted shard recomputes

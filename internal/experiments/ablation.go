@@ -4,18 +4,24 @@ import (
 	"fmt"
 
 	"feddrl/internal/core"
+	"feddrl/internal/dataset"
 	"feddrl/internal/fl"
 	"feddrl/internal/metrics"
 )
 
-// ablationRun runs one ablation cell through the grid's runMethodOn:
+// ablationRun runs one ablation cell through the grid's runCell:
 // method on dataset ds, CE partition, SmallN clients with full
 // participation (§4.1.2), so it is seeded exactly like the matching
 // grid cell. The scale-wide attack knobs are cleared because the
-// ablations study the agent on a benign federation.
+// ablations study the agent on a benign federation. Its cells are valid
+// by construction, so an error is a bug.
 func ablationRun(s Scale, ds, method string, seed uint64, variant func(*fl.FedDRL)) *fl.Result {
 	s.Attack, s.AttackFrac, s.Merger = "", 0, ""
-	return runMethodOn(s, s.datasetByName(ds), table3Spec(s, ds, "CE", method, s.SmallN, seed), nil, variant)
+	res, err := runCell(s, table3Spec(s, ds, "CE", method, s.SmallN, seed), nil, variant)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // agentVariant is a variant hook that rebuilds the cell's agent from its
@@ -83,7 +89,7 @@ func AblationStateNorm(s Scale, seed uint64) string {
 // environments, then offline training on the merged buffer) against a
 // cold-started agent. Pre-training should help most in early rounds.
 func AblationTwoStage(s Scale, seed uint64) string {
-	spec := s.datasetByName("mnist-sim")
+	spec := dataset.MNISTSim().Scaled(s.DataScale)
 	k := s.SmallN // full participation at the small federation size
 	drlCfg := s.drlConfig(k, seed+3)
 

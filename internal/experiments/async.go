@@ -60,18 +60,15 @@ const asyncStaleDecay = 0.5
 // to the threshold, not K.
 func asyncThreshold(k int) int { return max(2, k/2) }
 
-// asyncConfigFor maps an async mode to its engine configuration.
-func asyncConfigFor(mode string, cfg fl.RunConfig, k int, seed uint64) fl.AsyncConfig {
+// asyncConfigFor maps an async mode to its engine configuration. The
+// degenerate mode keeps the zero values: InstantArrivals, decay 1,
+// threshold K.
+func asyncConfigFor(mode string, cfg fl.RunConfig, seed uint64) fl.AsyncConfig {
 	acfg := fl.AsyncConfig{RunConfig: cfg}
-	switch mode {
-	case asyncModeDegenerate:
-		// Zero values: InstantArrivals, decay 1, threshold K.
-	case asyncModeStale:
+	if mode == asyncModeStale {
 		acfg.Arrival = asyncStaleTrace(seed)
 		acfg.StalenessDecay = asyncStaleDecay
-		acfg.AggregateEvery = asyncThreshold(k)
-	default:
-		panic(fmt.Sprintf("experiments: unknown async mode %q", mode))
+		acfg.AggregateEvery = asyncThreshold(cfg.K)
 	}
 	return acfg
 }

@@ -109,7 +109,7 @@ func (c *Cache) Summary() string {
 var hashedScaleFields = []string{
 	"DataScale", // sizes the synthesized datasets a cell trains on
 	"Rounds",
-	"SmallN", // full-participation clamp inside runMethodOn
+	"SmallN", // full-participation clamp inside runCell
 	"Epochs", "Batch", "LR", "ProxMu",
 	"DRLHidden", "DRLBatch", "DRLUpdates", "DRLWarmup",
 	"DRLExploreStd", "DRLExploreDecay",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -46,6 +47,45 @@ func TestScalesAreConsistent(t *testing.T) {
 		if len(s.datasets()) != 3 {
 			t.Fatalf("scale %q dataset count", s.Name)
 		}
+		if err := s.Check(); err != nil {
+			t.Fatalf("scale %q: %v", s.Name, err)
+		}
+	}
+}
+
+// TestRunCellErrors: RunCell returns an error, before anything trains,
+// for a scale that fails Check or a cell no run can be built from.
+func TestRunCellErrors(t *testing.T) {
+	s := microScale()
+	good := table3Spec(s, "mnist-sim", "CE", "FedDRL+stale", s.LargeN, 1)
+	for name, mut := range map[string]func(*Scale, *CellSpec){
+		"dataset":         func(_ *Scale, c *CellSpec) { c.Dataset = "mnist" },
+		"method":          func(_ *Scale, c *CellSpec) { c.Method = "FedSGD" },
+		"mode":            func(_ *Scale, c *CellSpec) { c.Method = "FedDRL+late" },
+		"SingleSet mode":  func(_ *Scale, c *CellSpec) { c.Method = "SingleSet+async" },
+		"N":               func(_ *Scale, c *CellSpec) { c.N = 0 },
+		"K":               func(_ *Scale, c *CellSpec) { c.K = 0 },
+		"attack":          func(_ *Scale, c *CellSpec) { c.Attack, c.AttackFrac = "signflip", math.NaN() },
+		"merger":          func(_ *Scale, c *CellSpec) { c.Merger = "mean" },
+		"partition":       func(_ *Scale, c *CellSpec) { c.Partition = "XX" },
+		"delta":           func(_ *Scale, c *CellSpec) { c.Delta = 1 },
+		"rounds":          func(s *Scale, _ *CellSpec) { s.Rounds = -1 },
+		"datascale":       func(s *Scale, _ *CellSpec) { s.DataScale = math.Inf(1) },
+		"datascale range": func(s *Scale, _ *CellSpec) { s.DataScale = 1e300 },
+		"lr":              func(s *Scale, _ *CellSpec) { s.LR = math.NaN() },
+		"explore":         func(s *Scale, _ *CellSpec) { s.DRLExploreStd = math.NaN() },
+		"precision":       func(s *Scale, _ *CellSpec) { s.Precision = "f16" },
+		"scale attack":    func(s *Scale, _ *CellSpec) { s.Attack = "bogus" },
+		"scale merger":    func(s *Scale, _ *CellSpec) { s.Merger = "bogus" },
+	} {
+		bs, bc := s, good
+		mut(&bs, &bc)
+		if res, err := RunCell(bs, bc); err == nil || res != nil {
+			t.Errorf("%s: RunCell returned %v, %v; want only an error", name, res, err)
+		}
+	}
+	if _, err := RunCell(s, good); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"feddrl/internal/core"
 	"feddrl/internal/dataset"
@@ -39,23 +40,30 @@ func (s Scale) drlConfig(k int, seed uint64) core.Config {
 	cfg.BatchSize = s.DRLBatch
 	cfg.UpdatesPerRound = s.DRLUpdates
 	cfg.WarmupExperiences = s.DRLWarmup
-	if s.DRLExploreStd > 0 {
-		cfg.ExploreStd = s.DRLExploreStd
-	}
-	if s.DRLExploreDecay > 0 {
-		cfg.ExploreDecay = s.DRLExploreDecay
-	}
+	cfg.ExploreStd = s.DRLExploreStd
+	cfg.ExploreDecay = s.DRLExploreDecay
 	cfg.BufferCap = 4096
 	cfg.Seed = seed
 	return cfg
 }
 
-// runMethodOn executes one cell on a shared engine pool and returns its
-// result. cell.Delta applies to the clustered partitions only. The
-// cell's client training, evaluation and aggregation all borrow the
-// pool's lanes, so many cells can run concurrently under one global
-// worker bound. A nil pool falls back to the scale's own Workers
-// setting.
+// RunCell runs one grid cell at scale s, as the grids run it, and
+// returns its result. It returns an error, before anything trains, for
+// a scale that fails Check or a cell no run can be built from.
+func RunCell(s Scale, cell CellSpec) (*fl.Result, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
+	return runCell(s, cell, nil, nil)
+}
+
+// runCell executes one cell on a shared engine pool and returns its
+// result, or, before anything trains, an error for an unknown dataset
+// or method (base name or "+mode" suffix), N or K below 1, or a bad
+// attack, merger or partition. The cell's client training, evaluation
+// and aggregation all borrow the pool's lanes, so many cells can run
+// concurrently under one global worker bound; a nil pool falls back to
+// the scale's own Workers setting.
 //
 // The cell's Attack/AttackFrac/Merger fields (falling back to the
 // scale-level fields when the cell leaves all three zero) configure
@@ -65,93 +73,93 @@ func (s Scale) drlConfig(k int, seed uint64) core.Config {
 // variant, when non-nil, modifies a FedDRL cell's aggregator before the
 // run: the ablations swap its agent or switch off its FedAvg prior.
 // Grid cells pass nil.
-func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)) *fl.Result {
-	partName, method := cell.Partition, cell.Method
-	n, k, delta, seed := cell.N, cell.K, cell.Delta, cell.Seed
+func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)) (*fl.Result, error) {
+	spec, err := s.datasetByName(cell.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	// A "+mode" suffix selects the asynchronous engine (see async.go);
+	// the base method picks the aggregator.
+	base, mode := asyncVariant(cell.Method)
+	knownMode := mode == "" || base != "SingleSet" && (mode == asyncModeDegenerate || mode == asyncModeStale)
+	if !slices.Contains(Methods, base) || !knownMode {
+		return nil, fmt.Errorf("experiments: unknown method %q", cell.Method)
+	}
+	if cell.N < 1 || cell.K < 1 {
+		return nil, fmt.Errorf("experiments: N %d and K %d must be at least 1", cell.N, cell.K)
+	}
 	attackName, attackFrac, mergerName := cell.Attack, cell.AttackFrac, cell.Merger
-	if attackName == "" && attackFrac == 0 && mergerName == "" {
+	if cell.benign() {
 		attackName, attackFrac, mergerName = s.Attack, s.AttackFrac, s.Merger
 	}
-	train, test := dataset.Synthesize(spec, seed)
+	// Byzantine cells: the attack seed stays 0 (derived from the run
+	// seed), so a cell's fault trace is as reproducible as everything
+	// else keyed off its CellSpec.
+	atk, err := fl.ParseAttack(attackName, attackFrac)
+	if err != nil {
+		return nil, err
+	}
 	// The paper's default K=10 means full participation at its small
 	// federation size (N=10, §4.1.2); mirror that so the FedDRL state's
 	// slots stay client-consistent in the SmallN runs.
-	if n <= s.SmallN {
-		k = n
+	k := min(cell.K, cell.N)
+	if cell.N <= s.SmallN {
+		k = cell.N
 	}
-	if k > n {
-		k = n
+	train, test := dataset.Synthesize(spec, cell.Seed)
+	cfg := s.runConfig(spec, k, 0, cell.Seed+1)
+	// SingleSet borrows the same pool as the federated cells, so its
+	// timings are comparable with theirs. It merges one update.
+	cfg.Pool = pool
+	cohort := 1
+	var cp *fl.ClientPool
+	if base != "SingleSet" {
+		assign, err := partition.ByName(cell.Partition, train, cell.N, cell.Delta, rng.New(cell.Seed+2))
+		if err != nil {
+			return nil, err
+		}
+		// Virtual clients: only the K selected identities occupy client
+		// state at a time, so a cell's memory is O(K) in its client
+		// count, bit-identical to the eager fl.Run path.
+		cp = fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, cell.Seed+4)
+		// The round engine selects only clients with data, so K is
+		// clamped to them before the agent and Krum's f are sized. The
+		// agent is sized to the cohort the server merges: the async
+		// threshold for "+stale" cells, K otherwise.
+		cfg.K = min(k, cp.NumClients())
+		cohort = cfg.K
+		if mode == asyncModeStale {
+			cohort = asyncThreshold(cfg.K)
+		}
 	}
-	if method == "SingleSet" {
-		cfg := s.runConfig(spec, k, 0, seed+1)
-		// The baseline borrows the same pool as the federated cells, so
-		// its kernel/eval parallelism — and therefore its timings — are
-		// comparable with theirs.
-		cfg.Pool = pool
-		return fl.SingleSet(cfg, train, test)
+	// Krum's tolerance is sized to the declared malicious fraction of
+	// the merge cohort.
+	mg, err := fl.ParseMerger(mergerName, attackFrac, cohort)
+	if err != nil {
+		return nil, err
 	}
-	r := rng.New(seed + 2)
-	assign := buildPartition(partName, train, n, delta, r)
-
-	// A "+mode" suffix selects the asynchronous engine (see async.go);
-	// the base method picks the aggregator as before. FedDRL's impact
-	// computation is fixed-width, so its agent is sized to the cohort
-	// the server actually merges: the async threshold for "+stale"
-	// cells, K otherwise.
-	base, mode := asyncVariant(method)
-	aggCohort := k
-	if mode == asyncModeStale {
-		aggCohort = asyncThreshold(k)
-	}
-
-	proxMu := 0.0
+	cfg.Attack, cfg.Merger = atk, mg
 	var agg fl.Aggregator
 	switch base {
+	case "SingleSet":
+		return fl.SingleSet(cfg, train, test), nil
 	case "FedAvg":
 		agg = fl.FedAvg{}
 	case "FedProx":
 		agg = fl.FedProx{}
-		proxMu = s.ProxMu
+		cfg.Local.ProxMu = s.ProxMu
 	case "FedDRL":
-		drl := fl.NewFedDRL(core.NewAgent(s.drlConfig(aggCohort, seed+3)))
+		drl := fl.NewFedDRL(core.NewAgent(s.drlConfig(cohort, cell.Seed+3)))
 		if variant != nil {
 			variant(drl)
 		}
 		agg = drl
-	default:
-		panic(fmt.Sprintf("experiments: unknown method %q", method))
 	}
-	cfg := s.runConfig(spec, k, proxMu, seed+1)
-	cfg.Pool = pool
-	// Byzantine cells: the attack seed stays 0 (derived from the run
-	// seed), so a cell's fault trace is as reproducible as everything
-	// else keyed off its CellSpec. Krum's tolerance is sized to the
-	// declared malicious fraction of the merge cohort.
-	atk, err := fl.ParseAttack(attackName, attackFrac)
-	if err != nil {
-		panic(err)
+	if mode == "" {
+		return fl.RunVirtual(cfg, cp, test, agg), nil
 	}
-	cfg.Attack = atk
-	mg, err := fl.ParseMerger(mergerName, attackFrac, aggCohort)
-	if err != nil {
-		panic(err)
-	}
-	cfg.Merger = mg
-	// Virtual clients: only the K selected identities occupy client
-	// state at a time, so a cell's memory is O(K) in its client count.
-	// Bit-identical to the eager fl.Run path with the same seed.
-	cp := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
-	if mode != "" {
-		ar, err := fl.RunAsync(asyncConfigFor(mode, cfg, k, seed), cp, test, agg)
-		if err != nil {
-			// Grid traces are drop-free by construction (asyncStaleTrace
-			// sets no OfflineFrac/DropRate), so starvation here means the
-			// configuration is broken, not flaky.
-			panic(err)
-		}
-		return ar.Result
-	}
-	return fl.RunVirtual(cfg, cp, test, agg)
+	ar, err := fl.RunAsync(asyncConfigFor(mode, cfg, cell.Seed), cp, test, agg)
+	return ar.Result, err
 }
 
 // compute fills the set with the artifacts of jobs, which join it in
@@ -188,7 +196,13 @@ func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 	results := make([]*CellArtifact, len(misses))
 	pool.For(len(misses), func(i int) {
 		j := misses[i]
-		results[i] = artifactOf(j, runMethodOn(s, s.datasetByName(j.Dataset), j, pool, nil))
+		// Every job comes from a registered grid, so its spec is valid
+		// by construction and an error is a bug.
+		res, err := runCell(s, j, pool, nil)
+		if err != nil {
+			panic(err)
+		}
+		results[i] = artifactOf(j, res)
 		// Publish to the cache as soon as the cell finishes, not after
 		// the barrier: a killed run must keep every cell it finished, or
 		// interrupted shards could never resume. Concurrent stores are

@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"feddrl/internal/dataset"
@@ -184,13 +185,39 @@ func (s Scale) datasets() []dataset.Spec {
 
 // datasetByName resolves one of the scale's dataset specs by exact name
 // (the executable form of CellSpec.Dataset).
-func (s Scale) datasetByName(name string) dataset.Spec {
+func (s Scale) datasetByName(name string) (dataset.Spec, error) {
 	for _, spec := range s.datasets() {
 		if spec.Name == name {
-			return spec
+			return spec, nil
 		}
 	}
-	panic(fmt.Sprintf("experiments: unknown dataset %q in cell spec", name))
+	return dataset.Spec{}, fmt.Errorf("experiments: unknown dataset %q", name)
+}
+
+// Check reports a scale no cell can run at. In order: DataScale must be
+// above 0 and keep every dataset's per-class counts within an int, each
+// scaled dataset spec, the run configuration and the agent
+// configuration must pass their Check, and the scale-wide attack and
+// merger must parse.
+func (s Scale) Check() error {
+	for _, spec := range (Scale{DataScale: 1}).datasets() {
+		// Scaled converts each full-size per-class count times
+		// DataScale to int; +Inf and NaN fail this test too.
+		if !(s.DataScale > 0 && s.DataScale*float64(max(spec.TrainPerClass, spec.TestPerClass)) < math.MaxInt64) {
+			return fmt.Errorf("experiments: DataScale %v must be above 0 and keep %s's per-class counts within an int", s.DataScale, spec.Name)
+		}
+		if err := spec.Scaled(s.DataScale).Check(); err != nil {
+			return err
+		}
+	}
+	_, atkErr := fl.ParseAttack(s.Attack, s.AttackFrac)
+	_, mgErr := fl.ParseMerger(s.Merger, s.AttackFrac, s.K)
+	for _, err := range []error{s.runConfig(s.datasets()[0], s.K, s.ProxMu, 0).Check(), s.drlConfig(s.K, 0).Check(), atkErr, mgErr} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // factoryFor returns the client model factory for a dataset at this

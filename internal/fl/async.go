@@ -434,7 +434,7 @@ func runRounds(cfg AsyncConfig, pop population, test *dataset.Dataset, agg Aggre
 	}
 	atk := newAttackRuntime(cfg.Attack, cfg.AttackSeed, cfg.Seed)
 
-	res := &AsyncResult{Result: &Result{Method: agg.Name(), NumParam: len(global)}}
+	res := &AsyncResult{Result: &Result{Method: agg.Name(), NumParam: len(global), K: k}}
 	updates := make([]Update, k)
 	slots := make([]*Client, k)
 	seen := make(map[int]struct{}, k)

@@ -195,6 +195,9 @@ type Result struct {
 	Method   string
 	Rounds   []RoundMetrics
 	NumParam int
+	// K is the cohort each round selects: RunConfig.K clamped to the
+	// clients with data.
+	K int
 
 	// Weights is the final global model's flat parameter vector.
 	Weights []float64
