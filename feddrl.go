@@ -40,7 +40,8 @@
 //   - experiment harness: ExperimentNames, RunExperimentCached and the
 //     CIScale/MediumScale/PaperScale presets; a grid experiment computes
 //     one ArtifactSet of cells (whole, or one -shard slice of it) and
-//     renders or CSV-exports that set
+//     renders or CSV-exports that set, and RunExperimentCell runs one
+//     cell as the grids do
 //
 // See examples/quickstart for a 30-second end-to-end run.
 package feddrl

@@ -217,3 +217,12 @@ grep -q 'signflip 40%' "$tmp/byz.txt"
 "$tmp/tables" -exp table3 -scale ci -rounds 2 -seed 1 -attack none -merger weighted -cache "$tmp/cells" 2> "$tmp/benign.err" | tail -n +2 > "$tmp/benign.txt"
 diff "$tmp/cold.txt" "$tmp/benign.txt"
 grep -q ' 0 misses' "$tmp/benign.err"
+
+# fedsim runs one grid cell. At 100 clients the Equal partition leaves
+# about half of them without data, fewer than K 100: the run must clamp
+# K to the clients with data before FedDRL's agent is sized, exit 0 and
+# print the K it ran, below 100 (TestFedsimShortFleet runs the same
+# command in-process).
+go build -o "$tmp/fedsim" ./cmd/fedsim
+"$tmp/fedsim" -method FedDRL -partition Equal -clients 100 -k 100 -rounds 1 -epochs 1 -datascale 0.05 > "$tmp/short.txt"
+head -n 1 "$tmp/short.txt" | grep -Eq ' N=100 K=[0-9]{1,2} '
