@@ -81,7 +81,7 @@ func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)
 	// A "+mode" suffix selects the asynchronous engine (see async.go);
 	// the base method picks the aggregator.
 	base, mode := asyncVariant(cell.Method)
-	knownMode := mode == "" || base != "SingleSet" && (mode == asyncModeDegenerate || mode == asyncModeStale)
+	knownMode := mode == "" || (base != "SingleSet" && (mode == asyncModeDegenerate || mode == asyncModeStale))
 	if !slices.Contains(Methods, base) || !knownMode {
 		return nil, fmt.Errorf("experiments: unknown method %q", cell.Method)
 	}
