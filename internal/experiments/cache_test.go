@@ -363,6 +363,36 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestCellAddressPinned pins the content address of four cells, so a
+// change to how a scale or a spec is hashed cannot move a cache record
+// unnoticed: a benign CI cell, the same cell attacked, the CI scale at
+// f32, and the CI scale with its scale-wide Byzantine knobs set.
+func TestCellAddressPinned(t *testing.T) {
+	ci := CI()
+	benign := table3Spec(ci, "mnist-sim", "CE", "FedDRL", ci.SmallN, 1)
+	attacked := benign
+	attacked.Attack, attacked.AttackFrac, attacked.Merger = "signflip", 0.2, "median"
+	f32 := CI()
+	f32.Precision = "f32"
+	byz := CI()
+	byz.Attack, byz.AttackFrac, byz.Merger = "signflip", 0.2, "median"
+	for _, c := range []struct {
+		name string
+		s    Scale
+		spec CellSpec
+		want string
+	}{
+		{"benign", ci, benign, "bce3132561ae9d702cc6991d82e8471f93e493ff93be537aebdbc97e35d8c93b"},
+		{"attacked cell", ci, attacked, "d447cf3c81ce33ee1ae47e64a603917895f738b04c6373d98750f6664af295c8"},
+		{"f32 scale", f32, benign, "93d30111bb86b64fef10d4cf2504582fd0aa47f89ed3cff0f02fdcd44d025479"},
+		{"attacked scale", byz, benign, "6bc8bb6be23cc020f0c66ef983aaf9d42413a7e5579cc72afa10f984654edb93"},
+	} {
+		if got := cellAddress(c.s, c.spec); got != c.want {
+			t.Errorf("%s: cellAddress = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // excludedScaleFields lists the Scale fields deliberately left out of
 // the cache key, each because it cannot change a cell's artifact:
 // Name is a display label; LargeN, K, KSweep and Deltas only steer job
