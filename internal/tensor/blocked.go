@@ -223,6 +223,12 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 	if !packB {
 		ldb = n
 	}
+	// On the amd64 SIMD tiers an edge tile runs the full micro-kernel
+	// (edgeTileSIMD) when each of its short sides is packed or can shift
+	// back inside the stripe (rows) or the product (columns).
+	simd := useAVX512 || useAVX
+	edgeRows := !inPlace || re-rs >= mr
+	edgeCols := packB || n >= nr
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		kc := k - p0
 		if kc > kcBlock {
@@ -263,7 +269,8 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 					}
 					bTile := bs[jt*bStep:]
 					c := dd[row0*n+jt*nr:]
-					if mv == mr && nv == nr {
+					switch {
+					case mv == mr && nv == nr:
 						switch {
 						case useAVX512:
 							micro8x8avx512(kc, &aTile[0], rsA, csA, &bTile[0], ldb, &c[0], n, first)
@@ -274,12 +281,73 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 						default:
 							micro4x4G(kc, aTile, bTile, c, n, first)
 						}
-					} else {
+					case simd && (mv == mr || edgeRows) && (nv == nr || edgeCols):
+						edgeTileSIMD(kc, a, b, aTile, rsA, csA, bTile, ldb, dd, n, row0, jt*nr, mv, nv, mr, nr, inPlace, packB, first)
+					default:
 						microEdgeG(kc, aTile, rsA, csA, bTile, ldb, c, n, mv, nv, first)
 					}
 				}
 			}
 		}
+	}
+}
+
+// edgeTileSIMD computes the partial mv×nv output tile at (row0, col0)
+// of an n-column product with the amd64 SIMD tier's full mr×nr
+// micro-kernel, as BLIS runs its edge cases (Van Zee & van de Geijn,
+// ACM TOMS 41(3), 2015). Each short side is handled by where its
+// operand lies:
+//
+//   - Read in place, the tile shifts back by the missing rows (to end
+//     at the stripe's last row) or columns (to end at column n−1) and
+//     recomputes the overlap. In place means one panel, so first holds,
+//     and an overlapped element gets the same zero-started ascending-k
+//     chain, and the same bits, as the tile that first wrote it. A row
+//     shift stays inside the stripe, so parallel stripes never write
+//     each other's rows.
+//   - Packed, the tile's padding rows or columns already lie in the
+//     panel (apSize and bpSize round up to whole tiles). The kernel
+//     computes the whole tile into a stack temporary, seeded with the
+//     output's valid corner on a later panel, and only that corner is
+//     copied out. Padding lanes hold stale scratch, which reaches only
+//     the discarded elements: an output element reads only its own row
+//     of op(a) and column of op(b).
+//
+// The caller checks that every short side can take one of the two.
+func edgeTileSIMD(kc int, a, b *Tensor, aTile []float64, rsA, csA int, bTile []float64, ldb int,
+	dd []float64, n, row0, col0, mv, nv, mr, nr int, inPlace, packB, first bool) {
+	rows, cols := mv, nv
+	if mv < mr && inPlace {
+		row0 -= mr - mv
+		aTile, rows = a.Data[row0*rsA:], mr
+	}
+	if nv < nr && !packB {
+		col0 -= nr - nv
+		bTile, cols = b.Data[col0:], nr
+	}
+	c := dd[row0*n+col0:]
+	if rows == mr && cols == nr {
+		microSIMD(kc, &aTile[0], rsA, csA, &bTile[0], ldb, &c[0], n, first)
+		return
+	}
+	var tile [edgeMR * edgeNR]float64
+	if !first {
+		for r := 0; r < rows; r++ {
+			copy(tile[r*nr:r*nr+cols], c[r*n:])
+		}
+	}
+	microSIMD(kc, &aTile[0], rsA, csA, &bTile[0], ldb, &tile[0], nr, first)
+	for r := 0; r < rows; r++ {
+		copy(c[r*n:r*n+cols], tile[r*nr:])
+	}
+}
+
+// microSIMD runs the active amd64 SIMD tier's full-tile micro-kernel.
+func microSIMD(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool) {
+	if useAVX512 {
+		micro8x8avx512(kc, a, rsA, csA, b, ldb, c, ldc, first)
+	} else {
+		micro4x4avx(kc, a, rsA, csA, b, ldb, c, ldc, first)
 	}
 }
 

@@ -77,16 +77,24 @@ func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
 }
 
 // stepGEMMs are the logical M×K×N products of a client train step on
-// the cnn-feddrl-ce and byz-async-f32 benchmark workloads: the simple
-// CNN's two convolutions at batch 10 (forward, weight gradient, input
-// gradient), the batch-8 MLP's layers and the agent's batch-32 update.
-// Each reduction fits one panel, so on the amd64 SIMD tiers the blocked
-// kernel reads these operands in place, with strides that differ from
-// the tile width.
+// the benchmark workloads and of the agent's update: the simple CNN's
+// two convolutions at batch 10 (forward, weight gradient, input
+// gradient), the batch-8 MLP's layers, the table3 grid's batch-10 MLP
+// layers on mnist-sim and cifar100-sim (forward, dW, dx), the agent's
+// batch-32 update and its K=10 policy head, a Table 1 (K=16) agent's
+// first layer on a 60-row batch, and a K=16 reprioritization chunk of
+// 67 experiences. Each reduction fits one panel, so on the amd64 SIMD
+// tiers the blocked kernel reads these operands in place, with strides
+// that differ from the tile width, and most end in edge tiles.
 var stepGEMMs = [][3]int{
 	{640, 9, 8}, {160, 72, 16}, {72, 160, 16}, {160, 16, 72},
 	{8, 64, 256}, {64, 8, 256}, {8, 256, 64}, {8, 256, 128}, {8, 128, 256}, {256, 8, 128},
-	{32, 128, 128},
+	{10, 64, 48}, {64, 10, 48}, {10, 48, 64},
+	{10, 192, 48}, {192, 10, 48}, {10, 48, 192},
+	{10, 48, 100}, {48, 10, 100}, {10, 100, 48},
+	{32, 128, 128}, {32, 128, 20},
+	{60, 48, 256},
+	{134, 80, 128},
 }
 
 // TestBlockedBitIdentity is the kernel determinism gate (run explicitly
@@ -158,6 +166,60 @@ func TestBlockedBitIdentity(t *testing.T) {
 	// the TENSOR_BACKEND override) exposes was also run force-disabled.
 	if chain[len(chain)-1] != "generic" {
 		t.Fatalf("fallback chain %v does not end at generic", chain)
+	}
+}
+
+// TestBlockedRangeStaysInStripe runs the blocked kernel over row
+// stripes of one product, as the parallel path cuts them, on every
+// backend: each stripe must write exactly its own rows, bit-identical
+// to the naive loop, and leave every other row as it was. The stripes
+// end in partial tiles, which the amd64 SIMD tiers shift back inside
+// the stripe when the operand lies in place (one panel) and compute
+// through the padded tile when it is packed (two panels), and include
+// stripes shorter than one tile.
+func TestBlockedRangeStaysInStripe(t *testing.T) {
+	restoreBackend(t)
+	const sentinel = -7.25
+	m, n := 45, 21
+	for _, bk := range Backends() {
+		if err := SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for _, c := range []struct {
+			name string
+			v    gemmVariant
+			k    int
+		}{{"NN", gemmNN, 40}, {"AT", gemmAT, 40}, {"BT", gemmBT, 40}, {"NN", gemmNN, kcBlock + 9}, {"AT", gemmAT, kcBlock + 9}} {
+			k := c.k
+			r := rng.New(11)
+			a, b, dst := gemmOperands(c.v, m, k, n)
+			fillRandom(a, r)
+			fillRandom(b, r)
+			want := New(m, n)
+			gemmNaive(want, a, b, c.v)
+			for _, sr := range [][2]int{{0, 45}, {0, 13}, {13, 30}, {30, 33}, {33, 45}, {44, 45}, {3, 10}} {
+				rs, re := sr[0], sr[1]
+				for i := range dst.Data {
+					dst.Data[i] = sentinel
+				}
+				apN, bpN := scratchSizes(m, k, n, c.v)
+				ap, bp := getBuf(apN), getBuf(bpN)
+				gemmBlockedRange(dst, a, b, c.v, rs, re, ap, bp)
+				putBuf(bp)
+				putBuf(ap)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						got, w := dst.Data[i*n+j], want.Data[i*n+j]
+						if i < rs || i >= re {
+							w = sentinel
+						}
+						if math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("%s %s k=%d rows [%d,%d): dst[%d][%d] = %x, want %x", bk, c.name, k, rs, re, i, j, got, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

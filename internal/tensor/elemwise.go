@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Vectorized elementwise kernels behind the same backend dispatch as the
 // blocked GEMM (backend.go). Eq. 4 aggregation and SGD updates are
 // Axpy-bound once GEMM is fast, and the activation loops dominate the
@@ -78,6 +80,64 @@ func Add(x, y []float64) {
 		}
 	}
 	addTailG(x, y, i)
+}
+
+// AdamCoeffs are the per-call constants of one Adam step (nn.Adam):
+// the gradient scale of global-norm clipping (1 when unclipped), the
+// moment decays and their complements, the bias corrections 1−βᵗ, the
+// learning rate and ε. The kernels read the fields in this order.
+type AdamCoeffs struct {
+	Scale                float64
+	Beta1, OneMinusBeta1 float64
+	Beta2, OneMinusBeta2 float64
+	BC1, BC2             float64
+	LR, Eps              float64
+}
+
+// AdamUpdate applies one Adam step to the parameters p from their
+// gradients g and first and second moments m and v (all len(p) long):
+//
+//	gj   = g[j]·Scale
+//	m[j] = Beta1·m[j] + OneMinusBeta1·gj
+//	v[j] = Beta2·v[j] + (OneMinusBeta2·gj)·gj
+//	p[j] = p[j] − (LR·(m[j]/BC1)) / (√(v[j]/BC2) + Eps)
+//
+// Every operation rounds once, in this order, on every backend: the
+// SIMD bodies divide and take square roots with VDIVPD and VSQRTPD,
+// which round correctly like their scalar forms, so they match adamTail
+// bit for bit, up to a NaN's payload where two NaNs meet in a
+// commutative add (the GEMM's exception, see blocked.go).
+func AdamUpdate(p, g, m, v []float64, c AdamCoeffs) {
+	n := len(p)
+	g, m, v = g[:n], m[:n], v[:n]
+	i := 0
+	switch {
+	case useAVX512:
+		if w := n &^ 7; w > 0 {
+			adamAVX512(&p[0], &g[0], &m[0], &v[0], w, &c)
+			i = w
+		}
+	case useAVX:
+		if w := n &^ 3; w > 0 {
+			adamAVX(&p[0], &g[0], &m[0], &v[0], w, &c)
+			i = w
+		}
+	}
+	adamTail(p, g, m, v, &c, i)
+}
+
+// adamTail runs AdamUpdate's scalar loop over [i, len(p)). The explicit
+// float64(·) conversions round each product before its add, so no
+// compiler fuses them (see the package comment on E(a*b)).
+func adamTail(p, g, m, v []float64, c *AdamCoeffs, i int) {
+	for ; i < len(p); i++ {
+		gj := g[i] * c.Scale
+		m[i] = float64(c.Beta1*m[i]) + float64(c.OneMinusBeta1*gj)
+		v[i] = float64(c.Beta2*v[i]) + float64(float64(c.OneMinusBeta2*gj)*gj)
+		mHat := m[i] / c.BC1
+		vHat := v[i] / c.BC2
+		p[i] -= float64(c.LR*mHat) / (math.Sqrt(vHat) + c.Eps)
+	}
 }
 
 // ReLUForward computes out[i] = x[i] if x[i] > 0 else 0, keeping NaN

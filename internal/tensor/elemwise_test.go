@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"feddrl/internal/rng"
@@ -158,6 +159,72 @@ func TestElemwiseBitIdentity(t *testing.T) {
 	}
 }
 
+// refAdam is the Adam update as nn.Adam's scalar loop spells it, with
+// the explicit-conversion rounding guards of the other references.
+func refAdam(p, g, m, v []float64, c AdamCoeffs) {
+	for j := range p {
+		gj := g[j] * c.Scale
+		m[j] = float64(c.Beta1*m[j]) + float64((1-c.Beta1)*gj)
+		v[j] = float64(c.Beta2*v[j]) + float64(float64((1-c.Beta2)*gj)*gj)
+		mHat := m[j] / c.BC1
+		vHat := v[j] / c.BC2
+		p[j] -= float64(c.LR*mHat) / (math.Sqrt(vHat) + c.Eps)
+	}
+}
+
+// TestAdamUpdateBitIdentity checks AdamUpdate against the scalar Adam
+// loop bit for bit, for every backend in the fallback chain and lengths
+// straddling the 4- and 8-wide bodies and their tails. Parameters,
+// gradients and both moments mix normal deviates with ±0, NaN, ±Inf
+// and subnormals; five steps run in a row, with bias corrections
+// 1−βᵗ, alternating an unclipped gradient (Scale 1) and a clipped one.
+// As for the GEMM (TestBlockedSpecialValues), a NaN's payload is not
+// promised: when a moment's add meets two NaNs, x86 keeps the payload
+// of the operand in a fixed position, and the compiler may order a
+// commutative add's operands either way.
+func TestAdamUpdateBitIdentity(t *testing.T) {
+	restoreBackend(t)
+	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17, 31, 64, 257, 1003}
+	for _, bk := range Backends() {
+		if err := SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for _, n := range lengths {
+			t.Run(fmt.Sprintf("%s_n%d", bk, n), func(t *testing.T) {
+				r := rng.New(uint64(17*n + 3))
+				p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				for _, x := range [][]float64{p, g, m, v} {
+					fillElems(x, r)
+				}
+				wp, wm, wv := slices.Clone(p), slices.Clone(m), slices.Clone(v)
+				for step := 1; step <= 5; step++ {
+					scale := 1.0
+					if step%2 == 0 {
+						scale = 5 / 13.7 // a clip factor MaxGradNorm/norm
+					}
+					// Float64 variables, not constants: 1−β must round
+					// as nn.Adam's runtime subtraction does.
+					b1, b2 := 0.9, 0.999
+					c := AdamCoeffs{
+						Scale: scale,
+						Beta1: b1, OneMinusBeta1: 1 - b1,
+						Beta2: b2, OneMinusBeta2: 1 - b2,
+						BC1: 1 - math.Pow(b1, float64(step)),
+						BC2: 1 - math.Pow(b2, float64(step)),
+						LR:  1e-3, Eps: 1e-8,
+					}
+					AdamUpdate(p, g, m, v, c)
+					refAdam(wp, g, wm, wv, c)
+					sameBitsUpToNaN(t, fmt.Sprintf("step %d m", step), m, wm)
+					sameBitsUpToNaN(t, fmt.Sprintf("step %d v", step), v, wv)
+					sameBitsUpToNaN(t, fmt.Sprintf("step %d p", step), p, wp)
+					fillElems(g, r)
+				}
+			})
+		}
+	}
+}
+
 // TestElemwiseInPlaceAliasing pins the documented exact-aliasing
 // contract: out may be x (activations) or g (backward passes).
 func TestElemwiseInPlaceAliasing(t *testing.T) {
@@ -237,11 +304,15 @@ func TestElemwiseAllocFree(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
+	m, v := make([]float64, 1003), make([]float64, 1003)
+	c := AdamCoeffs{Scale: 1, Beta1: 0.9, OneMinusBeta1: 0.1, Beta2: 0.999, OneMinusBeta2: 0.001, BC1: 0.1, BC2: 0.001, LR: 1e-3, Eps: 1e-8}
 	if allocs := testing.AllocsPerRun(20, func() {
 		Axpy(0.5, x, y)
 		Add(x, y)
 		Scale(0.999, y)
 		ReLUForward(x, y)
+		AdamUpdate(y, x, m, v, c)
+		AllFinite(y)
 	}); allocs != 0 {
 		t.Fatalf("elementwise kernels allocate %.1f times per run, want 0", allocs)
 	}

@@ -352,6 +352,18 @@ func screenTailG[E Elem](mask []uint8, block []E, stride, k, n, i int) {
 	}
 }
 
+// allFiniteTailG reports whether x[j] is finite for every j in
+// [i, len(x)): x−x is 0 for a finite x and NaN for a NaN or ±Inf, one
+// branch per element.
+func allFiniteTailG[E Elem](x []E, i int) bool {
+	for ; i < len(x); i++ {
+		if v := x[i]; v-v != v-v {
+			return false
+		}
+	}
+	return true
+}
+
 // convInterior returns the output columns [lo, hi) whose K-long kernel
 // rows lie wholly inside an image row; the columns outside that range
 // cross the left or right border.

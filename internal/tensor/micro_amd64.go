@@ -26,7 +26,11 @@ func detectBackends() (avx512, avx, neon bool) {
 // strides when it reads it in place. It is bit-identical to micro4x4G:
 // each lane multiplies then adds with one rounding per operation, never
 // fusing. The caller guarantees every element the strides reach lies
-// inside its operand. Implemented in micro_amd64.s.
+// inside its operand. It retains no pointer, so an output tile on the
+// caller's stack stays there (edgeTileSIMD). Implemented in
+// micro_amd64.s.
+//
+//go:noescape
 func micro4x4avx(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 
 // micro8x8avx512 is the AVX-512 full-tile micro-kernel: one 8×8 output
@@ -35,6 +39,8 @@ func micro4x4avx(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float
 // (rsA, csA, ldb) = (1, 8, 8)). VMULPD + VADDPD per row (never fused),
 // bit-identical to an 8×8 walk of the scalar kernel. Implemented in
 // micro_amd64.s.
+//
+//go:noescape
 func micro8x8avx512(kc int, a *float64, rsA, csA int, b *float64, ldb int, c *float64, ldc int, first bool)
 
 // Elementwise vector bodies (micro_amd64.s). Each processes exactly n
@@ -48,6 +54,18 @@ func scaleAVX(alpha float64, x *float64, n int)
 func scaleAVX512(alpha float64, x *float64, n int)
 func addAVX(x, y *float64, n int)
 func addAVX512(x, y *float64, n int)
+
+// Adam update bodies (micro_amd64.s): the scalar loop's operations in
+// its order per element, n a positive multiple of the lane width (4 for
+// AVX, 8 for AVX-512); AdamUpdate (elemwise.go) runs the tail. c is
+// read and not retained, so an AdamCoeffs on the caller's stack stays
+// there.
+//
+//go:noescape
+func adamAVX(p, grad, m, v *float64, n int, c *AdamCoeffs)
+
+//go:noescape
+func adamAVX512(p, grad, m, v *float64, n int, c *AdamCoeffs)
 
 // Activation kernels run 4-wide YMM on both amd64 tiers (the avx512 tier
 // reuses them: activations are bandwidth-bound, so wider vectors buy
@@ -77,3 +95,10 @@ func compareExchangeAVX(lo, hi *float64, n int)
 func compareExchangeAVXF32(lo, hi *float32, n int)
 func screenZeroNaNAVX(mask *uint8, block *float64, stride, k, n int)
 func screenZeroNaNAVXF32(mask *uint8, block *float32, stride, k, n int)
+
+// Finiteness screen bodies (micro_amd64.s), one YMM body per width for
+// both amd64 tiers: false when some element's exponent bits are all
+// ones. n is a positive multiple of 8 doubles or 16 floats; AllFinite
+// and AllFinite32 (order.go) run the generic tail.
+func allFiniteAVX(x *float64, n int) bool
+func allFiniteAVXF32(x *float32, n int) bool

@@ -642,3 +642,178 @@ szf32row:
 	JNZ	szf32group
 	VZEROUPPER
 	RET
+
+// Finiteness screen, the fl package's quarantine gate (AllFinite,
+// AllFinite32): a lane is non-finite when its exponent bits are all
+// ones (±Inf or NaN). VANDPD/VANDPS keeps only the exponent, which
+// equals the mask, read as a float the value +Inf, exactly then; the
+// ordered compare EQ_OQ (0) cannot meet a NaN there. Each step tests
+// two YMM vectors and returns false at the first marked lane. n is a
+// positive multiple of 8 doubles or 16 floats; the wrappers run the
+// generic tail.
+
+DATA expMask64<>+0(SB)/8, $0x7ff0000000000000
+GLOBL expMask64<>(SB), RODATA|NOPTR, $8
+DATA expMask32<>+0(SB)/4, $0x7f800000
+GLOBL expMask32<>(SB), RODATA|NOPTR, $4
+
+// func allFiniteAVX(x *float64, n int) bool
+TEXT ·allFiniteAVX(SB), NOSPLIT, $0-17
+	MOVQ	x+0(FP), SI
+	MOVQ	n+8(FP), CX
+	VBROADCASTSD	expMask64<>(SB), Y0
+afloop:
+	VANDPD	(SI), Y0, Y1
+	VANDPD	32(SI), Y0, Y2
+	VCMPPD	$0, Y0, Y1, Y1      // exponent all ones
+	VCMPPD	$0, Y0, Y2, Y2
+	VORPD	Y2, Y1, Y1
+	VTESTPD	Y1, Y1
+	JNZ	afnonfinite
+	ADDQ	$64, SI
+	SUBQ	$8, CX
+	JNZ	afloop
+	VZEROUPPER
+	MOVB	$1, ret+16(FP)
+	RET
+afnonfinite:
+	VZEROUPPER
+	MOVB	$0, ret+16(FP)
+	RET
+
+// func allFiniteAVXF32(x *float32, n int) bool
+TEXT ·allFiniteAVXF32(SB), NOSPLIT, $0-17
+	MOVQ	x+0(FP), SI
+	MOVQ	n+8(FP), CX
+	VBROADCASTSS	expMask32<>(SB), Y0
+aff32loop:
+	VANDPS	(SI), Y0, Y1
+	VANDPS	32(SI), Y0, Y2
+	VCMPPS	$0, Y0, Y1, Y1      // exponent all ones
+	VCMPPS	$0, Y0, Y2, Y2
+	VORPS	Y2, Y1, Y1
+	VTESTPS	Y1, Y1
+	JNZ	aff32nonfinite
+	ADDQ	$64, SI
+	SUBQ	$16, CX
+	JNZ	aff32loop
+	VZEROUPPER
+	MOVB	$1, ret+16(FP)
+	RET
+aff32nonfinite:
+	VZEROUPPER
+	MOVB	$0, ret+16(FP)
+	RET
+
+// ---------------------------------------------------------------------
+// Adam update (nn.Adam.Step), one body per amd64 tier. Per element it
+// performs the scalar loop's operations in the scalar loop's order,
+// each one rounding once: gj = g·Scale; m = Beta1·m + OneMinusBeta1·gj;
+// v = Beta2·v + (OneMinusBeta2·gj)·gj; p −= (LR·(m/BC1)) /
+// (√(v/BC2) + Eps). VDIVPD and VSQRTPD round correctly, as DIVSD and
+// SQRTSD do, and no multiply-add is fused, so every lane is
+// bit-identical to adamTail. Each non-commutative operation keeps the
+// scalar operand order; only where two NaNs meet in a commutative add
+// may the payload differ (see AdamUpdate).
+// n is a positive multiple of the lane width (4 for AVX, 8 for
+// AVX-512); AdamUpdate (elemwise.go) enforces it and runs the tail. c
+// points at an AdamCoeffs: Scale, Beta1, OneMinusBeta1, Beta2,
+// OneMinusBeta2, BC1, BC2, LR, Eps at offsets 0..64.
+
+// func adamAVX(p, grad, m, v *float64, n int, c *AdamCoeffs)
+TEXT ·adamAVX(SB), NOSPLIT, $0-48
+	MOVQ	c+40(FP), AX
+	VBROADCASTSD	0(AX), Y0   // Scale
+	VBROADCASTSD	8(AX), Y1   // Beta1
+	VBROADCASTSD	16(AX), Y2  // OneMinusBeta1
+	VBROADCASTSD	24(AX), Y3  // Beta2
+	VBROADCASTSD	32(AX), Y4  // OneMinusBeta2
+	VBROADCASTSD	40(AX), Y5  // BC1
+	VBROADCASTSD	48(AX), Y6  // BC2
+	VBROADCASTSD	56(AX), Y7  // LR
+	VBROADCASTSD	64(AX), Y8  // Eps
+	MOVQ	p+0(FP), DI
+	MOVQ	grad+8(FP), SI
+	MOVQ	m+16(FP), R8
+	MOVQ	v+24(FP), R9
+	MOVQ	n+32(FP), CX
+adloopA:
+	VMOVUPD	(SI), Y9
+	VMULPD	Y0, Y9, Y9          // gj = g·Scale
+	VMOVUPD	(R8), Y10
+	VMULPD	Y10, Y1, Y10        // Beta1·m
+	VMULPD	Y9, Y2, Y11         // OneMinusBeta1·gj
+	VADDPD	Y11, Y10, Y10       // m
+	VMOVUPD	Y10, (R8)
+	VMOVUPD	(R9), Y12
+	VMULPD	Y12, Y3, Y12        // Beta2·v
+	VMULPD	Y9, Y4, Y13         // OneMinusBeta2·gj
+	VMULPD	Y9, Y13, Y13        // ·gj
+	VADDPD	Y13, Y12, Y12       // v
+	VMOVUPD	Y12, (R9)
+	VDIVPD	Y5, Y10, Y10        // m/BC1
+	VDIVPD	Y6, Y12, Y12        // v/BC2
+	VSQRTPD	Y12, Y12
+	VADDPD	Y8, Y12, Y12        // √(v/BC2) + Eps
+	VMULPD	Y10, Y7, Y10        // LR·(m/BC1)
+	VDIVPD	Y12, Y10, Y10
+	VMOVUPD	(DI), Y14
+	VSUBPD	Y10, Y14, Y14       // p − step
+	VMOVUPD	Y14, (DI)
+	ADDQ	$32, SI
+	ADDQ	$32, R8
+	ADDQ	$32, R9
+	ADDQ	$32, DI
+	SUBQ	$4, CX
+	JNZ	adloopA
+	VZEROUPPER
+	RET
+
+// func adamAVX512(p, grad, m, v *float64, n int, c *AdamCoeffs)
+TEXT ·adamAVX512(SB), NOSPLIT, $0-48
+	MOVQ	c+40(FP), AX
+	VBROADCASTSD	0(AX), Z0   // Scale
+	VBROADCASTSD	8(AX), Z1   // Beta1
+	VBROADCASTSD	16(AX), Z2  // OneMinusBeta1
+	VBROADCASTSD	24(AX), Z3  // Beta2
+	VBROADCASTSD	32(AX), Z4  // OneMinusBeta2
+	VBROADCASTSD	40(AX), Z5  // BC1
+	VBROADCASTSD	48(AX), Z6  // BC2
+	VBROADCASTSD	56(AX), Z7  // LR
+	VBROADCASTSD	64(AX), Z8  // Eps
+	MOVQ	p+0(FP), DI
+	MOVQ	grad+8(FP), SI
+	MOVQ	m+16(FP), R8
+	MOVQ	v+24(FP), R9
+	MOVQ	n+32(FP), CX
+adloop5:
+	VMOVUPD	(SI), Z9
+	VMULPD	Z0, Z9, Z9          // gj = g·Scale
+	VMOVUPD	(R8), Z10
+	VMULPD	Z10, Z1, Z10        // Beta1·m
+	VMULPD	Z9, Z2, Z11         // OneMinusBeta1·gj
+	VADDPD	Z11, Z10, Z10       // m
+	VMOVUPD	Z10, (R8)
+	VMOVUPD	(R9), Z12
+	VMULPD	Z12, Z3, Z12        // Beta2·v
+	VMULPD	Z9, Z4, Z13         // OneMinusBeta2·gj
+	VMULPD	Z9, Z13, Z13        // ·gj
+	VADDPD	Z13, Z12, Z12       // v
+	VMOVUPD	Z12, (R9)
+	VDIVPD	Z5, Z10, Z10        // m/BC1
+	VDIVPD	Z6, Z12, Z12        // v/BC2
+	VSQRTPD	Z12, Z12
+	VADDPD	Z8, Z12, Z12        // √(v/BC2) + Eps
+	VMULPD	Z10, Z7, Z10        // LR·(m/BC1)
+	VDIVPD	Z12, Z10, Z10
+	VMOVUPD	(DI), Z14
+	VSUBPD	Z10, Z14, Z14       // p − step
+	VMOVUPD	Z14, (DI)
+	ADDQ	$64, SI
+	ADDQ	$64, R8
+	ADDQ	$64, R9
+	ADDQ	$64, DI
+	SUBQ	$8, CX
+	JNZ	adloop5
+	VZEROUPPER
+	RET

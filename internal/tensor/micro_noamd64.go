@@ -36,6 +36,14 @@ func addAVX512(x, y *float64, n int) {
 	panic("tensor: AVX-512 kernel called on non-amd64")
 }
 
+func adamAVX(p, grad, m, v *float64, n int, c *AdamCoeffs) {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func adamAVX512(p, grad, m, v *float64, n int, c *AdamCoeffs) {
+	panic("tensor: AVX-512 kernel called on non-amd64")
+}
+
 func reluFwdAVX(x, out *float64, n int) {
 	panic("tensor: AVX kernel called on non-amd64")
 }
@@ -73,5 +81,13 @@ func screenZeroNaNAVX(mask *uint8, block *float64, stride, k, n int) {
 }
 
 func screenZeroNaNAVXF32(mask *uint8, block *float32, stride, k, n int) {
+	panic("tensor: AVX f32 kernel called on non-amd64")
+}
+
+func allFiniteAVX(x *float64, n int) bool {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func allFiniteAVXF32(x *float32, n int) bool {
 	panic("tensor: AVX f32 kernel called on non-amd64")
 }

@@ -3,7 +3,8 @@ package tensor
 import "fmt"
 
 // Sorting-network kernels for the robust merge's order statistics (the
-// fl package's Median and TrimmedMean). That merge sorts k cohort
+// fl package's Median and TrimmedMean), and the finiteness screen its
+// quarantine gate runs on every upload. That merge sorts k cohort
 // values per coordinate with a comparator network laid over a block
 // whose rows are updates and whose lanes are coordinates, so each
 // comparator is one elementwise compare-exchange of two rows. The lane
@@ -11,17 +12,17 @@ import "fmt"
 // equal-comparing values are ordered, the ones holding a zero or a NaN,
 // which the merge then re-sorts one coordinate at a time.
 //
-// Both kernels have f64 and f32 forms behind the backend dispatch of
-// elemwise.go. On amd64 one 256-bit YMM body per kernel and width
+// All three kernels have f64 and f32 forms behind the backend dispatch
+// of elemwise.go. On amd64 one 256-bit YMM body per kernel and width
 // serves both the avx512 and avx tiers, as the activation kernels do:
 // a comparator pass over a cache-resident block is bound by its loads
 // and stores, and a prototype's ZMM bodies measured no faster. Other
 // tiers run the generic core (generic.go), which also runs every
 // vector body's tail.
 //
-// Determinism: both kernels are per-lane selections with no
+// Determinism: the kernels are per-lane selections and tests with no
 // arithmetic, so any split into vector body and scalar tail gives the
-// same bits on every backend.
+// same bits, and the same screen result, on every backend.
 
 // CompareExchange orders each lane pair: where hi[j] < lo[j], the two
 // values swap. Lanes that compare equal, unordered (either value NaN)
@@ -83,6 +84,36 @@ func ScreenZeroNaN32(mask []uint8, block []float32, stride, k, n int) {
 		}
 	}
 	screenTailG(mask, block, stride, k, n, i)
+}
+
+// AllFinite reports whether every element of x is finite: no NaN and
+// no ±Inf. It is the fl package's quarantine screen, and its result
+// equals the scalar loop's on every input and backend.
+func AllFinite(x []float64) bool {
+	i := 0
+	if useAVX || useAVX512 {
+		if v := len(x) &^ 7; v > 0 {
+			if !allFiniteAVX(&x[0], v) {
+				return false
+			}
+			i = v
+		}
+	}
+	return allFiniteTailG(x, i)
+}
+
+// AllFinite32 is AllFinite over float32 elements.
+func AllFinite32(x []float32) bool {
+	i := 0
+	if useAVX || useAVX512 {
+		if v := len(x) &^ 15; v > 0 {
+			if !allFiniteAVXF32(&x[0], v) {
+				return false
+			}
+			i = v
+		}
+	}
+	return allFiniteTailG(x, i)
 }
 
 // checkScreen panics unless a screen of n lanes over k rows at the

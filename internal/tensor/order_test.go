@@ -201,3 +201,79 @@ func TestScreenZeroNaNBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestAllFiniteSweep checks AllFinite and AllFinite32 against a
+// math.IsNaN/IsInf loop under every backend in the fallback chain. For
+// every length 0 to 40, a vector of finite values, subnormals, zeros of
+// both signs and the largest finite magnitudes must pass, and the same
+// vector with one ±Inf or NaN (quiet or signalling, either sign) at any
+// single position must fail.
+func TestAllFiniteSweep(t *testing.T) {
+	restoreBackend(t)
+	finite64 := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	bad64 := []float64{math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
+		math.Float64frombits(0x7ff0000000000003), math.Float64frombits(0xffffffffffffffff)}
+	finite32 := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x80000001),
+		math.MaxFloat32, -math.MaxFloat32, 1, -1}
+	bad32 := []float32{float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7f800003), math.Float32frombits(0xffffffff)}
+	ref64 := func(x []float64) bool {
+		for _, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	ref32 := func(x []float32) bool {
+		for _, v := range x {
+			if w := float64(v); math.IsNaN(w) || math.IsInf(w, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, bk := range Backends() {
+		if err := SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for n := 0; n <= 40; n++ {
+			r := rng.New(uint64(29*n + 1))
+			x, y := make([]float64, n), make([]float32, n)
+			for i := range x {
+				if r.Intn(3) == 0 {
+					x[i], y[i] = finite64[r.Intn(len(finite64))], finite32[r.Intn(len(finite32))]
+				} else {
+					x[i] = r.Normal(0, 1)
+					y[i] = float32(x[i])
+				}
+			}
+			if got := AllFinite(x); !got || !ref64(x) {
+				t.Fatalf("%s: AllFinite(%v) = %v, want true", bk, x, got)
+			}
+			if got := AllFinite32(y); !got || !ref32(y) {
+				t.Fatalf("%s: AllFinite32(%v) = %v, want true", bk, y, got)
+			}
+			for pos := 0; pos < n; pos++ {
+				for _, v := range bad64 {
+					keep := x[pos]
+					x[pos] = v
+					if got := AllFinite(x); got || ref64(x) {
+						t.Fatalf("%s: n %d, %#x at %d: AllFinite = %v, want false", bk, n, math.Float64bits(v), pos, got)
+					}
+					x[pos] = keep
+				}
+				for _, v := range bad32 {
+					keep := y[pos]
+					y[pos] = v
+					if got := AllFinite32(y); got || ref32(y) {
+						t.Fatalf("%s: n %d, %#x at %d: AllFinite32 = %v, want false", bk, n, math.Float32bits(v), pos, got)
+					}
+					y[pos] = keep
+				}
+			}
+		}
+	}
+}
