@@ -169,22 +169,42 @@ func BenchmarkClientLocalRound(b *testing.B) {
 	}
 }
 
-// BenchmarkAgentTrainStep measures one Algorithm 1 training call at
-// Table 1 sizing with a warm buffer.
+// BenchmarkAgentTrainStep measures one Algorithm 1 training call with
+// a warm buffer: at Table 1 sizing with one update (k10), the full
+// Table 1 call at K=16 with 60 and with 64 buffered experiences (a
+// 60-row batch ends in partial GEMM tiles, a 64-row one does not), and
+// the byz-async-f32 workload's agent (K=16, 128 hidden, batch 32, four
+// updates) over a full reprioritization chunk.
 func BenchmarkAgentTrainStep(b *testing.B) {
-	cfg := core.DefaultConfig(10)
-	cfg.UpdatesPerRound = 1
-	cfg.BufferCap = 1024
-	agent := core.NewAgent(cfg)
-	s := make([]float64, cfg.StateDim())
-	act := make([]float64, cfg.ActionDim())
-	for i := 0; i < 128; i++ {
-		s[0] = float64(i)
-		agent.Observe(s, act, -1, s)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Train()
+	k10 := core.DefaultConfig(10)
+	k10.UpdatesPerRound = 1
+	k10.BufferCap = 1024
+	byz := core.DefaultConfig(16)
+	byz.Hidden, byz.BatchSize, byz.UpdatesPerRound, byz.BufferCap = 128, 32, 4, 4096
+	for _, c := range []struct {
+		name     string
+		cfg      core.Config
+		buffered int
+	}{
+		{"k10", k10, 128},
+		{"table1-k16-buf60", core.DefaultConfig(16), 60},
+		{"table1-k16-buf64", core.DefaultConfig(16), 64},
+		{"byz-k16", byz, 128},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			agent := core.NewAgent(c.cfg)
+			s := make([]float64, c.cfg.StateDim())
+			act := make([]float64, c.cfg.ActionDim())
+			for i := 0; i < c.buffered; i++ {
+				s[0] = float64(i)
+				agent.Observe(s, act, -1, s)
+			}
+			agent.Train()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Train()
+			}
+		})
 	}
 }
 
@@ -931,7 +951,7 @@ func BenchmarkComputeConvBackward(b *testing.B) {
 	conv.ForwardScratch(sc, 0, x, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.BackwardScratch(sc, 0, grad, true)
+		conv.BackwardScratch(sc, 0, grad, nn.ParamGrads|nn.InputGrad)
 	}
 }
 
@@ -1190,7 +1210,7 @@ func TestComputeBenchJSON(t *testing.T) {
 	conv, sc, x, grad := convBenchFixture()
 	doc.ConvForwardNs = best(func() { conv.ForwardScratch(sc, 0, x, true) })
 	conv.ForwardScratch(sc, 0, x, true)
-	doc.ConvBackwardNs = best(func() { conv.BackwardScratch(sc, 0, grad, true) })
+	doc.ConvBackwardNs = best(func() { conv.BackwardScratch(sc, 0, grad, nn.ParamGrads|nn.InputGrad) })
 
 	doc.TrainStep.DenseAllocs = warmTrainStepAllocs(nn.NewMLP(rng.New(1), 24, []int{32, 16}, 4), 24)
 	doc.TrainStep.ConvAllocs = warmTrainStepAllocs(nn.NewSimpleCNN(rng.New(2), 1, 8, 8, 4), 64)

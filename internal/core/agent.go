@@ -398,9 +398,11 @@ func (a *Agent) Train() {
 		for i, e := range a.batch {
 			packSA(a.sa.Row(i), e.S, e.A)
 		}
+		// Both networks' gradients are zero between steps: each optimizer
+		// step clears its network's after use, and the critic pass of
+		// the policy step below accumulates none.
 		pred := a.value.ForwardScratch(a.vsc, a.sa, true)
 		a.mse.Forward(pred, targets)
-		a.value.ZeroGrads()
 		a.value.BackwardParams(a.vsc, a.mse.Backward())
 		a.vopt.Step(a.value)
 		a.value.ZeroGrads()
@@ -422,18 +424,15 @@ func (a *Agent) Train() {
 		for i := range a.up.Data {
 			a.up.Data[i] = -1.0 / float64(n)
 		}
-		a.value.ZeroGrads()
-		dIn := a.value.BackwardScratch(a.vsc, a.up)
+		dIn := a.value.BackwardInput(a.vsc, a.up)
 		a.dAct = tensor.Reuse2D(a.dAct, n, ad)
 		for i := 0; i < n; i++ {
 			copy(a.dAct.Row(i), dIn.Row(i)[sd:])
 		}
 		dRaw := a.actionBackward(raw, a.dAct, clamped)
-		a.policy.ZeroGrads()
 		a.policy.BackwardParams(a.psc, dRaw)
 		a.popt.Step(a.policy)
 		a.policy.ZeroGrads()
-		a.value.ZeroGrads() // discard critic grads from the policy pass
 
 		// Lines 8–9: ρ-soft target updates.
 		a.policyT.SoftUpdateFrom(a.policy, a.cfg.Rho)

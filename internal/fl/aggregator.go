@@ -182,13 +182,12 @@ func behaviorAction(alpha []float64, beta float64) []float64 {
 // (QuarantineConfig) treats a non-finite upload as a runtime fault from
 // a diverging or malicious client, drops it from the cohort, and counts
 // it in RoundMetrics.Quarantined.
+//
+// The screen runs on the width's SIMD kernel (tensor.AllFinite or
+// tensor.AllFinite32).
 func AllFinite[T tensor.Elem](v []T) bool {
-	for _, x := range v {
-		// x-x is 0 for finite x and NaN for NaN/±Inf: one branch per
-		// element instead of two math.Is* calls.
-		if x-x != x-x {
-			return false
-		}
+	if w, ok := any(v).([]float64); ok {
+		return tensor.AllFinite(w)
 	}
-	return true
+	return tensor.AllFinite32(any(v).([]float32))
 }

@@ -86,13 +86,14 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 	return out
 }
 
-// BackwardScratch accumulates kernel/bias gradients and, with wantDX,
-// returns the input gradient, CHW-flattened per batch row. It runs both
-// backward matrix products over the whole batch at once: dW += colsᵀ·dRes
-// and dCols = dRes·Wᵀ, with dRes the (batch·ohw, OutC) transposition of
-// the incoming CHW gradient. Without wantDX it skips dCols and the
-// col2im scatter.
-func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+// BackwardScratch accumulates kernel/bias gradients under ParamGrads
+// and returns the input gradient, CHW-flattened per batch row, under
+// InputGrad. It runs both backward matrix products over the whole batch
+// at once: dW += colsᵀ·dRes and dCols = dRes·Wᵀ, with dRes the
+// (batch·ohw, OutC) transposition of the incoming CHW gradient. Without
+// ParamGrads it skips dW and leaves dB as it is; without InputGrad it
+// skips dCols and the col2im scatter.
+func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if c.lastRows == 0 {
 		panic("nn: Conv2D.BackwardScratch before ForwardScratch")
 	}
@@ -103,8 +104,8 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantD
 	ohw := c.Geom.OutH() * c.Geom.OutW()
 	patch := c.Geom.InC * c.Geom.K * c.Geom.K
 	outC := c.OutC
+	params := want&ParamGrads != 0
 	dRes := sc.tensor2D(id, 4, batch*ohw, outC)
-	dWtmp := sc.tensor2D(id, 5, patch, outC)
 	// Transpose the gradient into dRes and sum dB on the way: dB[ch]
 	// adds its rows of dRes in ascending order.
 	dB := c.dB.Data[:outC]
@@ -117,13 +118,18 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantD
 				blk[p*outC+ch] = v
 				sum += v
 			}
-			dB[ch] = sum
+			if params {
+				dB[ch] = sum
+			}
 		}
 	}
-	// dW += colsᵀ · dRes over the whole batch in one product.
-	tensor.MatMulATInto(dWtmp, c.lastCols, dRes)
-	c.dW.AddInPlace(dWtmp)
-	if !wantDX {
+	if params {
+		// dW += colsᵀ · dRes over the whole batch in one product.
+		dWtmp := sc.tensor2D(id, 5, patch, outC)
+		tensor.MatMulATInto(dWtmp, c.lastCols, dRes)
+		c.dW.AddInPlace(dWtmp)
+	}
+	if want&InputGrad == 0 {
 		return nil
 	}
 	// dCols = dRes · Wᵀ, then scatter every sample back to its image.
@@ -248,15 +254,15 @@ func b2i(b bool) int {
 }
 
 // BackwardScratch routes gradients to the argmax positions. The pool
-// has no parameters, so without wantDX it does nothing.
-func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+// has no parameters, so without InputGrad it does nothing.
+func (m *MaxPool2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if m.lastDim == 0 {
 		panic("nn: MaxPool2D.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != m.lastDim || grad.Cols() != m.OutLen() {
 		panic(fmt.Sprintf("nn: MaxPool2D.BackwardScratch grad shape %v", grad.Shape))
 	}
-	if !wantDX {
+	if want&InputGrad == 0 {
 		return nil
 	}
 	batch := grad.Rows()

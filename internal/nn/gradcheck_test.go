@@ -62,11 +62,11 @@ func (l *Tanh) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 }
 
 // BackwardScratch multiplies by 1 - tanh² of the input.
-func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+func (l *Tanh) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if l.lastY == nil || len(l.lastY.Data) != len(grad.Data) {
 		panic("nn: Tanh.BackwardScratch shape mismatch with ForwardScratch")
 	}
-	if !wantDX {
+	if want&InputGrad == 0 {
 		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())

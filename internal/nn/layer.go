@@ -31,17 +31,28 @@ type Layer interface {
 	// the next activation. train reports whether the pass is part of
 	// training; no layer reads it.
 	ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool) *tensor.Tensor
-	// BackwardScratch consumes dLoss/dOutput of the last forward pass
-	// and accumulates parameter gradients (retrieved via Grads, cleared
-	// via Network.ZeroGrads). With wantDX it returns dLoss/dInput;
-	// without, it computes no input gradient, draws no slot for one and
-	// returns nil.
-	BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor
+	// BackwardScratch consumes dLoss/dOutput of the last forward pass.
+	// With ParamGrads in want it accumulates the parameter gradients
+	// (retrieved via Grads, cleared via Network.ZeroGrads); without, it
+	// computes none and leaves them as they are. With InputGrad it
+	// returns dLoss/dInput; without, it computes no input gradient,
+	// draws no slot for one and returns nil.
+	BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor
 	// Params returns the layer's parameter tensors (possibly empty).
 	Params() []*tensor.Tensor
 	// Grads returns the gradient tensors, aligned with Params.
 	Grads() []*tensor.Tensor
 }
+
+// Backprop selects what a layer's backward pass computes.
+type Backprop uint8
+
+const (
+	// ParamGrads accumulates the layer's parameter gradients.
+	ParamGrads Backprop = 1 << iota
+	// InputGrad returns the gradient with respect to the layer's input.
+	InputGrad
+)
 
 // Dense is a fully connected layer: y = x·W + b.
 type Dense struct {
@@ -87,22 +98,24 @@ func (d *Dense) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool
 	return out
 }
 
-// BackwardScratch accumulates dW = xᵀ·g, dB = Σ_batch g and, with
-// wantDX, returns dx = g·Wᵀ.
-func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+// BackwardScratch accumulates dW += xᵀ·g and dB += Σ_batch g under
+// ParamGrads, and returns dx = g·Wᵀ under InputGrad.
+func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.BackwardScratch before ForwardScratch")
 	}
 	if grad.Rows() != d.lastX.Rows() || grad.Cols() != d.Out {
 		panic(fmt.Sprintf("nn: Dense.BackwardScratch grad shape %v", grad.Shape))
 	}
-	dW := sc.tensor2D(id, 1, d.In, d.Out)
-	tensor.MatMulATInto(dW, d.lastX, grad)
-	d.dW.AddInPlace(dW)
-	for i := 0; i < grad.Rows(); i++ {
-		tensor.Add(grad.Row(i), d.dB.Data)
+	if want&ParamGrads != 0 {
+		dW := sc.tensor2D(id, 1, d.In, d.Out)
+		tensor.MatMulATInto(dW, d.lastX, grad)
+		d.dW.AddInPlace(dW)
+		for i := 0; i < grad.Rows(); i++ {
+			tensor.Add(grad.Row(i), d.dB.Data)
+		}
 	}
-	if !wantDX {
+	if want&InputGrad == 0 {
 		return nil
 	}
 	dx := sc.tensor2D(id, 2, grad.Rows(), d.In)
@@ -134,11 +147,11 @@ func (l *ReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train bool)
 }
 
 // BackwardScratch zeroes gradients where the input was non-positive.
-func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+func (l *ReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: ReLU.BackwardScratch shape mismatch with ForwardScratch")
 	}
-	if !wantDX {
+	if want&InputGrad == 0 {
 		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())
@@ -178,11 +191,11 @@ func (l *LeakyReLU) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train 
 
 // BackwardScratch scales gradients by alpha where the input was
 // negative.
-func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+func (l *LeakyReLU) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want Backprop) *tensor.Tensor {
 	if l.lastX == nil || len(l.lastX.Data) != len(grad.Data) {
 		panic("nn: LeakyReLU.BackwardScratch shape mismatch with ForwardScratch")
 	}
-	if !wantDX {
+	if want&InputGrad == 0 {
 		return nil
 	}
 	out := sc.tensor2D(id, 1, grad.Rows(), grad.Cols())

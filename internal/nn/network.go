@@ -43,23 +43,37 @@ func (n *Network) ForwardScratch(sc *Scratch, x *tensor.Tensor, train bool) *ten
 }
 
 // BackwardScratch runs all layers in reverse, drawing gradient buffers
-// from the arena, and returns the input gradient.
+// from the arena, accumulates every parameter gradient and returns the
+// input gradient.
 func (n *Network) BackwardScratch(sc *Scratch, grad *tensor.Tensor) *tensor.Tensor {
-	return n.backward(sc, grad, true)
+	return n.backward(sc, grad, ParamGrads|InputGrad, ParamGrads|InputGrad)
 }
 
 // BackwardParams is BackwardScratch for a caller that reads only the
 // parameter gradients: layer 0 computes no input gradient. Every
 // gradient it does compute is bit-identical to BackwardScratch's.
 func (n *Network) BackwardParams(sc *Scratch, grad *tensor.Tensor) {
-	n.backward(sc, grad, false)
+	n.backward(sc, grad, ParamGrads|InputGrad, ParamGrads)
 }
 
-// backward runs all layers in reverse; wantDX is passed to layer 0
-// only, since every later layer's input gradient feeds the one below.
-func (n *Network) backward(sc *Scratch, grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+// BackwardInput is BackwardScratch for a caller that reads only the
+// input gradient: no layer computes or accumulates a parameter
+// gradient, so Grads keep their values. The input gradient is
+// bit-identical to BackwardScratch's.
+func (n *Network) BackwardInput(sc *Scratch, grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(sc, grad, InputGrad, InputGrad)
+}
+
+// backward runs all layers in reverse, layer 0 with want0 and every
+// other layer with want: each later layer's input gradient feeds the
+// one below, so only layer 0's is the caller's to drop.
+func (n *Network) backward(sc *Scratch, grad *tensor.Tensor, want, want0 Backprop) *tensor.Tensor {
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].BackwardScratch(sc, i, grad, wantDX || i > 0)
+		w := want
+		if i == 0 {
+			w = want0
+		}
+		grad = n.layers[i].BackwardScratch(sc, i, grad, w)
 	}
 	return grad
 }
@@ -154,9 +168,10 @@ func (n *Network) SoftUpdateFrom(src *Network, rho float64) {
 		if p.Len() != s.Len() {
 			panic("nn: SoftUpdateFrom parameter shape mismatch")
 		}
-		for j := range p.Data {
-			p.Data[j] = (1-rho)*p.Data[j] + rho*s.Data[j]
-		}
+		// (1−rho)·θ_n then + rho·θ_src: the roundings of the scalar
+		// (1-rho)*p + rho*s, on the SIMD kernels.
+		tensor.Scale(1-rho, p.Data)
+		tensor.Axpy(rho, s.Data, p.Data)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestDensePanics(t *testing.T) {
 				t.Fatal("Backward before Forward did not panic")
 			}
 		}()
-		NewDense(r, 3, 2).BackwardScratch(nil, 0, tensor.New(1, 2), true)
+		NewDense(r, 3, 2).BackwardScratch(nil, 0, tensor.New(1, 2), ParamGrads|InputGrad)
 	}()
 }
 
@@ -104,7 +104,7 @@ func TestMaxPoolKnown(t *testing.T) {
 	}
 	// Gradient routes only to argmax positions.
 	g := tensor.FromSlice([]float64{1, 1, 1, 1}, 1, 4)
-	dx := p.BackwardScratch(nil, 0, g, true)
+	dx := p.BackwardScratch(nil, 0, g, InputGrad)
 	sum := 0.0
 	for _, v := range dx.Data {
 		sum += v
@@ -143,7 +143,7 @@ func TestMaxPoolNonFinite(t *testing.T) {
 	if !math.IsNaN(y.Data[0]) || !math.IsNaN(y.Data[1]) || !math.IsNaN(y.Data[2]) || y.Data[3] != ninf {
 		t.Fatalf("maxpool = %v, want [NaN NaN NaN -Inf]", y.Data)
 	}
-	dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4), true)
+	dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4), InputGrad)
 	want := make([]float64, 16)
 	want[0], want[3], want[13], want[10] = 1, 2, 3, 4
 	for i := range want {
@@ -198,7 +198,7 @@ func TestMaxPoolTiesAndOverlap(t *testing.T) {
 	t.Run("equal", func(t *testing.T) {
 		p := NewMaxPool2D(1, 2, 2, 2, 2)
 		p.ForwardScratch(nil, 0, tensor.FromSlice([]float64{3, 3, 3, 3}, 1, 4), true)
-		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1), true)
+		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1), InputGrad)
 		if want := []float64{1, 0, 0, 0}; !slices.Equal(dx.Data, want) {
 			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
 		}
@@ -210,7 +210,7 @@ func TestMaxPoolTiesAndOverlap(t *testing.T) {
 		if got := math.Float64bits(y.Data[0]); got != math.Float64bits(negZero) {
 			t.Fatalf("pool of (−0, +0, …) = %#x, want −0", got)
 		}
-		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1), true)
+		dx := p.BackwardScratch(nil, 0, tensor.FromSlice([]float64{1}, 1, 1), InputGrad)
 		if want := []float64{1, 0, 0, 0}; !slices.Equal(dx.Data, want) {
 			t.Fatalf("pool backward = %v, want %v", dx.Data, want)
 		}
@@ -234,7 +234,7 @@ func TestMaxPoolTiesAndOverlap(t *testing.T) {
 				g.Data[i] = r.Normal(0, 1)
 			}
 			y := p.ForwardScratch(nil, 0, x, true)
-			dx := p.BackwardScratch(nil, 0, g, true)
+			dx := p.BackwardScratch(nil, 0, g, InputGrad)
 			for i := 0; i < batch; i++ {
 				wantY, wantAM := refMaxPool(p, x.Row(i))
 				wantDX := make([]float64, p.InLen())

@@ -85,7 +85,9 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step applies one Adam update to the network's parameters.
+// Step applies one Adam update to the network's parameters, one
+// tensor.AdamUpdate per parameter tensor. The clipping norm's sum of
+// squares runs in one sequential chain over every gradient.
 func (o *Adam) Step(n *Network) {
 	params, grads := n.Params(), n.Grads()
 	if o.m == nil {
@@ -110,18 +112,15 @@ func (o *Adam) Step(n *Network) {
 		}
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := tensor.AdamCoeffs{
+		Scale: scale,
+		Beta1: o.Beta1, OneMinusBeta1: 1 - o.Beta1,
+		Beta2: o.Beta2, OneMinusBeta2: 1 - o.Beta2,
+		BC1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		BC2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		LR:  o.LR, Eps: o.Epsilon,
+	}
 	for i, p := range params {
-		g := grads[i]
-		mi, vi := o.m[i], o.v[i]
-		for j := range p.Data {
-			gj := g.Data[j] * scale
-			mi[j] = o.Beta1*mi[j] + (1-o.Beta1)*gj
-			vi[j] = o.Beta2*vi[j] + (1-o.Beta2)*gj*gj
-			mHat := mi[j] / bc1
-			vHat := vi[j] / bc2
-			p.Data[j] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
-		}
+		tensor.AdamUpdate(p.Data, grads[i].Data, o.m[i], o.v[i], c)
 	}
 }
