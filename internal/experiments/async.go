@@ -54,11 +54,12 @@ const asyncStaleDecay = 0.5
 
 // asyncThreshold is the "+stale" cells' aggregation cohort size: a
 // sub-K threshold makes updates genuinely straddle server versions, but
-// at least 2 so tiny CI scales still merge more than one update. With a
-// drop-free trace every aggregation folds exactly this many updates —
-// which is also why the FedDRL agent of a "+stale" cell must be sized
-// to the threshold, not K.
-func asyncThreshold(k int) int { return max(2, k/2) }
+// at least 2 so tiny CI scales still merge more than one update, and at
+// most K, the updates one round dispatches, so a K=1 cell folds every
+// update instead of waiting on a second. With a drop-free trace every
+// aggregation folds exactly this many updates — which is also why the
+// FedDRL agent of a "+stale" cell must be sized to the threshold, not K.
+func asyncThreshold(k int) int { return min(k, max(2, k/2)) }
 
 // asyncConfigFor maps an async mode to its engine configuration. The
 // degenerate mode keeps the zero values: InstantArrivals, decay 1,

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"feddrl/internal/fl"
 )
 
 // TestAsyncSyncMicro renders the async-vs-sync grid at micro scale and
@@ -46,5 +48,32 @@ func TestAsyncVariantParsing(t *testing.T) {
 		if base != c.base || mode != c.mode {
 			t.Fatalf("asyncVariant(%q) = (%q, %q), want (%q, %q)", c.in, base, mode, c.base, c.mode)
 		}
+	}
+}
+
+// TestStaleFedDRLAtKOne runs a "+stale" FedDRL cell whose K is 1. Each
+// round dispatches one update, so the merge threshold, and the agent
+// sized to it, must be 1: then every fold is a full cohort and the
+// agent buffers an experience from the second fold on. A threshold of
+// 2 makes every fold a short cohort merged by FedAvg, and the agent
+// never acts.
+func TestStaleFedDRLAtKOne(t *testing.T) {
+	s := gridScale()
+	s.Rounds = 5
+	cell := CellSpec{Dataset: "mnist-sim", Partition: "CE", Method: "FedDRL+stale", N: 12, K: 1, Delta: 0.6, Seed: 1}
+	var drl *fl.FedDRL
+	res, err := runCell(s, cell, nil, func(f *fl.FedDRL) { drl = f })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K != 1 {
+		t.Fatalf("run selected K=%d, want 1", res.K)
+	}
+	if k := drl.Agent.Config().K; k != 1 {
+		t.Fatalf("agent sized for cohorts of %d updates, want 1", k)
+	}
+	t.Logf("rounds %d buffered %d", len(res.Rounds), drl.Agent.Buffer.Len())
+	if n := drl.Agent.Buffer.Len(); n == 0 {
+		t.Fatal("agent buffered no experience: every fold was a short cohort")
 	}
 }
