@@ -118,6 +118,14 @@ var hashedScaleFields = []string{
 	"EvalEvery",
 }
 
+// hashedScale returns the scale's cache-key fields, framed once so a
+// pass keys every cell without reflecting over the scale again.
+func hashedScale(s Scale) *serialize.Hasher {
+	h := serialize.NewHasher()
+	hashScale(h, s)
+	return h
+}
+
 // hashScale folds the code-relevant Scale fields into h, in the fixed
 // hashedScaleFields order.
 func hashScale(h *serialize.Hasher, s Scale) {
@@ -149,13 +157,13 @@ func hashScale(h *serialize.Hasher, s Scale) {
 }
 
 // cellAddress returns the content address of one cell: a stable hash of
-// the cache schema version, the cell spec and the code-relevant scale
-// configuration.
-func cellAddress(s Scale, spec CellSpec) string {
+// the cache schema version, the cell's key (CellSpec.Key) and the
+// code-relevant scale configuration (hashedScale).
+func cellAddress(scale *serialize.Hasher, key string) string {
 	h := serialize.NewHasher()
 	h.Int(serialize.CacheSchema)
-	h.String(spec.Key())
-	hashScale(h, s)
+	h.String(key)
+	h.Fields(scale)
 	return h.Sum()
 }
 
@@ -164,20 +172,21 @@ func (c *Cache) path(address string) string {
 	return filepath.Join(c.dir, address+cellFileExt)
 }
 
-// load looks a cell up, returning (artifact, true) on a hit. Any
-// failure — absent file, corrupt record, stale schema, key mismatch —
-// counts as a miss and returns false.
-func (c *Cache) load(s Scale, spec CellSpec) (*CellArtifact, bool) {
+// load looks a cell up by its spec and the spec's key under the scale's
+// hashed fields, returning (artifact, true) on a hit. Any failure —
+// absent file, corrupt record, stale schema, key mismatch — counts as a
+// miss and returns false.
+func (c *Cache) load(scale *serialize.Hasher, spec CellSpec, key string) (*CellArtifact, bool) {
 	if c == nil {
 		return nil, false
 	}
-	path := c.path(cellAddress(s, spec))
+	path := c.path(cellAddress(scale, key))
 	ck, err := serialize.LoadFile(path)
 	if err != nil {
 		c.miss(!errors.Is(err, os.ErrNotExist))
 		return nil, false
 	}
-	a, err := cellFromRecord(ck, spec)
+	a, err := cellFromRecord(ck, spec, key)
 	if err != nil {
 		c.miss(true)
 		return nil, false
@@ -204,11 +213,11 @@ func (c *Cache) miss(rejected bool) {
 // directory — never observes a half-written record. Write failures are
 // non-fatal: the run already holds the artifact in memory, so the cache
 // only loses a future hit.
-func (c *Cache) store(s Scale, spec CellSpec, a *CellArtifact) {
+func (c *Cache) store(scale *serialize.Hasher, key string, a *CellArtifact) {
 	if c == nil || c.readonly {
 		return
 	}
-	err := c.write(c.path(cellAddress(s, spec)), cellRecord(spec, a))
+	err := c.write(c.path(cellAddress(scale, key)), cellRecord(key, a))
 	c.mu.Lock()
 	if err != nil {
 		c.stats.WriteErrs++
@@ -241,29 +250,30 @@ func (c *Cache) write(path string, ck *serialize.Checkpoint) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// cellRecord encodes one artifact as a versioned cache record, payload
-// checksum included. The vector codec is shared with artifact-set
-// files (cellVectorsInto), so the two formats stay in lockstep.
-func cellRecord(spec CellSpec, a *CellArtifact) *serialize.Checkpoint {
+// cellRecord encodes one artifact, keyed by its spec's Key, as a
+// versioned cache record, payload checksum included. The vector codec
+// is shared with artifact-set files (cellVectorsInto), so the two
+// formats stay in lockstep.
+func cellRecord(key string, a *CellArtifact) *serialize.Checkpoint {
 	ck := serialize.NewCacheRecord(cellRecordKind)
-	ck.Meta["key"] = spec.Key()
+	ck.Meta["key"] = key
 	cellVectorsInto(ck, "", a)
 	ck.Meta["payload"] = cellPayloadSum(ck, "")
 	return ck
 }
 
 // cellFromRecord validates and decodes a cache record for the expected
-// spec. The stored key must match the spec exactly: the content address
+// spec, whose Key is key. The stored key must match it exactly: the content address
 // already encodes it, so a mismatch means a hash collision, a renamed
 // file or tampering. The payload checksum must match the decoded
 // series: the checkpoint framing carries no checksum of its own, so
 // this is what catches bit rot inside vector data. Either failure is
 // treated as a miss.
-func cellFromRecord(ck *serialize.Checkpoint, spec CellSpec) (*CellArtifact, error) {
+func cellFromRecord(ck *serialize.Checkpoint, spec CellSpec, key string) (*CellArtifact, error) {
 	if err := serialize.ValidateCacheRecord(ck, cellRecordKind); err != nil {
 		return nil, err
 	}
-	if got, want := ck.Meta["key"], spec.Key(); got != want {
+	if got, want := ck.Meta["key"], key; got != want {
 		return nil, fmt.Errorf("experiments: cache record is for cell %q, want %q", got, want)
 	}
 	if got, want := cellPayloadSum(ck, ""), ck.Meta["payload"]; got != want {

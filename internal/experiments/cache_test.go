@@ -287,13 +287,19 @@ func TestOpenCacheValidation(t *testing.T) {
 	}
 	// Nil cache is a valid no-op handle.
 	var nilCache *Cache
-	if _, ok := nilCache.load(gridScale(), CellSpec{}); ok {
+	if _, ok := nilCache.load(hashedScale(gridScale()), CellSpec{}, ""); ok {
 		t.Fatal("nil cache reported a hit")
 	}
-	nilCache.store(gridScale(), CellSpec{}, &CellArtifact{})
+	nilCache.store(hashedScale(gridScale()), "", &CellArtifact{})
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil cache stats %+v", st)
 	}
+}
+
+// addressOf is a cell's content address under scale s, keyed as a pass
+// keys it.
+func addressOf(s Scale, spec CellSpec) string {
+	return cellAddress(hashedScale(s), spec.Key())
 }
 
 // TestCacheKeySensitivity pins the content address to the fields that
@@ -303,17 +309,17 @@ func TestOpenCacheValidation(t *testing.T) {
 func TestCacheKeySensitivity(t *testing.T) {
 	s := gridScale()
 	spec := table3Spec(s, s.datasets()[2].Name, "CE", "FedAvg", s.SmallN, 1)
-	base := cellAddress(s, spec)
+	base := addressOf(s, spec)
 
 	other := spec
 	other.Seed++
-	if cellAddress(s, other) == base {
+	if addressOf(s, other) == base {
 		t.Fatal("address ignores the cell seed")
 	}
 
 	attacked := spec
 	attacked.Attack, attacked.AttackFrac, attacked.Merger = "signflip", 0.2, "median"
-	if cellAddress(s, attacked) == base {
+	if addressOf(s, attacked) == base {
 		t.Fatal("address ignores the cell's attack fields")
 	}
 
@@ -341,7 +347,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	for name, mut := range mutate {
 		changed := s
 		mut(&changed)
-		if cellAddress(changed, spec) == base {
+		if addressOf(changed, spec) == base {
 			t.Fatalf("address ignores scale field %s", name)
 		}
 	}
@@ -357,7 +363,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	for name, mut := range same {
 		changed := s
 		mut(&changed)
-		if cellAddress(changed, spec) != base {
+		if addressOf(changed, spec) != base {
 			t.Fatalf("address depends on excluded scale field %s", name)
 		}
 	}
@@ -387,7 +393,7 @@ func TestCellAddressPinned(t *testing.T) {
 		{"f32 scale", f32, benign, "93d30111bb86b64fef10d4cf2504582fd0aa47f89ed3cff0f02fdcd44d025479"},
 		{"attacked scale", byz, benign, "6bc8bb6be23cc020f0c66ef983aaf9d42413a7e5579cc72afa10f984654edb93"},
 	} {
-		if got := cellAddress(c.s, c.spec); got != c.want {
+		if got := addressOf(c.s, c.spec); got != c.want {
 			t.Errorf("%s: cellAddress = %s, want %s", c.name, got, c.want)
 		}
 	}

@@ -65,11 +65,12 @@ func gcValidate(path string) error {
 	if err := serialize.ValidateCacheRecord(ck, cellRecordKind); err != nil {
 		return err
 	}
-	spec, err := ParseCellKey(ck.Meta["key"])
+	key := ck.Meta["key"]
+	spec, err := ParseCellKey(key)
 	if err != nil {
-		return fmt.Errorf("experiments: cache record key %q: %w", ck.Meta["key"], err)
+		return fmt.Errorf("experiments: cache record key %q: %w", key, err)
 	}
-	_, err = cellFromRecord(ck, spec)
+	_, err = cellFromRecord(ck, spec, key)
 	return err
 }
 

@@ -171,6 +171,9 @@ func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)
 // Cached and computed cells are bit-exact, so cached and uncached runs
 // render byte-identical output.
 func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
+	// The scale's key fields and each job's Key are computed once and
+	// passed to every cache lookup and write-back.
+	scale := hashedScale(s)
 	var misses []CellSpec
 	var missKeys []string
 	for _, j := range jobs {
@@ -180,7 +183,7 @@ func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 		}
 		// A miss holds its place in the job order as a nil entry until
 		// it is computed.
-		a, _ := cache.load(s, j)
+		a, _ := cache.load(scale, j, key)
 		as.Cells[key] = a
 		as.order = append(as.order, key)
 		if a == nil {
@@ -208,7 +211,7 @@ func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 		// interrupted shards could never resume. Concurrent stores are
 		// safe — each record is its own temp file + rename, and the stats
 		// counters are mutex-guarded.
-		cache.store(s, j, results[i])
+		cache.store(scale, missKeys[i], results[i])
 	})
 	for i, key := range missKeys {
 		as.Cells[key] = results[i]

@@ -13,8 +13,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
 	"math"
 	"strconv"
 )
@@ -50,29 +48,28 @@ var ErrStaleSchema = errors.New("serialize: cache record schema is stale")
 // variable-length values carry a length prefix, so distinct field
 // sequences cannot collide by concatenation ("ab","c" vs "a","bc") and
 // the digest is identical across platforms (explicit little-endian,
-// no map iteration anywhere).
+// no map iteration anywhere). The framed fields are kept until Sum, so
+// one hasher's fields can be written into many others (Fields).
 type Hasher struct {
-	h hash.Hash
+	buf []byte
 }
 
 // NewHasher returns an empty SHA-256-backed hasher.
-func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+func NewHasher() *Hasher { return &Hasher{} }
 
 func (hs *Hasher) tag(t byte) {
-	hs.h.Write([]byte{t})
+	hs.buf = append(hs.buf, t)
 }
 
 func (hs *Hasher) word(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	hs.h.Write(b[:])
+	hs.buf = binary.LittleEndian.AppendUint64(hs.buf, v)
 }
 
 // String writes a length-prefixed string field.
 func (hs *Hasher) String(s string) {
 	hs.tag('s')
 	hs.word(uint64(len(s)))
-	io.WriteString(hs.h, s)
+	hs.buf = append(hs.buf, s...)
 }
 
 // Int writes an integer field.
@@ -108,10 +105,17 @@ func (hs *Hasher) Floats(v []float64) {
 	}
 }
 
+// Fields writes every field written to src so far, in order: the
+// digest is the one writing those fields here one by one would give.
+func (hs *Hasher) Fields(src *Hasher) {
+	hs.buf = append(hs.buf, src.buf...)
+}
+
 // Sum returns the hex digest of everything written so far. The hasher
 // remains usable; further writes extend the same stream.
 func (hs *Hasher) Sum() string {
-	return hex.EncodeToString(hs.h.Sum(nil))
+	d := sha256.Sum256(hs.buf)
+	return hex.EncodeToString(d[:])
 }
 
 // NewCacheRecord returns a checkpoint pre-stamped as a cache record of
