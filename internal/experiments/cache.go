@@ -118,17 +118,12 @@ var hashedScaleFields = []string{
 	"EvalEvery",
 }
 
-// hashedScale returns the scale's cache-key fields, framed once so a
-// pass keys every cell without reflecting over the scale again.
+// hashedScale returns the code-relevant Scale fields framed for hashing,
+// in the fixed hashedScaleFields order. A pass computes it once and
+// keys every cell with it (cellAddress), so no cell reflects over the
+// scale.
 func hashedScale(s Scale) *serialize.Hasher {
 	h := serialize.NewHasher()
-	hashScale(h, s)
-	return h
-}
-
-// hashScale folds the code-relevant Scale fields into h, in the fixed
-// hashedScaleFields order.
-func hashScale(h *serialize.Hasher, s Scale) {
 	v := reflect.ValueOf(s)
 	for _, name := range hashedScaleFields {
 		f := v.FieldByName(name)
@@ -154,6 +149,7 @@ func hashScale(h *serialize.Hasher, s Scale) {
 		h.Float64(s.AttackFrac)
 		h.String(s.Merger)
 	}
+	return h
 }
 
 // cellAddress returns the content address of one cell: a stable hash of

@@ -409,7 +409,7 @@ var excludedScaleFields = []string{
 }
 
 // conditionallyHashedScaleFields are hashed only when any of them is
-// non-zero (see hashScale): the scale-level Byzantine knobs change what
+// non-zero (see hashedScale): the scale-level Byzantine knobs change what
 // a cell computes, but their zero values must contribute nothing so
 // every cache address minted before the knobs existed stays valid.
 var conditionallyHashedScaleFields = []string{
@@ -448,8 +448,7 @@ func TestCacheKeyCoversScale(t *testing.T) {
 	}
 	// And hashing must actually consume every hashed field without
 	// panicking on its kind.
-	h := serialize.NewHasher()
-	hashScale(h, CI())
+	hashedScale(CI())
 }
 
 // TestCacheShardResume is the kill-and-resume workflow: after one shard

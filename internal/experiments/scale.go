@@ -79,7 +79,7 @@ type Scale struct {
 	// its own attack fields zero (the -attack/-merger CLI flags set
 	// these). The zero values are the benign default and contribute
 	// nothing to cache addresses; non-zero values are folded in
-	// conditionally (see hashScale).
+	// conditionally (see hashedScale).
 	Attack     string
 	AttackFrac float64
 	Merger     string
