@@ -100,10 +100,12 @@ func (o *Adam) Step(n *Network) {
 	}
 	scale := 1.0
 	if o.MaxGradNorm > 0 {
+		// One sequential chain; float64(v*v) rounds the square before
+		// the add, so no GOARCH fuses the pair (tensor's E(a*b) idiom).
 		sq := 0.0
 		for _, g := range grads {
 			for _, v := range g.Data {
-				sq += v * v
+				sq += float64(v * v)
 			}
 		}
 		norm := math.Sqrt(sq)
