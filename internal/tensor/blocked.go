@@ -27,6 +27,15 @@ package tensor
 //     19.2–19.9 and 20.3–21.2 packed (3 runs each). The portable
 //     micro4x4G tier, NEON and the float32 GEMM (blocked32.go) always
 //     pack.
+//   - Edge tiles: on the amd64 SIMD tiers a partial tile also runs the
+//     full micro-kernel (edgeTileSIMD), as BLIS runs its edge cases.
+//     Along an operand read in place the tile shifts back inside its
+//     stripe or product and recomputes the overlap; along a packed
+//     panel it computes through a stack tile over the panel's padding
+//     and copies out the valid corner. Only a stripe or product
+//     narrower than one tile takes the scalar microEdgeG there, as
+//     every edge tile does on the other tiers. So a 60-row agent batch,
+//     whose last 4 rows form edge tiles, costs about what 64 rows do.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -36,7 +45,9 @@ package tensor
 // Determinism contract: every output element accumulates its reduction
 // terms in ascending k order into a single accumulator chain — k panels
 // are visited in ascending order and the micro-kernel walks a panel in
-// ascending k — which is exactly the naive triple loop's order. The
+// ascending k — which is exactly the naive triple loop's order. An edge
+// tile recomputed by a shifted full tile repeats that chain, and the
+// padding a stack tile reads reaches only discarded elements. The
 // store/reload of the output tile between panels is exact, so blocked
 // results are bit-identical to the naive kernels on every backend
 // (test-enforced across tile-straddling shapes, and gated in
@@ -54,8 +65,9 @@ package tensor
 // Parallelism: output rows are cut into fixed stripeRows stripes and
 // fanned out with ForWorker on the installed Parallel hook (SetParallel).
 // Stripe geometry never depends on the worker count and every element
-// is produced by exactly one stripe, so results are bit-identical at
-// any pool width, including no pool at all.
+// is produced by exactly one stripe (a shifted edge tile stays inside
+// its stripe), so results are bit-identical at any pool width,
+// including no pool at all.
 
 const (
 	// kcBlock is the reduction-panel length; one packed B tile column

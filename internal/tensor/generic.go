@@ -28,7 +28,7 @@ const (
 	// edgeMR × edgeNR bounds the register tile across every backend and
 	// element width (the f64 avx512 kernel's 8×8 is the largest);
 	// microEdgeG sizes its accumulator array with it and zeroes the
-	// whole array on every edge tile.
+	// whole array on every edge tile, and edgeTileSIMD its stack tile.
 	edgeMR = 8
 	edgeNR = 8
 )
@@ -91,8 +91,9 @@ func gemmNaiveG[E Elem](dd, ad []E, aR, aC int, bd []E, bR, bC int, v gemmVarian
 // packBG packs the reduction panel [p0, p0+kc) of op(b) into nr-wide
 // column tiles: bp[tile*kc*nr + p*nr + c] = op(b)[p0+p][tile*nr+c].
 // b is bR×bC physically. Slots of a partial edge tile are left
-// unwritten; only microEdgeG reads that tile and it stays within the
-// valid columns.
+// unwritten: microEdgeG stays within the valid columns, and the amd64
+// SIMD tiers' stack tile (edgeTileSIMD) reads the stale slots only into
+// elements it discards.
 func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
 	switch v {
 	case gemmBT:
@@ -130,7 +131,8 @@ func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
 // packAG packs rows [i0, i0+ib) of op(a) over the reduction panel
 // [p0, p0+kc) into mr-tall row tiles:
 // ap[tile*kc*mr + p*mr + r] = op(a)[tile*mr+r][p0+p].
-// a is aR×aC physically.
+// a is aR×aC physically. As in packBG, a partial tile's padding slots
+// are left unwritten.
 func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr int) {
 	switch v {
 	case gemmAT:

@@ -127,7 +127,16 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # for the SIMD elementwise kernels and the robust merge's
 # compare-exchange and zero/NaN lane screen (NaN payloads, ±0, ±Inf and
 # subnormals; 1 to 17 rows at strides wider than the lane count), and
-# im2col/col2im must match the element-at-a-time loops. Every GEMM entry point, at both widths, must
+# im2col/col2im must match the element-at-a-time loops. A row stripe of
+# the blocked GEMM must write only its own rows (the amd64 SIMD tiers
+# shift an edge tile back inside it). The Adam kernel must match the
+# scalar Adam loop over five steps with clipped gradients and special
+# values (NaN payloads aside), and the finiteness screen must fail on
+# one non-finite value at any position of 1 to 40 elements, at both
+# widths. In internal/nn, Adam.Step and the soft target update must
+# match their former scalar loops on every backend, and the input-only
+# backward pass must return BackwardScratch's input gradient bit for
+# bit and leave every parameter gradient zero. Every GEMM entry point, at both widths, must
 # panic before any kernel runs when an operand's Data is shorter than
 # its shape, since the kernels hand raw pointers to assembly. A warm arena-backed train step (dense and
 # conv stacks, with BackwardScratch and with BackwardParams) must
@@ -137,13 +146,14 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # CNN, VGG stand-in, the agent's policy and value MLPs) must train to
 # the digests pinned in internal/nn/digest_test.go, through an arena
 # with either backward and without an arena.
-go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics' ./internal/tensor/
-go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap' ./internal/nn/
+go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
+go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap|TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
 # kernels stand alone (and that the override is honored end to end).
-TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch' ./internal/nn/
 
 # Float32 kernel gates: the f32 GEMM (the portable 4×4 tile on every
 # backend; no run reaches it), Axpy32 (the f32 weighted merge's kernel,
