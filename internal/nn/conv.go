@@ -106,8 +106,8 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want 
 	outC := c.OutC
 	params := want&ParamGrads != 0
 	dRes := sc.tensor2D(id, 4, batch*ohw, outC)
-	// Transpose the gradient into dRes and sum dB on the way: dB[ch]
-	// adds its rows of dRes in ascending order.
+	// Transpose the gradient into dRes and, under ParamGrads, sum dB on
+	// the way: dB[ch] adds its rows of dRes in ascending order.
 	dB := c.dB.Data[:outC]
 	for i := 0; i < batch; i++ {
 		gRow := grad.Row(i)
