@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,6 +104,27 @@ func TestTablesShardMergeRoundTrip(t *testing.T) {
 	if body(merged.String()) != body(full.String()) {
 		t.Fatalf("merged body differs from unsharded run:\n--- unsharded ---\n%s\n--- merged ---\n%s",
 			full.String(), merged.String())
+	}
+
+	// A shard whose series lost a bit on disk is refused, naming the
+	// file, instead of rendering a wrong number.
+	path := filepath.Join(dir, "s1.art")
+	ck, err := feddrl.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := ck.Vectors["c000000.acc"]
+	acc[len(acc)-1] = math.Float64frombits(math.Float64bits(acc[len(acc)-1]) ^ 1<<50)
+	if err := ck.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	merged.Reset()
+	errOut.Reset()
+	if code := run([]string{"-merge", dir}, &merged, &errOut); code != 2 {
+		t.Fatalf("merge of a corrupt shard exited %d, want 2: %s", code, errOut.String())
+	}
+	if msg := errOut.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, path) {
+		t.Fatalf("merge of a corrupt shard should print one line naming %s, got %q", path, msg)
 	}
 }
 

@@ -6,64 +6,6 @@ import (
 	"testing"
 )
 
-// TestDirichletPartitionPublic exercises the related-work Dirichlet
-// partitioner through the façade.
-func TestDirichletPartitionPublic(t *testing.T) {
-	train, _ := Synthesize(MNISTSim().Scaled(0.1), 1)
-	a := DirichletPartition(train, 8, 0.5, NewRNG(2))
-	st := ComputePartitionStats(train, a)
-	if !st.Disjoint || st.Coverage != 1 {
-		t.Fatalf("Dirichlet partition invalid: %+v", st)
-	}
-}
-
-// TestSelectorsWithFedDRL combines the selection-side and
-// aggregation-side approaches — the composition §1 positions FedDRL to
-// be orthogonal to.
-func TestSelectorsWithFedDRL(t *testing.T) {
-	spec := MNISTSim().Scaled(0.1)
-	train, test := Synthesize(spec, 3)
-	assign := ClusteredEqual(train, 6, 0.5, 2, 2, NewRNG(4))
-	factory := MLPFactory(train.Dim, []int{16}, train.NumClasses)
-	for _, sel := range []Selector{
-		UniformSelector{},
-		SizeWeightedSelector{},
-		PowerOfChoiceSelector{D: 2},
-		RoundRobinSelector{},
-	} {
-		cfg := RunConfig{
-			Rounds:   3,
-			K:        4,
-			Local:    LocalConfig{Epochs: 1, Batch: 10, LR: 0.05},
-			Factory:  factory,
-			Seed:     5,
-			Selector: sel,
-		}
-		res := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 5), test, FedAvg{})
-		if len(res.Rounds) != 3 {
-			t.Fatalf("selector %s: run incomplete", sel.Name())
-		}
-	}
-}
-
-// TestCompressionPublic round-trips compressed updates through the
-// façade and checks the §5.3-adjacent payload accounting.
-func TestCompressionPublic(t *testing.T) {
-	global := make([]float64, 100)
-	w := append([]float64(nil), global...)
-	w[7] = 5
-	w[42] = -3
-	ups := []Update{{ClientID: 0, N: 10, Weights: w}}
-	deltas := CompressUpdatesOn(ups, global, 0.05, nil) // keep 5 coords
-	if deltas[0].CompressionRatio() < 5 {
-		t.Fatalf("compression ratio %v too low", deltas[0].CompressionRatio())
-	}
-	rec := DecompressUpdates(ups, deltas, global)
-	if rec[0].Weights[7] != 5 || rec[0].Weights[42] != -3 {
-		t.Fatal("dominant deltas lost in compression")
-	}
-}
-
 // TestAgentCheckpointPublic saves and restores a trained agent through
 // the façade, then verifies the restored policy is usable in a run.
 func TestAgentCheckpointPublic(t *testing.T) {

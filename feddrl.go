@@ -12,11 +12,12 @@
 //     cluster skew), ClusteredNonEqual (CN), EqualShards, NonEqualShards,
 //     and PartitionByName, which builds each by name with the paper's
 //     constants
-//   - the FL loop: NewClient/BuildClients, Run, SingleSet — and the
-//     constant-memory virtual-client path NewClientPool/RunVirtual, where
-//     clients are (seed, index-recipe) identities over zero-copy
-//     DataView shards, materialized only while selected (bit-identical
-//     to the eager path)
+//   - the FL loop: NewClient/BuildClients, Run, SingleSet, with client
+//     selection behind the Selector interface (UniformSelector, the
+//     paper's setting, by default) — and the constant-memory
+//     virtual-client path NewClientPool/RunVirtual, where clients are
+//     (seed, index-recipe) identities over zero-copy DataView shards,
+//     materialized only while selected (bit-identical to the eager path)
 //   - asynchronous rounds: RunAsync exposes the one deterministic
 //     event-driven round engine behind Run, RunVirtual and SingleSet
 //     over the same ClientPool — seeded virtual clock, pluggable
@@ -291,9 +292,6 @@ var (
 	EqualShards = partition.EqualShards
 	// NonEqualShards is the §5.1 Non-equal partitioner.
 	NonEqualShards = partition.NonEqualShards
-	// DirichletPartition is the label-distribution-imbalance partitioner
-	// standard in the related work (§2.2.1).
-	DirichletPartition = partition.Dirichlet
 	// ComputePartitionStats analyses an assignment.
 	ComputePartitionStats = partition.ComputeStats
 	// PartitionASCII renders a Figure-4 style illustration.
@@ -475,7 +473,7 @@ var (
 	RunExperimentShardCached = experiments.RunShardCached
 )
 
-// Checkpointing, communication accounting, selection and compression.
+// Checkpointing, communication accounting and client selection.
 type (
 	// Checkpoint is the binary snapshot format for models and agents.
 	Checkpoint = serialize.Checkpoint
@@ -485,35 +483,6 @@ type (
 	Selector = fl.Selector
 	// UniformSelector is the paper's uniform random participation.
 	UniformSelector = fl.UniformSelector
-	// SizeWeightedSelector samples proportionally to shard size.
-	SizeWeightedSelector = fl.SizeWeightedSelector
-	// PowerOfChoiceSelector keeps the highest-loss candidates (Cho et al.).
-	PowerOfChoiceSelector = fl.PowerOfChoiceSelector
-	// RoundRobinSelector cycles deterministically.
-	RoundRobinSelector = fl.RoundRobinSelector
-	// SparseDelta is a top-k-compressed client update (§3.5).
-	SparseDelta = fl.SparseDelta[float64]
-	// SparseDelta32 is the half-width (F32-mode) compressed update.
-	SparseDelta32 = fl.SparseDelta[float32]
-)
-
-// Sparse update compression (§3.5 compatibility).
-var (
-	// CompressTopK keeps the k largest-magnitude weight deltas.
-	CompressTopK = fl.CompressTopK[float64]
-	// CompressUpdatesOn compresses a round's updates at a keep fraction,
-	// fanned out across an engine pool's lanes (a nil pool runs inline;
-	// the result is bit-identical either way).
-	CompressUpdatesOn = fl.CompressUpdatesOn[float64]
-	// DecompressUpdates reconstructs dense updates server-side.
-	DecompressUpdates = fl.DecompressUpdates[float64]
-	// CompressTopK32 is CompressTopK over float32 vectors.
-	CompressTopK32 = fl.CompressTopK[float32]
-	// CompressUpdates32On compresses an F32-mode round's updates on an
-	// engine pool.
-	CompressUpdates32On = fl.CompressUpdatesOn[float32]
-	// DecompressUpdates32 reconstructs dense f32 updates server-side.
-	DecompressUpdates32 = fl.DecompressUpdates[float32]
 )
 
 var (

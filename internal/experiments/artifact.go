@@ -248,9 +248,29 @@ func (as *ArtifactSet) get(spec CellSpec) *CellArtifact {
 // Len returns the number of cells in the set.
 func (as *ArtifactSet) Len() int { return len(as.order) }
 
+// artifactSetSum content-hashes an encoded set as stored: its header
+// fields, then the key and series of each of its count cells. A merge
+// renders from all of them (the header's rounds set the scale), so a
+// flipped bit anywhere in them must reject the file.
+func artifactSetSum(c *serialize.Checkpoint, count int) string {
+	h := serialize.NewHasher()
+	for _, f := range []string{"experiment", "scale", "rounds", "seed", "seeds", "cells"} {
+		h.String(c.Meta[f])
+	}
+	for i := 0; i < count; i++ {
+		h.String(c.Meta[fmt.Sprintf("cell.%06d", i)])
+		prefix := fmt.Sprintf("c%06d.", i)
+		for _, suffix := range cellVectorNames {
+			h.Floats(c.Vectors[prefix+suffix])
+		}
+	}
+	return h.Sum()
+}
+
 // Checkpoint encodes the set into the repository's binary checkpoint
-// format. float64 payloads round-trip bit-exactly, which is what makes
-// the shard→merge→render path byte-identical to an unsharded run.
+// format, with a checksum over everything it decodes back. float64
+// payloads round-trip bit-exactly, which is what makes the
+// shard→merge→render path byte-identical to an unsharded run.
 func (as *ArtifactSet) Checkpoint() *serialize.Checkpoint {
 	c := serialize.NewCheckpoint()
 	c.Meta["kind"] = "experiment-artifacts"
@@ -264,10 +284,12 @@ func (as *ArtifactSet) Checkpoint() *serialize.Checkpoint {
 		c.Meta[fmt.Sprintf("cell.%06d", i)] = key
 		cellVectorsInto(c, fmt.Sprintf("c%06d.", i), as.Cells[key])
 	}
+	c.Meta["checksum"] = artifactSetSum(c, len(as.order))
 	return c
 }
 
-// ArtifactSetFromCheckpoint decodes a set written by Checkpoint.
+// ArtifactSetFromCheckpoint decodes a set written by Checkpoint. It
+// rejects a set whose checksum is missing or does not match.
 func ArtifactSetFromCheckpoint(c *serialize.Checkpoint) (*ArtifactSet, error) {
 	if c.Meta["kind"] != "experiment-artifacts" {
 		return nil, fmt.Errorf("experiments: checkpoint kind %q is not an artifact set", c.Meta["kind"])
@@ -310,6 +332,11 @@ func ArtifactSetFromCheckpoint(c *serialize.Checkpoint) (*ArtifactSet, error) {
 			return nil, err
 		}
 		as.Add(a)
+	}
+	// Checked once every cell key is known to exist, so a corrupt count
+	// fails at its first missing cell rather than hashing up to it.
+	if artifactSetSum(c, count) != c.Meta["checksum"] {
+		return nil, fmt.Errorf("experiments: artifact set checksum missing or mismatched (corrupt file, or one written before sets carried a checksum)")
 	}
 	return as, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
+	"feddrl/internal/serialize"
 )
 
 func TestCellKeyRoundTrip(t *testing.T) {
@@ -91,6 +93,41 @@ func TestArtifactSetFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.order, set.order) {
 		t.Fatalf("cell order does not round-trip: %v vs %v", got.order, set.order)
+	}
+
+	// Every single-byte flip of a two-cell set's file either fails to
+	// load or loads a set that encodes to the original bytes: the
+	// checksum covers the header and every cell's key and series.
+	if set.Len() < 2 {
+		t.Fatalf("shard has %d cells, want at least 2", set.Len())
+	}
+	two := NewArtifactSet(set.Experiment, s, set.Seed, set.Seeds)
+	two.Add(set.Cells[set.order[0]])
+	two.Add(set.Cells[set.order[1]])
+	encode := func(as *ArtifactSet) []byte {
+		var b bytes.Buffer
+		if err := as.Checkpoint().Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	orig := encode(two)
+	for pos := range orig {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			flipped := bytes.Clone(orig)
+			flipped[pos] ^= mask
+			c, err := serialize.Read(bytes.NewReader(flipped))
+			if err != nil {
+				continue
+			}
+			loaded, err := ArtifactSetFromCheckpoint(c)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(encode(loaded), orig) {
+				t.Fatalf("flip %#02x at byte %d of %d loaded a different set", mask, pos, len(orig))
+			}
+		}
 	}
 }
 

@@ -242,7 +242,6 @@ type inFlight struct {
 	at    float64 // virtual arrival time
 	seq   int     // global dispatch sequence — the deterministic tie-break
 	round int     // server version the client trained against
-	elig  int     // eligible-population index, for loss write-back
 	u     Update
 }
 
@@ -467,7 +466,7 @@ func runRounds(cfg AsyncConfig, pop population, test *dataset.Dataset, agg Aggre
 			seen[i] = struct{}{}
 		}
 		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots)
-		for i, u := range updates[:len(selected)] {
+		for _, u := range updates[:len(selected)] {
 			draw.Reseed(rng.MixSeed(arrivalSeed, uint64(round), uint64(u.ClientID), uint64(attempt)))
 			a := arr.Draw(round, u.ClientID, &draw)
 			dispatched++
@@ -479,20 +478,17 @@ func runRounds(cfg AsyncConfig, pop population, test *dataset.Dataset, agg Aggre
 			if a.Delay < 0 || math.IsNaN(a.Delay) || math.IsInf(a.Delay, 0) {
 				panic(fmt.Sprintf("fl: arrival model %q drew invalid delay %v", arr.Name(), a.Delay))
 			}
-			q.push(inFlight{at: now + a.Delay, seq: seq, round: round, elig: selected[i], u: u})
+			q.push(inFlight{at: now + a.Delay, seq: seq, round: round, u: u})
 			seq++
 		}
 	}
 	// drain pops arrivals into the aggregation buffer, advancing the
 	// virtual clock to each one, until the threshold is met or the queue
-	// runs dry. Losses are noted at arrival — the server learns a
-	// client's loss when its update lands, which under instant arrivals
-	// is the cohort's selection order.
+	// runs dry.
 	drain := func() int {
 		for len(buffer) < threshold && len(q) > 0 {
 			e := q.pop()
 			now = max(now, e.at)
-			pop.noteLoss(e.elig, e.u.LossBefore)
 			buffer = append(buffer, e)
 		}
 		return len(buffer)

@@ -28,9 +28,9 @@ import (
 //     rounding per multiply and one per add. Results are bit-identical
 //     across kernel backends and worker counts, exactly like the f64
 //     path — the same determinism contract at half width.
-//   - Every operation on federated state (the mergers, the finiteness
-//     screen, the top-k codec) has one body generic over the element
-//     type; the f64 and f32 paths are its two instantiations.
+//   - Every operation on federated state (the mergers and the
+//     finiteness screen) has one body generic over the element type;
+//     the f64 and f32 paths are its two instantiations.
 //
 // F64 (the default, including the zero value "") is bit-for-bit the
 // pre-precision-mode behavior.

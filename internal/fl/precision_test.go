@@ -226,56 +226,6 @@ func TestCommPerRoundPHalvesWeightBytes(t *testing.T) {
 	}
 }
 
-// TestCompress32RoundTrip: f32 top-k compression reconstructs exactly
-// at full k, composes with the pool fan-out deterministically, and its
-// wire size beats both the dense f32 payload (ratio > 1) and the f64
-// sparse encoding at equal k.
-func TestCompress32RoundTrip(t *testing.T) {
-	const dim = 257
-	global := make([]float64, dim)
-	for i := range global {
-		global[i] = float64(float32(math.Cos(float64(i)))) // on-lattice, like an F32 run
-	}
-	updates := make([]Update, 3)
-	for k := range updates {
-		w := make([]float32, dim)
-		for i := range w {
-			w[i] = float32(global[i]) + float32(k+1)*1e-3*float32(i%7)
-		}
-		updates[k].Weights32 = w
-	}
-
-	// Full-k is lossless bitwise.
-	full := CompressUpdatesOn[float32](updates, global, 1.0, nil)
-	rec := DecompressUpdates(updates, full, global)
-	for k := range updates {
-		for i := range updates[k].Weights32 {
-			if math.Float32bits(rec[k].Weights32[i]) != math.Float32bits(updates[k].Weights32[i]) {
-				t.Fatalf("update %d elem %d not reconstructed bitwise", k, i)
-			}
-		}
-	}
-
-	// Pool fan-out is bit-identical to inline.
-	pool := engine.New(4)
-	defer pool.Close()
-	sparse := CompressUpdatesOn[float32](updates, global, 0.25, nil)
-	par := CompressUpdatesOn[float32](updates, global, 0.25, pool)
-	if !reflect.DeepEqual(sparse, par) {
-		t.Fatal("pooled f32 compression differs from inline")
-	}
-
-	// Half-width values shrink the sparse payload vs the f64 encoding.
-	d32 := sparse[0]
-	d64 := SparseDelta[float64]{Dim: d32.Dim, Indices: d32.Indices, Values: make([]float64, len(d32.Values))}
-	if d32.WireSize() >= d64.WireSize() {
-		t.Fatalf("f32 sparse wire %d not smaller than f64 sparse wire %d", d32.WireSize(), d64.WireSize())
-	}
-	if d32.CompressionRatio() <= 1 {
-		t.Fatalf("f32 compression ratio %.3f not > 1", d32.CompressionRatio())
-	}
-}
-
 // TestPrecisionParseValidate pins the CLI-facing surface: spellings,
 // the zero-value default, and RunConfig.Check's error for an unknown
 // precision, with which Run panics.

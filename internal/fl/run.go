@@ -288,10 +288,10 @@ func (c RunConfig) enginePool() (pool *engine.Pool, release func()) {
 }
 
 // population is the round engine's view of a client fleet: the Population
-// surface the Selector sees, plus slot checkout for the training phase
-// and loss write-back. checkout/checkin are never called concurrently —
-// trainCohort binds every slot of the cohort before fanning out and
-// releases them after the barrier — so implementations need no locking.
+// surface the Selector sees, plus slot checkout for the training phase.
+// checkout/checkin are never called concurrently — trainCohort binds
+// every slot of the cohort before fanning out and releases them after
+// the barrier — so implementations need no locking.
 type population interface {
 	Population
 	// checkout returns a ready-to-train client for eligible index i,
@@ -300,8 +300,6 @@ type population interface {
 	// checkin releases a checked-out client, persisting whatever
 	// identity state (RNG position) must survive to its next selection.
 	checkin(slot int, c *Client)
-	// noteLoss records client i's latest global-model inference loss.
-	noteLoss(i int, v float64)
 }
 
 // eagerClients adapts a materialized []*Client fleet to the population
@@ -309,15 +307,11 @@ type population interface {
 // each eager client permanently owns its state.
 type eagerClients struct {
 	clients []*Client
-	losses  []float64
 }
 
 func (e *eagerClients) NumClients() int              { return len(e.clients) }
-func (e *eagerClients) SampleCount(i int) int        { return e.clients[i].Data.Len() }
-func (e *eagerClients) LastLoss(i int) float64       { return e.losses[i] }
 func (e *eagerClients) checkout(slot, i int) *Client { return e.clients[i] }
 func (e *eagerClients) checkin(slot int, c *Client)  {}
-func (e *eagerClients) noteLoss(i int, v float64)    { e.losses[i] = v }
 
 // Run executes Algorithm 2: for every round, broadcast the global
 // weights to K selected clients, train locally (optionally in parallel),
@@ -344,7 +338,7 @@ func Run(cfg RunConfig, clients []*Client, test *dataset.Dataset, agg Aggregator
 	if len(eligible) == 0 {
 		panic("fl: all client shards are empty")
 	}
-	return runSync(cfg, &eagerClients{clients: eligible, losses: make([]float64, len(eligible))}, test, agg)
+	return runSync(cfg, &eagerClients{clients: eligible}, test, agg)
 }
 
 // runSync runs the synchronous schedule of Run and RunVirtual as the
@@ -435,7 +429,7 @@ func SingleSet(cfg RunConfig, all *dataset.Dataset, test *dataset.Dataset) *Resu
 	cfg.K = 1
 	cfg.Selector, cfg.Precision, cfg.Attack, cfg.Merger = nil, F64, nil, nil
 	client := NewClient(0, all, cfg.Factory, cfg.Seed+0xace)
-	res := runSync(cfg, &eagerClients{clients: []*Client{client}, losses: make([]float64, 1)}, test, FedAvg{})
+	res := runSync(cfg, &eagerClients{clients: []*Client{client}}, test, FedAvg{})
 	res.Method = "SingleSet"
 	return res
 }

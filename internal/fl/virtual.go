@@ -98,8 +98,8 @@ type poolSlot struct {
 // minibatch buffers are rebound to the selected identity, the shard is
 // a zero-copy dataset.View, and the identity's RNG position is restored
 // from a snapshot taken when it was last checked in. Per-round memory is
-// therefore O(K) in slot state plus O(selected-so-far) in RNG snapshots
-// and loss entries, never O(clients).
+// therefore O(K) in slot state plus O(selected-so-far) in RNG
+// snapshots, never O(clients).
 //
 // The determinism contract: a virtual client's model weights always come
 // from the broadcast global vector, and its RNG stream derives from its
@@ -121,10 +121,8 @@ type ClientPool struct {
 	slots []*poolSlot
 
 	// rngStates holds the RNG snapshot of every identity selected so
-	// far; losses its latest global-model inference loss. Both are
-	// sparse: at most rounds×K entries, independent of client count.
+	// far: at most rounds×K entries, independent of client count.
 	rngStates map[int]rng.State
-	losses    map[int]float64
 }
 
 // NewClientPool builds a virtual-client pool over a shared dataset and a
@@ -154,7 +152,6 @@ func NewClientPool(d *dataset.Dataset, part Partition, factory nn.Factory, seed 
 		factory:   factory,
 		seed:      seed,
 		rngStates: make(map[int]rng.State),
-		losses:    make(map[int]float64),
 	}
 	// Only identities with samples are eligible, in identity order —
 	// the same filter and ordering Run applies to eager clients, so the
@@ -195,16 +192,6 @@ func (p *ClientPool) NumClients() int {
 	}
 	return p.part.NumClients()
 }
-
-// SampleCount returns eligible client i's shard size.
-func (p *ClientPool) SampleCount(i int) int { return p.part.Count(p.identity(i)) }
-
-// LastLoss returns eligible client i's most recent global-model
-// inference loss, 0 when never selected.
-func (p *ClientPool) LastLoss(i int) float64 { return p.losses[p.identity(i)] }
-
-// noteLoss records the loss under the client's identity.
-func (p *ClientPool) noteLoss(i int, v float64) { p.losses[p.identity(i)] = v }
 
 // checkout binds eligible client i to the given slot: the slot's index
 // buffer is refilled from the partition, its Data becomes a fresh

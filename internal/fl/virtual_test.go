@@ -155,8 +155,8 @@ func TestClientPoolSkipsEmptyShards(t *testing.T) {
 	if cp.NumClients() != 4 {
 		t.Fatalf("eligible clients = %d, want 4", cp.NumClients())
 	}
-	if cp.SampleCount(1) != 8 {
-		t.Fatalf("eligible client 1 has %d samples, want 8 (identity 2)", cp.SampleCount(1))
+	if n := cp.part.Count(cp.identity(1)); n != 8 {
+		t.Fatalf("eligible client 1 has %d samples, want 8 (identity 2)", n)
 	}
 	cfg := runConfig(tr, 3, 3)
 	want := stripTimings(Run(cfg, BuildClients(tr, indices, f, 31), te, FedAvg{}))
@@ -237,9 +237,8 @@ func TestRunVirtualMillionClients(t *testing.T) {
 	if len(cp.slots) > k {
 		t.Fatalf("pool grew %d slots, want ≤ %d", len(cp.slots), k)
 	}
-	if len(cp.rngStates) > rounds*k || len(cp.losses) > rounds*k {
-		t.Fatalf("identity state grew to %d/%d entries, want ≤ %d",
-			len(cp.rngStates), len(cp.losses), rounds*k)
+	if len(cp.rngStates) > rounds*k {
+		t.Fatalf("identity state grew to %d entries, want ≤ %d", len(cp.rngStates), rounds*k)
 	}
 }
 

@@ -156,7 +156,7 @@ func trainStepDigest(c trainDigestCase, path trainPath) string {
 // arena, and checks each digest against its pinned constant.
 func TestTrainStepDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skipf("digests are pinned on amd64 only: the Go spec lets %s fuse x*y+z into one rounding, while amd64 fuses only explicit math.FMA, which this module never calls", runtime.GOARCH)
+		t.Skipf("digests are pinned on amd64 only, and assume a CPU with AVX and FMA: the Go spec lets %s fuse x*y+z into one rounding, while amd64 fuses only explicit math.FMA, which math.Exp calls on such a CPU", runtime.GOARCH)
 	}
 	for name, c := range trainDigestCases() {
 		want := pinnedTrainStepDigests[name]

@@ -159,21 +159,35 @@ func (n *Network) ParamVector32() []float32 {
 // θ_n ← (1−rho)·θ_n + rho·θ_src. This is the ρ-soft target-network update
 // of Algorithm 1 lines 8–9. Architectures must match.
 func (n *Network) SoftUpdateFrom(src *Network, rho float64) {
-	np, sp := n.Params(), src.Params()
-	if len(np) != len(sp) {
-		panic("nn: SoftUpdateFrom architecture mismatch")
-	}
-	for i, p := range np {
-		s := sp[i]
-		if p.Len() != s.Len() {
-			panic("nn: SoftUpdateFrom parameter shape mismatch")
-		}
+	sp := n.matchedParams(src, "SoftUpdateFrom")
+	for i, p := range n.Params() {
 		// (1−rho)·θ_n then + rho·θ_src: the roundings of the scalar
 		// (1-rho)*p + rho*s, on the SIMD kernels.
 		tensor.Scale(1-rho, p.Data)
-		tensor.Axpy(rho, s.Data, p.Data)
+		tensor.Axpy(rho, sp[i].Data, p.Data)
 	}
 }
 
-// CopyFrom copies all parameters of src into n. Architectures must match.
-func (n *Network) CopyFrom(src *Network) { n.SoftUpdateFrom(src, 1) }
+// CopyFrom copies all parameters of src into n bit for bit, whatever n
+// held before. Architectures must match.
+func (n *Network) CopyFrom(src *Network) {
+	sp := n.matchedParams(src, "CopyFrom")
+	for i, p := range n.Params() {
+		copy(p.Data, sp[i].Data)
+	}
+}
+
+// matchedParams returns src's parameters once each has the length of
+// n's at the same position; it panics, naming op, when they differ.
+func (n *Network) matchedParams(src *Network, op string) []*tensor.Tensor {
+	np, sp := n.Params(), src.Params()
+	if len(np) != len(sp) {
+		panic("nn: " + op + " architecture mismatch")
+	}
+	for i, p := range np {
+		if p.Len() != sp[i].Len() {
+			panic("nn: " + op + " parameter shape mismatch")
+		}
+	}
+	return sp
+}

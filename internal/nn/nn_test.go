@@ -362,14 +362,20 @@ func TestSoftUpdateContraction(t *testing.T) {
 	}
 }
 
+// TestCopyFrom: every destination parameter takes the source's bits,
+// including the ones a blend 0·θ + θ_src would get wrong: ±Inf and NaN
+// destinations (NaN) and a positive destination over a −0 source (+0).
 func TestCopyFrom(t *testing.T) {
 	a := NewMLP(rng.New(1), 4, []int{5}, 3)
 	b := NewMLP(rng.New(2), 4, []int{5}, 3)
+	dst, src := a.Params()[0].Data, b.Params()[0].Data
+	dst[0], dst[1], dst[2] = math.Inf(1), math.Inf(-1), math.NaN()
+	dst[3], src[3] = 1, math.Copysign(0, -1)
 	a.CopyFrom(b)
 	av, bv := a.ParamVector(), b.ParamVector()
 	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatal("CopyFrom did not copy exactly")
+		if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			t.Fatalf("elem %d: %v, want %v", i, av[i], bv[i])
 		}
 	}
 }

@@ -142,9 +142,10 @@ func TestAdamStepMatchesScalar(t *testing.T) {
 	})
 }
 
-// TestSoftUpdateMatchesScalar checks SoftUpdateFrom, and CopyFrom (its
-// rho 1), against the scalar blend (1−rho)·θ + rho·θ_src on every
-// backend, over parameters holding ±0, subnormals, ±Inf and NaN.
+// TestSoftUpdateMatchesScalar checks SoftUpdateFrom against the scalar
+// blend (1−rho)·θ + rho·θ_src on every backend, over parameters holding
+// ±0, subnormals, ±Inf and NaN. At rho 1 it is still a blend, not a
+// copy (see TestCopyFrom): a non-finite destination gives NaN.
 func TestSoftUpdateMatchesScalar(t *testing.T) {
 	eachBackend(t, func(t *testing.T, bk string) {
 		for _, rho := range []float64{0.02, 0.37, 1} {

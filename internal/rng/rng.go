@@ -1,8 +1,9 @@
 // Package rng provides a small, deterministic, splittable pseudo-random
 // number generator together with the distribution samplers needed by the
 // FedDRL reproduction: Gaussian (policy exploration, synthetic data),
-// Gamma/Dirichlet and power-law (non-IID partitioners), and permutation
-// sampling (client selection, shard shuffling).
+// power-law (non-IID partitioners), Gamma/Dirichlet (random merge
+// weights in the fl package's tests), and permutation sampling (client
+// selection, shard shuffling).
 //
 // The generator is xoshiro256** seeded through splitmix64, the
 // combination recommended by Blackman & Vigna. It is not cryptographically

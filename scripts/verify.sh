@@ -40,8 +40,10 @@ go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivale
 # the fuzzing engine proper). The corpus covers both the legacy 7-field
 # keys and the long-form 10-field Byzantine keys (attack, fraction,
 # merge rule), including the malformed 8/9-field and non-canonical
-# all-zero long-form shapes.
-go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/experiments/
+# all-zero long-form shapes. The artifact-set file codec rides along:
+# every single-byte flip of a two-cell set must fail to load or load
+# the same set, since its checksum covers the header and every cell.
+go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip|TestArtifactSetFileRoundTrip' ./internal/experiments/
 
 # Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
 # never panic, and a stream it accepts must re-encode to a fixed point.
@@ -69,8 +71,8 @@ go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateS
 # stream exactly. Every engine's Result must also hash to the digest
 # pinned in digest_test.go, so a change that moves all engines' bits
 # together cannot pass as "still equal to each other"; so must every
-# federated-state operation at both widths (each merger, the top-k
-# codec, the traffic model, the attacks and the quarantine gate).
+# federated-state operation at both widths (each merger, the traffic
+# model, the attacks and the quarantine gate).
 go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError|TestRunDigestsPinned|TestFederatedStateDigestPinned' ./internal/fl/
 
 # Byzantine attack-determinism gate under -race: a seeded sign-flip
@@ -134,7 +136,8 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # values (NaN payloads aside), and the finiteness screen must fail on
 # one non-finite value at any position of 1 to 40 elements, at both
 # widths. In internal/nn, Adam.Step and the soft target update must
-# match their former scalar loops on every backend, and the input-only
+# match their former scalar loops on every backend, CopyFrom must copy
+# every bit (±Inf and NaN destinations, a −0 source), and the input-only
 # backward pass must return BackwardScratch's input gradient bit for
 # bit and leave every parameter gradient zero. Every GEMM entry point, at both widths, must
 # panic before any kernel runs when an operand's Data is shorter than
@@ -147,7 +150,7 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # the digests pinned in internal/nn/digest_test.go, through an arena
 # with either backward and without an arena.
 go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
-go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap|TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch' ./internal/nn/
+go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap|TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch|TestCopyFrom' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
@@ -178,7 +181,11 @@ go test -race -run 'TestF32EagerVirtualBitIdentical|TestF32AsyncDegenerateMatche
 
 # Shard-merge round trip: running Table 3 as two shards and merging the
 # artifact files must reproduce the unsharded output byte for byte
-# (modulo the one-line timing header, which `tail -n +2` strips).
+# (modulo the one-line timing header, which `tail -n +2` strips). The
+# test runs the same round trip on figure8 in-process, then flips one
+# bit of a stored series: the merge must exit 2 with one line naming
+# the file.
+go test -run 'TestTablesShardMergeRoundTrip' ./cmd/tables/
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/tables" ./cmd/tables
