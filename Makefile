@@ -27,12 +27,12 @@ test:
 # Race coverage for the engine-facing packages: the worker pool itself,
 # the fl round loop's parallel paths, the DRL agent and its replay
 # buffer (the two-stage trainer runs agents, each owning its arenas, in
-# concurrent goroutines), and the experiments grid fan-out smoke (the
-# full experiments suite under -race is minutes; the smoke exercises the
-# same concurrent machinery in seconds).
+# concurrent goroutines), and the experiments grid fan-out smoke, run
+# grouping and shared datasets (the full experiments suite under -race
+# is minutes; these exercise the same concurrent machinery in seconds).
 race:
 	$(GO) test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./internal/replay/...
-	$(GO) test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./internal/experiments/
+	$(GO) test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|TestGroupRunsPerPass|TestSharedPairsStayUnchanged' ./internal/experiments/
 
 bench:
 	$(GO) test -bench=Engine -run TestEngineBenchJSON -benchtime=1x .

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
+
+	"feddrl/internal/serialize"
 )
 
 func TestAgentCheckpointRoundTrip(t *testing.T) {
@@ -87,4 +90,43 @@ func TestRestoreAgentMissingVector(t *testing.T) {
 	if _, err := RestoreAgent(cfg, c); err == nil {
 		t.Fatal("missing vector accepted")
 	}
+}
+
+// TestAgentCheckpointFlips flips every byte of a small agent's
+// checkpoint stream (masks 0x01, 0x80 and 0xff), as LoadAgentFile
+// decodes it: each flip must fail to load or restore networks that
+// encode to the original bytes, since the checksum covers the kind, K,
+// hidden width and all four networks. Three hidden units keep the
+// stream near 2 KB, so the sweep stays fast under -race.
+func TestAgentCheckpointFlips(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Hidden = 3
+	encode := func(a *Agent) []byte {
+		var b bytes.Buffer
+		if err := a.Checkpoint().Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	orig := encode(NewAgent(cfg))
+	loaded := 0
+	for pos := range orig {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			flipped := bytes.Clone(orig)
+			flipped[pos] ^= mask
+			c, err := serialize.Read(bytes.NewReader(flipped))
+			if err != nil {
+				continue
+			}
+			a, err := RestoreAgent(cfg, c)
+			if err != nil {
+				continue
+			}
+			loaded++
+			if !bytes.Equal(encode(a), orig) {
+				t.Fatalf("flip %#02x at byte %d of %d restored different networks", mask, pos, len(orig))
+			}
+		}
+	}
+	t.Logf("%d bytes, %d of %d flips loaded", len(orig), loaded, 3*len(orig))
 }

@@ -17,7 +17,7 @@ import (
 // by construction, so an error is a bug.
 func ablationRun(s Scale, ds, method string, seed uint64, variant func(*fl.FedDRL)) *fl.Result {
 	s.Attack, s.AttackFrac, s.Merger = "", 0, ""
-	res, err := runCell(s, table3Spec(s, ds, "CE", method, s.SmallN, seed), nil, variant)
+	res, err := runCell(s, table3Spec(s, ds, "CE", method, s.SmallN, seed), dataset.Synthesize, nil, variant)
 	if err != nil {
 		panic(err)
 	}

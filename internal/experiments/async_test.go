@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"feddrl/internal/dataset"
 	"feddrl/internal/fl"
 )
 
@@ -62,7 +63,7 @@ func TestStaleFedDRLAtKOne(t *testing.T) {
 	s.Rounds = 5
 	cell := CellSpec{Dataset: "mnist-sim", Partition: "CE", Method: "FedDRL+stale", N: 12, K: 1, Delta: 0.6, Seed: 1}
 	var drl *fl.FedDRL
-	res, err := runCell(s, cell, nil, func(f *fl.FedDRL) { drl = f })
+	res, err := runCell(s, cell, dataset.Synthesize, nil, func(f *fl.FedDRL) { drl = f })
 	if err != nil {
 		t.Fatal(err)
 	}

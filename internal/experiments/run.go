@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"feddrl/internal/core"
 	"feddrl/internal/dataset"
@@ -54,8 +55,13 @@ func RunCell(s Scale, cell CellSpec) (*fl.Result, error) {
 	if err := s.Check(); err != nil {
 		return nil, err
 	}
-	return runCell(s, cell, nil, nil)
+	return runCell(s, cell, dataset.Synthesize, nil, nil)
 }
+
+// synthesizer returns the train and test splits of a dataset spec at a
+// seed: dataset.Synthesize, or a grid pass's shared pairs
+// (sharedData.synthesize).
+type synthesizer func(spec dataset.Spec, seed uint64) (train, test *dataset.Dataset)
 
 // runCell executes one cell on a shared engine pool and returns its
 // result, or, before anything trains, an error for an unknown dataset
@@ -70,10 +76,14 @@ func RunCell(s Scale, cell CellSpec) (*fl.Result, error) {
 // Byzantine fault injection and the robust merge rule; both default to
 // the benign, byte-identical historical behavior.
 //
+// data supplies the cell's (dataset, seed) pair. The run only reads it
+// (training, partitioning, evaluation and the label-flip attack all
+// read through views), so one pair can serve many cells at once.
+//
 // variant, when non-nil, modifies a FedDRL cell's aggregator before the
 // run: the ablations swap its agent or switch off its FedAvg prior.
 // Grid cells pass nil.
-func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)) (*fl.Result, error) {
+func runCell(s Scale, cell CellSpec, data synthesizer, pool *engine.Pool, variant func(*fl.FedDRL)) (*fl.Result, error) {
 	spec, err := s.datasetByName(cell.Dataset)
 	if err != nil {
 		return nil, err
@@ -106,7 +116,7 @@ func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)
 	if cell.N <= s.SmallN {
 		k = cell.N
 	}
-	train, test := dataset.Synthesize(spec, cell.Seed)
+	train, test := data(spec, cell.Seed)
 	cfg := s.runConfig(spec, k, 0, cell.Seed+1)
 	// SingleSet borrows the same pool as the federated cells, so its
 	// timings are comparable with theirs. It merges one update.
@@ -162,14 +172,86 @@ func runCell(s Scale, cell CellSpec, pool *engine.Pool, variant func(*fl.FedDRL)
 	return ar.Result, err
 }
 
+// runIdentity returns the part of a cell's spec its run reads: two cells
+// with one identity perform the same run and get bit-identical results.
+// A SingleSet run trains one client on its dataset's whole training set
+// at its seed: runCell builds it no partition, and fl.SingleSet
+// ignores K, the attack and the merger. So its identity clears
+// Partition, N, K, Delta and the attack and merger fields. Every other
+// method reads its whole spec.
+func runIdentity(c CellSpec) CellSpec {
+	if c.Method != "SingleSet" {
+		return c
+	}
+	return CellSpec{Dataset: c.Dataset, Method: c.Method, Seed: c.Seed}
+}
+
+// groupRuns groups jobs by the run they perform (runIdentity), in the
+// order each run first appears, as indices into jobs. A group's first
+// job is the one that runs; its result is every member's.
+func groupRuns(jobs []CellSpec) [][]int {
+	var groups [][]int
+	at := map[string]int{}
+	for i, j := range jobs {
+		id := runIdentity(j).Key()
+		g, ok := at[id]
+		if !ok {
+			g = len(groups)
+			at[id] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// sharedData synthesizes each (dataset, seed) pair of a grid pass once,
+// when a run first asks for it, and hands every run on that pair the
+// same read-only splits. The zero value is ready to use; a pass has one
+// scale, so a dataset's name fixes its spec.
+type sharedData struct {
+	mu    sync.Mutex
+	pairs map[dataKey]*dataPair
+}
+
+type dataKey struct {
+	name string
+	seed uint64
+}
+
+type dataPair struct {
+	once        sync.Once
+	train, test *dataset.Dataset
+}
+
+// synthesize is the pass's synthesizer.
+func (d *sharedData) synthesize(spec dataset.Spec, seed uint64) (train, test *dataset.Dataset) {
+	k := dataKey{spec.Name, seed}
+	d.mu.Lock()
+	if d.pairs == nil {
+		d.pairs = map[dataKey]*dataPair{}
+	}
+	p, ok := d.pairs[k]
+	if !ok {
+		p = &dataPair{}
+		d.pairs[k] = p
+	}
+	d.mu.Unlock()
+	p.once.Do(func() { p.train, p.test = dataset.Synthesize(spec, seed) })
+	return p.train, p.test
+}
+
 // compute fills the set with the artifacts of jobs, which join it in
 // job order: a cell the set already holds is kept, a cache hit is
-// loaded, and the misses run concurrently on one engine pool of the
-// scale's width, built only when some cell misses. Each cell's inner
-// federated run borrows the same lanes, and work stealing keeps the
-// grid's three layers (cells → FL rounds → evaluation/merge) parallel.
-// Cached and computed cells are bit-exact, so cached and uncached runs
-// render byte-identical output.
+// loaded, and the misses run on one engine pool of the scale's width,
+// built only when some cell misses. The misses are grouped by the run
+// they perform (groupRuns), so one run serves every cell of its group,
+// and each (dataset, seed) pair is synthesized once (sharedData).
+// The runs execute concurrently; each run's inner federated run borrows
+// the same lanes, and work stealing keeps the grid's three layers
+// (cells → FL rounds → evaluation/merge) parallel. Cached and computed
+// cells are bit-exact, so cached and uncached runs render byte-identical
+// output.
 func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 	// The scale's key fields and each job's Key are computed once and
 	// passed to every cache lookup and write-back.
@@ -196,22 +278,25 @@ func (as *ArtifactSet) compute(s Scale, jobs []CellSpec, cache *Cache) {
 	}
 	pool := s.newPool()
 	defer pool.Close()
+	var data sharedData
+	runs := groupRuns(misses)
 	results := make([]*CellArtifact, len(misses))
-	pool.For(len(misses), func(i int) {
-		j := misses[i]
+	pool.For(len(runs), func(r int) {
 		// Every job comes from a registered grid, so its spec is valid
 		// by construction and an error is a bug.
-		res, err := runCell(s, j, pool, nil)
+		res, err := runCell(s, misses[runs[r][0]], data.synthesize, pool, nil)
 		if err != nil {
 			panic(err)
 		}
-		results[i] = artifactOf(j, res)
-		// Publish to the cache as soon as the cell finishes, not after
-		// the barrier: a killed run must keep every cell it finished, or
-		// interrupted shards could never resume. Concurrent stores are
-		// safe — each record is its own temp file + rename, and the stats
-		// counters are mutex-guarded.
-		cache.store(scale, missKeys[i], results[i])
+		for _, i := range runs[r] {
+			results[i] = artifactOf(misses[i], res)
+			// Publish to the cache as soon as the run finishes, not
+			// after the barrier: a killed run must keep every cell it
+			// finished, or interrupted shards could never resume.
+			// Concurrent stores are safe — each record is its own temp
+			// file + rename, and the stats counters are mutex-guarded.
+			cache.store(scale, missKeys[i], results[i])
+		}
 	})
 	for i, key := range missKeys {
 		as.Cells[key] = results[i]

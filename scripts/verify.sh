@@ -26,7 +26,13 @@ go test -run TestNoUnreachableDeclarations .
 go build ./...
 go test ./...
 go test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./internal/replay/...
-go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./internal/experiments/
+# The experiments grid fans out under -race: table3 cold and warm at 4
+# workers, a pass that groups its misses into runs (table3 at ci makes
+# 57 runs on 3 shared (dataset, seed) pairs, and the cold pass still
+# misses and writes all 72 cells, each group's records carrying its
+# run's payload), and a cell of every method trained concurrently on one
+# shared pair, which must hash the same as a fresh synthesis afterwards.
+go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|TestGroupRunsPerPass|TestSharedPairsStayUnchanged' ./internal/experiments/
 
 # Work-stealing scheduler gate: the engine package under -race with the
 # nested determinism matrix (saturated For/ForWorker at worker counts
@@ -107,16 +113,21 @@ TENSOR_BACKEND=generic go test -run 'TestOrderStatMatchesSortReference|FuzzOrder
 # scale. And the README's Byzantine claim must hold with margins at CI
 # scale: under a 20% sign-flip, weighted averaging keeps under half of
 # its benign best, median and trimmed mean over three quarters of
-# theirs.
-go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid|TestExperimentDigestsPinned|TestRenderersStayInsideJobs|TestByzantineClaim' ./internal/experiments/
+# theirs. A grid pass runs one SingleSet run per (dataset, seed), so a
+# SingleSet cell must give the same artifact bit for bit whatever its
+# partition, N, K, delta, attack and merger, cell-level or scale-wide.
+go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid|TestExperimentDigestsPinned|TestRenderersStayInsideJobs|TestByzantineClaim|TestSingleSetRunIgnoresClearedFields' ./internal/experiments/
 
 # DRL-agent gate: three training loops must reproduce the agent digest
 # (networks, buffer priorities, actions) pinned in digest_test.go; the
 # chunked TD reprioritization must match the per-experience QValue
 # reference bit for bit and in order at buffer lengths around the chunk
 # size, with and without an engine pool; and a warm Train must allocate
-# nothing at buffer lengths 40 and 400.
-go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrainAllocsFlat' ./internal/core/
+# nothing at buffer lengths 40 and 400. Every single-byte flip of an
+# agent checkpoint must fail to load or restore the same networks,
+# since its checksum covers the kind, K, hidden width and all four
+# networks.
+go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrainAllocsFlat|TestAgentCheckpointFlips' ./internal/core/
 
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
