@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"feddrl/internal/metrics"
 	"feddrl/internal/serialize"
 )
 
@@ -223,6 +224,57 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 				t.Fatalf("corruption %s was not repaired: %+v", name, st)
 			}
 		})
+	}
+}
+
+// TestCacheRecordFlips writes one valid cell record and flips each of
+// its bytes with masks 0x01, 0x80 and 0xff: every load must count one
+// rejected miss or return the identical artifact as a hit, and never
+// panic. The record framing carries no checksum, so a flip inside the
+// vector data is caught only by the payload checksum.
+func TestCacheRecordFlips(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := CI()
+	scale := hashedScale(ci)
+	spec := table3Spec(ci, "mnist-sim", "CE", "FedDRL", ci.SmallN, 1)
+	key := spec.Key()
+	want := &CellArtifact{
+		Spec:      spec,
+		Accuracy:  metrics.Series{61.25, 70.5, 74.75},
+		AccRounds: []int{1, 2, 3},
+		LossMean:  metrics.Series{1.75, 1.125, 0.875},
+		LossVar:   metrics.Series{0.25, 0.125, 0.0625},
+	}
+	c.store(scale, key, want)
+	path := c.path(cellAddress(scale, key))
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.load(scale, spec, key); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("unflipped record: hit %v, artifact %+v", ok, got)
+	}
+	for pos := range orig {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			flipped := bytes.Clone(orig)
+			flipped[pos] ^= mask
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := c.Stats()
+			got, ok := c.load(scale, spec, key)
+			after := c.Stats()
+			if ok {
+				if !reflect.DeepEqual(got, want) || after.Hits != before.Hits+1 {
+					t.Fatalf("flip %#02x at byte %d of %d loaded a different artifact", mask, pos, len(orig))
+				}
+			} else if after.Misses != before.Misses+1 || after.Rejected != before.Rejected+1 {
+				t.Fatalf("flip %#02x at byte %d: stats %+v after %+v, want one rejected miss", mask, pos, after, before)
+			}
+		}
 	}
 }
 

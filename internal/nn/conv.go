@@ -14,9 +14,10 @@ import (
 // (batch·OutH·OutW, InC·K·K) column matrix (tensor.Im2ColBatch), so the
 // forward pass and both backward passes are each a single large matrix
 // product per layer call instead of one small GEMM per image — the shape
-// the blocked kernels are fastest at.
+// the blocked kernels are fastest at. The layer lowers through its
+// geometry's index plan, built once in NewConv2D.
 type Conv2D struct {
-	Geom tensor.ConvGeom
+	plan *tensor.ConvPlan
 	OutC int
 
 	// W has shape (InC*K*K, OutC); B has shape (1, OutC).
@@ -31,13 +32,13 @@ type Conv2D struct {
 
 // NewConv2D returns a convolution layer with He-normal initialization.
 func NewConv2D(r *rng.RNG, g tensor.ConvGeom, outC int) *Conv2D {
-	g.Validate()
+	plan := tensor.NewConvPlan(g)
 	if outC <= 0 {
 		panic("nn: Conv2D with non-positive output channels")
 	}
 	patch := g.InC * g.K * g.K
 	c := &Conv2D{
-		Geom: g, OutC: outC,
+		plan: plan, OutC: outC,
 		W:  tensor.New(patch, outC),
 		B:  tensor.New(1, outC),
 		dW: tensor.New(patch, outC),
@@ -51,10 +52,16 @@ func NewConv2D(r *rng.RNG, g tensor.ConvGeom, outC int) *Conv2D {
 }
 
 // OutLen returns the flattened output length per sample.
-func (c *Conv2D) OutLen() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
+func (c *Conv2D) OutLen() int {
+	g := c.plan.Geom()
+	return c.OutC * g.OutH() * g.OutW()
+}
 
 // InLen returns the flattened input length per sample.
-func (c *Conv2D) InLen() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
+func (c *Conv2D) InLen() int {
+	g := c.plan.Geom()
+	return g.InC * g.InH * g.InW
+}
 
 // ForwardScratch convolves each batch row; output rows are
 // CHW-flattened. It lowers the whole batch with one im2col and one
@@ -65,14 +72,14 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 		panic(fmt.Sprintf("nn: Conv2D.ForwardScratch input width %d, want %d", x.Cols(), c.InLen()))
 	}
 	batch := x.Rows()
-	ohw := c.Geom.OutH() * c.Geom.OutW()
-	patch := c.Geom.InC * c.Geom.K * c.Geom.K
+	g := c.plan.Geom()
+	ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
 	cols := sc.tensor2D(id, 0, batch*ohw, patch)
 	out := sc.tensor2D(id, 1, batch, c.OutLen())
 	res := sc.tensor2D(id, 2, batch*ohw, c.OutC)
 	c.lastCols = cols
 	c.lastRows = batch
-	tensor.Im2ColBatch(c.Geom, x, cols)
+	tensor.Im2ColBatch(c.plan, x, cols)
 	tensor.MatMulInto(res, cols, c.W)
 	for i := 0; i < batch; i++ {
 		outRow := out.Row(i)
@@ -101,8 +108,8 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want 
 		panic(fmt.Sprintf("nn: Conv2D.BackwardScratch grad shape %v", grad.Shape))
 	}
 	batch := grad.Rows()
-	ohw := c.Geom.OutH() * c.Geom.OutW()
-	patch := c.Geom.InC * c.Geom.K * c.Geom.K
+	g := c.plan.Geom()
+	ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
 	outC := c.OutC
 	params := want&ParamGrads != 0
 	dRes := sc.tensor2D(id, 4, batch*ohw, outC)
@@ -137,7 +144,7 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want 
 	dCols := sc.tensor2D(id, 6, batch*ohw, patch)
 	tensor.MatMulBTInto(dCols, dRes, c.W)
 	dx.Zero()
-	tensor.Col2ImBatch(c.Geom, dCols, dx)
+	tensor.Col2ImBatch(c.plan, dCols, dx)
 	return dx
 }
 

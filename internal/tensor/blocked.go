@@ -36,6 +36,9 @@ package tensor
 //     narrower than one tile takes the scalar microEdgeG there, as
 //     every edge tile does on the other tiers. So a 60-row agent batch,
 //     whose last 4 rows form edge tiles, costs about what 64 rows do.
+//   - Dispatch (useBlocked): where operands are read in place, every
+//     product holding one full register tile runs the kernel, however
+//     small; packed products run it from blockedMinVolume up.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -80,12 +83,10 @@ const (
 	mcBlock = 64
 
 	// blockedMinVolume is the m·k·n product below which the blocked
-	// path's overhead (tile set-up, and packing where it packs)
-	// outweighs register tiling and the naive loops win. The DRL policy
-	// and value nets straddle it: at Hidden 128 a single-row 128×128
-	// product is exactly 1<<14 and takes the blocked path, read in
-	// place on the amd64 SIMD tiers, and a batch-32 update is 32× above
-	// it.
+	// path's overhead (tile set-up and packing) outweighs register
+	// tiling and the naive loops win. It decides only for products the
+	// kernel packs: every product on the generic and NEON tiers, and a
+	// multi-panel one on the amd64 SIMD tiers (see useBlocked).
 	blockedMinVolume = 1 << 14
 	// parallelMinVolume is the volume below which stripe fan-out is not
 	// worth the scheduling round trip.
@@ -116,12 +117,12 @@ func gemmDims(a, b *Tensor, v gemmVariant) (m, k, n int) {
 }
 
 // gemmInto is the shared entry point behind MatMulInto / MatMulATInto /
-// MatMulBTInto: dispatch small products to the naive loops, large ones
-// to the blocked kernel, and fan row stripes out on the pool hook when
+// MatMulBTInto: dispatch each product to the naive loops or the blocked
+// kernel (useBlocked), and fan row stripes out on the pool hook when
 // one is installed. All paths are bit-identical by construction.
 func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 	m, k, n := gemmDims(a, b, v)
-	if m*k*n < blockedMinVolume {
+	if !useBlocked(m, k, n) {
 		gemmNaive(dst, a, b, v)
 		return
 	}
@@ -158,6 +159,22 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 		putBuf(bps[w])
 		putBuf(aps[w])
 	}
+}
+
+// useBlocked reports whether gemmInto runs an m×k×n product on the
+// blocked kernel rather than the naive loops. Where the kernel reads the
+// operands in place (readsInPlace), a product that holds one full
+// register tile runs it at any volume, and a narrower one, which could
+// reach only the scalar microEdgeG there, runs the naive loops. On a
+// 2-core AVX-512 Xeon (3 runs per tier) the dense head's 10×64×10 took
+// 1.1–1.7 µs on the kernel against 5.3–6.9 µs naive under avx512 and
+// avx, and the agent's single-row 1×128×128 35–53 µs against 12–15 µs
+// naive. Products the kernel packs go by volume (blockedMinVolume).
+func useBlocked(m, k, n int) bool {
+	if readsInPlace(k) {
+		return m >= kernelMR() && n >= kernelNR()
+	}
+	return m*k*n >= blockedMinVolume
 }
 
 // readsInPlace reports whether the blocked kernel reads a product's

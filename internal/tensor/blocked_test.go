@@ -85,7 +85,11 @@ func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
 // first layer on a 60-row batch, and a K=16 reprioritization chunk of
 // 67 experiences. Each reduction fits one panel, so on the amd64 SIMD
 // tiers the blocked kernel reads these operands in place, with strides
-// that differ from the tile width, and most end in edge tiles.
+// that differ from the tile width, and most end in edge tiles. The last
+// rows are the products below blockedMinVolume whose path the tile-fit
+// rule (useBlocked) decides: the simple CNN's 64→10 head at batch 10
+// (forward, dW, dx), the ci agent's batch-16 first layer, and the
+// single-row policy forwards of the K=10 and K=16 agents.
 var stepGEMMs = [][3]int{
 	{640, 9, 8}, {160, 72, 16}, {72, 160, 16}, {160, 16, 72},
 	{8, 64, 256}, {64, 8, 256}, {8, 256, 64}, {8, 256, 128}, {8, 128, 256}, {256, 8, 128},
@@ -95,6 +99,9 @@ var stepGEMMs = [][3]int{
 	{32, 128, 128}, {32, 128, 20},
 	{60, 48, 256},
 	{134, 80, 128},
+	{10, 64, 10}, {64, 10, 10}, {10, 10, 64},
+	{16, 30, 32},
+	{1, 30, 128}, {1, 128, 128}, {1, 128, 20}, {1, 48, 128}, {1, 128, 32},
 }
 
 // TestBlockedBitIdentity is the kernel determinism gate (run explicitly
@@ -166,6 +173,53 @@ func TestBlockedBitIdentity(t *testing.T) {
 	// the TENSOR_BACKEND override) exposes was also run force-disabled.
 	if chain[len(chain)-1] != "generic" {
 		t.Fatalf("fallback chain %v does not end at generic", chain)
+	}
+}
+
+// TestGEMMDispatchRule pins useBlocked on every backend of the chain.
+// Below one register tile the naive loops run; a full tile read in
+// place (avx512 and avx, k ≤ kcBlock) runs the blocked kernel at any
+// volume; on the generic and NEON tiers, and for k > kcBlock, the
+// volume rule (blockedMinVolume) still decides.
+func TestGEMMDispatchRule(t *testing.T) {
+	restoreBackend(t)
+	cases := []struct {
+		m, k, n             int
+		avx512, avx, packed bool // the expected path on each tier class
+	}{
+		{1, 128, 128, false, false, true}, // exactly blockedMinVolume
+		{1, 30, 128, false, false, false},
+		{3, 64, 10, false, false, false},
+		{10, 64, 3, false, false, false},
+		{5, 9, 5, false, true, false},
+		{7, kcBlock, 7, false, true, false},
+		{4, 1, 4, false, true, false},
+		{8, 1, 8, true, true, false},
+		{10, 64, 10, true, true, false},
+		{64, 10, 10, true, true, false},
+		{10, 10, 64, true, true, false},
+		{16, 30, 32, true, true, false},
+		{3, kcBlock, 64, false, false, true},
+		{8, kcBlock + 1, 4, false, false, false}, // packs: volume 8224
+		{1, kcBlock + 1, 64, true, true, true},   // packs: volume 16448
+		{9, 640, 8, true, true, true},
+	}
+	for _, bk := range Backends() {
+		if err := SetBackend(bk); err != nil {
+			t.Fatalf("SetBackend(%q): %v", bk, err)
+		}
+		for _, c := range cases {
+			want := c.packed
+			switch bk {
+			case "avx512":
+				want = c.avx512
+			case "avx":
+				want = c.avx
+			}
+			if got := useBlocked(c.m, c.k, c.n); got != want {
+				t.Errorf("%s: useBlocked(%d, %d, %d) = %v, want %v", bk, c.m, c.k, c.n, got, want)
+			}
+		}
 	}
 }
 
@@ -264,11 +318,12 @@ func sameBitsUpToNaN(t *testing.T, tag string, got, want []float64) {
 // do not all hold the accumulator in the same position. So an output
 // with two NaN terms can carry a different payload from the blocked
 // kernel than from the naive loop, and the public entries pick between
-// them by volume: 16×80×16 runs the blocked kernel, 16×40×16 the naive
-// loop.
+// them by shape (useBlocked): on the amd64 SIMD tiers 16×40×16 runs the
+// blocked kernel and 5×70×11 the naive loop under avx512; on generic
+// 16×80×16 runs the blocked kernel and 16×40×16 the naive loop.
 func TestBlockedSpecialValues(t *testing.T) {
 	restoreBackend(t)
-	shapes := [][3]int{{9, 33, 17}, {16, kcBlock + 3, 32}, {5, 70, 11}, {16, 80, 16}}
+	shapes := [][3]int{{9, 33, 17}, {16, kcBlock + 3, 32}, {5, 70, 11}, {16, 80, 16}, {16, 40, 16}}
 	for _, bk := range Backends() {
 		if err := SetBackend(bk); err != nil {
 			t.Fatalf("SetBackend(%q): %v", bk, err)
@@ -342,6 +397,7 @@ func TestParallelStripesBitIdentical(t *testing.T) {
 // is the one-row adjoint applied per row block.
 func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 4, K: 3, Stride: 1, Pad: 1}
+	plan := NewConvPlan(g)
 	batch := 3
 	r := rng.New(11)
 	x := New(batch, g.InC*g.InH*g.InW)
@@ -349,10 +405,10 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	ohw := g.OutH() * g.OutW()
 	patch := g.InC * g.K * g.K
 	cols := New(batch*ohw, patch)
-	Im2ColBatch(g, x, cols)
+	Im2ColBatch(plan, x, cols)
 	single := New(ohw, patch)
 	for i := 0; i < batch; i++ {
-		Im2ColBatch(g, FromSlice(x.Row(i), 1, x.Cols()), single)
+		Im2ColBatch(plan, FromSlice(x.Row(i), 1, x.Cols()), single)
 		for j, v := range single.Data {
 			if cols.Data[i*ohw*patch+j] != v {
 				t.Fatalf("sample %d element %d: batch %v, single %v", i, j, cols.Data[i*ohw*patch+j], v)
@@ -363,11 +419,11 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	grad := New(batch*ohw, patch)
 	fillRandom(grad, r)
 	imgs := New(batch, g.InC*g.InH*g.InW)
-	Col2ImBatch(g, grad, imgs)
+	Col2ImBatch(plan, grad, imgs)
 	for i := 0; i < batch; i++ {
 		ref := make([]float64, g.InC*g.InH*g.InW)
 		gi := FromSlice(grad.Data[i*ohw*patch:(i+1)*ohw*patch], ohw, patch)
-		Col2ImBatch(g, gi, FromSlice(ref, 1, len(ref)))
+		Col2ImBatch(plan, gi, FromSlice(ref, 1, len(ref)))
 		for j, v := range ref {
 			if imgs.At(i, j) != v {
 				t.Fatalf("sample %d grad element %d: batch %v, single %v", i, j, imgs.At(i, j), v)

@@ -2,13 +2,12 @@ package tensor
 
 // Generic element core. Every scalar kernel — the naive GEMM reference
 // loops, the packing routines, the portable register-tile
-// micro-kernels, the elementwise bodies and the im2col/col2im lowering —
-// is written once over the Elem constraint. The float64 training arm
-// instantiates all of them; the float32 GEMM (blocked32.go) shares the
-// GEMM loops, packing and the portable micro-kernels, its only tier,
-// and Axpy32, the f32 merge's kernel, the scalar axpy tail, so the two
-// widths cannot drift: a fix or a determinism-contract change lands in
-// one place.
+// micro-kernels and the elementwise bodies — is written once over the
+// Elem constraint. The float64 training arm instantiates all of them;
+// the float32 GEMM (blocked32.go) shares the GEMM loops, packing and
+// the portable micro-kernels, its only tier, and Axpy32, the f32
+// merge's kernel, the scalar axpy tail, so the two widths cannot drift:
+// a fix or a determinism-contract change lands in one place.
 //
 // Determinism: the multiply-adds are spelled acc += E(a*b). The explicit
 // conversion — even to the operand's own type — forces the product to
@@ -364,110 +363,4 @@ func allFiniteTailG[E Elem](x []E, i int) bool {
 		}
 	}
 	return true
-}
-
-// convInterior returns the output columns [lo, hi) whose K-long kernel
-// rows lie wholly inside an image row; the columns outside that range
-// cross the left or right border.
-func convInterior(g ConvGeom) (lo, hi int) {
-	ow := g.OutW()
-	lo = min(ow, (g.Pad+g.Stride-1)/g.Stride)
-	hi = lo
-	if span := g.InW + g.Pad - g.K; span >= 0 {
-		hi = max(lo, min(ow, span/g.Stride+1))
-	}
-	return lo, hi
-}
-
-// im2colCoreG fills cd (length OutH·OutW·InC·K·K) from one image, one
-// K-long kernel row at a time. It walks (oy, channel, ky) and then the
-// output columns, so each image row is located once: a kernel row above
-// or below the image is zeroed, one wholly inside is a K-long copy, and
-// only a row crossing the left or right border checks single elements.
-func im2colCoreG[E Elem](g ConvGeom, img []E, cd []E) {
-	oh, ow := g.OutH(), g.OutW()
-	k, inH, inW, stride, pad := g.K, g.InH, g.InW, g.Stride, g.Pad
-	patch := g.InC * k * k
-	lo, hi := convInterior(g)
-	for oy := 0; oy < oh; oy++ {
-		for c := 0; c < g.InC; c++ {
-			for ky := 0; ky < k; ky++ {
-				y := oy*stride - pad + ky
-				// The kernel row of column ox starts at base + ox·patch.
-				base := oy*ow*patch + (c*k+ky)*k
-				if y < 0 || y >= inH {
-					for ox := 0; ox < ow; ox++ {
-						clear(cd[base+ox*patch : base+ox*patch+k])
-					}
-					continue
-				}
-				src := img[(c*inH+y)*inW : (c*inH+y+1)*inW]
-				border := func(ox int) {
-					dst := cd[base+ox*patch : base+ox*patch+k]
-					for kx := range dst {
-						dst[kx] = 0
-						if x := ox*stride - pad + kx; x >= 0 && x < inW {
-							dst[kx] = src[x]
-						}
-					}
-				}
-				for ox := 0; ox < lo; ox++ {
-					border(ox)
-				}
-				for ox := lo; ox < hi; ox++ {
-					run := src[ox*stride-pad:][:k]
-					dst := cd[base+ox*patch:][:len(run)]
-					for kx, v := range run {
-						dst[kx] = v
-					}
-				}
-				for ox := hi; ox < ow; ox++ {
-					border(ox)
-				}
-			}
-		}
-	}
-}
-
-// col2imCoreG accumulates cd (one sample's column block) into img, one
-// kernel row at a time in im2colCoreG's walk. Each pixel still receives
-// its terms in column order: those come from distinct (oy, ox), and ky
-// is fixed once oy is, so the walk meets them by ascending oy, then ox.
-func col2imCoreG[E Elem](g ConvGeom, cd []E, img []E) {
-	oh, ow := g.OutH(), g.OutW()
-	k, inH, inW, stride, pad := g.K, g.InH, g.InW, g.Stride, g.Pad
-	patch := g.InC * k * k
-	lo, hi := convInterior(g)
-	for oy := 0; oy < oh; oy++ {
-		for c := 0; c < g.InC; c++ {
-			for ky := 0; ky < k; ky++ {
-				y := oy*stride - pad + ky
-				if y < 0 || y >= inH {
-					continue
-				}
-				base := oy*ow*patch + (c*k+ky)*k
-				row := img[(c*inH+y)*inW : (c*inH+y+1)*inW]
-				border := func(ox int) {
-					for kx, v := range cd[base+ox*patch : base+ox*patch+k] {
-						if x := ox*stride - pad + kx; x >= 0 && x < inW {
-							row[x] += v
-						}
-					}
-				}
-				for ox := 0; ox < lo; ox++ {
-					border(ox)
-				}
-				for ox := lo; ox < hi; ox++ {
-					dst := row[ox*stride-pad:][:k]
-					src := cd[base+ox*patch:][:len(dst)]
-					for kx, v := range src {
-						dst[kx] += v
-					}
-				}
-				for ox := hi; ox < ow; ox++ {
-					border(ox)
-				}
-			}
-		}
-	}
 }

@@ -49,11 +49,12 @@ func refCol2Im(g ConvGeom, cd, img []float64) {
 	}
 }
 
-// TestIm2ColMatchesElementLoop checks the lowering against the
-// element-at-a-time loops over geometries where kernel rows fall wholly
-// inside, across a border, or wholly outside the image (Pad ≥ K). The
-// lowered columns must match bit for bit, and so must the image
-// gradient, whose additions the reference makes in column order.
+// TestIm2ColMatchesElementLoop checks the plan-driven lowering against
+// the element-at-a-time loops over geometries where kernel rows fall
+// wholly inside, across a border, or wholly outside the image (Pad ≥
+// K), at batch 1 and 3. The lowered columns must match bit for bit over
+// stale contents, and so must the image gradient, which col2im adds
+// onto a non-zero image in the reference's column order.
 func TestIm2ColMatchesElementLoop(t *testing.T) {
 	geoms := []ConvGeom{
 		{InC: 1, InH: 8, InW: 8, K: 3, Stride: 1, Pad: 1},
@@ -67,33 +68,40 @@ func TestIm2ColMatchesElementLoop(t *testing.T) {
 	}
 	for _, g := range geoms {
 		t.Run(fmt.Sprintf("c%d_%dx%d_k%d_s%d_p%d", g.InC, g.InH, g.InW, g.K, g.Stride, g.Pad), func(t *testing.T) {
+			plan := NewConvPlan(g)
 			r := rng.New(uint64(g.InC*1000 + g.InH*100 + g.InW*10 + g.K + g.Stride*7 + g.Pad*13))
-			img := make([]float64, g.InC*g.InH*g.InW)
-			fillGEMMSpecials(img, r)
-			ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
-			got, want := New(ohw, patch), New(ohw, patch)
-			fillRandom(got, r) // stale contents must be overwritten
-			Im2ColBatch(g, FromSlice(img, 1, len(img)), got)
-			refIm2Col(g, img, want.Data)
-			for i, w := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
-					t.Fatalf("cols[%d] = %#x, want %#x", i, math.Float64bits(got.Data[i]), math.Float64bits(w))
+			n, ohw, patch := g.InC*g.InH*g.InW, g.OutH()*g.OutW(), g.InC*g.K*g.K
+			block := ohw * patch
+			for _, batch := range []int{1, 3} {
+				x := New(batch, n)
+				fillGEMMSpecials(x.Data, r)
+				got, want := New(batch*ohw, patch), New(batch*ohw, patch)
+				fillRandom(got, r) // stale contents must be overwritten
+				Im2ColBatch(plan, x, got)
+				for i := 0; i < batch; i++ {
+					refIm2Col(g, x.Row(i), want.Data[i*block:(i+1)*block])
 				}
-			}
+				for i, w := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("batch %d: cols[%d] = %#x, want %#x", batch, i, math.Float64bits(got.Data[i]), math.Float64bits(w))
+					}
+				}
 
-			cd := New(ohw, patch)
-			fillRandom(cd, r)
-			gotImg := make([]float64, len(img))
-			wantImg := make([]float64, len(img))
-			for i := range gotImg {
-				gotImg[i] = r.Normal(0, 1)
-				wantImg[i] = gotImg[i]
-			}
-			Col2ImBatch(g, cd, FromSlice(gotImg, 1, len(gotImg)))
-			refCol2Im(g, cd.Data, wantImg)
-			for i, w := range wantImg {
-				if math.Float64bits(gotImg[i]) != math.Float64bits(w) {
-					t.Fatalf("img[%d] = %#x, want %#x", i, math.Float64bits(gotImg[i]), math.Float64bits(w))
+				cd := New(batch*ohw, patch)
+				fillRandom(cd, r)
+				gotImg, wantImg := New(batch, n), New(batch, n)
+				for i := range gotImg.Data {
+					gotImg.Data[i] = r.Normal(0, 1)
+					wantImg.Data[i] = gotImg.Data[i]
+				}
+				Col2ImBatch(plan, cd, gotImg)
+				for i := 0; i < batch; i++ {
+					refCol2Im(g, cd.Data[i*block:(i+1)*block], wantImg.Row(i))
+				}
+				for i, w := range wantImg.Data {
+					if math.Float64bits(gotImg.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("batch %d: img[%d] = %#x, want %#x", batch, i, math.Float64bits(gotImg.Data[i]), math.Float64bits(w))
+					}
 				}
 			}
 		})

@@ -24,7 +24,10 @@
 // (i, j) at Data[i*c+j]. Batched activations are 2-D: (batch, features).
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tensor is a dense, row-major float64 tensor.
 type Tensor struct {
@@ -262,8 +265,8 @@ func MatMulBTInto(dst, a, b *Tensor) {
 	gemmInto(dst, a, b, gemmBT)
 }
 
-// ConvGeom describes a 2-D convolution geometry shared by
-// Im2ColBatch/Col2ImBatch and the nn.Conv2D layer.
+// ConvGeom describes a 2-D convolution geometry, lowered once per
+// layer by NewConvPlan.
 type ConvGeom struct {
 	InC, InH, InW int // input channels and spatial size
 	K             int // square kernel size
@@ -287,45 +290,139 @@ func (g ConvGeom) Validate() {
 	}
 }
 
+// ConvPlan is a convolution geometry lowered to index lists (after
+// Chellapilla et al. 2006, who lower a convolution to one matrix
+// product). Each sample's image is copied into a buffer that ends in
+// one zero, so a padding element is an index like any other: im2col is
+// one gather, and col2im gathers each pixel's column elements from a
+// CSR list. NewConvPlan builds it once per layer; it is read-only
+// after, so one plan serves concurrent calls.
+type ConvPlan struct {
+	g ConvGeom
+	// src[j] is the padded-image index that element j of one sample's
+	// column block reads: a pixel, or InC·InH·InW for padding.
+	src []int32
+	// Pixel p receives the column elements elems[start[p]:start[p+1]],
+	// in ascending order.
+	start, elems []int32
+}
+
+// NewConvPlan validates g and builds its plan. Column element j of a
+// sample's block is (oy, ox, c, ky, kx) in row-major order, the layout
+// Im2ColBatch writes.
+func NewConvPlan(g ConvGeom) *ConvPlan {
+	g.Validate()
+	n := g.InC * g.InH * g.InW
+	block := g.OutH() * g.OutW() * g.InC * g.K * g.K
+	if block > math.MaxInt32 || n >= math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv geometry %+v exceeds a plan's int32 indices", g))
+	}
+	p := &ConvPlan{g: g, src: make([]int32, 0, block), start: make([]int32, n+1)}
+	for oy := 0; oy < g.OutH(); oy++ {
+		for ox := 0; ox < g.OutW(); ox++ {
+			for c := 0; c < g.InC; c++ {
+				for ky := 0; ky < g.K; ky++ {
+					for kx := 0; kx < g.K; kx++ {
+						y, x := oy*g.Stride-g.Pad+ky, ox*g.Stride-g.Pad+kx
+						s := n
+						if y >= 0 && y < g.InH && x >= 0 && x < g.InW {
+							s = (c*g.InH+y)*g.InW + x
+							p.start[s+1]++
+						}
+						p.src = append(p.src, int32(s))
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		p.start[i+1] += p.start[i]
+	}
+	p.elems = make([]int32, p.start[n])
+	next := append([]int32(nil), p.start[:n]...)
+	for j, s := range p.src {
+		if int(s) < n {
+			p.elems[next[s]] = int32(j)
+			next[s]++
+		}
+	}
+	return p
+}
+
+// Geom returns the geometry the plan lowers.
+func (p *ConvPlan) Geom() ConvGeom { return p.g }
+
+// checkShapes panics unless imgs is (batch, InC·InH·InW) and cols is the
+// batch's (batch·OutH·OutW, InC·K·K) column matrix.
+func (p *ConvPlan) checkShapes(op string, imgs, cols *Tensor) {
+	g := p.g
+	if imgs.Cols() != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: %s image width %d, want %d", op, imgs.Cols(), g.InC*g.InH*g.InW))
+	}
+	rows, patch := imgs.Rows()*g.OutH()*g.OutW(), g.InC*g.K*g.K
+	if cols.Rows() != rows || cols.Cols() != patch {
+		panic(fmt.Sprintf("tensor: %s cols shape %v, want (%d,%d)", op, cols.Shape, rows, patch))
+	}
+}
+
 // Im2ColBatch lowers every row of x (batch, InC*InH*InW) into one column
 // matrix of shape (batch·OutH·OutW, InC*K*K) — sample i occupies the row
 // block [i·OutH·OutW, (i+1)·OutH·OutW). One whole-batch buffer turns a
 // convolution layer call into a single matrix product instead of one
-// small GEMM per image.
-func Im2ColBatch(g ConvGeom, x, cols *Tensor) {
-	g.Validate()
-	if x.Cols() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColBatch input width %d, want %d", x.Cols(), g.InC*g.InH*g.InW))
+// small GEMM per image. The padded copy comes from the kernel scratch
+// pool, so a warm call allocates nothing.
+func Im2ColBatch(p *ConvPlan, x, cols *Tensor) {
+	p.checkShapes("Im2ColBatch", x, cols)
+	n, src := x.Cols(), p.src
+	img := getBuf(n + 1)
+	img[n] = 0
+	for i := 0; i < x.Rows(); i++ {
+		copy(img, x.Row(i))
+		cd := cols.Data[i*len(src):][:len(src)]
+		for j, s := range src {
+			cd[j] = img[s]
+		}
 	}
-	batch := x.Rows()
-	ohw := g.OutH() * g.OutW()
-	patch := g.InC * g.K * g.K
-	if cols.Rows() != batch*ohw || cols.Cols() != patch {
-		panic(fmt.Sprintf("tensor: Im2ColBatch cols shape %v, want (%d,%d)", cols.Shape, batch*ohw, patch))
-	}
-	block := ohw * patch
-	for i := 0; i < batch; i++ {
-		im2colCoreG(g, x.Row(i), cols.Data[i*block:(i+1)*block])
-	}
+	putBuf(img)
 }
 
 // Col2ImBatch accumulates a whole-batch column-matrix gradient (the
 // Im2ColBatch layout) into per-sample image gradients: row i of imgs
 // receives the adjoint of sample i's row block. imgs is accumulated
-// into, not zeroed.
-func Col2ImBatch(g ConvGeom, cols, imgs *Tensor) {
-	g.Validate()
-	if imgs.Cols() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2ImBatch image width %d, want %d", imgs.Cols(), g.InC*g.InH*g.InW))
+// into, not zeroed. Each pixel adds its terms to its own value in
+// ascending column order, which is ascending (oy, ox): a pixel meets at
+// most one kernel tap per output position. Samples go in pairs that
+// share each index load and keep two independent sums (on a 2-core
+// AVX-512 Xeon, 10–12 → 5–7 µs at the simple CNN's second layer, batch
+// 10); an odd batch's last sample goes alone.
+func Col2ImBatch(p *ConvPlan, cols, imgs *Tensor) {
+	p.checkShapes("Col2ImBatch", imgs, cols)
+	block, start, elems := len(p.src), p.start, p.elems
+	rows := imgs.Rows()
+	i := 0
+	for ; i+1 < rows; i += 2 {
+		ca, cb := cols.Data[i*block:][:block], cols.Data[(i+1)*block:][:block]
+		ia, ib := imgs.Row(i), imgs.Row(i+1)
+		ib = ib[:len(ia)]
+		lo := start[0]
+		for px, va := range ia {
+			vb, hi := ib[px], start[px+1]
+			for _, j := range elems[lo:hi] {
+				va += ca[j]
+				vb += cb[j]
+			}
+			ia[px], ib[px], lo = va, vb, hi
+		}
 	}
-	batch := imgs.Rows()
-	ohw := g.OutH() * g.OutW()
-	patch := g.InC * g.K * g.K
-	if cols.Rows() != batch*ohw || cols.Cols() != patch {
-		panic(fmt.Sprintf("tensor: Col2ImBatch cols shape %v, want (%d,%d)", cols.Shape, batch*ohw, patch))
-	}
-	block := ohw * patch
-	for i := 0; i < batch; i++ {
-		col2imCoreG(g, cols.Data[i*block:(i+1)*block], imgs.Row(i))
+	if i < rows {
+		cd, img := cols.Data[i*block:][:block], imgs.Row(i)
+		lo := start[0]
+		for px, v := range img {
+			hi := start[px+1]
+			for _, j := range elems[lo:hi] {
+				v += cd[j]
+			}
+			img[px], lo = v, hi
+		}
 	}
 }

@@ -343,7 +343,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, K: 1, Stride: 1, Pad: 0}
 	img := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	cols := New(9, 1)
-	Im2ColBatch(g, FromSlice(img, 1, len(img)), cols)
+	Im2ColBatch(NewConvPlan(g), FromSlice(img, 1, len(img)), cols)
 	for i, v := range img {
 		if cols.Data[i] != v {
 			t.Fatalf("1x1 im2col wrong: %v", cols.Data)
@@ -355,7 +355,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, K: 3, Stride: 1, Pad: 1}
 	img := []float64{1, 2, 3, 4}
 	cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-	Im2ColBatch(g, FromSlice(img, 1, len(img)), cols)
+	Im2ColBatch(NewConvPlan(g), FromSlice(img, 1, len(img)), cols)
 	// First output position (0,0) covers rows -1..1, cols -1..1; the
 	// top-left 2x2 of the patch is padding.
 	first := cols.Row(0)
@@ -382,13 +382,14 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		if g.OutH() <= 0 || g.OutW() <= 0 {
 			return true
 		}
+		plan := NewConvPlan(g)
 		n := g.InC * g.InH * g.InW
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = r.Normal(0, 1)
 		}
 		cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-		Im2ColBatch(g, FromSlice(x, 1, n), cols)
+		Im2ColBatch(plan, FromSlice(x, 1, n), cols)
 		y := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
 		for i := range y.Data {
 			y.Data[i] = r.Normal(0, 1)
@@ -398,7 +399,7 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 			lhs += cols.Data[i] * y.Data[i]
 		}
 		xGrad := make([]float64, n)
-		Col2ImBatch(g, y, FromSlice(xGrad, 1, n))
+		Col2ImBatch(plan, y, FromSlice(xGrad, 1, n))
 		rhs := 0.0
 		for i := range x {
 			rhs += x[i] * xGrad[i]
@@ -426,12 +427,48 @@ func BenchmarkMatMul64(b *testing.B) {
 	}
 }
 
+// simpleCNNConvs are the simple CNN's two convolution geometries on
+// the 1×8×8 mnist-sim images, and lowerBatch a client's batch.
+var simpleCNNConvs = []struct {
+	name string
+	g    ConvGeom
+}{
+	{"conv1", ConvGeom{InC: 1, InH: 8, InW: 8, K: 3, Stride: 1, Pad: 1}},
+	{"conv2", ConvGeom{InC: 8, InH: 4, InW: 4, K: 3, Stride: 1, Pad: 1}},
+}
+
+const lowerBatch = 10
+
+// BenchmarkIm2Col times the lowering of a client's batch at each of the
+// simple CNN's geometries.
 func BenchmarkIm2Col(b *testing.B) {
-	g := ConvGeom{InC: 3, InH: 16, InW: 16, K: 3, Stride: 1, Pad: 1}
-	img := New(1, g.InC*g.InH*g.InW)
-	cols := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2ColBatch(g, img, cols)
+	for _, c := range simpleCNNConvs {
+		b.Run(c.name, func(b *testing.B) {
+			plan := NewConvPlan(c.g)
+			img := New(lowerBatch, c.g.InC*c.g.InH*c.g.InW)
+			fillRandom(img, rng.New(1))
+			cols := New(lowerBatch*c.g.OutH()*c.g.OutW(), c.g.InC*c.g.K*c.g.K)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Im2ColBatch(plan, img, cols)
+			}
+		})
+	}
+}
+
+// BenchmarkCol2Im times the adjoint, the input gradient's scatter, at
+// the same geometries and batch.
+func BenchmarkCol2Im(b *testing.B) {
+	for _, c := range simpleCNNConvs {
+		b.Run(c.name, func(b *testing.B) {
+			plan := NewConvPlan(c.g)
+			img := New(lowerBatch, c.g.InC*c.g.InH*c.g.InW)
+			cols := New(lowerBatch*c.g.OutH()*c.g.OutW(), c.g.InC*c.g.K*c.g.K)
+			fillRandom(cols, rng.New(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Col2ImBatch(plan, cols, img)
+			}
+		})
 	}
 }

@@ -49,7 +49,9 @@ go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivale
 # all-zero long-form shapes. The artifact-set file codec rides along:
 # every single-byte flip of a two-cell set must fail to load or load
 # the same set, since its checksum covers the header and every cell.
-go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip|TestArtifactSetFileRoundTrip' ./internal/experiments/
+# So must a cache record's: every single-byte flip of one cell record
+# is a counted rejected miss or loads the same artifact.
+go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip|TestArtifactSetFileRoundTrip|TestCacheRecordFlips' ./internal/experiments/
 
 # Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
 # never panic, and a stream it accepts must re-encode to a fixed point.
@@ -140,7 +142,11 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # for the SIMD elementwise kernels and the robust merge's
 # compare-exchange and zero/NaN lane screen (NaN payloads, ±0, ±Inf and
 # subnormals; 1 to 17 rows at strides wider than the lane count), and
-# im2col/col2im must match the element-at-a-time loops. A row stripe of
+# the plan-driven im2col/col2im must match the element-at-a-time loops
+# at batch 1 and 3. The GEMM dispatch must pick the naive loops below
+# one register tile, the blocked kernel for a full tile read in place
+# at any volume, and go by volume on generic and for multi-panel
+# products. A row stripe of
 # the blocked GEMM must write only its own rows (the amd64 SIMD tiers
 # shift an edge tile back inside it). The Adam kernel must match the
 # scalar Adam loop over five steps with clipped gradients and special
@@ -160,13 +166,13 @@ go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrain
 # CNN, VGG stand-in, the agent's policy and value MLPs) must train to
 # the digests pinned in internal/nn/digest_test.go, through an arena
 # with either backward and without an arena.
-go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
+go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestGEMMDispatchRule|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestBackendsChain|TestGEMMShortDataPanics|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
 go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestTrainStepDigestPinned|TestMaxPoolTiesAndOverlap|TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch|TestCopyFrom' ./internal/nn/
 
 # Forced-generic gate: the same bit-identity suites with every SIMD
 # tier disabled via the TENSOR_BACKEND override, proving the pure-Go
 # kernels stand alone (and that the override is honored end to end).
-TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
+TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestBlockedSpecialValues|TestIm2ColMatchesElementLoop|TestGEMMDispatchRule|TestElemwiseBitIdentity|TestCompareExchangeBitIdentity|TestScreenZeroNaNBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv|TestBlockedRangeStaysInStripe|TestAdamUpdateBitIdentity|TestAllFiniteSweep' ./internal/tensor/
 TENSOR_BACKEND=generic go test -run 'TestAdamStepMatchesScalar|TestSoftUpdateMatchesScalar|TestBackwardInputMatchesScratch' ./internal/nn/
 
 # Float32 kernel gates: the f32 GEMM (the portable 4×4 tile on every
