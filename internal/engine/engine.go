@@ -21,9 +21,10 @@
 //   - The submitting caller always drains its own index cursor, so every
 //     job completes even if no helper ever picks up an entry (entries
 //     are hints, not obligations — a full deque just means less help).
-//   - A caller waiting for stragglers helps by stealing pending work
-//     rather than parking, so blocked lanes keep executing tasks and the
-//     deepest nested loops still see multiple lanes.
+//   - A caller waiting for stragglers helps by stealing pending work of
+//     jobs created after its own rather than parking, so blocked lanes
+//     keep executing tasks and the deepest nested loops still see
+//     multiple lanes.
 //   - Lane ids are allocated per job from a bounded free list, so within
 //     one For call concurrent tasks always observe distinct lane ids in
 //     [0, min(Workers, n)) no matter which goroutines steal in.
@@ -51,6 +52,10 @@ const dequeCap = 64
 type forJob struct {
 	task func(worker, i int)
 	n    int
+	// seq numbers the pool's jobs in creation order, from 1. A job's
+	// ancestors, the jobs whose tasks were running when it was created,
+	// all have smaller numbers.
+	seq int64
 
 	// next is the shared index cursor. It starts at 1: index 0 is
 	// reserved for the submitting caller, which guarantees lane 0 always
@@ -69,11 +74,13 @@ type forJob struct {
 	freeLanes []int
 }
 
-// newJob builds a job over n indices with the given lane budget.
-func newJob(task func(worker, i int), n, lanes int) *forJob {
+// newJob builds job number seq over n indices with the given lane
+// budget.
+func newJob(task func(worker, i int), n, lanes int, seq int64) *forJob {
 	j := &forJob{
 		task:      task,
 		n:         n,
+		seq:       seq,
 		next:      1,
 		fin:       make(chan struct{}),
 		freeLanes: make([]int, 0, lanes-1),
@@ -208,18 +215,25 @@ func (d *laneDeque) popOwn() *forJob {
 	return j
 }
 
-// popSteal takes the oldest entry (thief side).
-func (d *laneDeque) popSteal() *forJob {
+// popAfter takes the oldest entry of a job numbered above seq (thief
+// side); popAfter(0) takes the oldest entry.
+func (d *laneDeque) popAfter(seq int64) *forJob {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.count == 0 {
-		return nil
+	for r := 0; r < d.count; r++ {
+		j := d.buf[(d.head+r)%dequeCap]
+		if j.seq <= seq {
+			continue
+		}
+		for x := r; x > 0; x-- {
+			d.buf[(d.head+x)%dequeCap] = d.buf[(d.head+x-1)%dequeCap]
+		}
+		d.buf[d.head] = nil
+		d.head = (d.head + 1) % dequeCap
+		d.count--
+		return j
 	}
-	j := d.buf[d.head]
-	d.buf[d.head] = nil
-	d.head = (d.head + 1) % dequeCap
-	d.count--
-	return j
+	return nil
 }
 
 // Pool is a persistent bounded work-stealing pool. The zero value is
@@ -233,6 +247,8 @@ type Pool struct {
 	// rr spreads entry publication and external steal scans across the
 	// deques so no single lane becomes the contention point.
 	rr int64
+	// seq is the number of the last job created (forJob.seq).
+	seq int64
 	// notify wakes parked workers when entries are published. It is a
 	// hint channel: a dropped send is safe because jobs never depend on
 	// their entries being drained.
@@ -351,7 +367,7 @@ func (p *Pool) grab(id int) *forJob {
 		return j
 	}
 	for k := 1; k < p.workers; k++ {
-		if j := p.deques[(id+k)%p.workers].popSteal(); j != nil {
+		if j := p.deques[(id+k)%p.workers].popAfter(0); j != nil {
 			p.noteSteal()
 			return j
 		}
@@ -359,12 +375,12 @@ func (p *Pool) grab(id int) *forJob {
 	return nil
 }
 
-// grabAny is the steal scan for goroutines that own no deque (external
-// callers helping while they wait).
-func (p *Pool) grabAny() *forJob {
+// grabAny is the steal scan of a lane waiting in a For call (helpUntil):
+// it takes only entries of jobs numbered above seq.
+func (p *Pool) grabAny(seq int64) *forJob {
 	start := int(atomic.AddInt64(&p.rr, 1))
 	for k := 0; k < p.workers; k++ {
-		if j := p.deques[(start+k)%p.workers].popSteal(); j != nil {
+		if j := p.deques[(start+k)%p.workers].popAfter(seq); j != nil {
 			p.noteSteal()
 			return j
 		}
@@ -410,6 +426,14 @@ func (p *Pool) announce(j *forJob, k int) {
 // parking on fin alone would orphan the entry and deadlock. Every
 // consumed wakeup is followed by a scan before fin is honored, so a
 // wakeup can never be swallowed by a lane that leaves without looking.
+//
+// It steals only jobs created after j. An older job may be an ancestor
+// whose task this lane is inside: joining it would run that job's long
+// tasks nested in j's wait and take the helper entry and lane meant for
+// an idle worker. (A client's parallel GEMM, waiting on a stripe the
+// other lane held, took its round's cohort entry this way and trained
+// the remaining clients alone on a 2-lane pool.) The jobs j's
+// stragglers can wait on are created inside j's indices, so after j.
 func (p *Pool) helpUntil(j *forJob) {
 	for {
 		select {
@@ -417,7 +441,7 @@ func (p *Pool) helpUntil(j *forJob) {
 			return
 		default:
 		}
-		if o := p.grabAny(); o != nil {
+		if o := p.grabAny(j.seq); o != nil {
 			o.participate()
 			continue
 		}
@@ -425,7 +449,7 @@ func (p *Pool) helpUntil(j *forJob) {
 		case <-j.fin:
 			return
 		case <-p.notify:
-			if o := p.grabAny(); o != nil {
+			if o := p.grabAny(j.seq); o != nil {
 				o.participate()
 			}
 		}
@@ -507,7 +531,7 @@ func (p *Pool) ForWorker(n int, task func(worker, i int)) {
 	if lanes > n {
 		lanes = n
 	}
-	j := newJob(task, n, lanes)
+	j := newJob(task, n, lanes, atomic.AddInt64(&p.seq, 1))
 	p.announce(j, lanes-1)
 	// The cursor starts at 1 and index 0 runs here, so lane 0 (the
 	// caller) always executes work while thieves start on index 1.

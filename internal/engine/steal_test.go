@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,4 +302,58 @@ func runPinnedInner(p *Pool, freed chan struct{}) {
 	buf := new([1 << 20]byte)
 	runtime.SetFinalizer(buf, func(*[1 << 20]byte) { close(freed) })
 	p.For(2, func(j int) { buf[j] = 1 })
+}
+
+// TestWaitSkipsOlderJobs pins the steal rule of a lane waiting in a For
+// call: it joins only jobs created after its own. On a 2-lane pool, the
+// caller's outer index 0 runs a nested For whose index 1 the worker
+// takes and holds for 2 ms, so the caller waits while the outer job's
+// entry may still be queued. Joining it would run outer index 1 inside
+// outer index 0, on the same goroutine, and leave the worker idle once
+// it lets go. A trial counts only when the worker took the nested
+// entry first, which happens about every other time.
+func TestWaitSkipsOlderJobs(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	held := 0
+	for trial := 0; trial < 100; trial++ {
+		var outer0 atomic.Int64 // goroutine running outer index 0, while it does
+		var started atomic.Bool
+		var heldBy int64
+		p.For(2, func(i int) {
+			if i == 1 {
+				if g := outer0.Load(); g == goid() {
+					t.Errorf("trial %d: outer index 1 ran inside outer index 0", trial)
+				}
+				return
+			}
+			outer0.Store(goid())
+			p.For(2, func(k int) {
+				if k == 1 {
+					heldBy = goid()
+					started.Store(true)
+					time.Sleep(2 * time.Millisecond)
+					return
+				}
+				for deadline := time.Now().Add(10 * time.Millisecond); !started.Load() && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+			})
+			if heldBy != outer0.Load() {
+				held++
+			}
+			outer0.Store(0)
+		})
+	}
+	if held == 0 {
+		t.Fatal("the worker never took the nested entry: no trial tested the rule")
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() int64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseInt(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
 }

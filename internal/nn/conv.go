@@ -15,8 +15,10 @@ import (
 // forward pass and both backward passes are each a single large matrix
 // product per layer call instead of one small GEMM per image — the shape
 // the blocked kernels are fastest at. The layer lowers through its
-// geometry's index plan, built once in NewConv2D.
+// geometry's index plan, built by its first forward pass, so a model
+// that is built and never run allocates none.
 type Conv2D struct {
+	g    tensor.ConvGeom
 	plan *tensor.ConvPlan
 	OutC int
 
@@ -32,13 +34,13 @@ type Conv2D struct {
 
 // NewConv2D returns a convolution layer with He-normal initialization.
 func NewConv2D(r *rng.RNG, g tensor.ConvGeom, outC int) *Conv2D {
-	plan := tensor.NewConvPlan(g)
+	g.Validate()
 	if outC <= 0 {
 		panic("nn: Conv2D with non-positive output channels")
 	}
 	patch := g.InC * g.K * g.K
 	c := &Conv2D{
-		plan: plan, OutC: outC,
+		g: g, OutC: outC,
 		W:  tensor.New(patch, outC),
 		B:  tensor.New(1, outC),
 		dW: tensor.New(patch, outC),
@@ -52,16 +54,10 @@ func NewConv2D(r *rng.RNG, g tensor.ConvGeom, outC int) *Conv2D {
 }
 
 // OutLen returns the flattened output length per sample.
-func (c *Conv2D) OutLen() int {
-	g := c.plan.Geom()
-	return c.OutC * g.OutH() * g.OutW()
-}
+func (c *Conv2D) OutLen() int { return c.OutC * c.g.OutH() * c.g.OutW() }
 
 // InLen returns the flattened input length per sample.
-func (c *Conv2D) InLen() int {
-	g := c.plan.Geom()
-	return g.InC * g.InH * g.InW
-}
+func (c *Conv2D) InLen() int { return c.g.InC * c.g.InH * c.g.InW }
 
 // ForwardScratch convolves each batch row; output rows are
 // CHW-flattened. It lowers the whole batch with one im2col and one
@@ -72,13 +68,16 @@ func (c *Conv2D) ForwardScratch(sc *Scratch, id int, x *tensor.Tensor, train boo
 		panic(fmt.Sprintf("nn: Conv2D.ForwardScratch input width %d, want %d", x.Cols(), c.InLen()))
 	}
 	batch := x.Rows()
-	g := c.plan.Geom()
+	g := c.g
 	ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
 	cols := sc.tensor2D(id, 0, batch*ohw, patch)
 	out := sc.tensor2D(id, 1, batch, c.OutLen())
 	res := sc.tensor2D(id, 2, batch*ohw, c.OutC)
 	c.lastCols = cols
 	c.lastRows = batch
+	if c.plan == nil {
+		c.plan = tensor.NewConvPlan(g)
+	}
 	tensor.Im2ColBatch(c.plan, x, cols)
 	tensor.MatMulInto(res, cols, c.W)
 	for i := 0; i < batch; i++ {
@@ -108,7 +107,7 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor, want 
 		panic(fmt.Sprintf("nn: Conv2D.BackwardScratch grad shape %v", grad.Shape))
 	}
 	batch := grad.Rows()
-	g := c.plan.Geom()
+	g := c.g
 	ohw, patch := g.OutH()*g.OutW(), g.InC*g.K*g.K
 	outC := c.OutC
 	params := want&ParamGrads != 0

@@ -36,9 +36,12 @@ package tensor
 //     narrower than one tile takes the scalar microEdgeG there, as
 //     every edge tile does on the other tiers. So a 60-row agent batch,
 //     whose last 4 rows form edge tiles, costs about what 64 rows do.
-//   - Dispatch (useBlocked): where operands are read in place, every
-//     product holding one full register tile runs the kernel, however
-//     small; packed products run it from blockedMinVolume up.
+//   - Dispatch (useBlocked): on the amd64 SIMD tiers, a product whose
+//     reduction fits one panel (k ≤ kcBlock, A·Bᵀ included) runs the
+//     kernel whenever it holds one full register tile, however small,
+//     and the naive loops otherwise. A multi-panel product, every
+//     product on the generic and NEON tiers, and every float32 product
+//     run the kernel from blockedMinVolume up.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -84,9 +87,10 @@ const (
 
 	// blockedMinVolume is the m·k·n product below which the blocked
 	// path's overhead (tile set-up and packing) outweighs register
-	// tiling and the naive loops win. It decides only for products the
-	// kernel packs: every product on the generic and NEON tiers, and a
-	// multi-panel one on the amd64 SIMD tiers (see useBlocked).
+	// tiling and the naive loops win. It decides for every product on
+	// the generic and NEON tiers, for a multi-panel one (k > kcBlock)
+	// on the amd64 SIMD tiers (see useBlocked), and for every float32
+	// product (gemmInto32).
 	blockedMinVolume = 1 << 14
 	// parallelMinVolume is the volume below which stripe fan-out is not
 	// worth the scheduling round trip.
@@ -162,14 +166,18 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 }
 
 // useBlocked reports whether gemmInto runs an m×k×n product on the
-// blocked kernel rather than the naive loops. Where the kernel reads the
-// operands in place (readsInPlace), a product that holds one full
-// register tile runs it at any volume, and a narrower one, which could
-// reach only the scalar microEdgeG there, runs the naive loops. On a
-// 2-core AVX-512 Xeon (3 runs per tier) the dense head's 10×64×10 took
-// 1.1–1.7 µs on the kernel against 5.3–6.9 µs naive under avx512 and
-// avx, and the agent's single-row 1×128×128 35–53 µs against 12–15 µs
-// naive. Products the kernel packs go by volume (blockedMinVolume).
+// blocked kernel rather than the naive loops. Where readsInPlace(k)
+// holds (the amd64 SIMD tiers, k ≤ kcBlock; A·Bᵀ follows the same rule
+// though its B is packed), a product that holds one full register tile
+// runs it at any volume, and a narrower one, which could reach only the
+// scalar microEdgeG there, runs the naive loops. On a 2-core AVX-512
+// Xeon (3 runs per tier) the dense head's 10×64×10 took 1.1–1.7 µs on
+// the kernel against 5.3–6.9 µs naive under avx512 and avx, and the
+// agent's single-row 1×128×128 35–53 µs against 12–15 µs naive. A
+// one-column product, the value head over a 256- or 134-row
+// reprioritization batch, is scalar on both paths and timed alike
+// (medians within 20% either way, 9 runs per tier). Every other product
+// goes by volume (blockedMinVolume).
 func useBlocked(m, k, n int) bool {
 	if readsInPlace(k) {
 		return m >= kernelMR() && n >= kernelNR()

@@ -40,8 +40,10 @@ func gemmNaive32(dst, a, b *Tensor32, v gemmVariant) {
 // MatMulAT32Into / MatMulBT32Into: dispatch small products to the naive
 // loops, large ones to the blocked kernel, and fan row stripes out on
 // the pool hook when one is installed. All paths are bit-identical by
-// construction. The volume thresholds are shared with the float64 arm:
-// they gate on arithmetic count, which is width-independent.
+// construction. It applies blockedMinVolume to every product, as the
+// float64 arm does only off the SIMD tiers' one-panel products
+// (useBlocked); the volume thresholds gate on arithmetic count, which
+// is width-independent.
 func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 	m, k, n := gemmDims32(a, b, v)
 	if m*k*n < blockedMinVolume {

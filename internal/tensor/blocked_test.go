@@ -86,10 +86,14 @@ func gemmPublic(dst, a, b *Tensor, v gemmVariant) {
 // 67 experiences. Each reduction fits one panel, so on the amd64 SIMD
 // tiers the blocked kernel reads these operands in place, with strides
 // that differ from the tile width, and most end in edge tiles. The last
-// rows are the products below blockedMinVolume whose path the tile-fit
-// rule (useBlocked) decides: the simple CNN's 64→10 head at batch 10
-// (forward, dW, dx), the ci agent's batch-16 first layer, and the
-// single-row policy forwards of the K=10 and K=16 agents.
+// rows are products whose path the tile-fit rule (useBlocked) decides
+// on those tiers: full tiles below blockedMinVolume, which run the
+// kernel (the simple CNN's 64→10 head at batch 10, forward, dW and dx,
+// and the ci agent's batch-16 first layer), and products narrower than
+// one tile, which run the naive loops at any volume (the single-row
+// policy forwards of the K=10 and K=16 agents, and the one-column value
+// head of a reprioritization pass over a full chunk of 128 experiences,
+// 256 rows, and over the 67-experience chunk above).
 var stepGEMMs = [][3]int{
 	{640, 9, 8}, {160, 72, 16}, {72, 160, 16}, {160, 16, 72},
 	{8, 64, 256}, {64, 8, 256}, {8, 256, 64}, {8, 256, 128}, {8, 128, 256}, {256, 8, 128},
@@ -102,6 +106,7 @@ var stepGEMMs = [][3]int{
 	{10, 64, 10}, {64, 10, 10}, {10, 10, 64},
 	{16, 30, 32},
 	{1, 30, 128}, {1, 128, 128}, {1, 128, 20}, {1, 48, 128}, {1, 128, 32},
+	{256, 128, 1}, {134, 128, 1},
 }
 
 // TestBlockedBitIdentity is the kernel determinism gate (run explicitly

@@ -349,9 +349,6 @@ func NewConvPlan(g ConvGeom) *ConvPlan {
 	return p
 }
 
-// Geom returns the geometry the plan lowers.
-func (p *ConvPlan) Geom() ConvGeom { return p.g }
-
 // checkShapes panics unless imgs is (batch, InC·InH·InW) and cols is the
 // batch's (batch·OutH·OutW, InC·K·K) column matrix.
 func (p *ConvPlan) checkShapes(op string, imgs, cols *Tensor) {
@@ -391,30 +388,11 @@ func Im2ColBatch(p *ConvPlan, x, cols *Tensor) {
 // receives the adjoint of sample i's row block. imgs is accumulated
 // into, not zeroed. Each pixel adds its terms to its own value in
 // ascending column order, which is ascending (oy, ox): a pixel meets at
-// most one kernel tap per output position. Samples go in pairs that
-// share each index load and keep two independent sums (on a 2-core
-// AVX-512 Xeon, 10–12 → 5–7 µs at the simple CNN's second layer, batch
-// 10); an odd batch's last sample goes alone.
+// most one kernel tap per output position.
 func Col2ImBatch(p *ConvPlan, cols, imgs *Tensor) {
 	p.checkShapes("Col2ImBatch", imgs, cols)
 	block, start, elems := len(p.src), p.start, p.elems
-	rows := imgs.Rows()
-	i := 0
-	for ; i+1 < rows; i += 2 {
-		ca, cb := cols.Data[i*block:][:block], cols.Data[(i+1)*block:][:block]
-		ia, ib := imgs.Row(i), imgs.Row(i+1)
-		ib = ib[:len(ia)]
-		lo := start[0]
-		for px, va := range ia {
-			vb, hi := ib[px], start[px+1]
-			for _, j := range elems[lo:hi] {
-				va += ca[j]
-				vb += cb[j]
-			}
-			ia[px], ib[px], lo = va, vb, hi
-		}
-	}
-	if i < rows {
+	for i := 0; i < imgs.Rows(); i++ {
 		cd, img := cols.Data[i*block:][:block], imgs.Row(i)
 		lo := start[0]
 		for px, v := range img {

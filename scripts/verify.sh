@@ -37,10 +37,11 @@ go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|Tes
 # Work-stealing scheduler gate: the engine package under -race with the
 # nested determinism matrix (saturated For/ForWorker at worker counts
 # 1/2/4/8 bit-identical to sequential) asserted explicitly in short
-# mode, plus the steal-proof and sibling-grid stress tests, and the
-# check that a finished job's entry left queued in a deque no longer
-# keeps the job's closure (and what it captured) alive.
-go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace|TestFinishedJobReleasesTask' ./internal/engine/
+# mode, plus the steal-proof and sibling-grid stress tests, the check
+# that a finished job's entry left queued in a deque no longer keeps
+# the job's closure (and what it captured) alive, and the rule that a
+# lane waiting in a For joins only jobs created after its own.
+go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace|TestFinishedJobReleasesTask|TestWaitSkipsOlderJobs' ./internal/engine/
 
 # Key-codec fuzz seeds in short mode (the corpus only; `make fuzz` runs
 # the fuzzing engine proper). The corpus covers both the legacy 7-field
