@@ -49,12 +49,17 @@ bench-smoke:
 	$(GO) test -bench 'EngineRoundLoop|NestedGridSteal|ComputeGEMM|ComputeConv|ComputeElemwise' -benchtime=1x -run 'TestEngineBenchJSON|TestComputeBenchJSON' .
 
 # Fuzz the cell-key codec (the identity under artifact files, shard
-# assignment and cache addressing) and the checkpoint reader (the one
-# decoder of agent checkpoints, cache records and shard artifacts) with
-# the native fuzzing engine. Plain `go test` / verify.sh only replay the
-# seed corpora.
+# assignment and cache addressing), the decoders above the checkpoint
+# reader (cache records, artifact sets and agents, fed streams sealed
+# with their CRC-32C) and the checkpoint reader itself (the one decoder
+# of agent checkpoints, cache records, shard artifacts and saved
+# models) with the native fuzzing engine. Plain `go test` / verify.sh
+# only replay the seed corpora. The flip tests they run beside the
+# corpora require every single-byte flip of a stored file to fail, since
+# the stream's CRC-32C trailer covers every byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseCellKey -fuzztime 15s ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 15s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 15s ./internal/serialize/
 
 clean:

@@ -3,9 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,22 +109,72 @@ func TestTablesShardMergeRoundTrip(t *testing.T) {
 	// A shard whose series lost a bit on disk is refused, naming the
 	// file, instead of rendering a wrong number.
 	path := filepath.Join(dir, "s1.art")
-	ck, err := feddrl.LoadCheckpoint(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := ck.Vectors["c000000.acc"]
-	acc[len(acc)-1] = math.Float64frombits(math.Float64bits(acc[len(acc)-1]) ^ 1<<50)
-	if err := ck.SaveFile(path); err != nil {
+	data[len(data)-5] ^= 0x01 // the last byte of the last series
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	merged.Reset()
-	errOut.Reset()
-	if code := run([]string{"-merge", dir}, &merged, &errOut); code != 2 {
-		t.Fatalf("merge of a corrupt shard exited %d, want 2: %s", code, errOut.String())
+	mergeRefused(t, dir, path)
+
+	// A shard edited into a misaligned set and saved with a valid
+	// checksum is refused with one line, not rendered into a panic: a
+	// figure10 shard whose rounds vectors are emptied (its renderer
+	// looks each method's round up by accuracy index), and a figure5
+	// shard whose FedDRL cells are cut to one evaluation (its renderer
+	// reads every method's accuracy at FedAvg's rounds).
+	for _, c := range []struct {
+		exp  string
+		edit func(ck *feddrl.Checkpoint, prefix, key string)
+	}{
+		{"figure10", func(ck *feddrl.Checkpoint, prefix, _ string) {
+			ck.Vectors[prefix+"rounds"] = []float64{}
+		}},
+		{"figure5", func(ck *feddrl.Checkpoint, prefix, key string) {
+			if strings.Split(key, "|")[2] == "FedDRL" {
+				ck.Vectors[prefix+"acc"] = ck.Vectors[prefix+"acc"][:1]
+				ck.Vectors[prefix+"rounds"] = ck.Vectors[prefix+"rounds"][:1]
+			}
+		}},
+	} {
+		edited := t.TempDir()
+		path := filepath.Join(edited, c.exp+".art")
+		var out bytes.Buffer
+		errOut.Reset()
+		args := []string{"-exp", c.exp, "-scale", "ci", "-rounds", "2", "-seed", "1", "-shard", "1/1", "-out", path}
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%s shard exited %d: %s", c.exp, code, errOut.String())
+		}
+		ck, err := feddrl.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := strconv.Atoi(ck.Meta["cells"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cells; i++ {
+			c.edit(ck, fmt.Sprintf("c%06d.", i), ck.Meta[fmt.Sprintf("cell.%06d", i)])
+		}
+		if err := ck.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		mergeRefused(t, edited, "")
+	}
+}
+
+// mergeRefused runs -merge over dir and requires exit 2 with one line
+// on stderr, naming path unless it is empty.
+func mergeRefused(t *testing.T, dir, path string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-merge", dir}, &out, &errOut); code != 2 {
+		t.Fatalf("merge of %s exited %d, want 2: %s", dir, code, errOut.String())
 	}
 	if msg := errOut.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, path) {
-		t.Fatalf("merge of a corrupt shard should print one line naming %s, got %q", path, msg)
+		t.Fatalf("merge of %s should print one line naming %q, got %q", dir, path, msg)
 	}
 }
 

@@ -175,8 +175,8 @@ func TestVerifyRunPatternsResolve(t *testing.T) {
 // TestNoUnreachableDeclarations tolerates, each with its reason. An entry
 // that a run reaches again, or that no longer exists, fails the test.
 var unreachableAllowed = map[string]string{
-	"tensor.MatMulAT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (ROADMAP item 3)",
-	"tensor.MatMulBT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (ROADMAP item 3)",
+	"tensor.MatMulAT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (the ROADMAP item 'Delete the f32 GEMM')",
+	"tensor.MatMulBT32Into": "f32 GEMM entry point only its tests call; it goes with the f32 GEMM, whose bit-identity suites are retired in two steps (the ROADMAP item 'Delete the f32 GEMM')",
 }
 
 // TestNoUnreachableDeclarations type-checks every package of the module

@@ -8,37 +8,21 @@ import (
 	"feddrl/internal/serialize"
 )
 
-// agentNetworks names the agent's four stored networks, in checksum
-// order.
+// agentNetworks are the checkpoint keys of the agent's four networks,
+// in the order networks returns them.
 var agentNetworks = []string{"policy", "policyT", "value", "valueT"}
 
-// networks returns the agent's networks in agentNetworks order.
+// networks returns the agent's four networks.
 func (a *Agent) networks() []*nn.Network {
 	return []*nn.Network{a.policy, a.policyT, a.value, a.valueT}
 }
 
-// agentSum content-hashes an agent checkpoint as stored: its kind, K
-// and hidden width, then the four networks' vectors. RestoreAgent
-// builds the agent from exactly these, so a flipped bit in any of them
-// must reject the file.
-func agentSum(c *serialize.Checkpoint) string {
-	h := serialize.NewHasher()
-	for _, f := range []string{"kind", "k", "hidden"} {
-		h.String(c.Meta[f])
-	}
-	for _, name := range agentNetworks {
-		h.Floats(c.Vectors[name])
-	}
-	return h.Sum()
-}
-
 // Checkpoint serializes the agent's four networks (main and target,
 // policy and value) plus the identifying configuration into a
-// serialize.Checkpoint, with a checksum over everything RestoreAgent
-// reads back. The experience buffer is not persisted: a restored agent
-// resumes with fresh experience, which is the correct semantic for
-// deploying a trained policy (the two-stage trainer's main agent) onto
-// a new federation.
+// serialize.Checkpoint. The experience buffer is not persisted: a
+// restored agent resumes with fresh experience, which is the correct
+// semantic for deploying a trained policy (the two-stage trainer's main
+// agent) onto a new federation.
 func (a *Agent) Checkpoint() *serialize.Checkpoint {
 	c := serialize.NewCheckpoint()
 	c.Meta["kind"] = "feddrl-agent"
@@ -47,7 +31,6 @@ func (a *Agent) Checkpoint() *serialize.Checkpoint {
 	for i, n := range a.networks() {
 		n.SaveInto(c, agentNetworks[i])
 	}
-	c.Meta["checksum"] = agentSum(c)
 	return c
 }
 
@@ -55,8 +38,7 @@ func (a *Agent) Checkpoint() *serialize.Checkpoint {
 // Agent.Checkpoint. The supplied configuration must agree with the
 // checkpoint's K and Hidden (the architecture keys); all other
 // hyperparameters may differ (e.g. new exploration settings for a new
-// deployment). It rejects a checkpoint whose checksum is missing or
-// does not match.
+// deployment).
 func RestoreAgent(cfg Config, c *serialize.Checkpoint) (*Agent, error) {
 	if c.Meta["kind"] != "feddrl-agent" {
 		return nil, fmt.Errorf("core: checkpoint kind %q is not a feddrl-agent", c.Meta["kind"])
@@ -66,9 +48,6 @@ func RestoreAgent(cfg Config, c *serialize.Checkpoint) (*Agent, error) {
 	}
 	if h, _ := strconv.Atoi(c.Meta["hidden"]); h != cfg.Hidden {
 		return nil, fmt.Errorf("core: checkpoint hidden=%s does not match config hidden=%d", c.Meta["hidden"], cfg.Hidden)
-	}
-	if agentSum(c) != c.Meta["checksum"] {
-		return nil, fmt.Errorf("core: agent checkpoint checksum missing or mismatched (corrupt file, or one written before agent checkpoints carried a checksum)")
 	}
 	a := NewAgent(cfg)
 	for i, n := range a.networks() {

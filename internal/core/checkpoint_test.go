@@ -94,22 +94,17 @@ func TestRestoreAgentMissingVector(t *testing.T) {
 
 // TestAgentCheckpointFlips flips every byte of a small agent's
 // checkpoint stream (masks 0x01, 0x80 and 0xff), as LoadAgentFile
-// decodes it: each flip must fail to load or restore networks that
-// encode to the original bytes, since the checksum covers the kind, K,
-// hidden width and all four networks. Three hidden units keep the
-// stream near 2 KB, so the sweep stays fast under -race.
+// decodes it: every flip must fail to load, since the stream's checksum
+// trailer covers every byte. Three hidden units keep the stream near
+// 2 KB, so the sweep stays fast under -race.
 func TestAgentCheckpointFlips(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.Hidden = 3
-	encode := func(a *Agent) []byte {
-		var b bytes.Buffer
-		if err := a.Checkpoint().Write(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+	var b bytes.Buffer
+	if err := NewAgent(cfg).Checkpoint().Write(&b); err != nil {
+		t.Fatal(err)
 	}
-	orig := encode(NewAgent(cfg))
-	loaded := 0
+	orig := b.Bytes()
 	for pos := range orig {
 		for _, mask := range []byte{0x01, 0x80, 0xff} {
 			flipped := bytes.Clone(orig)
@@ -118,15 +113,9 @@ func TestAgentCheckpointFlips(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			a, err := RestoreAgent(cfg, c)
-			if err != nil {
-				continue
-			}
-			loaded++
-			if !bytes.Equal(encode(a), orig) {
-				t.Fatalf("flip %#02x at byte %d of %d restored different networks", mask, pos, len(orig))
+			if _, err := RestoreAgent(cfg, c); err == nil {
+				t.Fatalf("flip %#02x at byte %d of %d restored an agent", mask, pos, len(orig))
 			}
 		}
 	}
-	t.Logf("%d bytes, %d of %d flips loaded", len(orig), loaded, 3*len(orig))
 }

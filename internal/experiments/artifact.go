@@ -145,8 +145,7 @@ func artifactOf(spec CellSpec, r *fl.Result) *CellArtifact {
 	}
 }
 
-// cellVectorNames are the per-cell series stored by every cell codec,
-// in checksum order.
+// cellVectorNames are the per-cell series stored by every cell codec.
 var cellVectorNames = []string{"acc", "rounds", "lossmean", "lossvar"}
 
 // cellVectorsInto writes a cell's series under prefix into a checkpoint
@@ -159,12 +158,17 @@ func cellVectorsInto(c *serialize.Checkpoint, prefix string, a *CellArtifact) {
 	c.Vectors[prefix+"lossvar"] = a.LossVar
 }
 
-// cellFromVectors decodes a cell's series stored under prefix.
+// cellFromVectors decodes a cell's series stored under prefix. Its
+// accuracy and evaluated rounds must align, as every run appends them
+// together; the renderers index one by the other.
 func cellFromVectors(c *serialize.Checkpoint, prefix string, spec CellSpec) (*CellArtifact, error) {
 	for _, suffix := range cellVectorNames {
 		if _, ok := c.Vectors[prefix+suffix]; !ok {
 			return nil, fmt.Errorf("experiments: cell %s missing vector %q", spec.Key(), suffix)
 		}
+	}
+	if acc, rounds := len(c.Vectors[prefix+"acc"]), len(c.Vectors[prefix+"rounds"]); acc != rounds {
+		return nil, fmt.Errorf("experiments: cell %s has %d accuracies for %d evaluated rounds", spec.Key(), acc, rounds)
 	}
 	return &CellArtifact{
 		Spec:      spec,
@@ -173,19 +177,6 @@ func cellFromVectors(c *serialize.Checkpoint, prefix string, spec CellSpec) (*Ce
 		LossMean:  c.Vectors[prefix+"lossmean"],
 		LossVar:   c.Vectors[prefix+"lossvar"],
 	}, nil
-}
-
-// cellPayloadSum content-hashes a cell's stored series in
-// cellVectorNames order — the integrity checksum carried by cache
-// records. It hashes the raw checkpoint vectors, not the decoded
-// artifact, so any stored-payload bit rot is detected even where
-// decoding would mask it (e.g. the float→int truncation of "rounds").
-func cellPayloadSum(c *serialize.Checkpoint, prefix string) string {
-	h := serialize.NewHasher()
-	for _, suffix := range cellVectorNames {
-		h.Floats(c.Vectors[prefix+suffix])
-	}
-	return h.Sum()
 }
 
 // ArtifactSet is a collection of cell artifacts from one experiment
@@ -248,29 +239,9 @@ func (as *ArtifactSet) get(spec CellSpec) *CellArtifact {
 // Len returns the number of cells in the set.
 func (as *ArtifactSet) Len() int { return len(as.order) }
 
-// artifactSetSum content-hashes an encoded set as stored: its header
-// fields, then the key and series of each of its count cells. A merge
-// renders from all of them (the header's rounds set the scale), so a
-// flipped bit anywhere in them must reject the file.
-func artifactSetSum(c *serialize.Checkpoint, count int) string {
-	h := serialize.NewHasher()
-	for _, f := range []string{"experiment", "scale", "rounds", "seed", "seeds", "cells"} {
-		h.String(c.Meta[f])
-	}
-	for i := 0; i < count; i++ {
-		h.String(c.Meta[fmt.Sprintf("cell.%06d", i)])
-		prefix := fmt.Sprintf("c%06d.", i)
-		for _, suffix := range cellVectorNames {
-			h.Floats(c.Vectors[prefix+suffix])
-		}
-	}
-	return h.Sum()
-}
-
 // Checkpoint encodes the set into the repository's binary checkpoint
-// format, with a checksum over everything it decodes back. float64
-// payloads round-trip bit-exactly, which is what makes the
-// shard→merge→render path byte-identical to an unsharded run.
+// format. float64 payloads round-trip bit-exactly, which is what makes
+// the shard→merge→render path byte-identical to an unsharded run.
 func (as *ArtifactSet) Checkpoint() *serialize.Checkpoint {
 	c := serialize.NewCheckpoint()
 	c.Meta["kind"] = "experiment-artifacts"
@@ -284,12 +255,10 @@ func (as *ArtifactSet) Checkpoint() *serialize.Checkpoint {
 		c.Meta[fmt.Sprintf("cell.%06d", i)] = key
 		cellVectorsInto(c, fmt.Sprintf("c%06d.", i), as.Cells[key])
 	}
-	c.Meta["checksum"] = artifactSetSum(c, len(as.order))
 	return c
 }
 
-// ArtifactSetFromCheckpoint decodes a set written by Checkpoint. It
-// rejects a set whose checksum is missing or does not match.
+// ArtifactSetFromCheckpoint decodes a set written by Checkpoint.
 func ArtifactSetFromCheckpoint(c *serialize.Checkpoint) (*ArtifactSet, error) {
 	if c.Meta["kind"] != "experiment-artifacts" {
 		return nil, fmt.Errorf("experiments: checkpoint kind %q is not an artifact set", c.Meta["kind"])
@@ -332,11 +301,6 @@ func ArtifactSetFromCheckpoint(c *serialize.Checkpoint) (*ArtifactSet, error) {
 			return nil, err
 		}
 		as.Add(a)
-	}
-	// Checked once every cell key is known to exist, so a corrupt count
-	// fails at its first missing cell rather than hashing up to it.
-	if artifactSetSum(c, count) != c.Meta["checksum"] {
-		return nil, fmt.Errorf("experiments: artifact set checksum missing or mismatched (corrupt file, or one written before sets carried a checksum)")
 	}
 	return as, nil
 }

@@ -247,33 +247,27 @@ func (c *Cache) write(path string, ck *serialize.Checkpoint) error {
 }
 
 // cellRecord encodes one artifact, keyed by its spec's Key, as a
-// versioned cache record, payload checksum included. The vector codec
-// is shared with artifact-set files (cellVectorsInto), so the two
-// formats stay in lockstep.
+// versioned cache record. The vector codec is shared with artifact-set
+// files (cellVectorsInto), so the two formats stay in lockstep.
 func cellRecord(key string, a *CellArtifact) *serialize.Checkpoint {
 	ck := serialize.NewCacheRecord(cellRecordKind)
 	ck.Meta["key"] = key
 	cellVectorsInto(ck, "", a)
-	ck.Meta["payload"] = cellPayloadSum(ck, "")
 	return ck
 }
 
 // cellFromRecord validates and decodes a cache record for the expected
-// spec, whose Key is key. The stored key must match it exactly: the content address
-// already encodes it, so a mismatch means a hash collision, a renamed
-// file or tampering. The payload checksum must match the decoded
-// series: the checkpoint framing carries no checksum of its own, so
-// this is what catches bit rot inside vector data. Either failure is
-// treated as a miss.
+// spec, whose Key is key. serialize.Read has already checked the
+// record's bytes against its checksum trailer. The stored key must
+// match key exactly: the content address already encodes it, so a
+// mismatch means a hash collision or a renamed file. Either a failure
+// here or a corrupt stream is treated as a miss.
 func cellFromRecord(ck *serialize.Checkpoint, spec CellSpec, key string) (*CellArtifact, error) {
 	if err := serialize.ValidateCacheRecord(ck, cellRecordKind); err != nil {
 		return nil, err
 	}
 	if got, want := ck.Meta["key"], key; got != want {
 		return nil, fmt.Errorf("experiments: cache record is for cell %q, want %q", got, want)
-	}
-	if got, want := cellPayloadSum(ck, ""), ck.Meta["payload"]; got != want {
-		return nil, fmt.Errorf("experiments: cache record payload checksum mismatch (corrupt record)")
 	}
 	return cellFromVectors(ck, "", spec)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,11 +179,18 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 			os.WriteFile(path, data, 0o644)
 		},
 		"flip-payload-byte": func(path string) {
-			// Deep inside the last vector's float data: the framing
-			// still decodes, only the payload checksum catches it.
+			// The last byte of the last vector's float data: the framing
+			// still decodes, only the checksum trailer catches it.
 			data, _ := os.ReadFile(path)
 			data[len(data)-5] ^= 0x01
 			os.WriteFile(path, data, 0o644)
+		},
+		"old-format": func(path string) {
+			// A record as builds before the checksum trailer wrote it:
+			// the old magic, and no trailer.
+			data, _ := os.ReadFile(path)
+			binary.LittleEndian.PutUint32(data, 0xfedd5e01)
+			os.WriteFile(path, data[:len(data)-4], 0o644)
 		},
 		"stale-schema": func(path string) {
 			os.WriteFile(path, staleRecord(), 0o644)
@@ -229,9 +237,8 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 
 // TestCacheRecordFlips writes one valid cell record and flips each of
 // its bytes with masks 0x01, 0x80 and 0xff: every load must count one
-// rejected miss or return the identical artifact as a hit, and never
-// panic. The record framing carries no checksum, so a flip inside the
-// vector data is caught only by the payload checksum.
+// rejected miss, and never panic. The stream's CRC-32C trailer catches
+// every single-byte flip, wherever it lands.
 func TestCacheRecordFlips(t *testing.T) {
 	c, err := OpenCache(t.TempDir(), false)
 	if err != nil {
@@ -265,13 +272,11 @@ func TestCacheRecordFlips(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := c.Stats()
-			got, ok := c.load(scale, spec, key)
+			if _, ok := c.load(scale, spec, key); ok {
+				t.Fatalf("flip %#02x at byte %d of %d loaded", mask, pos, len(orig))
+			}
 			after := c.Stats()
-			if ok {
-				if !reflect.DeepEqual(got, want) || after.Hits != before.Hits+1 {
-					t.Fatalf("flip %#02x at byte %d of %d loaded a different artifact", mask, pos, len(orig))
-				}
-			} else if after.Misses != before.Misses+1 || after.Rejected != before.Rejected+1 {
+			if after.Misses != before.Misses+1 || after.Rejected != before.Rejected+1 || after.Hits != before.Hits {
 				t.Fatalf("flip %#02x at byte %d: stats %+v after %+v, want one rejected miss", mask, pos, after, before)
 			}
 		}

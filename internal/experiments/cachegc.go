@@ -52,11 +52,12 @@ func (st GCStats) Summary(dir string) string {
 }
 
 // gcValidate reports whether a record file would still be served as a
-// hit by some future lookup: well-formed, current schema, key decoding
-// to a spec that round-trips, and an intact payload checksum. It is the
-// spec-less twin of cellFromRecord — GC cannot recompute content
-// addresses (they fold in Scale fields it does not know), so it trusts
-// the stored key only after the same validation a lookup applies.
+// hit by some future lookup: an intact stream (serialize.Read checks its
+// checksum trailer), current schema, a key that parses to a spec, and
+// series that decode. It is the spec-less twin of cellFromRecord — GC
+// cannot recompute content addresses (they fold in Scale fields it does
+// not know), so it takes the spec from the stored key and then applies
+// the validation a lookup applies.
 func gcValidate(path string) error {
 	ck, err := serialize.LoadFile(path)
 	if err != nil {

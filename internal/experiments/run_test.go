@@ -8,10 +8,14 @@ import (
 	"feddrl/internal/serialize"
 )
 
-// seriesSum hashes an artifact's series bit for bit, as a cache record
-// stores them.
+// seriesSum hashes an artifact's four series bit for bit.
 func seriesSum(a *CellArtifact) string {
-	return cellPayloadSum(cellRecord("", a), "")
+	h := serialize.NewHasher()
+	h.Floats(a.Accuracy)
+	h.Floats(intsToFloats(a.AccRounds))
+	h.Floats(a.LossMean)
+	h.Floats(a.LossVar)
+	return h.Sum()
 }
 
 // TestSingleSetRunIgnoresClearedFields pins the premise of the run
@@ -96,7 +100,8 @@ func TestSingleSetRunIgnoresClearedFields(t *testing.T) {
 // table4's 16 cells 14 runs on 2, a grid without SingleSet performs one
 // run per cell, and seed replicates and shard slices group only within
 // themselves. A cold table3 pass still misses and writes all 72 cells,
-// each group's records carry one payload, and the warm pass hits all 72.
+// each record decodes to its group's run's series, and the warm pass
+// hits all 72.
 func TestGroupRunsPerPass(t *testing.T) {
 	s := CI()
 	check := func(name string, jobs []CellSpec, runs, pairs int) {
@@ -174,12 +179,17 @@ func TestGroupRunsPerPass(t *testing.T) {
 	jobs := table3Jobs(g, 1)
 	for _, grp := range groupRuns(jobs) {
 		for _, i := range grp {
-			ck, err := serialize.LoadFile(cold.path(cellAddress(hashedScale(g), jobs[i].Key())))
+			key := jobs[i].Key()
+			ck, err := serialize.LoadFile(cold.path(cellAddress(hashedScale(g), key)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := seriesSum(set.get(jobs[grp[0]])); ck.Meta["payload"] != want {
-				t.Fatalf("%s: record payload %s, want its run's %s", jobs[i].Key(), ck.Meta["payload"], want)
+			a, err := cellFromRecord(ck, jobs[i], key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := seriesSum(a), seriesSum(set.get(jobs[grp[0]])); got != want {
+				t.Fatalf("%s: record series %s, want its run's %s", key, got, want)
 			}
 		}
 	}

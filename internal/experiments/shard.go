@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -167,7 +168,29 @@ func RenderSet(s Scale, set *ArtifactSet) (string, error) {
 		return "", fmt.Errorf("experiments: artifact set is missing %d of %d cells (incomplete shard merge?): %s",
 			len(missing), len(jobs), strings.Join(missing, ", "))
 	}
+	if err := set.checkRounds(); err != nil {
+		return "", err
+	}
 	return e.Render(s, set.Seed, max(set.Seeds, 1), set.get), nil
+}
+
+// checkRounds refuses a set whose cells were not all evaluated at the
+// rounds its first cell was. Every cell of one scale runs
+// Scale.runConfig's Rounds and EvalEvery, and the renderers index one
+// cell's series by another's rounds, so a set that breaks this would
+// render wrong numbers or panic.
+func (as *ArtifactSet) checkRounds() error {
+	if len(as.order) == 0 {
+		return nil
+	}
+	first := as.Cells[as.order[0]].AccRounds
+	for _, key := range as.order[1:] {
+		if !slices.Equal(as.Cells[key].AccRounds, first) {
+			return fmt.Errorf("experiments: cell %s was evaluated at other rounds than cell %s (%d evaluations, want %d)",
+				key, as.order[0], len(as.Cells[key].AccRounds), len(first))
+		}
+	}
+	return nil
 }
 
 // RunSeedsCached executes a registered experiment with m seed
@@ -188,5 +211,8 @@ func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) 
 	}
 	set := NewArtifactSet(name, s, seed, seeds)
 	set.compute(s, jobs, cache)
+	if err := set.checkRounds(); err != nil {
+		return "", nil, err
+	}
 	return e.Render(s, seed, seeds, set.get), set, nil
 }

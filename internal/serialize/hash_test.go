@@ -113,9 +113,9 @@ func TestCacheRecordStaleSchema(t *testing.T) {
 }
 
 // TestCacheRecordCorruptBytes is the serialize half of the
-// corruption-is-a-miss property: any truncation or byte flip of an
-// encoded record must surface as a decode or validation error, never a
-// silently wrong record.
+// corruption-is-a-miss property: every truncation and every single-byte
+// flip (masks 0x01, 0x80, 0xff) of an encoded record must fail to
+// decode, never yield a silently wrong record.
 func TestCacheRecordCorruptBytes(t *testing.T) {
 	c := NewCacheRecord("cell-artifact")
 	c.Meta["key"] = "k"
@@ -130,12 +130,13 @@ func TestCacheRecordCorruptBytes(t *testing.T) {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
-	// Flipping a byte either fails to decode or yields a record that no
-	// longer validates bit-identically; we only require no panic and
-	// that magic corruption is caught.
-	flipped := append([]byte(nil), data...)
-	flipped[0] ^= 0xff
-	if _, err := Read(bytes.NewReader(flipped)); err == nil {
-		t.Fatal("corrupt magic decoded cleanly")
+	for pos := range data {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			flipped := bytes.Clone(data)
+			flipped[pos] ^= mask
+			if _, err := Read(bytes.NewReader(flipped)); err == nil {
+				t.Fatalf("flip %#02x at byte %d of %d decoded cleanly", mask, pos, len(data))
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package serialize provides the binary checkpoint format used by the
 // reproduction: named float64 vectors plus string metadata, the one
-// layout behind trained DRL agents, cache records and shard artifacts.
-// The format is explicit little-endian with a magic header and length
-// prefixes, so checkpoints are portable across machines and versions
-// can be detected.
+// layout behind trained DRL agents, cache records, shard artifacts and
+// saved models. The format is explicit little-endian with a magic
+// header and length prefixes, so checkpoints are portable across
+// machines and versions can be detected, and every stream ends with a
+// CRC-32C of all its bytes, so this package alone owns integrity.
 //
 // Its vector encoding also sizes messages for the communication
 // accounting of §5.3 (FedDRL adds only a few floats of inference-loss
@@ -15,16 +16,29 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
-// Magic identifies feddrl checkpoint streams.
-const Magic = 0xfedd5e01
+// Magic identifies feddrl checkpoint streams. It changes with the
+// layout, so a stream of another layout fails with ErrBadMagic.
+const Magic = 0xfedd5e02
 
-// ErrBadMagic reports a stream that is not a feddrl checkpoint.
+// ErrBadMagic reports a stream that is not a feddrl checkpoint of this
+// layout.
 var ErrBadMagic = errors.New("serialize: bad magic (not a feddrl checkpoint)")
+
+// ErrChecksum reports a stream whose trailer does not match the CRC-32C
+// of the bytes before it: a corrupt file.
+var ErrChecksum = errors.New("serialize: checksum mismatch (corrupt checkpoint)")
+
+// castagnoli is the CRC-32C table of the stream trailer. CRC-32C detects
+// every error burst of 32 bits or fewer, so any single corrupt byte
+// fails the check with certainty.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxLen guards length prefixes against corrupt or hostile streams.
 const maxLen = 1 << 30
@@ -112,8 +126,9 @@ func ReadString(r io.Reader) (string, error) {
 // Checkpoint is a named collection of vectors (e.g. "policy", "value",
 // "global") plus free-form metadata. Its stream is the magic, the
 // metadata section, then the vectors section, each a count followed by
-// its entries in key order, and nothing after. A float32 vector fits
-// Vectors exactly.
+// its entries in key order, then a 4-byte little-endian CRC-32C of every
+// byte before it, and nothing after. A float32 vector fits Vectors
+// exactly.
 type Checkpoint struct {
 	Meta    map[string]string
 	Vectors map[string][]float64
@@ -127,42 +142,50 @@ func NewCheckpoint() *Checkpoint {
 	}
 }
 
-// Write encodes the checkpoint to w.
+// Write encodes the checkpoint to w, checksum trailer included.
 func (c *Checkpoint) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(Magic)); err != nil {
+	sum := crc32.New(castagnoli)
+	body := io.MultiWriter(bw, sum)
+	if err := binary.Write(body, binary.LittleEndian, uint32(Magic)); err != nil {
 		return fmt.Errorf("serialize: magic: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.Meta))); err != nil {
+	if err := binary.Write(body, binary.LittleEndian, uint32(len(c.Meta))); err != nil {
 		return fmt.Errorf("serialize: meta count: %w", err)
 	}
 	for _, k := range sortedKeys(c.Meta) {
-		if err := WriteString(bw, k); err != nil {
+		if err := WriteString(body, k); err != nil {
 			return err
 		}
-		if err := WriteString(bw, c.Meta[k]); err != nil {
+		if err := WriteString(body, c.Meta[k]); err != nil {
 			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.Vectors))); err != nil {
+	if err := binary.Write(body, binary.LittleEndian, uint32(len(c.Vectors))); err != nil {
 		return fmt.Errorf("serialize: vector count: %w", err)
 	}
-	for _, k := range sortedVecKeys(c.Vectors) {
-		if err := WriteString(bw, k); err != nil {
+	for _, k := range sortedKeys(c.Vectors) {
+		if err := WriteString(body, k); err != nil {
 			return err
 		}
-		if err := WriteVector(bw, c.Vectors[k]); err != nil {
+		if err := WriteVector(body, c.Vectors[k]); err != nil {
 			return err
 		}
+	}
+	if err := binary.Write(bw, binary.LittleEndian, sum.Sum32()); err != nil {
+		return fmt.Errorf("serialize: checksum: %w", err)
 	}
 	return bw.Flush()
 }
 
-// Read decodes a checkpoint from r. The stream must end where the
-// vectors section does: a byte after it is an error.
+// Read decodes a checkpoint from r. It sums every byte it parses, and
+// the 4 bytes after the vectors section must hold that sum (else
+// ErrChecksum). The stream must end there: a byte after it is an error.
 func Read(r io.Reader) (*Checkpoint, error) {
+	sum := crc32.New(castagnoli)
+	body := io.TeeReader(r, sum)
 	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	if err := binary.Read(body, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("serialize: magic: %w", err)
 	}
 	if magic != Magic {
@@ -170,45 +193,52 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	}
 	c := NewCheckpoint()
 	var nMeta uint32
-	if err := binary.Read(r, binary.LittleEndian, &nMeta); err != nil {
+	if err := binary.Read(body, binary.LittleEndian, &nMeta); err != nil {
 		return nil, fmt.Errorf("serialize: meta count: %w", err)
 	}
 	if nMeta > 1<<20 {
 		return nil, fmt.Errorf("serialize: meta count %d exceeds limit", nMeta)
 	}
 	for i := uint32(0); i < nMeta; i++ {
-		k, err := ReadString(r)
+		k, err := ReadString(body)
 		if err != nil {
 			return nil, err
 		}
-		v, err := ReadString(r)
+		v, err := ReadString(body)
 		if err != nil {
 			return nil, err
 		}
 		c.Meta[k] = v
 	}
 	var nVec uint32
-	if err := binary.Read(r, binary.LittleEndian, &nVec); err != nil {
+	if err := binary.Read(body, binary.LittleEndian, &nVec); err != nil {
 		return nil, fmt.Errorf("serialize: vector count: %w", err)
 	}
 	if nVec > 1<<20 {
 		return nil, fmt.Errorf("serialize: vector count %d exceeds limit", nVec)
 	}
 	for i := uint32(0); i < nVec; i++ {
-		k, err := ReadString(r)
+		k, err := ReadString(body)
 		if err != nil {
 			return nil, err
 		}
-		v, err := ReadVector(r)
+		v, err := ReadVector(body)
 		if err != nil {
 			return nil, err
 		}
 		c.Vectors[k] = v
 	}
+	var trailer uint32
+	if err := binary.Read(r, binary.LittleEndian, &trailer); err != nil {
+		return nil, fmt.Errorf("serialize: checksum: %w", err)
+	}
+	if trailer != sum.Sum32() {
+		return nil, ErrChecksum
+	}
 	var end [1]byte
 	switch _, err := io.ReadFull(r, end[:]); {
 	case err == nil:
-		return nil, errors.New("serialize: trailing bytes after the vectors section")
+		return nil, errors.New("serialize: trailing bytes after the checksum")
 	case !errors.Is(err, io.EOF):
 		return nil, fmt.Errorf("serialize: end of stream: %w", err)
 	}
@@ -247,31 +277,13 @@ func VectorWireSize(n int) int { return 4 + 8*n }
 // and downlink accounting.
 func VectorWireSize32(n int) int { return 4 + 4*n }
 
-func sortedKeys(m map[string]string) []string {
+// sortedKeys returns a map's keys in ascending order, the order every
+// section is written in.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-func sortedVecKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-// sortStrings is insertion sort — key sets are tiny and this avoids an
-// import cycle risk with sort in some build configurations. (The sort
-// package is fine; this simply keeps the hot path allocation-free.)
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

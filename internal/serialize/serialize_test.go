@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -122,8 +123,8 @@ func TestEncodeDecodeBytes(t *testing.T) {
 }
 
 // TestCheckpointLegacyLayout: Read takes one layout. A stream that
-// ends with its vectors section reads; one byte more fails, and so does
-// the retired float32 section (a count, then each key and its
+// ends with its checksum trailer reads; one byte more fails, and so
+// does the retired float32 section (a count, then each key and its
 // length-prefixed float32 payload) that earlier writers could append.
 func TestCheckpointLegacyLayout(t *testing.T) {
 	c := NewCheckpoint()
@@ -145,6 +146,34 @@ func TestCheckpointLegacyLayout(t *testing.T) {
 		if _, err := Read(bytes.NewReader(append(raw[:len(raw):len(raw)], tail...))); err == nil {
 			t.Fatalf("%s decoded cleanly", name)
 		}
+	}
+}
+
+// TestChecksumTrailer: a stream ends with the little-endian CRC-32C
+// (Castagnoli) of every byte before it. A wrong trailer fails with
+// ErrChecksum, and a stream in the layout before the trailer (the old
+// magic, no trailer) fails with ErrBadMagic.
+func TestChecksumTrailer(t *testing.T) {
+	c := NewCheckpoint()
+	c.Meta["k"] = "v"
+	c.Vectors["w"] = []float64{3.14}
+	raw, err := encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-4]
+	if got, want := binary.LittleEndian.Uint32(raw[len(body):]), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)); got != want {
+		t.Fatalf("trailer %#08x, want the CRC-32C of the body %#08x", got, want)
+	}
+	bad := bytes.Clone(raw)
+	bad[len(bad)-1] ^= 0x01
+	if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("wrong trailer: %v, want ErrChecksum", err)
+	}
+	old := bytes.Clone(body)
+	binary.LittleEndian.PutUint32(old, 0xfedd5e01)
+	if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("stream without a trailer under the old magic: %v, want ErrBadMagic", err)
 	}
 }
 

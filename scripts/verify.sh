@@ -29,8 +29,8 @@ go test -race ./internal/engine/... ./internal/fl/... ./internal/core/... ./inte
 # The experiments grid fans out under -race: table3 cold and warm at 4
 # workers, a pass that groups its misses into runs (table3 at ci makes
 # 57 runs on 3 shared (dataset, seed) pairs, and the cold pass still
-# misses and writes all 72 cells, each group's records carrying its
-# run's payload), and a cell of every method trained concurrently on one
+# misses and writes all 72 cells, each group's records decoding to its
+# run's series), and a cell of every method trained concurrently on one
 # shared pair, which must hash the same as a fresh synthesis afterwards.
 go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|TestGroupRunsPerPass|TestSharedPairsStayUnchanged' ./internal/experiments/
 
@@ -47,19 +47,23 @@ go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivale
 # the fuzzing engine proper). The corpus covers both the legacy 7-field
 # keys and the long-form 10-field Byzantine keys (attack, fraction,
 # merge rule), including the malformed 8/9-field and non-canonical
-# all-zero long-form shapes. The artifact-set file codec rides along:
-# every single-byte flip of a two-cell set must fail to load or load
-# the same set, since its checksum covers the header and every cell.
-# So must a cache record's: every single-byte flip of one cell record
-# is a counted rejected miss or loads the same artifact.
-go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip|TestArtifactSetFileRoundTrip|TestCacheRecordFlips' ./internal/experiments/
+# all-zero long-form shapes. The decoders above the checkpoint reader
+# ride along: the seeds of the fuzz target that feeds sealed streams to
+# the cache-record, artifact-set and agent decoders (a cell record, a
+# two-cell set, an agent, a set claiming 1<<30 cells, a 9-field key),
+# none of which may panic or decode a cell whose accuracies and rounds
+# differ in length. Every single-byte flip of a two-cell set's file
+# must fail to load, and every single-byte flip of one cell record must
+# be one counted rejected miss, since the stream's CRC-32C trailer
+# covers every byte.
+go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip|FuzzDecodeCheckpoint|TestArtifactSetFileRoundTrip|TestCacheRecordFlips' ./internal/experiments/
 
 # Checkpoint-reader fuzz seeds (the corpus only, as above): Read must
 # never panic, and a stream it accepts must re-encode to a fixed point.
-# The corpus holds a legacy checkpoint, every prefix of one that ends
-# in the retired float32 section (the empty input included; Read must
-# reject that section as trailing bytes) and length prefixes that
-# claim 1 GiB.
+# Each input is read as it is and sealed with its CRC-32C trailer. The
+# corpus holds a legacy checkpoint, every prefix of a stream body that
+# ends in the retired float32 section (the empty input included; Read
+# must reject that section) and length prefixes that claim 1 GiB.
 go test -short -run 'FuzzCheckpointRead' ./internal/serialize/
 
 # Virtual-client gates: the lazy ClientPool path must be bit-identical
@@ -127,9 +131,8 @@ go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid|TestExperim
 # reference bit for bit and in order at buffer lengths around the chunk
 # size, with and without an engine pool; and a warm Train must allocate
 # nothing at buffer lengths 40 and 400. Every single-byte flip of an
-# agent checkpoint must fail to load or restore the same networks,
-# since its checksum covers the kind, K, hidden width and all four
-# networks.
+# agent checkpoint must fail to load, since the stream's CRC-32C
+# trailer covers every byte.
 go test -run 'TestAgentDigestPinned|TestReprioritizeMatchesQValue|TestAgentTrainAllocsFlat|TestAgentCheckpointFlips' ./internal/core/
 
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
@@ -201,8 +204,10 @@ go test -race -run 'TestF32EagerVirtualBitIdentical|TestF32AsyncDegenerateMatche
 # artifact files must reproduce the unsharded output byte for byte
 # (modulo the one-line timing header, which `tail -n +2` strips). The
 # test runs the same round trip on figure8 in-process, then flips one
-# bit of a stored series: the merge must exit 2 with one line naming
-# the file.
+# byte of a shard file: the merge must exit 2 with one line naming the
+# file. So must merges of a figure10 shard whose rounds were emptied and
+# a figure5 shard whose FedDRL cells were cut to one evaluation, each
+# saved with a valid checksum, with one line and no panic.
 go test -run 'TestTablesShardMergeRoundTrip' ./cmd/tables/
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
