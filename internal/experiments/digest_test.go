@@ -18,7 +18,7 @@ import (
 // experiment, the seed-replicated renders, every grid's job order and
 // the name and bytes of every cache record those runs write.
 var pinnedExperimentDigests = map[string]string{
-	"cache":                  "baf887141116c5c8368c3c6365cb76e60a5c8095dc8fc439549bb035ead6711f",
+	"cache":                  "e8d471ddca78ee9aeff3f9e889ef16ae391413b86c398d93e341285a6f3f69f5",
 	"jobs/async-sync":        "ab32ca0bfe1d2f5013dbd33777c39d57e0da90cc87c50a0a39d06c9822e61ef7",
 	"jobs/byzantine":         "8b60d9866ebd9b48b9c81b1ad3efa14de06a04a3e2e2a6e92f6db670fb22e954",
 	"jobs/figure10":          "325fe02ad2ffde474feb7a10cc49598bbf8917db817d63d3ade6df6b6a47dba8",
