@@ -186,8 +186,8 @@ func (as *ArtifactSet) checkRounds() error {
 	first := as.Cells[as.order[0]].AccRounds
 	for _, key := range as.order[1:] {
 		if !slices.Equal(as.Cells[key].AccRounds, first) {
-			return fmt.Errorf("experiments: cell %s was evaluated at other rounds than cell %s (%d evaluations, want %d)",
-				key, as.order[0], len(as.Cells[key].AccRounds), len(first))
+			return fmt.Errorf("experiments: cells %s and %s were evaluated at different rounds (%d and %d evaluations)",
+				as.order[0], key, len(first), len(as.Cells[key].AccRounds))
 		}
 	}
 	return nil

@@ -103,14 +103,11 @@ func TestArtifactSetFileRoundTrip(t *testing.T) {
 	two := NewArtifactSet(set.Experiment, s, set.Seed, set.Seeds)
 	two.Add(set.Cells[set.order[0]])
 	two.Add(set.Cells[set.order[1]])
-	encode := func(as *ArtifactSet) []byte {
-		var b bytes.Buffer
-		if err := as.Checkpoint().Write(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+	var b bytes.Buffer
+	if err := two.Checkpoint().Write(&b); err != nil {
+		t.Fatal(err)
 	}
-	orig := encode(two)
+	orig := b.Bytes()
 	for pos := range orig {
 		for _, mask := range []byte{0x01, 0x80, 0xff} {
 			flipped := bytes.Clone(orig)
